@@ -64,11 +64,7 @@ class ScaledMatrix:
 
     @staticmethod
     def from_matrix(m: np.ndarray, extra_log: float = 0.0) -> "ScaledMatrix":
-        m = np.asarray(m, dtype=float)
-        nrm = float(np.linalg.norm(m, 2))
-        if nrm == 0.0:
-            return ScaledMatrix(np.zeros_like(m), -math.inf)
-        return ScaledMatrix(m / nrm, extra_log + math.log(nrm))
+        return _normalized(np.asarray(m, dtype=float)[None], [extra_log])[0]
 
     @staticmethod
     def from_diag_logs(log_abs: np.ndarray, signs: np.ndarray) -> "ScaledMatrix":
@@ -140,6 +136,26 @@ def operator_norm_bounds(m: ScaledMatrix) -> tuple[float, float]:
     return (hi, lo)
 
 
+def _normalized(mats: np.ndarray, extra_logs) -> list[ScaledMatrix]:
+    """``ScaledMatrix.from_matrix`` of every matrix of a (n, d, d) stack, with
+    the 2-norms from one stacked SVD (the largest singular value comes
+    first)."""
+    norms = np.linalg.svd(mats, compute_uv=False)[:, 0].tolist()
+    return [ScaledMatrix(np.zeros_like(m), -math.inf) if nrm == 0.0
+            else ScaledMatrix(m / nrm, extra + math.log(nrm))
+            for m, nrm, extra in zip(mats, norms, extra_logs)]
+
+
+def log_sigma_max(mats) -> np.ndarray:
+    """log sigma_max of every scaled matrix of a sequence of full-structure
+    values, from one stacked SVD: the first entry of
+    ``operator_norm_bounds`` for each."""
+    units = np.stack([m.unit for m in mats])
+    top = np.linalg.svd(units, compute_uv=False)[:, 0].tolist()
+    return np.array([-math.inf if sv == 0.0 else m.log_norm + math.log(sv)
+                     for m, sv in zip(mats, top)])
+
+
 # ---------------------------------------------------------------------------
 # Coefficient sources
 
@@ -174,10 +190,16 @@ class TableSource:
     matrices: np.ndarray  # (count, d, d)
 
     def matrix(self, k: int) -> np.ndarray:
-        idx = k - self.k0
-        if idx < 0 or idx >= len(self.matrices):
+        return self.stack([k])[0]
+
+    def stack(self, ks) -> np.ndarray:
+        """The matrices at the integer times ks, shape (len(ks), d, d); the
+        first time outside the range, in the order of ks, is the error."""
+        idx = np.asarray(ks, dtype=int) - self.k0
+        outside = (idx < 0) | (idx >= len(self.matrices))
+        if outside.any():
             raise EvolutionError(
-                f"time {k} outside the tabulated range "
+                f"time {ks[int(np.argmax(outside))]} outside the tabulated range "
                 f"[{self.k0}, {self.k0 + len(self.matrices) - 1}]")
         return self.matrices[idx]
 
@@ -306,6 +328,19 @@ def coefficient_matrix(system: LinearSystem, t: float) -> np.ndarray:
     raise EvolutionError(f"unsupported source {type(src).__name__}")
 
 
+def _coefficient_stack(system: LinearSystem, ts) -> np.ndarray:
+    """A(t) of a full system at every time of ``ts``, shape (len(ts), d, d):
+    one array evaluation of the row-major entry expressions, or one table
+    gather.  The floats, and the first error, are those of
+    ``coefficient_matrix`` called time by time."""
+    src = system.source
+    if isinstance(src, TableSource):
+        return src.stack(ts)
+    entries = [e for row in src.entries for e in row]
+    values = exprparse.evaluate_array(entries, {"t": ts, "k": ts})
+    return values.reshape(len(ts), system.dim, system.dim)
+
+
 def _diag_step_logs(system: LinearSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(log|a_ii(k)|, sign a_ii(k)) for discrete scalar/diagonal systems."""
     src = system.source
@@ -381,27 +416,59 @@ def _diag_log_integral(system: LinearSystem, frm: float, to: float, h: float) ->
     return sign * total
 
 
-def _rk4_propagate(system: LinearSystem, frm: float, to: float, h: float) -> ScaledMatrix:
-    if frm == to:
-        return ScaledMatrix.identity(system.dim)
-    steps = max(1, int(math.ceil(abs(to - frm) / h)))
+_RK4_BLOCK = 1 << 18  # coefficient values (nodes x entries) one RK4 lane block holds
+
+
+def _rk4_factors(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
+                 h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled propagators Phi(to[l], frm[l]) of a full continuous system by
+    classical fixed-step 4th-order integration, one lane l per pair.
+
+    Returns (units, logs) of shapes (lanes, d, d) and (lanes,).  All lanes
+    span the same length, so they take the same steps and are integrated
+    together, in blocks of lanes whose coefficient values stay within
+    ``_RK4_BLOCK``.  Each lane does the float operations of a lone
+    integration: the same node times, the same products and 2-norms, and
+    the log scale accumulated with ``math.log``.  All nodes of a block are
+    evaluated in one call, lane by lane and step by step, so a failing
+    coefficient raises the error the lanes would raise one at a time.
+    """
+    steps = max(1, math.ceil(abs(float(to[0] - frm[0])) / h))
+    d = system.dim
+    block = max(1, _RK4_BLOCK // (3 * steps * d * d))
+    units, logs = [], []
+    for l0 in range(0, len(frm), block):
+        u, g = _rk4_block(system, frm[l0:l0 + block], to[l0:l0 + block], steps)
+        units.append(u)
+        logs.append(g)
+    return np.concatenate(units), np.concatenate(logs)
+
+
+def _rk4_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
+               steps: int) -> tuple[np.ndarray, np.ndarray]:
+    lanes, d = len(frm), system.dim
     dt = (to - frm) / steps
-    x = np.eye(system.dim)
-    log_acc = 0.0
-    t = frm
-    for _ in range(steps):
-        k1 = coefficient_matrix(system, t) @ x
-        k2 = coefficient_matrix(system, t + dt / 2) @ (x + dt / 2 * k1)
-        k3 = coefficient_matrix(system, t + dt / 2) @ (x + dt / 2 * k2)
-        k4 = coefficient_matrix(system, t + dt) @ (x + dt * k3)
-        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        nrm = float(np.linalg.norm(x, 2))
-        if nrm == 0.0:
+    # t advances by repeated addition of dt, as a step loop does
+    t = np.cumsum(np.column_stack([frm] + [dt] * (steps - 1)), axis=1)
+    half = dt / 2
+    nodes = np.stack([t, t + half[:, None], t + dt[:, None]], axis=2)
+    coeff = _coefficient_stack(system, nodes.ravel()).reshape(lanes, steps, 3, d, d)
+    half, full, sixth = (v[:, None, None] for v in (half, dt, dt / 6))
+    x = np.tile(np.eye(d), (lanes, 1, 1))
+    log_acc = np.zeros(lanes)
+    for s in range(steps):
+        a0, a1, a2 = coeff[:, s, 0], coeff[:, s, 1], coeff[:, s, 2]
+        k1 = a0 @ x
+        k2 = a1 @ (x + half * k1)
+        k3 = a1 @ (x + half * k2)
+        k4 = a2 @ (x + full * k3)
+        x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        nrm = np.linalg.svd(x, compute_uv=False)[:, 0]
+        if np.any(nrm == 0.0):
             raise EvolutionError("propagator collapsed to zero during integration")
-        x /= nrm
-        log_acc += math.log(nrm)
-    return ScaledMatrix(x, log_acc)
+        x /= nrm[:, None, None]
+        log_acc += [math.log(v) for v in nrm.tolist()]
+    return x, log_acc
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +495,11 @@ def propagate(system: LinearSystem, to: float, frm: float,
     if system.structure in (SCALAR, DIAGONAL):
         logs = _diag_log_integral(system, frm, to, params.ode_step)
         return ScaledMatrix.from_diag_logs(logs, np.ones(system.components))
-    return _rk4_propagate(system, frm, to, params.ode_step)
+    if frm == to:
+        return ScaledMatrix.identity(system.dim)
+    units, logs = _rk4_factors(system, np.array([frm], dtype=float),
+                               np.array([to], dtype=float), params.ode_step)
+    return ScaledMatrix(units[0], float(logs[0]))
 
 
 def _diag_range_logs(system: LinearSystem, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -450,29 +521,44 @@ def _diag_range_logs(system: LinearSystem, k: int, n: int) -> tuple[np.ndarray, 
 
 
 def _full_discrete(system: LinearSystem, k: int, n: int) -> ScaledMatrix:
-    if k == n:
-        return ScaledMatrix.identity(system.dim)
     acc = ScaledMatrix.identity(system.dim)
-    if k > n:
-        for j in range(n, k):
-            a = coefficient_matrix(system, j)
-            _check_invertible(a, j)
-            acc = ScaledMatrix.from_matrix(a @ acc.unit, acc.log_norm)
-    else:
-        for j in range(n - 1, k - 1, -1):
-            a = coefficient_matrix(system, j)
-            _check_invertible(a, j)
-            acc = ScaledMatrix.from_matrix(np.linalg.solve(a, acc.unit), acc.log_norm)
+    if k == n:
+        return acc
+    ks = list(range(n, k)) if k > n else list(range(n - 1, k - 1, -1))
+    for a in _step_matrices(system, ks):
+        prod = a @ acc.unit if k > n else np.linalg.solve(a, acc.unit)
+        acc = ScaledMatrix.from_matrix(prod, acc.log_norm)
     return acc
 
 
-def _check_invertible(a: np.ndarray, j: int):
-    sign, logdet = np.linalg.slogdet(a)
-    if sign == 0 or logdet == -math.inf:
-        raise EvolutionError(f"coefficient matrix is singular at time {j}")
-    scale = float(np.max(np.abs(a)))
-    if scale > 0 and logdet - a.shape[0] * math.log(scale) < math.log(_MIN_ABS_DET):
-        raise EvolutionError(f"coefficient matrix is numerically singular at time {j}")
+def _step_matrices(system: LinearSystem, ks: list[int]) -> np.ndarray:
+    """Discrete coefficient matrices at the integer times ks, stacked and
+    checked invertible.  A failure raises the error that evaluating and
+    checking the times one at a time, in the order of ks, raises first."""
+    try:
+        mats = _coefficient_stack(system, ks)
+    except (EvolutionError, exprparse.ExprError):
+        # a singular step before the failing time is reported first
+        for k in ks:
+            _check_invertible(coefficient_matrix(system, k)[None], [k])
+        raise
+    _check_invertible(mats, ks)
+    return mats
+
+
+def _check_invertible(mats: np.ndarray, ks):
+    """Raise at the first singular or numerically singular matrix of a
+    (n, d, d) stack, naming its time from ks."""
+    sign, logdet = np.linalg.slogdet(mats)
+    scale = np.max(np.abs(mats), axis=(1, 2))
+    log_scale = np.array([math.log(v) if v > 0 else 0.0 for v in scale.tolist()])
+    singular = (sign == 0) | (logdet == -math.inf)
+    numerically = (scale > 0) & (logdet - mats.shape[1] * log_scale < math.log(_MIN_ABS_DET))
+    bad = singular | numerically
+    if bad.any():
+        p = int(np.argmax(bad))
+        kind = "singular" if singular[p] else "numerically singular"
+        raise EvolutionError(f"coefficient matrix is {kind} at time {ks[p]}")
 
 
 def weighted_propagate(w: WeightedSystem, to: float, frm: float,
@@ -529,11 +615,16 @@ def scaled_grids(obj, window: int, params: Params = DEFAULT) -> tuple[np.ndarray
     """Integer-time grids of scaled propagators for full systems.
 
     Returns (times, forward, backward) with forward[m] = Phi(t_m, 0) and
-    backward[m] = Phi(0, t_m).  Both are accumulated one factor at a time
-    (each factor inverted at the coefficient level), never by inverting a
-    long product, so the dominant singular direction of each grid entry
-    stays reliable on windows whose propagators are astronomically
-    ill-conditioned.
+    backward[m] = Phi(0, t_m).  Both are accumulated one unit-step factor at
+    a time (each factor inverted at the coefficient level), never by
+    inverting a long product, so the dominant singular direction of each
+    grid entry stays reliable on windows whose propagators are
+    astronomically ill-conditioned.
+
+    All 4 * window factors, Phi(t_m +- 1, t_m) and their backward twins, are
+    built in one batch (``_unit_factors``); each equals, bitwise, the
+    single-step ``propagate`` value, so only the composition runs factor by
+    factor.
     """
     if isinstance(obj, WeightedSystem):
         times, fwd, bwd = scaled_grids(obj.base, window, params)
@@ -542,23 +633,46 @@ def scaled_grids(obj, window: int, params: Params = DEFAULT) -> tuple[np.ndarray
         bwd = [m.shifted(obj.gamma * float(mu[i])) for i, m in enumerate(bwd)]
         return times, fwd, bwd
     system: LinearSystem = obj
+    if system.structure != FULL:
+        raise EvolutionError("scalar and diagonal systems use the component log grid")
     times = np.arange(-window, window + 1, dtype=float)
     center = window
+    # walk outward from 0, first ahead and then behind; each move m -> n
+    # takes the factor Phi(t_n, t_m) and its backward twin Phi(t_m, t_n)
+    moves = ([(m, m + 1) for m in range(center, len(times) - 1)]
+             + [(m, m - 1) for m in range(center, 0, -1)])
+    frm = np.array([times[i] for m, n in moves for i in (m, n)])
+    to = np.array([times[i] for m, n in moves for i in (n, m)])
+    factors = iter(_unit_factors(system, frm, to, params))
     fwd: list = [None] * len(times)
     bwd: list = [None] * len(times)
     fwd[center] = ScaledMatrix.identity(system.dim)
     bwd[center] = ScaledMatrix.identity(system.dim)
-    for m in range(center, len(times) - 1):
-        step = propagate(system, times[m + 1], times[m], params)
-        fwd[m + 1] = step.compose(fwd[m])
-        back = propagate(system, times[m], times[m + 1], params)
-        bwd[m + 1] = bwd[m].compose(back)
-    for m in range(center, 0, -1):
-        step = propagate(system, times[m - 1], times[m], params)
-        fwd[m - 1] = step.compose(fwd[m])
-        back = propagate(system, times[m], times[m - 1], params)
-        bwd[m - 1] = bwd[m].compose(back)
+    for m, n in moves:
+        fwd[n] = next(factors).compose(fwd[m])
+        bwd[n] = bwd[m].compose(next(factors))
     return times, fwd, bwd
+
+
+def _unit_factors(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
+                  params: Params) -> list[ScaledMatrix]:
+    """``propagate(system, to[l], frm[l])`` for unit steps of a full system,
+    built together: stacked RK4 lanes in continuous time; in discrete time
+    one stack of step matrices A(min(frm, to)), multiplied by the identity
+    going forward and solved against it going backward."""
+    if not len(frm):
+        return []
+    if system.time_domain == CONTINUOUS:
+        units, logs = _rk4_factors(system, frm, to, params.ode_step)
+        return [ScaledMatrix(u, g) for u, g in zip(units, logs.tolist())]
+    mats = _step_matrices(system, np.rint(np.minimum(frm, to)).astype(int).tolist())
+    eye = np.eye(system.dim)
+    ahead = to > frm
+    prods = np.empty_like(mats)
+    prods[ahead] = mats[ahead] @ eye
+    behind = mats[~ahead]
+    prods[~ahead] = np.linalg.solve(behind, np.broadcast_to(eye, behind.shape))
+    return _normalized(prods, [0.0] * len(prods))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +681,8 @@ def scaled_grids(obj, window: int, params: Params = DEFAULT) -> tuple[np.ndarray
 
 def load_table(path: str | Path) -> tuple[int, np.ndarray]:
     """Tabulated CSV: header k,a_1_1,...,a_d_d, one row per integer k,
-    row-major entries in plain decimal."""
+    row-major entries in plain decimal; a NaN or infinite entry is an error
+    naming its row and column."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -590,6 +705,10 @@ def load_table(path: str | Path) -> tuple[int, np.ndarray]:
                 continue
             ks.append(int(line[0]))
             rows.append([float(v) for v in line[1:]])
+            for name, v, text in zip(expected, rows[-1], line[1:]):
+                if not math.isfinite(v):
+                    raise EvolutionError(
+                        f"{path}: row k={ks[-1]}: {name} is not finite ({text.strip()})")
     if not ks:
         raise EvolutionError(f"{path}: no rows")
     if ks != list(range(ks[0], ks[0] + len(ks))):

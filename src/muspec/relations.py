@@ -31,6 +31,7 @@ import numpy as np
 
 from . import rates
 from .params import DEFAULT, DISCRETE, Params
+from .spectrum import pair_ratio_blocks
 
 
 EPS_GRID = (1.0, 0.5, 0.25, 0.1, 0.05)
@@ -228,15 +229,6 @@ def _bounded_outcome(mu, omega, coef_mu: float, coef_omega: float,
     return _sequence_outcome(sups, params.tol_stab), float(sups[-1]), pairs
 
 
-_triu_cache: dict = {}
-
-
-def _triu(n: int):
-    if n not in _triu_cache:
-        _triu_cache[n] = np.triu_indices(n, k=1)
-    return _triu_cache[n]
-
-
 def _ratio_necessity(mu, omega, params: Params) -> tuple[str, list, list]:
     """Necessary condition for both almost-comparisons of (mu, omega): the
     quotient L_omega / L_mu must stay bounded over pairs whose mu-distance is
@@ -255,21 +247,33 @@ def _ratio_necessity(mu, omega, params: Params) -> tuple[str, list, list]:
         l_max = r_mu[-1] - r_mu[0]
         if l_max <= 0:
             raise RelationError("mu is flat on the window; no admissible pairs")
-        ii, jj = _triu(len(ts))
-        l_mu = r_mu[jj] - r_mu[ii]
-        keep = l_mu >= params.cutoff_fraction * l_max
-        ratios = (r_om[jj[keep]] - r_om[ii[keep]]) / l_mu[keep]
-        top = int(np.argmax(ratios))
-        sups.append(float(ratios[top]))
-        argmax_pairs.append({"n": float(ts[ii[keep][top]]),
-                             "k": float(ts[jj[keep][top]]),
-                             "value": float(ratios[top])})
+        value, i, j = _ratio_argmax(r_mu, r_om, params.cutoff_fraction * l_max)
+        sups.append(value)
+        argmax_pairs.append({"n": float(ts[i]), "k": float(ts[j]), "value": value})
     diffs = [b - a for a, b in zip(sups, sups[1:])]
     if _sequence_outcome(sups, params.tol_stab) == FAILS:
         return FAILS, sups, argmax_pairs
     if diffs and diffs[-1] <= params.tol_stab:
         return HOLDS, sups, argmax_pairs
     return INCONCLUSIVE, sups, argmax_pairs
+
+
+def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple[float, int, int]:
+    """Largest (r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i]) over the pairs
+    i < j whose mu-distance reaches the threshold, with its pair: the first
+    maximum in row-major pair order, and a NaN ratio beats every number, as
+    ``np.argmax`` over all pairs at once would pick."""
+    best = None
+    for i0, mask, ratios in pair_ratio_blocks(r_mu, r_om, -r_om, threshold):
+        top = int(np.argmax(ratios))
+        value = ratios[top]
+        if best is None or value > best[0] or (np.isnan(value) and not np.isnan(best[0])):
+            best = (value, i0, mask, top)
+    if best is None:
+        raise RelationError("no admissible pairs after the log-quotient cutoff")
+    value, i0, mask, top = best
+    a, b = divmod(int(np.flatnonzero(mask)[top]), mask.shape[1])
+    return float(value), i0 + a, i0 + 1 + b
 
 
 def _affine_prefilter(mu, omega, params: Params) -> str:

@@ -117,34 +117,43 @@ def _window_slice(times: np.ndarray, window: int) -> slice:
     return slice(center - window, center + window + 1)
 
 
-_PAIR_BLOCK = 1 << 16  # pair candidates held at once by _pair_ratio_stats
+_PAIR_BLOCK = 1 << 16  # pair candidates held at once by pair_ratio_blocks
 
 
-def _pair_ratio_stats(r: np.ndarray, s: np.ndarray, cutoff: float):
-    """(min ratio, max ratio, admissible pair count) over pairs i < j.
+def pair_ratio_blocks(r: np.ndarray, head: np.ndarray, tail: np.ndarray,
+                      threshold: float):
+    """Ratios (head[j] + tail[i]) / (r[j] - r[i]) over the admissible pairs
+    i < j, those with r[j] - r[i] >= threshold and > 0, one block of rows at
+    a time, so memory stays O(_PAIR_BLOCK) rather than O(len(r)^2).
 
-    Scans blocks of rows i against their partners j > i, so memory stays
-    O(_PAIR_BLOCK) rather than O(len(r)^2); min and max are exact, so the
-    result does not depend on the blocking.
+    Yields (i0, mask, ratios) for each block with admissible pairs:
+    mask[a, b] marks the pair (i0 + a, i0 + 1 + b), and ratios holds the
+    marked pairs' ratios in row-major order, which over the blocks is the
+    order of ``np.triu_indices``.
     """
-    l_max = r[-1] - r[0]
-    if l_max <= 0:
-        raise SpectrumError("growth rate is flat on the window; no admissible pairs")
-    threshold = cutoff * l_max
     n = len(r)
     step = max(1, _PAIR_BLOCK // n)
-    lows, highs, count = [], [], 0
     for i0 in range(0, n - 1, step):
         rows = np.arange(i0, min(i0 + step, n - 1))
         L = r[None, i0 + 1:] - r[rows, None]
         later = np.arange(i0 + 1, n)[None, :] > rows[:, None]
         mask = (L >= threshold) & (L > 0) & later
-        if not mask.any():
-            continue
-        ratios = (s[None, i0 + 1:] - s[rows, None])[mask] / L[mask]
+        if mask.any():
+            yield i0, mask, (head[None, i0 + 1:] + tail[rows, None])[mask] / L[mask]
+
+
+def _pair_ratio_stats(r: np.ndarray, head: np.ndarray, tail: np.ndarray, cutoff: float):
+    """(min ratio, max ratio, admissible pair count) of ``pair_ratio_blocks``
+    at the cutoff fraction of the window's log-quotient; min and max are
+    exact, so the result does not depend on the blocking."""
+    l_max = r[-1] - r[0]
+    if l_max <= 0:
+        raise SpectrumError("growth rate is flat on the window; no admissible pairs")
+    lows, highs, count = [], [], 0
+    for _, _, ratios in pair_ratio_blocks(r, head, tail, cutoff * l_max):
         lows.append(ratios.min())
         highs.append(ratios.max())
-        count += int(mask.sum())
+        count += len(ratios)
     if not count:
         raise SpectrumError("no admissible pairs after the log-quotient cutoff")
     return float(np.min(lows)), float(np.max(highs)), count
@@ -360,7 +369,8 @@ def _component_estimates(system, rate, params: Params, components) -> list[BohlE
     def scan(grid, comp, n):
         times, logs, r_full = grid
         sl = _window_slice(times, n)
-        lo, hi, pairs_used[comp] = _pair_ratio_stats(r_full[sl], logs[comp][sl],
+        s = logs[comp][sl]
+        lo, hi, pairs_used[comp] = _pair_ratio_stats(r_full[sl], s, -s,
                                                      params.cutoff_fraction)
         per_window[comp].append((float(n), lo, hi))
         return _finish_estimate(per_window[comp], pairs_used[comp], params)
@@ -405,29 +415,17 @@ def _enclosure_estimate(system, rate, params: Params) -> BohlEstimate:
     windows = params.windows(base.time_domain)
     times, fwd, bwd = evolution.scaled_grids(system, max(windows), params)
     r_full = rates.log_rate_values(rate, times)
-    log_fwd = np.array([evolution.operator_norm_bounds(m)[0] for m in fwd])
-    log_bwd = np.array([evolution.operator_norm_bounds(m)[0] for m in bwd])
+    log_fwd = evolution.log_sigma_max(fwd)
+    log_bwd = evolution.log_sigma_max(bwd)
     per_window = []
     pairs_used = 0
-    center = (len(times) - 1) // 2
     for n in windows:
-        lo_idx, hi_idx = center - n, center + n
-        r = r_full[lo_idx:hi_idx + 1]
-        l_max = r[-1] - r[0]
-        if l_max <= 0:
-            raise SpectrumError("growth rate is flat on the window; no admissible pairs")
-        i_idx, j_idx = np.triu_indices(hi_idx - lo_idx + 1, k=1)
-        i_idx = i_idx + lo_idx
-        j_idx = j_idx + lo_idx
-        L = r_full[j_idx] - r_full[i_idx]
-        keep = (L >= params.cutoff_fraction * l_max) & (L > 0)
-        i_idx, j_idx, L = i_idx[keep], j_idx[keep], L[keep]
-        if len(L) == 0:
-            raise SpectrumError("no admissible pairs after the log-quotient cutoff")
-        hi_bound = (log_fwd[j_idx] + log_bwd[i_idx]) / L
-        lo_bound = (-log_bwd[j_idx] - log_fwd[i_idx]) / L
-        per_window.append((float(n), float(np.min(lo_bound)), float(np.max(hi_bound))))
-        pairs_used = len(L)
+        sl = _window_slice(times, n)
+        r = r_full[sl]
+        _, hi, pairs_used = _pair_ratio_stats(r, log_fwd[sl], log_bwd[sl],
+                                              params.cutoff_fraction)
+        lo, _, _ = _pair_ratio_stats(r, -log_bwd[sl], -log_fwd[sl], params.cutoff_fraction)
+        per_window.append((float(n), lo, hi))
     return _finish_estimate(per_window, pairs_used, params)
 
 

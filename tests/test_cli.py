@@ -177,6 +177,19 @@ def test_descriptor_validation_error(capsys):
     assert "system.dimension" in err
 
 
+def test_spectrum_rejects_non_finite_table_cell(capsys, tmp_path):
+    table = tmp_path / "table.csv"
+    rows = ["k,a_1_1,a_1_2,a_2_1,a_2_2"] + [f"{k},2.0,0.5,0.0,0.5" for k in range(-400, 401)]
+    rows[3] = "-398,2.0,nan,0.0,0.5"
+    table.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    system = {"time_domain": "discrete", "dimension": 2, "structure": "full",
+              "coefficients": {"table": str(table)}}
+    code, out, err = _run(capsys, ["spectrum", "--system", json.dumps(system), "--rate", "exp"])
+    assert code == 1
+    assert out == ""
+    assert "row k=-398: a_1_2 is not finite" in err
+
+
 def test_bad_rate_name(capsys):
     code, _, err = _run(capsys, [
         "compare", "--relation", "faster", "--a", "catalog:nope", "--b", "q"])

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from muspec import catalog, evolution, rates
+from muspec import catalog, evolution, exprparse, rates
 from muspec.params import CONTINUOUS, DISCRETE
 
 
@@ -170,6 +170,92 @@ def test_scaled_grids_are_mutually_inverse():
         assert prod.definitely_close(evolution.ScaledMatrix.identity(2), 1e-6)
 
 
+def _plain_from_matrix(m, extra_log):
+    nrm = float(np.linalg.norm(m, 2))
+    return evolution.ScaledMatrix(m / nrm, extra_log + math.log(nrm))
+
+
+def _plain_unit_step(system, to, frm, h=1e-2):
+    """One unit-step factor the plain way: a coefficient matrix per point,
+    and for continuous time one RK4 loop on 2-D arrays."""
+    eye = np.eye(system.dim)
+    if system.time_domain == DISCRETE:
+        a = evolution.coefficient_matrix(system, int(min(to, frm)))
+        return _plain_from_matrix(a @ eye if to > frm else np.linalg.solve(a, eye), 0.0)
+    steps = max(1, int(math.ceil(abs(to - frm) / h)))
+    dt = (to - frm) / steps
+    x, log_acc, t = eye, 0.0, frm
+    for _ in range(steps):
+        k1 = evolution.coefficient_matrix(system, t) @ x
+        k2 = evolution.coefficient_matrix(system, t + dt / 2) @ (x + dt / 2 * k1)
+        k3 = evolution.coefficient_matrix(system, t + dt / 2) @ (x + dt / 2 * k2)
+        k4 = evolution.coefficient_matrix(system, t + dt) @ (x + dt * k3)
+        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+        nrm = float(np.linalg.norm(x, 2))
+        x /= nrm
+        log_acc += math.log(nrm)
+    return evolution.ScaledMatrix(x, log_acc)
+
+
+def _plain_scaled_grids(system, window):
+    """scaled_grids built the plain way: one unit step at a time, composed
+    factor by factor."""
+    times = np.arange(-window, window + 1, dtype=float)
+    fwd = [None] * len(times)
+    bwd = [None] * len(times)
+    fwd[window] = bwd[window] = evolution.ScaledMatrix(np.eye(system.dim), 0.0)
+    moves = ([(m, m + 1) for m in range(window, 2 * window)]
+             + [(m, m - 1) for m in range(window, 0, -1)])
+    for m, n in moves:
+        step = _plain_unit_step(system, times[n], times[m])
+        back = _plain_unit_step(system, times[m], times[n])
+        fwd[n] = _plain_from_matrix(step.unit @ fwd[m].unit, step.log_norm + fwd[m].log_norm)
+        bwd[n] = _plain_from_matrix(bwd[m].unit @ back.unit, bwd[m].log_norm + back.log_norm)
+    return times, fwd, bwd
+
+
+def test_scaled_grids_match_composed_single_steps():
+    cont = evolution.full_system(CONTINUOUS, [["2*abs(t)", "1"], ["0", "-1/(1+abs(t))"]])
+    rng = np.random.default_rng(11)
+    table = evolution.tabulated_system(-20, rng.uniform(-1, 1, (41, 3, 3)) + 2 * np.eye(3))
+    q = catalog.rate("q", CONTINUOUS)
+    weighted = evolution.WeightedSystem(cont, q, 0.7)
+    for obj, window in ((cont, 6), (weighted, 4), (table, 15)):
+        base = obj.base if isinstance(obj, evolution.WeightedSystem) else obj
+        times, fwd, bwd = evolution.scaled_grids(obj, window)
+        _, want_fwd, want_bwd = _plain_scaled_grids(base, window)
+        if obj is weighted:
+            mu = rates.log_rate_values(q, times)
+            want_fwd = [m.shifted(-0.7 * float(v)) for m, v in zip(want_fwd, mu)]
+            want_bwd = [m.shifted(0.7 * float(v)) for m, v in zip(want_bwd, mu)]
+        for got, want in zip(fwd + bwd, want_fwd + want_bwd):
+            assert np.array_equal(got.unit, want.unit)
+            assert got.log_norm == want.log_norm
+        for t in (-2.0, 0.0, 3.0):
+            for to, frm in ((t + 1, t), (t, t + 1)):
+                got, want = evolution.propagate(base, to, frm), _plain_unit_step(base, to, frm)
+                assert np.array_equal(got.unit, want.unit)
+                assert got.log_norm == want.log_norm
+
+
+def test_scaled_grids_raise_the_first_stepwise_error():
+    # at t = 3 both off-diagonal entries fail; the row-major first is reported
+    pole = evolution.full_system(CONTINUOUS, [["1", "1/(t-3)"], ["log(3-t)", "1"]])
+    with pytest.raises(exprparse.DomainError) as info:
+        evolution.scaled_grids(pole, 5)
+    assert str(info.value) == (
+        "division by zero in '1/(t-3)' at input {'t': np.float64(3.0), 'k': np.float64(3.0)}")
+    short = evolution.tabulated_system(-5, np.tile(2.0 * np.eye(2), (11, 1, 1)))
+    with pytest.raises(evolution.EvolutionError) as info:
+        evolution.scaled_grids(short, 8)
+    assert str(info.value) == "time 6 outside the tabulated range [-5, 5]"
+    # a singular step is reported before a later pole, as stepping would
+    mixed = evolution.full_system(DISCRETE, [["k-2", "0"], ["0", "1/(k-5)"]])
+    with pytest.raises(evolution.EvolutionError, match="singular at time 2$"):
+        evolution.scaled_grids(mixed, 8)
+
+
 def test_unit_norm_stays_bounded():
     rng = random.Random(3)
     acc = evolution.ScaledMatrix.identity(2)
@@ -206,6 +292,16 @@ def test_tabulated_csv_round_trip(tmp_path):
     assert lo == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(evolution.EvolutionError, match="outside the tabulated range"):
         evolution.propagate(system, 5, 0)
+
+
+def test_tabulated_csv_rejects_non_finite_cells(tmp_path):
+    path = tmp_path / "table.csv"
+    for cell in ("nan", "-inf"):
+        path.write_text(f"k,a_1_1,a_1_2,a_2_1,a_2_2\n-1,1,0,0,1\n0,1,0,{cell},1\n",
+                        encoding="utf-8")
+        with pytest.raises(evolution.EvolutionError) as info:
+            evolution.load_table(path)
+        assert f"row k=0: a_2_1 is not finite ({cell})" in str(info.value)
 
 
 def test_tabulated_csv_header_validation(tmp_path):
