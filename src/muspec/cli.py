@@ -7,7 +7,7 @@ rates and systems).  Systems and rates are given as catalog names
 file can supply any flag's value; explicit flags win.  Floats in reports are
 fixed at 12 significant digits and the extended reals are encoded as the
 strings "-inf"/"+inf", so identical configurations produce byte-identical
-output.  MUSPEC_THREADS caps harness parallelism.
+output.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -148,15 +147,6 @@ def _build_params(args: argparse.Namespace) -> Params:
     return Params(**kwargs)
 
 
-def _threads() -> int:
-    raw = os.environ.get("MUSPEC_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValueError(f"MUSPEC_THREADS: expected an integer, got {raw!r}") from None
-    return max(1, val)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -240,7 +230,7 @@ def _outcome_exit(outcome: str) -> int:
 def _cmd_verify(args) -> int:
     params = _build_params(args)
     if args.theorem == "all":
-        reports = theorems.run_all(params, threads=_threads())
+        reports = theorems.run_all(params)
     else:
         if not args.system:
             raise ValueError("verify needs --system for a single theorem")

@@ -322,8 +322,8 @@ def coefficient_matrix(system: LinearSystem, t: float) -> np.ndarray:
         return np.diag(vals)
     if isinstance(src, RateQuotientSource):
         if system.time_domain == DISCRETE:
-            la, sg = _diag_step_logs(system, int(round(t)))
-            return np.diag(sg * np.exp(la))
+            la, sg = _diag_step_logs(system, [int(round(t))])
+            return np.diag(sg[0] * np.exp(la[0]))
         return np.diag(_diag_values(system, [t])[0])
     raise EvolutionError(f"unsupported source {type(src).__name__}")
 
@@ -341,36 +341,61 @@ def _coefficient_stack(system: LinearSystem, ts) -> np.ndarray:
     return values.reshape(len(ts), system.dim, system.dim)
 
 
-def _diag_step_logs(system: LinearSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log|a_ii(k)|, sign a_ii(k)) for discrete scalar/diagonal systems."""
+def _diag_step_logs(system: LinearSystem, ks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(log|a_ii(k)|, sign a_ii(k)) of a discrete scalar/diagonal system at
+    the integer times ks, shape (len(ks), components), unchecked: one array
+    evaluation in log space, one table gather, or log mu once per integer."""
     src = system.source
     if isinstance(src, ExprSource) and src.diag is not None:
-        la, sg = [], []
-        env = _var_env(system, float(k))
-        for e in src.diag:
-            l, s = exprparse.evaluate_log_abs(e, env)
-            la.append(l)
-            sg.append(s)
-        return np.array(la), np.array(sg, dtype=float)
+        kf = [float(k) for k in ks]  # a DomainError reports a Python float input
+        la, sg = exprparse.evaluate_log_abs_array(src.diag, {"t": kf, "k": kf})
+        return la, sg.astype(float)
     if isinstance(src, RateQuotientSource):
-        step = rates.log_rate(src.rate, k + 1) - rates.log_rate(src.rate, k)
-        la = np.array([s * step for s in src.slopes])
-        return la, np.ones(len(src.slopes))
+        # a step is log mu(k+1) - log mu(k), left operand first, so a failing
+        # integer is met in the order the steps would meet it
+        logs: dict = {}
+        for k in ks:
+            for j in (k + 1, k):
+                if j not in logs:
+                    logs[j] = rates.log_rate(src.rate, j)
+        step = np.array([logs[k + 1] - logs[k] for k in ks], dtype=float)
+        return step[:, None] * np.array(src.slopes), np.ones((len(ks), len(src.slopes)))
     if isinstance(src, TableSource):
-        m = src.matrix(k)
-        diag = np.diag(m)
+        diag = np.diagonal(src.stack(ks), axis1=1, axis2=2)
         with np.errstate(divide="ignore"):
             return np.where(diag == 0, -np.inf, np.log(np.abs(diag))), np.sign(diag)
     raise EvolutionError("diagonal step logs need a scalar or diagonal system")
 
 
+def _diag_steps(system: LinearSystem, ks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """``_diag_step_logs`` checked nonsingular (no zero entry, no log of
+    -inf).  A failure raises the error that evaluating and checking the
+    times one at a time, in the order of ks, raises first."""
+    try:
+        la, sg = _diag_step_logs(system, ks)
+    except (ValueError, ArithmeticError):
+        # a singular step before the failing time is reported first
+        for k in ks:
+            _check_nonsingular(*_diag_step_logs(system, [k]), [k])
+        raise
+    _check_nonsingular(la, sg, ks)
+    return la, sg
+
+
+def _check_nonsingular(la: np.ndarray, sg: np.ndarray, ks):
+    singular = np.any(sg == 0, axis=1) | np.any(la == -math.inf, axis=1)
+    if singular.any():
+        raise EvolutionError(
+            f"coefficient matrix is singular at time {ks[int(np.argmax(singular))]}")
+
+
 def _diag_values(system: LinearSystem, ts) -> np.ndarray:
     """Continuous-time integrands a_ii at every time of ``ts`` for
-    scalar/diagonal systems, shape (len(ts), components)."""
+    scalar/diagonal systems, shape (len(ts), components).  Expressions take
+    one array call, with the same floats and the same first DomainError as
+    evaluating time by time; quotient sources take log mu' per time."""
     src = system.source
     if isinstance(src, ExprSource) and src.diag is not None:
-        # one array call for all times: the same floats, and the same first
-        # DomainError, as evaluating time by time
         return exprparse.evaluate_array(src.diag, {"t": ts, "k": ts})
     if isinstance(src, RateQuotientSource):
         ds = [rates.log_rate_derivative(src.rate, t) for t in ts]
@@ -382,21 +407,45 @@ def _diag_values(system: LinearSystem, ts) -> np.ndarray:
 # Quadrature and integration
 
 
-def _simpson_segment(system: LinearSystem, a: float, b: float, h: float) -> np.ndarray:
-    """Componentwise integral of the diagonal coefficients over [a, b]
-    (composite Simpson, even panel count, no interior kink handling)."""
-    if a == b:
-        return np.zeros(system.components)
-    n = max(2, int(math.ceil(abs(b - a) / h)))
+_SIMPSON_BLOCK = 1 << 11  # quadrature nodes one array evaluation holds
+
+
+def _simpson_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray,
+                       h: float) -> np.ndarray:
+    """Componentwise integrals of the diagonal coefficients over segments
+    [a[s], b[s]] of one common nonzero length, shape (segments, components):
+    composite Simpson with an even panel count, no interior kink handling.
+
+    Each segment gets the floats of integrating it alone: the nodes of
+    ``np.linspace(a[s], b[s], n + 1)``, and the weighted sum reduced as
+    numpy reduces one segment's (n + 1, components) array, pairwise over a
+    single column and row by row over several.  Segments go in order, in
+    blocks of at most ``_SIMPSON_BLOCK`` nodes per array evaluation, so
+    memory stays flat and a failing node raises the error a
+    segment-by-segment loop raises first.
+    """
+    comp = system.components
+    if not len(a):
+        return np.zeros((0, comp))
+    n = max(2, int(math.ceil(abs(b[0] - a[0]) / h)))
     if n % 2:
         n += 1
-    xs = np.linspace(a, b, n + 1)
-    vals = _diag_values(system, xs)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    step = (b - a) / n
-    return (step / 3.0) * (w[:, None] * vals).sum(axis=0)
+    per_call = max(1, _SIMPSON_BLOCK // (n + 1))
+    out = []
+    for s in range(0, len(a), per_call):
+        lo, hi = a[s:s + per_call], b[s:s + per_call]
+        xs = np.linspace(lo, hi, n + 1, axis=1)
+        vals = _diag_values(system, xs.ravel()).reshape(len(lo), n + 1, comp)
+        weighted = w[:, None] * vals
+        if comp == 1:
+            sums = weighted[:, :, 0].sum(axis=1)[:, None]
+        else:
+            sums = np.cumsum(weighted, axis=1)[:, -1]
+        out.append(((hi - lo) / n / 3.0)[:, None] * sums)
+    return np.concatenate(out)
 
 
 def _diag_log_integral(system: LinearSystem, frm: float, to: float, h: float) -> np.ndarray:
@@ -409,10 +458,15 @@ def _diag_log_integral(system: LinearSystem, frm: float, to: float, h: float) ->
     if a > b:
         a, b = b, a
         sign = -1.0
+
+    def segment(lo, hi):
+        return _simpson_integrals(system, np.array([lo], dtype=float),
+                                  np.array([hi], dtype=float), h)[0]
+
     if a < 0.0 < b:
-        total = _simpson_segment(system, a, 0.0, h) + _simpson_segment(system, 0.0, b, h)
+        total = segment(a, 0.0) + segment(0.0, b)
     else:
-        total = _simpson_segment(system, a, b, h)
+        total = segment(a, b)
     return sign * total
 
 
@@ -503,21 +557,20 @@ def propagate(system: LinearSystem, to: float, frm: float,
 
 
 def _diag_range_logs(system: LinearSystem, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    comp = system.components
-    la = np.zeros(comp)
-    sg = np.ones(comp)
     if k == n:
-        return la, sg
+        return np.zeros(system.components), np.ones(system.components)
     lo, hi = (n, k) if k > n else (k, n)
-    for j in range(lo, hi):
-        step_la, step_sg = _diag_step_logs(system, j)
-        if np.any(step_sg == 0):
-            raise EvolutionError(f"coefficient matrix is singular at time {j}")
-        la += step_la
-        sg *= step_sg
+    la, sg = _diag_steps(system, list(range(lo, hi)))
+    total = _walk(la)[-1]
     if k < n:
-        la = -la  # product of inverses; diagonal signs are self-inverse
-    return la, sg
+        total = -total  # product of inverses; diagonal signs are self-inverse
+    return total, np.prod(sg, axis=0)
+
+
+def _walk(steps: np.ndarray) -> np.ndarray:
+    """Running sums 0, s_0, s_0 + s_1, ... of a (count, components) array,
+    added one step at a time from 0.0 as a loop adds them."""
+    return np.cumsum(np.vstack([np.zeros(steps.shape[1]), steps]), axis=0)
 
 
 def _full_discrete(system: LinearSystem, k: int, n: int) -> ScaledMatrix:
@@ -579,6 +632,11 @@ def component_log_grid(obj, window: int, params: Params = DEFAULT) -> tuple[np.n
 
     Returns (times, logs) with times = -window..window and logs of shape
     (components, len(times)); logs[i][m] = log |Phi_ii(times[m], 0)|.
+
+    All 2 * window unit steps are built at once: one batch of discrete step
+    logs (``_diag_steps``) or of Simpson segments (``_simpson_integrals``),
+    then running sums outward from 0.  Every entry, and every error, is
+    bitwise what walking out one unit step at a time gives.
     """
     if isinstance(obj, WeightedSystem):
         times, logs = component_log_grid(obj.base, window, params)
@@ -588,26 +646,18 @@ def component_log_grid(obj, window: int, params: Params = DEFAULT) -> tuple[np.n
     if system.structure == FULL:
         raise EvolutionError("full systems use the scaled-matrix grid")
     times = np.arange(-window, window + 1, dtype=float)
-    comp = system.components
-    logs = np.zeros((comp, len(times)))
     center = window
+    # the unit steps of a walk outward from 0, first ahead [t_m, t_m+1] for
+    # m = center..2W-1, then behind [t_m-1, t_m] for m = center..1; the
+    # first error in this order is the one the walk would meet first
+    left = np.concatenate([times[center:-1], times[:center][::-1]])
     if system.time_domain == DISCRETE:
-        for m in range(center, len(times) - 1):
-            la, sg = _diag_step_logs(system, int(times[m]))
-            if np.any(sg == 0) or np.any(la == -math.inf):
-                raise EvolutionError(f"coefficient matrix is singular at time {int(times[m])}")
-            logs[:, m + 1] = logs[:, m] + la
-        for m in range(center, 0, -1):
-            la, sg = _diag_step_logs(system, int(times[m - 1]))
-            if np.any(sg == 0) or np.any(la == -math.inf):
-                raise EvolutionError(f"coefficient matrix is singular at time {int(times[m - 1])}")
-            logs[:, m - 1] = logs[:, m] - la
+        steps, _ = _diag_steps(system, [int(k) for k in left])
     else:
-        h = params.ode_step
-        for m in range(center, len(times) - 1):
-            logs[:, m + 1] = logs[:, m] + _simpson_segment(system, times[m], times[m + 1], h)
-        for m in range(center, 0, -1):
-            logs[:, m - 1] = logs[:, m] - _simpson_segment(system, times[m - 1], times[m], h)
+        steps = _simpson_integrals(system, left, left + 1.0, params.ode_step)
+    logs = np.empty((system.components, len(times)))
+    logs[:, center:] = _walk(steps[:window]).T
+    logs[:, center::-1] = _walk(-steps[window:]).T
     return times, logs
 
 

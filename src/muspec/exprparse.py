@@ -14,6 +14,12 @@ There is no implicit multiplication ("2t" is a syntax error).  Functions are
 exp, log, abs, sgn, sqrt (unary) and min, max (binary).  An expression uses a
 single time variable, "t" or "k"; helpers that need two named variables (for
 closed-form propagators in (k, n) or (t, s)) pass an explicit variable set.
+
+Evaluation comes in two forms with one meaning: ``evaluate_env`` returns the
+value at one point and ``evaluate_log_abs`` its (log|value|, sign), folding
+exp, products, quotients and powers in log space; ``evaluate_array`` and
+``evaluate_log_abs_array`` do the same over arrays of points, bitwise equal
+point by point and raising the error the point-by-point loop raises first.
 """
 
 from __future__ import annotations
@@ -392,18 +398,25 @@ def evaluate_array(exprs: Sequence[Expr], env: Mapping[str, np.ndarray]) -> np.n
     When some point fails, the error is the one that loop raises first: at
     the earliest failing point, from the first failing expression.
     """
+    return np.stack(_masked_columns(exprs, env, _evaluate_masked, evaluate_env), axis=1)
+
+
+def _masked_columns(exprs, env, masked, scalar) -> list:
+    """``masked(e, arrays, bad, size)`` for every expression over the points
+    of ``env``.  If any point is marked bad, raise what ``scalar(e, point)``
+    raises at the first marked point, expression by expression."""
     arrays = {name: np.asarray(values, dtype=float) for name, values in env.items()}
     size = len(next(iter(arrays.values())))
     bad = np.zeros(size, dtype=bool)
     with np.errstate(all="ignore"):
-        columns = [_evaluate_masked(e, arrays, bad, size) for e in exprs]
+        columns = [masked(e, arrays, bad, size) for e in exprs]
     if bad.any():
         m = int(np.argmax(bad))
         point = {name: values[m] for name, values in env.items()}
         for e in exprs:
-            evaluate_env(e, point)
+            scalar(e, point)
         raise AssertionError(f"array evaluation flagged input {point!r} that evaluates")
-    return np.stack(columns, axis=1)
+    return columns
 
 
 def _evaluate_masked(expr: Expr, env: Mapping[str, np.ndarray], bad: np.ndarray,
@@ -528,6 +541,62 @@ def evaluate_log_abs(expr: Expr, env: Mapping[str, float]) -> tuple[float, int]:
     if value == 0.0:
         return -math.inf, 0
     return math.log(abs(value)), (1 if value > 0 else -1)
+
+
+def evaluate_log_abs_array(exprs: Sequence[Expr], env: Mapping[str, Sequence[float]]
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Array twin of ``evaluate_log_abs``, as ``evaluate_array`` is of
+    ``evaluate_env``.
+
+    Returns (logs, signs) of shape (points, len(exprs)); entry (m, i) is,
+    bitwise, ``evaluate_log_abs(exprs[i], point_m)`` with signs as integers.
+    When some point fails, the error is the one evaluating point by point,
+    expression by expression, raises first; its input is the element of
+    ``env`` as given (a Python float stays one).
+    """
+    columns = _masked_columns(exprs, env, _log_abs_masked, evaluate_log_abs)
+    return (np.stack([la for la, _ in columns], axis=1),
+            np.stack([s for _, s in columns], axis=1))
+
+
+def _log_abs_masked(expr: Expr, env: Mapping[str, np.ndarray], bad: np.ndarray,
+                    size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array twin of ``evaluate_log_abs`` node by node: marks in ``bad``
+    every point at which the scalar call raises."""
+    if isinstance(expr, Neg):
+        la, s = _log_abs_masked(expr.arg, env, bad, size)
+        return la, -s
+    if isinstance(expr, Call) and expr.fn == "exp":
+        return _evaluate_masked(expr.args[0], env, bad, size), np.ones(size, dtype=int)
+    if isinstance(expr, Call) and expr.fn == "abs":
+        la, s = _log_abs_masked(expr.args[0], env, bad, size)
+        return la, (s != 0).astype(int)
+    if isinstance(expr, Call) and expr.fn == "sqrt":
+        la, s = _log_abs_masked(expr.args[0], env, bad, size)
+        bad |= s < 0
+        return la / 2.0, s
+    if isinstance(expr, Bin) and expr.op in "*/":
+        la, sa = _log_abs_masked(expr.left, env, bad, size)
+        lb, sb = _log_abs_masked(expr.right, env, bad, size)
+        if expr.op == "/":
+            bad |= sb == 0
+            return la - lb, sa * sb
+        zero = (sa == 0) | (sb == 0)
+        return np.where(zero, -math.inf, la + lb), np.where(zero, 0, sa * sb)
+    if isinstance(expr, Bin) and expr.op == "^":
+        la, sa = _log_abs_masked(expr.left, env, bad, size)
+        e = _evaluate_masked(expr.right, env, bad, size)
+        integral = np.isfinite(e) & (e == np.floor(e))
+        zero = sa == 0
+        bad |= ((sa < 0) & ~integral) | (zero & ~(e > 0.0) & ~(e == 0.0))
+        # a negative base keeps its sign under an odd integral power
+        even = (sa < 0) & integral & (np.fmod(np.where(integral, e, 0.0), 2.0) == 0.0)
+        return (np.where(zero, np.where(e > 0.0, -math.inf, 0.0), e * la),
+                np.where(zero, np.where(e > 0.0, 0, 1), np.where(even, 1, sa)))
+    value = _evaluate_masked(expr, env, bad, size)
+    zero = value == 0.0
+    la = _map_checked(math.log, bad, np.where(zero, 1.0, np.abs(value)))
+    return np.where(zero, -math.inf, la), np.where(zero, 0, np.where(value > 0.0, 1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,8 @@ def log_rate_values(rate: GrowthRate, ts: np.ndarray) -> np.ndarray:
     """Vectorized log mu over a time grid."""
     ts = np.asarray(ts, dtype=float)
     if isinstance(rate, PowerExp):
-        return rate.lam * np.sign(ts) * np.abs(ts) ** rate.p
+        with np.errstate(over="ignore"):  # an overflow is an inf for the grid check
+            return rate.lam * np.sign(ts) * np.abs(ts) ** rate.p
     if isinstance(rate, Polynomial):
         if rate.time_domain == CONTINUOUS:
             return np.sign(ts) * np.log1p(np.abs(ts))
@@ -190,6 +191,15 @@ def log_quotient(rate: GrowthRate, k: float, n: float) -> LogQuotient:
 # Sampled grids (shared by the estimators; cached, returned read-only)
 
 
+_TOL = 1e-12  # slack on log mu(0) = 0 and on non-decreasing samples
+
+
+def _drops(vals: np.ndarray) -> np.ndarray:
+    """Mask of the sample steps i -> i+1 on which log mu falls by more than
+    _TOL."""
+    return vals[1:] < vals[:-1] - _TOL
+
+
 @lru_cache(maxsize=128)
 def sample_times(time_domain: str, window: int, samples_per_unit: int = 1) -> np.ndarray:
     if time_domain == DISCRETE:
@@ -203,8 +213,24 @@ def sample_times(time_domain: str, window: int, samples_per_unit: int = 1) -> np
 
 @lru_cache(maxsize=512)
 def log_rate_grid(rate: GrowthRate, window: int, samples_per_unit: int = 1) -> np.ndarray:
+    """log mu at ``sample_times``, the grid every estimator scans.  It must
+    look like a growth rate there: finite, log mu(0) = 0 and non-decreasing
+    (up to _TOL); otherwise a RateError names the failed check and the
+    first time at which it fails."""
     ts = sample_times(rate.time_domain, window, samples_per_unit)
     vals = log_rate_values(rate, ts)
+    infinite = ~np.isfinite(vals)
+    if infinite.any():
+        i = int(np.argmax(infinite))
+        raise RateError(f"rate: log mu is not finite at t={ts[i]:g} ({vals[i]})")
+    origin = log_rate(rate, 0.0)
+    if abs(origin) > _TOL:
+        raise RateError(f"rate: log mu(0) is {origin:g}, not 0 (mu(0) must be 1)")
+    drops = _drops(vals)
+    if drops.any():
+        i = int(np.argmax(drops))
+        raise RateError(f"rate: log mu decreases from t={ts[i]:g} to t={ts[i + 1]:g} "
+                        "(a growth rate is non-decreasing)")
     vals.flags.writeable = False
     return vals
 
@@ -239,15 +265,13 @@ def validate_rate(rate: GrowthRate, window: float,
         count = int(round(2 * window * samples_per_unit))
         ts = np.linspace(-window, window, count + 1)
     vals = log_rate_values(rate, ts)
-    bad = []
-    for i in range(len(ts) - 1):
-        if vals[i + 1] < vals[i] - 1e-12:
-            bad.append((float(ts[i]), float(ts[i + 1]), float(vals[i]), float(vals[i + 1])))
+    bad = tuple((float(ts[i]), float(ts[i + 1]), float(vals[i]), float(vals[i + 1]))
+                for i in np.flatnonzero(_drops(vals)))
     origin = log_rate(rate, 0.0)
     return RateValidation(
-        violations=tuple(bad),
+        violations=bad,
         origin_log=origin,
-        origin_ok=abs(origin) <= 1e-12,
+        origin_ok=abs(origin) <= _TOL,
         attained=(float(vals[0]), float(vals[-1])),
         points_checked=len(ts),
     )

@@ -395,7 +395,8 @@ def _component_estimates(system, rate, params: Params, components) -> list[BohlE
 
 def _log_grid(system, rate, window: int, params: Params):
     times, logs = evolution.component_log_grid(system, window, params)
-    return times, logs, rates.log_rate_values(rate, times)
+    # the rate grid is sampled at the same integer times, and checked
+    return times, logs, rates.log_rate_grid(rate, window)
 
 
 def _enclosure_estimate(system, rate, params: Params) -> BohlEstimate:
@@ -414,7 +415,7 @@ def _enclosure_estimate(system, rate, params: Params) -> BohlEstimate:
     base = system.base if isinstance(system, WeightedSystem) else system
     windows = params.windows(base.time_domain)
     times, fwd, bwd = evolution.scaled_grids(system, max(windows), params)
-    r_full = rates.log_rate_values(rate, times)
+    r_full = rates.log_rate_grid(rate, max(windows))
     log_fwd = evolution.log_sigma_max(fwd)
     log_bwd = evolution.log_sigma_max(bwd)
     per_window = []

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import catalog, evolution, rates, relations, spectrum
@@ -319,7 +318,8 @@ def verify_811(system, chain, params: Params = DEFAULT, fixture: str = "?",
     if rate_names is None:
         rate_names = [_rate_label(r) for r in chain]
     names = {"chain": ",".join(rate_names)}
-    order = relations.chain_check(chain, params)
+    key = ("chain", json.dumps([rates.rate_to_descriptor(r) for r in chain], sort_keys=True))
+    order = _memo(cache, key, lambda: relations.chain_check(chain, params))
     hyps = [_hyp("chain_is_ordered", order.outcome,
                  "" if order.first_failure is None else f"link {order.first_failure} fails")]
 
@@ -436,18 +436,25 @@ def _rate_label(rate_obj) -> str:
     return "expression"
 
 
-def _spec(cache: dict | None, fixture: str, system, rate_obj,
-          params: Params) -> SpectrumReport:
+def _memo(cache: dict | None, key, compute):
+    """compute(), remembered under key in the run's cache when there is one."""
     if cache is None:
-        return compute_spectrum(system, rate_obj, params)
-    key = (fixture, json.dumps(rates.rate_to_descriptor(rate_obj), sort_keys=True))
+        return compute()
     if key not in cache:
-        cache[key] = compute_spectrum(system, rate_obj, params)
+        cache[key] = compute()
     return cache[key]
 
 
-def run_all(params: Params = DEFAULT, threads: int = 1) -> list[TheoremReport]:
-    """The default verification grid over the catalog and generated fixtures."""
+def _spec(cache: dict | None, fixture: str, system, rate_obj,
+          params: Params) -> SpectrumReport:
+    key = ("spectrum", fixture, json.dumps(rates.rate_to_descriptor(rate_obj), sort_keys=True))
+    return _memo(cache, key, lambda: compute_spectrum(system, rate_obj, params))
+
+
+def run_all(params: Params = DEFAULT) -> list[TheoremReport]:
+    """The default verification grid over the catalog and generated fixtures.
+    Spectra and chain verdicts are computed once per run and shared between
+    the theorems that use them."""
     fixtures = {f.name: f for f in catalog_fixtures()}
     d = DISCRETE
     c = CONTINUOUS
@@ -518,7 +525,4 @@ def run_all(params: Params = DEFAULT, threads: int = 1) -> list[TheoremReport]:
     row(verify_908, quot_exp_pm.system, exp_d, pe13_d, params, fixture=quot_exp_pm.name)
     row(verify_908, fixtures["abs2t"].system, q_c, q_c, params, fixture="abs2t")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda r: r(), rows))
     return [r() for r in rows]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from muspec import catalog
 from muspec.cli import main
 
@@ -188,6 +190,21 @@ def test_spectrum_rejects_non_finite_table_cell(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "row k=-398: a_1_2 is not finite" in err
+
+
+@pytest.mark.parametrize("rate, message", [
+    # overflows: log mu = -inf at the left end of the window
+    ('{"kind":"power_exp","p":400}', "rate: log mu is not finite at t=-400 (-inf)"),
+    # mu(0) = e
+    ('{"kind":"expression","log_rate":"1+k"}', "rate: log mu(0) is 1, not 0"),
+    # falls on the negative half-line
+    ('{"kind":"expression","log_rate":"k^2"}', "rate: log mu decreases from t=-400 to t=-399"),
+])
+def test_spectrum_rejects_rates_that_are_not_growth_rates(capsys, rate, message):
+    code, out, err = _run(capsys, ["spectrum", "--system", "catalog:disc_q", "--rate", rate])
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 def test_bad_rate_name(capsys):

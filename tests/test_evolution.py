@@ -158,6 +158,147 @@ def test_component_log_grid_matches_propagate():
         assert logs[0][idx] == pytest.approx(want, abs=1e-9)
 
 
+def _plain_diag_step(system, t, h=1e-2):
+    """log |Psi_ii(t + 1, t)| the plain way: one discrete step evaluated in
+    log space point by point, or one Simpson segment of its own."""
+    src = system.source
+    if system.time_domain == DISCRETE:
+        k = int(t)
+        if isinstance(src, evolution.RateQuotientSource):
+            step = rates.log_rate(src.rate, k + 1) - rates.log_rate(src.rate, k)
+            la, sg = np.array([s * step for s in src.slopes]), np.ones(len(src.slopes))
+        elif isinstance(src, evolution.TableSource):
+            diag = np.diag(src.matrix(k))
+            with np.errstate(divide="ignore"):
+                la, sg = np.where(diag == 0, -np.inf, np.log(np.abs(diag))), np.sign(diag)
+        else:
+            pairs = [exprparse.evaluate_log_abs(e, {"t": float(k), "k": float(k)})
+                     for e in src.diag]
+            la, sg = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs], float)
+        if np.any(sg == 0) or np.any(la == -math.inf):
+            raise evolution.EvolutionError(f"coefficient matrix is singular at time {k}")
+        return la
+    n = max(2, int(math.ceil(1.0 / h)))
+    n += n % 2
+    xs = np.linspace(t, t + 1.0, n + 1)
+    if isinstance(src, evolution.RateQuotientSource):
+        vals = np.array([[s * rates.log_rate_derivative(src.rate, x) for s in src.slopes]
+                         for x in xs])
+    else:
+        vals = exprparse.evaluate_array(src.diag, {"t": xs, "k": xs})
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return (1.0 / n / 3.0) * (w[:, None] * vals).sum(axis=0)
+
+
+def _plain_component_log_grid(obj, window):
+    """component_log_grid the plain way: walk out from 0, first ahead and
+    then behind, one unit step at a time."""
+    if isinstance(obj, evolution.WeightedSystem):
+        times, logs = _plain_component_log_grid(obj.base, window)
+        return times, logs - obj.gamma * rates.log_rate_values(obj.rate, times)[None, :]
+    times = np.arange(-window, window + 1, dtype=float)
+    logs = np.zeros((obj.components, len(times)))
+    for m in range(window, 2 * window):
+        logs[:, m + 1] = logs[:, m] + _plain_diag_step(obj, times[m])
+    for m in range(window, 0, -1):
+        logs[:, m - 1] = logs[:, m] - _plain_diag_step(obj, times[m - 1])
+    return times, logs
+
+
+def test_component_log_grids_match_plain_unit_steps():
+    exp_d, q_d = catalog.rate("exp", DISCRETE), catalog.rate("q", DISCRETE)
+    c_c, q_c = catalog.rate("c", CONTINUOUS), catalog.rate("q", CONTINUOUS)
+    rng = np.random.default_rng(4)
+    table = evolution.tabulated_system(-1600, rng.uniform(-2, 2, (3201, 3, 3)),
+                                       structure=evolution.DIAGONAL)
+    three_c = evolution.diagonal_system(CONTINUOUS, ["2*abs(t)", "-1/(1+abs(t))", "t"])
+    three_d = evolution.diagonal_system(DISCRETE, ["exp(0.3*abs(2*k+1))", "-2", "(k^2+1)/3"])
+    cases = [
+        (ABS2T, 640), (catalog.system("inv1pt"), 40), (catalog.system("sq3t2"), 40),
+        (three_c, 640), (evolution.quotient_system(c_c, [1.0]), 160),
+        (evolution.quotient_system(c_c, [-2.0, 0.5]), 20),
+        (evolution.WeightedSystem(ABS2T, q_c, 0.7), 40),
+        (FRAK_A, 1600), (DISC_Q, 1600), (catalog.system("identity"), 400),
+        (three_d, 1600), (table, 1600),
+        (evolution.quotient_system(q_d, [-2.0, 0.5, 1.5]), 1600),
+        (evolution.quotient_system(exp_d, [1.0]), 400),
+        (evolution.WeightedSystem(DISC_Q, exp_d, 0.4), 400),
+    ]
+    for obj, window in cases:
+        times, logs = evolution.component_log_grid(obj, window)
+        want_times, want_logs = _plain_component_log_grid(obj, window)
+        assert times.tobytes() == want_times.tobytes()
+        assert logs.tobytes() == want_logs.tobytes(), (obj, window)
+    # propagate sums the same unit steps from 0.0, forward, then negates behind
+    for system, to, frm in ((DISC_Q, 9, -4), (three_d, -7, 5), (table, 30, 0)):
+        lo, hi = min(to, frm), max(to, frm)
+        total = np.zeros(system.components)
+        for k in range(lo, hi):
+            total += _plain_diag_step(system, k)
+        got = evolution.propagate(system, to, frm).diag_logs
+        assert got.tobytes() == (total if to > frm else -total).tobytes()
+
+
+def test_component_log_grid_raises_the_first_stepwise_error():
+    c_cases = {
+        "1/(t-3.5)": "division by zero in '1/(t-3.5)' at input "
+                     "{'t': np.float64(3.5), 'k': np.float64(3.5)}",
+        "1/(t+2.25)": "division by zero in '1/(t+2.25)' at input "
+                      "{'t': np.float64(-2.25), 'k': np.float64(-2.25)}",
+    }
+    for text, message in c_cases.items():
+        system = evolution.scalar_system(CONTINUOUS, text)
+        with pytest.raises(exprparse.DomainError) as info:
+            evolution.component_log_grid(system, 10)
+        assert str(info.value) == message
+    # the pole behind 0 at t = -1.5 comes later in the walk than log(7-t) ahead
+    both = evolution.diagonal_system(CONTINUOUS, ["log(7-t)", "1/(t+1.5)"])
+    with pytest.raises(exprparse.DomainError, match="log of a non-positive"):
+        evolution.component_log_grid(both, 10)
+    d_cases = [
+        (["1/(k-7)"], exprparse.DomainError,
+         "division by zero in '1/(k-7)' at input {'t': 7.0, 'k': 7.0}"),
+        (["1/(k+4)"], exprparse.DomainError,
+         "division by zero in '1/(k+4)' at input {'t': -4.0, 'k': -4.0}"),
+        (["k-5"], evolution.EvolutionError, "coefficient matrix is singular at time 5"),
+        (["k+3"], evolution.EvolutionError, "coefficient matrix is singular at time -3"),
+        # a singular step before a later pole is reported first, and a pole
+        # before a later singular step
+        (["k-2", "1/(k-5)"], evolution.EvolutionError,
+         "coefficient matrix is singular at time 2"),
+        (["k-5", "1/(k-2)"], exprparse.DomainError,
+         "division by zero in '1/(k-2)' at input {'t': 2.0, 'k': 2.0}"),
+        # at one time every component is evaluated before the singular check
+        (["k-2", "1/(k-2)"], exprparse.DomainError,
+         "division by zero in '1/(k-2)' at input {'t': 2.0, 'k': 2.0}"),
+    ]
+    for texts, kind, message in d_cases:
+        system = evolution.diagonal_system(DISCRETE, texts)
+        with pytest.raises(kind) as info:
+            evolution.component_log_grid(system, 20)
+        assert str(info.value) == message
+        with pytest.raises(kind) as plain:
+            _plain_component_log_grid(system, 20)
+        assert str(plain.value) == message
+    steps = np.ones((11, 1, 1))  # times -5..5
+    steps[2] = 0.0  # singular at time -3, behind 0
+    # the walk ahead leaves the range at 6 before it turns back to -3
+    with pytest.raises(evolution.EvolutionError) as info:
+        evolution.component_log_grid(evolution.tabulated_system(-5, steps, "scalar"), 8)
+    assert str(info.value) == "time 6 outside the tabulated range [-5, 5]"
+    steps[9] = 0.0  # singular at time 4, ahead of the range end
+    with pytest.raises(evolution.EvolutionError) as info:
+        evolution.component_log_grid(evolution.tabulated_system(-5, steps, "scalar"), 8)
+    assert str(info.value) == "coefficient matrix is singular at time 4"
+    # log mu(k+1) is evaluated before log mu(k) within a step
+    rate = rates.ExpressionRate("1/k+1/(k-1)", DISCRETE)
+    with pytest.raises(exprparse.DomainError) as info:
+        evolution.component_log_grid(evolution.quotient_system(rate, [1.0]), 10)
+    assert str(info.value) == "division by zero in '1/(k-1)' at input 1.0"
+
+
 def test_scaled_grids_are_mutually_inverse():
     rot = _rotation(0.6)
     a = rot @ np.diag([math.e, math.exp(-1.0)]) @ rot.T

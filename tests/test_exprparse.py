@@ -185,6 +185,55 @@ def test_array_evaluation_raises_at_first_failing_point():
     _assert_matches_scalar([ep.parse("t^400")], np.array([1.0, 10.0, -10.0]))
 
 
+def _assert_log_abs_matches_scalar(exprs, xs):
+    """evaluate_log_abs_array against evaluate_log_abs point by point: the
+    same logs bitwise, the same signs, or the same first DomainError."""
+    rows, want_err = [], None
+    for x in xs:
+        try:
+            rows.append([ep.evaluate_log_abs(e, {"t": x}) for e in exprs])
+        except ep.DomainError as exc:
+            want_err = exc
+            break
+    if want_err is not None:
+        with pytest.raises(ep.DomainError) as err:
+            ep.evaluate_log_abs_array(exprs, {"t": xs})
+        assert str(err.value) == str(want_err)
+        assert (err.value.fragment, err.value.value) == (want_err.fragment, want_err.value)
+        return
+    logs, signs = ep.evaluate_log_abs_array(exprs, {"t": xs})
+    want_logs = np.array([[la for la, _ in row] for row in rows], dtype=float)
+    assert logs.shape == want_logs.shape
+    assert logs.tobytes() == want_logs.tobytes()  # bitwise, NaN payloads included
+    assert signs.tolist() == [[s for _, s in row] for row in rows]
+
+
+@given(st.lists(_ast_strategy(), min_size=1, max_size=3),
+       st.lists(st.floats(min_value=-50.0, max_value=50.0), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_log_abs_array_matches_scalar(exprs, points):
+    _assert_log_abs_matches_scalar(exprs, points + [0.0, -0.0, 1.0, -1.0, 2.0])
+
+
+def test_log_abs_array_folds_in_log_space_and_raises_at_first_failing_point():
+    decaying = ep.parse("exp(-3*t^2-3*t-1)")
+    _assert_log_abs_matches_scalar([decaying], [400.0, -400.0, 0.0])
+    for text in ("-(t-1)^3", "(t-1)^2*sqrt(abs(t))/(t+5)", "abs(-t)^-2", "(t-1)^0",
+                 "-2*exp(t)^3"):
+        _assert_log_abs_matches_scalar([ep.parse(text)], [1.0, -3.0, 0.0, 2.5, 900.0])
+    pole, root = ep.parse("1/(t-2)"), ep.parse("sqrt(t+1)")
+    with pytest.raises(ep.DomainError, match="division by zero") as err:
+        ep.evaluate_log_abs_array([root, pole], {"t": [3.0, 2.0, -2.0]})
+    assert err.value.value == 2.0 and type(err.value.value) is float
+    with pytest.raises(ep.DomainError, match="sqrt of a negative") as err:
+        ep.evaluate_log_abs_array([pole, root], {"t": [3.0, -2.0, 2.0]})
+    assert err.value.value == -2.0
+    _assert_log_abs_matches_scalar([ep.parse("(t-3)^-1"), ep.parse("(t-4)^0.5")],
+                                   [5.0, 3.0, 4.0])
+    # a NaN exponent on a zero base raises like a negative one
+    _assert_log_abs_matches_scalar([ep.parse("(t-1)^(1e308*10-1e308*10)")], [2.0, 1.0])
+
+
 @given(_numbers, _numbers, _numbers)
 @settings(max_examples=200, deadline=None)
 def test_precedence_property(a, b, c):
