@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import exprparse, rates
-from .params import CONTINUOUS, DISCRETE, Params, DEFAULT
+from .params import CONTINUOUS, DISCRETE
 
 
 SCALAR = "scalar"
@@ -28,6 +28,7 @@ FULL = "full"
 
 _MAX_DIM = 16
 _MIN_ABS_DET = 1e-300
+ODE_STEP = 1e-2  # fixed step of continuous quadrature and integration
 
 
 class EvolutionError(ValueError):
@@ -88,18 +89,6 @@ class ScaledMatrix:
                                                self.diag_signs * other.diag_signs)
         return ScaledMatrix.from_matrix(self.unit @ other.unit,
                                         self.log_norm + other.log_norm)
-
-    def inverse(self) -> "ScaledMatrix":
-        if self.diag_logs is not None:
-            return ScaledMatrix.from_diag_logs(-self.diag_logs, self.diag_signs)
-        try:
-            inv = np.linalg.inv(self.unit)
-        except np.linalg.LinAlgError as exc:
-            raise EvolutionError("singular scaled matrix has no inverse") from exc
-        return ScaledMatrix.from_matrix(inv, -self.log_norm)
-
-    def value(self) -> np.ndarray:
-        return math.exp(self.log_norm) * self.unit
 
     def definitely_close(self, other: "ScaledMatrix", tol: float) -> bool:
         """Relative closeness in scaled form: log scales within tol and unit
@@ -303,15 +292,11 @@ def tabulated_system(k0: int, matrices: np.ndarray, structure: str = FULL,
 # Coefficient evaluation
 
 
-def _var_env(system: LinearSystem, t: float) -> dict:
-    return {"t": t, "k": t}
-
-
 def coefficient_matrix(system: LinearSystem, t: float) -> np.ndarray:
     """A(t) in linear scale.  Entries of expression-backed systems must be
     representable as doubles at the queried time."""
     src = system.source
-    env = _var_env(system, t)
+    env = {"t": t, "k": t}
     if isinstance(src, TableSource):
         return src.matrix(int(round(t)))
     if isinstance(src, ExprSource):
@@ -344,21 +329,18 @@ def _coefficient_stack(system: LinearSystem, ts) -> np.ndarray:
 def _diag_step_logs(system: LinearSystem, ks: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """(log|a_ii(k)|, sign a_ii(k)) of a discrete scalar/diagonal system at
     the integer times ks, shape (len(ks), components), unchecked: one array
-    evaluation in log space, one table gather, or log mu once per integer."""
+    evaluation in log space, one table gather, or one log mu call."""
     src = system.source
     if isinstance(src, ExprSource) and src.diag is not None:
         kf = [float(k) for k in ks]  # a DomainError reports a Python float input
         la, sg = exprparse.evaluate_log_abs_array(src.diag, {"t": kf, "k": kf})
         return la, sg.astype(float)
     if isinstance(src, RateQuotientSource):
-        # a step is log mu(k+1) - log mu(k), left operand first, so a failing
-        # integer is met in the order the steps would meet it
-        logs: dict = {}
-        for k in ks:
-            for j in (k + 1, k):
-                if j not in logs:
-                    logs[j] = rates.log_rate(src.rate, j)
-        step = np.array([logs[k + 1] - logs[k] for k in ks], dtype=float)
+        # a step is log mu(k+1) - log mu(k), left operand first; one call in
+        # that order raises what a step-by-step loop raises first
+        kf = np.asarray(ks, dtype=float)
+        ends = rates.log_rate_values(src.rate, np.column_stack([kf + 1.0, kf]).ravel())
+        step = ends[0::2] - ends[1::2]
         return step[:, None] * np.array(src.slopes), np.ones((len(ks), len(src.slopes)))
     if isinstance(src, TableSource):
         diag = np.diagonal(src.stack(ks), axis1=1, axis2=2)
@@ -393,13 +375,12 @@ def _diag_values(system: LinearSystem, ts) -> np.ndarray:
     """Continuous-time integrands a_ii at every time of ``ts`` for
     scalar/diagonal systems, shape (len(ts), components).  Expressions take
     one array call, with the same floats and the same first DomainError as
-    evaluating time by time; quotient sources take log mu' per time."""
+    evaluating time by time; quotient sources one log mu' call."""
     src = system.source
     if isinstance(src, ExprSource) and src.diag is not None:
         return exprparse.evaluate_array(src.diag, {"t": ts, "k": ts})
     if isinstance(src, RateQuotientSource):
-        ds = [rates.log_rate_derivative(src.rate, t) for t in ts]
-        return np.array([[s * d for s in src.slopes] for d in ds])
+        return rates.log_rate_derivative(src.rate, ts)[:, None] * np.array(src.slopes)
     raise EvolutionError("continuous diagonal values need expression or quotient sources")
 
 
@@ -410,8 +391,7 @@ def _diag_values(system: LinearSystem, ts) -> np.ndarray:
 _SIMPSON_BLOCK = 1 << 11  # quadrature nodes one array evaluation holds
 
 
-def _simpson_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray,
-                       h: float) -> np.ndarray:
+def _simpson_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Componentwise integrals of the diagonal coefficients over segments
     [a[s], b[s]] of one common nonzero length, shape (segments, components):
     composite Simpson with an even panel count, no interior kink handling.
@@ -427,7 +407,7 @@ def _simpson_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray,
     comp = system.components
     if not len(a):
         return np.zeros((0, comp))
-    n = max(2, int(math.ceil(abs(b[0] - a[0]) / h)))
+    n = max(2, int(math.ceil(abs(b[0] - a[0]) / ODE_STEP)))
     if n % 2:
         n += 1
     w = np.ones(n + 1)
@@ -448,7 +428,7 @@ def _simpson_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray,
     return np.concatenate(out)
 
 
-def _diag_log_integral(system: LinearSystem, frm: float, to: float, h: float) -> np.ndarray:
+def _diag_log_integral(system: LinearSystem, frm: float, to: float) -> np.ndarray:
     """log Psi_ii(to, frm) = integral of a_ii; split at 0 where the catalog
     coefficients may have a kink."""
     if frm == to:
@@ -461,7 +441,7 @@ def _diag_log_integral(system: LinearSystem, frm: float, to: float, h: float) ->
 
     def segment(lo, hi):
         return _simpson_integrals(system, np.array([lo], dtype=float),
-                                  np.array([hi], dtype=float), h)[0]
+                                  np.array([hi], dtype=float))[0]
 
     if a < 0.0 < b:
         total = segment(a, 0.0) + segment(0.0, b)
@@ -473,8 +453,8 @@ def _diag_log_integral(system: LinearSystem, frm: float, to: float, h: float) ->
 _RK4_BLOCK = 1 << 18  # coefficient values (nodes x entries) one RK4 lane block holds
 
 
-def _rk4_factors(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
-                 h: float) -> tuple[np.ndarray, np.ndarray]:
+def _rk4_factors(system: LinearSystem, frm: np.ndarray,
+                 to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scaled propagators Phi(to[l], frm[l]) of a full continuous system by
     classical fixed-step 4th-order integration, one lane l per pair.
 
@@ -487,7 +467,7 @@ def _rk4_factors(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
     evaluated in one call, lane by lane and step by step, so a failing
     coefficient raises the error the lanes would raise one at a time.
     """
-    steps = max(1, math.ceil(abs(float(to[0] - frm[0])) / h))
+    steps = max(1, math.ceil(abs(float(to[0] - frm[0])) / ODE_STEP))
     d = system.dim
     block = max(1, _RK4_BLOCK // (3 * steps * d * d))
     units, logs = [], []
@@ -529,8 +509,7 @@ def _rk4_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
 # Propagation
 
 
-def propagate(system: LinearSystem, to: float, frm: float,
-              params: Params = DEFAULT) -> ScaledMatrix:
+def propagate(system: LinearSystem, to: float, frm: float) -> ScaledMatrix:
     """Evolution operator value mapping the state at ``frm`` to ``to``.
 
     Discrete: left-ordered coefficient product (identity when to == frm,
@@ -547,12 +526,12 @@ def propagate(system: LinearSystem, to: float, frm: float,
             return ScaledMatrix.from_diag_logs(la, sg)
         return _full_discrete(system, ki, ni)
     if system.structure in (SCALAR, DIAGONAL):
-        logs = _diag_log_integral(system, frm, to, params.ode_step)
+        logs = _diag_log_integral(system, frm, to)
         return ScaledMatrix.from_diag_logs(logs, np.ones(system.components))
     if frm == to:
         return ScaledMatrix.identity(system.dim)
     units, logs = _rk4_factors(system, np.array([frm], dtype=float),
-                               np.array([to], dtype=float), params.ode_step)
+                               np.array([to], dtype=float))
     return ScaledMatrix(units[0], float(logs[0]))
 
 
@@ -614,11 +593,10 @@ def _check_invertible(mats: np.ndarray, ks):
         raise EvolutionError(f"coefficient matrix is {kind} at time {ks[p]}")
 
 
-def weighted_propagate(w: WeightedSystem, to: float, frm: float,
-                       params: Params = DEFAULT) -> ScaledMatrix:
+def weighted_propagate(w: WeightedSystem, to: float, frm: float) -> ScaledMatrix:
     """Propagator of the weighted system: the base propagator with log-norm
     decreased by gamma * log(mu(to)/mu(frm)); the unit factor is unchanged."""
-    base = propagate(w.base, to, frm, params)
+    base = propagate(w.base, to, frm)
     shift = w.gamma * (rates.log_rate(w.rate, to) - rates.log_rate(w.rate, frm))
     return base.shifted(-shift)
 
@@ -627,7 +605,7 @@ def weighted_propagate(w: WeightedSystem, to: float, frm: float,
 # Grids for the spectral estimator
 
 
-def component_log_grid(obj, window: int, params: Params = DEFAULT) -> tuple[np.ndarray, np.ndarray]:
+def component_log_grid(obj, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Integer-time grid of per-component propagator log-magnitudes.
 
     Returns (times, logs) with times = -window..window and logs of shape
@@ -636,10 +614,12 @@ def component_log_grid(obj, window: int, params: Params = DEFAULT) -> tuple[np.n
     All 2 * window unit steps are built at once: one batch of discrete step
     logs (``_diag_steps``) or of Simpson segments (``_simpson_integrals``),
     then running sums outward from 0.  Every entry, and every error, is
-    bitwise what walking out one unit step at a time gives.
+    bitwise what walking out one unit step at a time gives.  A step or
+    running sum that leaves double range raises an EvolutionError naming
+    the first one in walk order, by time and component.
     """
     if isinstance(obj, WeightedSystem):
-        times, logs = component_log_grid(obj.base, window, params)
+        times, logs = component_log_grid(obj.base, window)
         mu = rates.log_rate_values(obj.rate, times)
         return times, logs - obj.gamma * mu[None, :]
     system: LinearSystem = obj
@@ -651,17 +631,25 @@ def component_log_grid(obj, window: int, params: Params = DEFAULT) -> tuple[np.n
     # m = center..2W-1, then behind [t_m-1, t_m] for m = center..1; the
     # first error in this order is the one the walk would meet first
     left = np.concatenate([times[center:-1], times[:center][::-1]])
-    if system.time_domain == DISCRETE:
-        steps, _ = _diag_steps(system, [int(k) for k in left])
-    else:
-        steps = _simpson_integrals(system, left, left + 1.0, params.ode_step)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
+        if system.time_domain == DISCRETE:
+            steps, _ = _diag_steps(system, [int(k) for k in left])
+        else:
+            steps = _simpson_integrals(system, left, left + 1.0)
+        ahead, behind = _walk(steps[:window]), _walk(-steps[window:])
+    walked = np.vstack([ahead[1:], behind[1:]])
+    bad = ~np.isfinite(walked)
+    if bad.any():
+        m, i = divmod(int(np.argmax(bad)), system.components)
+        raise EvolutionError(f"log-propagator of component {i} is not finite at time "
+                             f"{left[m] + (1.0 if m < window else 0.0):g} ({walked[m, i]})")
     logs = np.empty((system.components, len(times)))
-    logs[:, center:] = _walk(steps[:window]).T
-    logs[:, center::-1] = _walk(-steps[window:]).T
+    logs[:, center:] = ahead.T
+    logs[:, center::-1] = behind.T
     return times, logs
 
 
-def scaled_grids(obj, window: int, params: Params = DEFAULT) -> tuple[np.ndarray, list, list]:
+def scaled_grids(obj, window: int) -> tuple[np.ndarray, list, list]:
     """Integer-time grids of scaled propagators for full systems.
 
     Returns (times, forward, backward) with forward[m] = Phi(t_m, 0) and
@@ -677,7 +665,7 @@ def scaled_grids(obj, window: int, params: Params = DEFAULT) -> tuple[np.ndarray
     factor.
     """
     if isinstance(obj, WeightedSystem):
-        times, fwd, bwd = scaled_grids(obj.base, window, params)
+        times, fwd, bwd = scaled_grids(obj.base, window)
         mu = rates.log_rate_values(obj.rate, times)
         fwd = [m.shifted(-obj.gamma * float(mu[i])) for i, m in enumerate(fwd)]
         bwd = [m.shifted(obj.gamma * float(mu[i])) for i, m in enumerate(bwd)]
@@ -693,7 +681,7 @@ def scaled_grids(obj, window: int, params: Params = DEFAULT) -> tuple[np.ndarray
              + [(m, m - 1) for m in range(center, 0, -1)])
     frm = np.array([times[i] for m, n in moves for i in (m, n)])
     to = np.array([times[i] for m, n in moves for i in (n, m)])
-    factors = iter(_unit_factors(system, frm, to, params))
+    factors = iter(_unit_factors(system, frm, to))
     fwd: list = [None] * len(times)
     bwd: list = [None] * len(times)
     fwd[center] = ScaledMatrix.identity(system.dim)
@@ -704,8 +692,7 @@ def scaled_grids(obj, window: int, params: Params = DEFAULT) -> tuple[np.ndarray
     return times, fwd, bwd
 
 
-def _unit_factors(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
-                  params: Params) -> list[ScaledMatrix]:
+def _unit_factors(system: LinearSystem, frm: np.ndarray, to: np.ndarray) -> list[ScaledMatrix]:
     """``propagate(system, to[l], frm[l])`` for unit steps of a full system,
     built together: stacked RK4 lanes in continuous time; in discrete time
     one stack of step matrices A(min(frm, to)), multiplied by the identity
@@ -713,7 +700,7 @@ def _unit_factors(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
     if not len(frm):
         return []
     if system.time_domain == CONTINUOUS:
-        units, logs = _rk4_factors(system, frm, to, params.ode_step)
+        units, logs = _rk4_factors(system, frm, to)
         return [ScaledMatrix(u, g) for u, g in zip(units, logs.tolist())]
     mats = _step_matrices(system, np.rint(np.minimum(frm, to)).astype(int).tolist())
     eye = np.eye(system.dim)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 DISCRETE = "discrete"
@@ -13,11 +13,14 @@ DEFAULT_CONTINUOUS_SCHEDULE = (5, 10, 20, 40)
 
 # An unpinned schedule keeps doubling its last window while an estimate has
 # not converged, up to these caps: 16 times the default's last continuous
-# window, and the largest discrete window whose O(N^2) pair scan stays
-# near 164 MB.  Sizes, not a time budget, so reports never depend on
-# machine speed.
+# window, and 4 times the default's last discrete one (the pair scan runs
+# in row blocks, so memory is not the limit; the O(N^2) time is).  Sizes,
+# not a time budget, so reports never depend on machine speed.
 MAX_DISCRETE_WINDOW = 1600
 MAX_CONTINUOUS_WINDOW = 640
+
+# Sampling density of continuous-time relation scans (samples per unit time).
+SAMPLES_PER_UNIT = 10
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,6 @@ class Params:
     gamma_max        |estimate| beyond this is flagged as divergent
     delta_merge      adjacent component intervals closer than this merge
                      (defaults to 10 * tol_stab)
-    samples_per_unit sampling density for continuous-time scans and validation
-    ode_step         fixed integration step for continuous propagation
     """
 
     schedule: tuple[int, ...] | None = None
@@ -44,14 +45,12 @@ class Params:
     cutoff_fraction: float = 0.5
     gamma_max: float = 50.0
     delta_merge: float | None = None
-    samples_per_unit: int = 10
-    ode_step: float = 1e-2
 
     def __post_init__(self):
         if self.tol_stab <= 0 or self.cutoff_fraction <= 0 or self.cutoff_fraction >= 1:
             raise ValueError("tol_stab must be positive and cutoff_fraction in (0, 1)")
-        if self.gamma_max <= 0 or self.samples_per_unit <= 0 or self.ode_step <= 0:
-            raise ValueError("gamma_max, samples_per_unit and ode_step must be positive")
+        if self.gamma_max <= 0:
+            raise ValueError("gamma_max must be positive")
         if self.delta_merge is not None and self.delta_merge <= 0:
             raise ValueError("delta_merge must be positive")
         if self.schedule is not None:
@@ -83,9 +82,6 @@ class Params:
     @property
     def merge_tolerance(self) -> float:
         return self.delta_merge if self.delta_merge is not None else 10.0 * self.tol_stab
-
-    def with_schedule(self, schedule) -> "Params":
-        return replace(self, schedule=tuple(schedule))
 
 
 DEFAULT = Params()

@@ -21,7 +21,6 @@ Families:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -95,47 +94,32 @@ def _rate_ast(source: str) -> exprparse.Expr:
     return exprparse.parse(source)
 
 
-def _require_time(rate: GrowthRate, t: float) -> float:
+def _require_time(rate: GrowthRate, ts) -> np.ndarray:
+    """``ts`` as a float array.  A discrete rate takes integer times only
+    (within 1e-9), rounded; the error names the first other time as given."""
+    times = np.asarray(ts, dtype=float)
     if rate.time_domain == DISCRETE:
-        r = round(t)
-        if abs(t - r) > 1e-9:
-            raise RateError(f"discrete rate evaluated at non-integer time {t!r}")
-        return float(r)
-    return float(t)
+        rounded = np.round(times) + 0.0  # no -0.0
+        off = np.abs(times - rounded) > 1e-9
+        if off.any():
+            raise RateError("discrete rate evaluated at non-integer time "
+                            f"{ts[int(np.argmax(off))]!r}")
+        return rounded
+    return times
 
 
 def log_rate(rate: GrowthRate, t: float) -> float:
-    """log mu(t).  Exact formula per family; mu(0) = 1 forces log 0 at t=0."""
-    t = _require_time(rate, t)
+    """log mu(t) at one time."""
+    return float(log_rate_values(rate, [t])[0])
+
+
+def log_rate_values(rate: GrowthRate, ts) -> np.ndarray:
+    """log mu at every time of ``ts``: the one formula per family.  mu(0) = 1
+    forces log 0 at t = 0; an overflow is an inf, for the callers' finite
+    checks."""
+    ts = _require_time(rate, ts)
     if isinstance(rate, PowerExp):
-        return rate.lam * _sgn(t) * abs(t) ** rate.p
-    if isinstance(rate, Polynomial):
-        if rate.time_domain == CONTINUOUS:
-            return _sgn(t) * math.log1p(abs(t))
-        if t == 0:
-            return 0.0
-        return _sgn(t) * math.log(abs(t))
-    if isinstance(rate, ExpressionRate):
-        return exprparse.evaluate(_rate_ast(rate.log_rate), t)
-    if isinstance(rate, Glued):
-        branch = rate.inner if abs(t) >= rate.crossover else rate.outer
-        return log_rate(branch, t)
-    raise TypeError(f"not a growth rate: {rate!r}")
-
-
-def _sgn(x: float) -> float:
-    if x > 0:
-        return 1.0
-    if x < 0:
-        return -1.0
-    return 0.0
-
-
-def log_rate_values(rate: GrowthRate, ts: np.ndarray) -> np.ndarray:
-    """Vectorized log mu over a time grid."""
-    ts = np.asarray(ts, dtype=float)
-    if isinstance(rate, PowerExp):
-        with np.errstate(over="ignore"):  # an overflow is an inf for the grid check
+        with np.errstate(over="ignore"):
             return rate.lam * np.sign(ts) * np.abs(ts) ** rate.p
     if isinstance(rate, Polynomial):
         if rate.time_domain == CONTINUOUS:
@@ -144,29 +128,45 @@ def log_rate_values(rate: GrowthRate, ts: np.ndarray) -> np.ndarray:
         nz = ts != 0
         out[nz] = np.sign(ts[nz]) * np.log(np.abs(ts[nz]))
         return out
+    if isinstance(rate, ExpressionRate):
+        ast = _rate_ast(rate.log_rate)
+        points = ts.tolist()  # a DomainError reports a Python float input
+        env = {name: points for name in exprparse.variables_of(ast) or ("t",)}
+        return exprparse.evaluate_array([ast], env)[:, 0]
     if isinstance(rate, Glued):
-        inner_vals = log_rate_values(rate.inner, ts)
-        outer_vals = log_rate_values(rate.outer, ts)
-        return np.where(np.abs(ts) >= rate.crossover, inner_vals, outer_vals)
-    return np.array([log_rate(rate, t) for t in ts], dtype=float)
+        return _glued(rate, log_rate_values, ts)
+    raise TypeError(f"not a growth rate: {rate!r}")
 
 
-def log_rate_derivative(rate: GrowthRate, t: float) -> float:
-    """d/dt log mu(t) for differentiable families (continuous time).
+def _glued(rate: Glued, formula, ts: np.ndarray) -> np.ndarray:
+    """``formula`` of the inner branch where |t| >= crossover and of the
+    outer one elsewhere, each evaluated only where it is selected."""
+    inner = np.abs(ts) >= rate.crossover
+    out = np.empty_like(ts)
+    for mask, branch in ((inner, rate.inner), (~inner, rate.outer)):
+        if mask.any():
+            out[mask] = formula(branch, ts[mask])
+    return out
+
+
+def log_rate_derivative(rate: GrowthRate, ts) -> np.ndarray:
+    """d/dt log mu at every time of ``ts`` for differentiable families
+    (continuous time).
 
     Used to realize diagonal systems whose propagator is a rate quotient.
     """
     if rate.time_domain != CONTINUOUS:
         raise RateError("log-rate derivative is defined for continuous rates only")
+    ts = np.asarray(ts, dtype=float)
     if isinstance(rate, PowerExp):
-        if rate.p < 1 and t == 0:
+        if rate.p < 1 and np.any(ts == 0):
             raise RateError("derivative is singular at 0 for exponents below 1")
-        return rate.lam * rate.p * abs(t) ** (rate.p - 1.0)
+        with np.errstate(over="ignore"):
+            return rate.lam * rate.p * np.abs(ts) ** (rate.p - 1.0)
     if isinstance(rate, Polynomial):
-        return 1.0 / (1.0 + abs(t))
+        return 1.0 / (1.0 + np.abs(ts))
     if isinstance(rate, Glued):
-        branch = rate.inner if abs(t) >= rate.crossover else rate.outer
-        return log_rate_derivative(branch, t)
+        return _glued(rate, log_rate_derivative, ts)
     raise RateError(f"no closed-form derivative for {type(rate).__name__}")
 
 
@@ -286,26 +286,22 @@ def find_crossover(inner: GrowthRate, outer: GrowthRate, hi: float = 10.0,
     """Positive solution of log inner(t) = log outer(t) located by bisection
     on (0, hi]."""
 
-    def f(t: float) -> float:
-        return log_rate(inner, t) - log_rate(outer, t)
+    def f(ts):
+        return log_rate_values(inner, ts) - log_rate_values(outer, ts)
 
     grid = np.linspace(hi / 1000.0, hi, 1000)
-    lo_t = None
-    prev_t, prev_f = grid[0], f(grid[0])
-    for t in grid[1:]:
-        ft = f(t)
-        if prev_f == 0.0:
-            return float(prev_t)
-        if prev_f * ft < 0:
-            lo_t, hi_t = prev_t, t
-            break
-        prev_t, prev_f = t, ft
-    else:
+    values = f(grid)
+    # the first grid point that is a root or starts a sign change
+    stop = (values[:-1] == 0.0) | (values[:-1] * values[1:] < 0)
+    if not stop.any():
         raise RateError("no crossover sign change found on (0, hi]")
-    flo = f(lo_t)
+    i = int(np.argmax(stop))
+    if values[i] == 0.0:
+        return float(grid[i])
+    lo_t, hi_t, flo = grid[i], grid[i + 1], values[i]
     while hi_t - lo_t > tol:
         mid = 0.5 * (lo_t + hi_t)
-        fm = f(mid)
+        fm = f([mid])[0]
         if fm == 0.0:
             return float(mid)
         if flo * fm < 0:
@@ -357,14 +353,6 @@ class RelationProfile:
     @property
     def below_ba(self) -> bool:
         return self.almost_slower_ba and self.almost_faster_ab
-
-    def directed(self) -> dict:
-        return {
-            "faster": (self.faster_ab, self.faster_ba),
-            "weakly_faster": (self.weakly_ab, self.weakly_ba),
-            "almost_faster": (self.almost_faster_ab, self.almost_faster_ba),
-            "almost_slower": (self.almost_slower_ab, self.almost_slower_ba),
-        }
 
 
 def _strictly_faster_profile() -> RelationProfile:

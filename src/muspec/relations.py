@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rates
-from .params import DEFAULT, DISCRETE, Params
+from .params import DEFAULT, DISCRETE, SAMPLES_PER_UNIT, Params
 from .spectrum import pair_ratio_blocks
 
 
@@ -85,10 +85,35 @@ def _check_domains(mu, omega):
         raise RelationError("rates must share a time domain")
 
 
-def _grid(rate, window: int, params: Params) -> tuple[np.ndarray, np.ndarray]:
-    per_unit = 1 if rate.time_domain == DISCRETE else params.samples_per_unit
+def _grid(rate, window: int) -> tuple[np.ndarray, np.ndarray]:
+    per_unit = 1 if rate.time_domain == DISCRETE else SAMPLES_PER_UNIT
     ts = rates.sample_times(rate.time_domain, window, per_unit)
     return ts, rates.log_rate_grid(rate, window, per_unit)
+
+
+def _window_sups(mu, omega, params: Params, scan) -> tuple[list, list]:
+    """``scan(r_mu, r_om) -> (value, i, j)`` on the log-rate grids of every
+    window of the schedule: the per-window suprema, and the attaining pairs
+    as {"n": t_i, "k": t_j, "value": value} records."""
+    sups, pairs = [], []
+    for n in params.windows(mu.time_domain):
+        ts, r_mu = _grid(mu, n)
+        _, r_om = _grid(omega, n)
+        value, i, j = scan(r_mu, r_om)
+        sups.append(value)
+        pairs.append({"n": float(ts[i]), "k": float(ts[j]), "value": value})
+    return sups, pairs
+
+
+def _verdict(relation: str, direction: str, outcome: str, diagnostics: dict,
+             grid: dict, certificate: dict | None = None,
+             witness: list | None = None) -> RelationVerdict:
+    """The verdict for ``outcome``: the certificate goes with "holds" and
+    the witness with "fails"."""
+    return RelationVerdict(relation, direction, outcome,
+                           certificate=certificate if outcome == HOLDS else None,
+                           witness=witness if outcome == FAILS else None,
+                           diagnostics=diagnostics, grid=grid)
 
 
 def _max_rise(u: np.ndarray) -> tuple[float, int, int]:
@@ -102,8 +127,7 @@ def _max_rise(u: np.ndarray) -> tuple[float, int, int]:
 
 def _max_fall(u: np.ndarray) -> tuple[float, int, int]:
     """max over i <= j of u[i] - u[j] (the drawdown), with indices."""
-    val, i, j = _max_rise(-u)
-    return val, i, j
+    return _max_rise(-u)
 
 
 def _sequence_outcome(sups: list[float], tol: float) -> str:
@@ -137,44 +161,31 @@ def check_faster(mu, omega, params: Params = DEFAULT,
     agree with the forward one.
     """
     _check_domains(mu, omega)
-    windows = params.windows(mu.time_domain)
+    if formulation not in ("forward", "backward"):
+        raise RelationError(f"unknown formulation {formulation!r}")
+
+    def scan(r_mu, r_om):  # at the eps of the loop below
+        if formulation == "forward":
+            return _max_rise(r_om - eps * r_mu)
+        return _max_fall(eps * r_mu - r_om)
+
     envelope = {}
     diagnostics = {}
     fail_witness = None
-    any_inconclusive = False
     for eps in EPS_GRID:
-        sups, pairs = [], []
-        for n in windows:
-            ts, r_mu = _grid(mu, n, params)
-            _, r_om = _grid(omega, n, params)
-            if formulation == "forward":
-                u = r_om - eps * r_mu
-                val, i, j = _max_rise(u)
-            elif formulation == "backward":
-                w = eps * r_mu - r_om
-                val, i, j = _max_fall(w)
-            else:
-                raise RelationError(f"unknown formulation {formulation!r}")
-            sups.append(val)
-            pairs.append({"n": float(ts[i]), "k": float(ts[j]), "value": val})
+        sups, pairs = _window_sups(mu, omega, params, scan)
         outcome = _sequence_outcome(sups, params.tol_stab)
         diagnostics[f"eps={eps:g}"] = [float(s) for s in sups]
         if outcome == HOLDS:
             envelope[f"{eps:g}"] = float(sups[-1])
         elif outcome == FAILS and fail_witness is None:
             fail_witness = pairs
-        else:
-            any_inconclusive = any_inconclusive or outcome == INCONCLUSIVE
-    grid = {"epsilon": list(EPS_GRID), "windows": [float(w) for w in windows]}
-    if fail_witness is not None:
-        return RelationVerdict("faster", "mu_over_omega", FAILS,
-                               witness=fail_witness, diagnostics=diagnostics, grid=grid)
-    if len(envelope) == len(EPS_GRID):
-        return RelationVerdict("faster", "mu_over_omega", HOLDS,
-                               certificate={"sup_envelope": envelope},
-                               diagnostics=diagnostics, grid=grid)
-    return RelationVerdict("faster", "mu_over_omega", INCONCLUSIVE,
-                           diagnostics=diagnostics, grid=grid)
+    outcome = (FAILS if fail_witness is not None
+               else HOLDS if len(envelope) == len(EPS_GRID) else INCONCLUSIVE)
+    grid = {"epsilon": list(EPS_GRID),
+            "windows": [float(w) for w in params.windows(mu.time_domain)]}
+    return _verdict("faster", "mu_over_omega", outcome, diagnostics, grid,
+                    certificate={"sup_envelope": envelope}, witness=fail_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -187,27 +198,13 @@ def check_weakly_faster(mu, omega, params: Params = DEFAULT) -> RelationVerdict:
     log M = final maximal drawdown (equivalently m = exp(-log M) bounds the
     quotient ratio from below)."""
     _check_domains(mu, omega)
-    windows = params.windows(mu.time_domain)
-    sups, pairs = [], []
-    for n in windows:
-        ts, r_mu = _grid(mu, n, params)
-        _, r_om = _grid(omega, n, params)
-        h = r_mu - r_om
-        val, i, j = _max_fall(h)
-        sups.append(val)
-        pairs.append({"n": float(ts[i]), "k": float(ts[j]), "value": val})
-    outcome = _sequence_outcome(sups, params.tol_stab)
-    grid = {"windows": [float(w) for w in windows]}
-    diagnostics = {"drawdown": [float(s) for s in sups]}
-    if outcome == HOLDS:
-        return RelationVerdict("weakly_faster", "mu_over_omega", HOLDS,
-                               certificate={"log_M": float(sups[-1])},
-                               diagnostics=diagnostics, grid=grid)
-    if outcome == FAILS:
-        return RelationVerdict("weakly_faster", "mu_over_omega", FAILS,
-                               witness=pairs, diagnostics=diagnostics, grid=grid)
-    return RelationVerdict("weakly_faster", "mu_over_omega", INCONCLUSIVE,
-                           diagnostics=diagnostics, grid=grid)
+    sups, pairs = _window_sups(mu, omega, params,
+                               lambda r_mu, r_om: _max_fall(r_mu - r_om))
+    return _verdict("weakly_faster", "mu_over_omega",
+                    _sequence_outcome(sups, params.tol_stab),
+                    {"drawdown": [float(s) for s in sups]},
+                    {"windows": [float(w) for w in params.windows(mu.time_domain)]},
+                    certificate={"log_M": float(sups[-1])}, witness=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +214,8 @@ def check_weakly_faster(mu, omega, params: Params = DEFAULT) -> RelationVerdict:
 def _bounded_outcome(mu, omega, coef_mu: float, coef_omega: float,
                      params: Params) -> tuple[str, float, list]:
     """Outcome for sup over k >= n of coef_omega*L_omega - coef_mu*L_mu."""
-    windows = params.windows(mu.time_domain)
-    sups, pairs = [], []
-    for n in windows:
-        ts, r_mu = _grid(mu, n, params)
-        _, r_om = _grid(omega, n, params)
-        u = coef_omega * r_om - coef_mu * r_mu
-        val, i, j = _max_rise(u)
-        sups.append(val)
-        pairs.append({"n": float(ts[i]), "k": float(ts[j]), "value": val})
+    sups, pairs = _window_sups(
+        mu, omega, params, lambda r_mu, r_om: _max_rise(coef_omega * r_om - coef_mu * r_mu))
     return _sequence_outcome(sups, params.tol_stab), float(sups[-1]), pairs
 
 
@@ -239,23 +229,17 @@ def _ratio_necessity(mu, omega, params: Params) -> tuple[str, list, list]:
     certifies the condition.  Sequences are not monotone because the cutoff
     tightens with the window, so a decreasing tail counts as bounded.
     """
-    windows = params.windows(mu.time_domain)
-    sups, argmax_pairs = [], []
-    for n in windows:
-        ts, r_mu = _grid(mu, n, params)
-        _, r_om = _grid(omega, n, params)
+    def scan(r_mu, r_om):
         l_max = r_mu[-1] - r_mu[0]
         if l_max <= 0:
             raise RelationError("mu is flat on the window; no admissible pairs")
-        value, i, j = _ratio_argmax(r_mu, r_om, params.cutoff_fraction * l_max)
-        sups.append(value)
-        argmax_pairs.append({"n": float(ts[i]), "k": float(ts[j]), "value": value})
-    diffs = [b - a for a, b in zip(sups, sups[1:])]
+        return _ratio_argmax(r_mu, r_om, params.cutoff_fraction * l_max)
+
+    sups, argmax_pairs = _window_sups(mu, omega, params, scan)
     if _sequence_outcome(sups, params.tol_stab) == FAILS:
         return FAILS, sups, argmax_pairs
-    if diffs and diffs[-1] <= params.tol_stab:
-        return HOLDS, sups, argmax_pairs
-    return INCONCLUSIVE, sups, argmax_pairs
+    bounded = len(sups) >= 2 and sups[-1] - sups[-2] <= params.tol_stab
+    return HOLDS if bounded else INCONCLUSIVE, sups, argmax_pairs
 
 
 def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple[float, int, int]:
@@ -309,21 +293,18 @@ def check_almost(mu, omega, direction: str, params: Params = DEFAULT) -> Relatio
         raise RelationError("direction must be 'faster' or 'slower'")
     relation = "almost_faster" if direction == "faster" else "almost_slower"
     direction_label = "mu_over_omega" if direction == "faster" else "omega_under_mu"
-    grid = {
-        "outer": list(OUTER_EXPONENTS),
-        "inner": list(INNER_LARGE if direction == "faster" else INNER_SMALL),
-    }
+    inner_grid = INNER_LARGE if direction == "faster" else INNER_SMALL
+    grid = {"outer": list(OUTER_EXPONENTS), "inner": list(inner_grid)}
     necessity, ratio_sups, ratio_pairs = _ratio_necessity(mu, omega, params)
     diagnostics = {"ratio_sups": [float(s) for s in ratio_sups]}
     if necessity == FAILS:
         diagnostics["refuted_by"] = "unbounded log-quotient ratio"
-        return RelationVerdict(relation, direction_label, FAILS,
-                               witness=ratio_pairs, diagnostics=diagnostics, grid=grid)
+        return _verdict(relation, direction_label, FAILS, diagnostics, grid,
+                        witness=ratio_pairs)
     chosen = {}
     overall = HOLDS
     witness = None
     for outer in OUTER_EXPONENTS:
-        inner_grid = INNER_LARGE if direction == "faster" else INNER_SMALL
         found = None
         all_failed = True
         best_attempt = None
@@ -354,15 +335,10 @@ def check_almost(mu, omega, direction: str, params: Params = DEFAULT) -> Relatio
             diagnostics[key] = "not resolved on the inner grid"
     prefilter = _affine_prefilter(mu, omega, params)
     diagnostics["prefilter"] = prefilter
-    if overall == HOLDS and necessity == HOLDS and prefilter != FAILS:
-        return RelationVerdict(relation, direction_label, HOLDS,
-                               certificate={"witness_exponents": chosen},
-                               diagnostics=diagnostics, grid=grid)
-    if overall == FAILS and prefilter != HOLDS:
-        return RelationVerdict(relation, direction_label, FAILS,
-                               witness=witness, diagnostics=diagnostics, grid=grid)
-    return RelationVerdict(relation, direction_label, INCONCLUSIVE,
-                           diagnostics=diagnostics, grid=grid)
+    outcome = (HOLDS if overall == HOLDS and necessity == HOLDS and prefilter != FAILS
+               else FAILS if overall == FAILS and prefilter != HOLDS else INCONCLUSIVE)
+    return _verdict(relation, direction_label, outcome, diagnostics, grid,
+                    certificate={"witness_exponents": chosen}, witness=witness)
 
 
 # ---------------------------------------------------------------------------

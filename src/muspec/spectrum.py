@@ -260,14 +260,6 @@ def _ext(x: float):
     return float(x)
 
 
-def parse_ext(v) -> float:
-    if v == "+inf" or v == "inf":
-        return INF
-    if v == "-inf":
-        return -INF
-    return float(v)
-
-
 def _merge_intervals(raw: list[SpectralInterval], merge_tol: float) -> list[SpectralInterval]:
     merged: list[list[float]] = []
     for iv in sorted(raw, key=lambda iv: (iv.lo, iv.hi)):
@@ -375,7 +367,7 @@ def _component_estimates(system, rate, params: Params, components) -> list[BohlE
         per_window[comp].append((float(n), lo, hi))
         return _finish_estimate(per_window[comp], pairs_used[comp], params)
 
-    grid = _log_grid(system, rate, max(windows), params)
+    grid = _log_grid(system, rate, max(windows))
     estimates = {}
     for comp in components:
         for n in windows:
@@ -385,7 +377,7 @@ def _component_estimates(system, rate, params: Params, components) -> list[BohlE
         if not pending:
             break
         try:
-            grid = _log_grid(system, rate, n, params)
+            grid = _log_grid(system, rate, n)
         except (evolution.EvolutionError, exprparse.ExprError, rates.RateError):
             break
         for comp in pending:
@@ -393,8 +385,8 @@ def _component_estimates(system, rate, params: Params, components) -> list[BohlE
     return [estimates[comp] for comp in components]
 
 
-def _log_grid(system, rate, window: int, params: Params):
-    times, logs = evolution.component_log_grid(system, window, params)
+def _log_grid(system, rate, window: int):
+    times, logs = evolution.component_log_grid(system, window)
     # the rate grid is sampled at the same integer times, and checked
     return times, logs, rates.log_rate_grid(rate, window)
 
@@ -414,7 +406,7 @@ def _enclosure_estimate(system, rate, params: Params) -> BohlEstimate:
     """
     base = system.base if isinstance(system, WeightedSystem) else system
     windows = params.windows(base.time_domain)
-    times, fwd, bwd = evolution.scaled_grids(system, max(windows), params)
+    times, fwd, bwd = evolution.scaled_grids(system, max(windows))
     r_full = rates.log_rate_grid(rate, max(windows))
     log_fwd = evolution.log_sigma_max(fwd)
     log_bwd = evolution.log_sigma_max(bwd)

@@ -472,11 +472,7 @@ def run_all(params: Params = DEFAULT) -> list[TheoremReport]:
     quot_c_1 = generate_quotient_system(c_c, [1.0])
 
     cache: dict = {}
-    rows = []
-
-    def row(fn, *args, **kwargs):
-        rows.append(lambda: fn(*args, cache=cache, **kwargs))
-
+    reports = []
     for fx, m, w in [
         ("abs2t", q_c, exp_c), ("abs2t", q_c, p_c),
         ("disc_q", q_d, exp_d), ("disc_q", q_d, p_d),
@@ -484,8 +480,9 @@ def run_all(params: Params = DEFAULT) -> list[TheoremReport]:
         ("sq3t2", c_c, q_c), ("sq3t2", c_c, exp_c), ("sq3t2", c_c, p_c),
         ("identity", q_d, exp_d),
     ]:
-        row(verify_805, fixtures[fx].system, m, w, params, fixture=fx)
-    row(verify_805, quot_exp_1.system, q_d, exp_d, params, fixture=quot_exp_1.name)
+        reports.append(verify_805(fixtures[fx].system, m, w, params, fixture=fx, cache=cache))
+    reports.append(verify_805(quot_exp_1.system, q_d, exp_d, params,
+                              fixture=quot_exp_1.name, cache=cache))
 
     for fx, w, m in [
         ("abs2t", q_c, c_c),
@@ -494,35 +491,32 @@ def run_all(params: Params = DEFAULT) -> list[TheoremReport]:
         ("identity", exp_d, q_d),
         ("sq3t2", c_c, q_c),
     ]:
-        row(verify_806, fixtures[fx].system, w, m, params, fixture=fx)
+        reports.append(verify_806(fixtures[fx].system, w, m, params, fixture=fx, cache=cache))
 
-    row(verify_808_809, quot_q_m2.system, q_d, exp_d, params=params,
-        a=1.0, variant="808i", fixture=quot_q_m2.name)
-    row(verify_808_809, quot_q_p2.system, q_d, exp_d, params=params,
-        a=1.0, variant="808ii", fixture=quot_q_p2.name)
-    row(verify_808_809, quot_exp_pm.system, pe12_d, exp_d, params=params,
-        b=1.0, variant="809i", fixture=quot_exp_pm.name)
-    row(verify_808_809, quot_exp_pm.system, pe12_d, exp_d, params=params,
-        a=-1.0, variant="809ii", fixture=quot_exp_pm.name)
-    row(verify_808_809, quot_exp_pm.system, pe12_d, exp_d, params=params,
-        a=-1.0, b=1.0, variant="809iii", fixture=quot_exp_pm.name)
-    row(verify_808_809, quot_exp_0.system, pe12_d, exp_d, params=params,
-        b=0.0, variant="809i", fixture=quot_exp_0.name)
-    row(verify_808_809, quot_exp_pm.system, pe12_d, exp_d, params=params,
-        b=INF, variant="809i", fixture=quot_exp_pm.name)
+    for fx, mu, omega, kwargs in [
+        (quot_q_m2, q_d, exp_d, {"a": 1.0, "variant": "808i"}),
+        (quot_q_p2, q_d, exp_d, {"a": 1.0, "variant": "808ii"}),
+        (quot_exp_pm, pe12_d, exp_d, {"b": 1.0, "variant": "809i"}),
+        (quot_exp_pm, pe12_d, exp_d, {"a": -1.0, "variant": "809ii"}),
+        (quot_exp_pm, pe12_d, exp_d, {"a": -1.0, "b": 1.0, "variant": "809iii"}),
+        (quot_exp_0, pe12_d, exp_d, {"b": 0.0, "variant": "809i"}),
+        (quot_exp_pm, pe12_d, exp_d, {"b": INF, "variant": "809i"}),
+    ]:
+        reports.append(verify_808_809(fx.system, mu, omega, params=params,
+                                      fixture=fx.name, cache=cache, **kwargs))
 
     disc_chain = [p_d, exp_d, q_d, c_d]
     cont_chain = [p_c, exp_c, q_c, c_c]
     chain_names = ["p", "exp", "q", "c"]
-    for fx in ("abs2t", "inv1pt", "sq3t2"):
-        row(verify_811, fixtures[fx].system, cont_chain, params, fixture=fx,
-            rate_names=chain_names)
-    for fx in ("frak_a", "disc_q", "identity"):
-        row(verify_811, fixtures[fx].system, disc_chain, params, fixture=fx,
-            rate_names=chain_names)
+    for fx, chain in [("abs2t", cont_chain), ("inv1pt", cont_chain), ("sq3t2", cont_chain),
+                      ("frak_a", disc_chain), ("disc_q", disc_chain), ("identity", disc_chain)]:
+        reports.append(verify_811(fixtures[fx].system, chain, params, fixture=fx,
+                                  rate_names=chain_names, cache=cache))
 
-    row(verify_908, quot_c_1.system, c_c, glued_c, params, fixture=quot_c_1.name)
-    row(verify_908, quot_exp_pm.system, exp_d, pe13_d, params, fixture=quot_exp_pm.name)
-    row(verify_908, fixtures["abs2t"].system, q_c, q_c, params, fixture="abs2t")
-
-    return [r() for r in rows]
+    for system, mu, omega, name in [
+        (quot_c_1.system, c_c, glued_c, quot_c_1.name),
+        (quot_exp_pm.system, exp_d, pe13_d, quot_exp_pm.name),
+        (fixtures["abs2t"].system, q_c, q_c, "abs2t"),
+    ]:
+        reports.append(verify_908(system, mu, omega, params, fixture=name, cache=cache))
+    return reports

@@ -1,4 +1,6 @@
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +207,41 @@ def test_spectrum_rejects_rates_that_are_not_growth_rates(capsys, rate, message)
     assert code == 1
     assert out == ""
     assert message in err
+
+
+def test_spectrum_names_an_overflowing_quotient_grid(capsys):
+    # log mu = k^400 leaves double range at k = 6, so the unit step [5, 6]
+    # of the rate-quotient system is inf: a named error, not a traceback
+    system = {"time_domain": "discrete", "dimension": 1, "structure": "scalar",
+              "coefficients": {"rate_quotient": {"rate": {"kind": "power_exp", "p": 400},
+                                                 "slopes": [1]}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["spectrum", "--system", json.dumps(system),
+                                       "--rate", "exp"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: log-propagator of component 0 is not finite at time 6 (inf)\n"
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["verify", "--theorem", "all"], "verify_all.jsonl"),
+    (["compare", "--relation", "chain", "--rates", "p,exp,q,c",
+      "--time-domain", "discrete"], "chain_discrete.json"),
+    (["compare", "--relation", "chain", "--rates", "p,exp,q,c",
+      "--time-domain", "continuous"], "chain_continuous.json"),
+])
+def test_output_matches_the_recorded_reports(capsys, tmp_path, argv, golden):
+    """The reports are byte-identical to the recorded ones.  A change that
+    moves a digit regenerates the file (same command with --output) and
+    says which digit moved and why."""
+    out = tmp_path / golden
+    assert main(argv + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_bad_rate_name(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ def _plain_diag_step(system, t, h=1e-2):
     n += n % 2
     xs = np.linspace(t, t + 1.0, n + 1)
     if isinstance(src, evolution.RateQuotientSource):
-        vals = np.array([[s * rates.log_rate_derivative(src.rate, x) for s in src.slopes]
+        vals = np.array([[s * rates.log_rate_derivative(src.rate, [x])[0] for s in src.slopes]
                          for x in xs])
     else:
         vals = exprparse.evaluate_array(src.diag, {"t": xs, "k": xs})
@@ -297,6 +298,28 @@ def test_component_log_grid_raises_the_first_stepwise_error():
     with pytest.raises(exprparse.DomainError) as info:
         evolution.component_log_grid(evolution.quotient_system(rate, [1.0]), 10)
     assert str(info.value) == "division by zero in '1/(k-1)' at input 1.0"
+
+
+def test_component_log_grid_names_the_first_non_finite_log():
+    # steps of log-magnitude 1e308: the second one ahead overflows the
+    # running sum at time 3; behind, component 1 overflows at time -2
+    cases = [
+        (evolution.scalar_system(DISCRETE, "exp(1e308*min(abs(k),1))"),
+         "log-propagator of component 0 is not finite at time 3 (inf)"),
+        (evolution.diagonal_system(DISCRETE, ["2", "exp(1e308*min(max(-k,0),1))"]),
+         "log-propagator of component 1 is not finite at time -2 (-inf)"),
+        # an inf step: log mu(6) = 6^400 overflows
+        (evolution.quotient_system(rates.PowerExp(400.0, 1.0, DISCRETE), [1.0, 2.0]),
+         "log-propagator of component 0 is not finite at time 6 (inf)"),
+        (evolution.quotient_system(rates.PowerExp(400.0, 1.0, CONTINUOUS), [0.0]),
+         "log-propagator of component 0 is not finite at time 6 (nan)"),
+    ]
+    for system, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(evolution.EvolutionError) as info:
+                evolution.component_log_grid(system, 8)
+        assert str(info.value) == message
 
 
 def test_scaled_grids_are_mutually_inverse():

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from muspec import catalog, rates
+from muspec import catalog, exprparse, rates
 from muspec.params import CONTINUOUS, DISCRETE
 
 
@@ -36,6 +37,20 @@ def test_log_quotient():
 def test_discrete_rate_rejects_fractional_time():
     with pytest.raises(rates.RateError):
         rates.log_rate(Q, 1.5)
+
+
+def test_glued_branch_is_evaluated_only_where_it_is_selected():
+    # the outer expression has a pole at t = 1, beyond the crossover
+    glued = rates.Glued(inner=rates.PowerExp(3.0, 1.0, CONTINUOUS),
+                        outer=rates.ExpressionRate("t/(1-t)", CONTINUOUS),
+                        crossover=0.5, time_domain=CONTINUOUS)
+    ts = np.arange(-30, 31) / 10.0
+    with pytest.raises(exprparse.DomainError, match="at input 1.0"):
+        rates.log_rate_values(glued.outer, ts)
+    vals = rates.log_rate_values(glued, ts)
+    for t, v in zip(ts.tolist(), vals.tolist()):
+        assert v == rates.log_rate(glued.inner if abs(t) >= 0.5 else glued.outer, t)
+    assert rates.log_rate_derivative(glued, [1.0])[0] == 3.0
 
 
 @pytest.mark.parametrize("name", ["p", "exp", "q", "c"])
