@@ -352,15 +352,20 @@ def _diag_step_logs(system: LinearSystem, ks: list[int]) -> tuple[np.ndarray, np
 def _diag_steps(system: LinearSystem, ks: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """``_diag_step_logs`` checked nonsingular (no zero entry, no log of
     -inf).  A failure raises the error that evaluating and checking the
-    times one at a time, in the order of ks, raises first."""
+    times one at a time, in the order of ks, raises first.  A rate-quotient
+    step mu(k)^s / mu(k+1)^s is never zero and is not checked: a -inf log
+    there is an underflow, which ``component_log_grid`` names as a
+    non-finite log, as it names an overflow."""
+    checked = not isinstance(system.source, RateQuotientSource)
     try:
         la, sg = _diag_step_logs(system, ks)
     except (ValueError, ArithmeticError):
-        # a singular step before the failing time is reported first
-        for k in ks:
-            _check_nonsingular(*_diag_step_logs(system, [k]), [k])
+        if checked:  # a singular step before the failing time is reported first
+            for k in ks:
+                _check_nonsingular(*_diag_step_logs(system, [k]), [k])
         raise
-    _check_nonsingular(la, sg, ks)
+    if checked:
+        _check_nonsingular(la, sg, ks)
     return la, sg
 
 

@@ -14,8 +14,10 @@ DEFAULT_CONTINUOUS_SCHEDULE = (5, 10, 20, 40)
 # An unpinned schedule keeps doubling its last window while an estimate has
 # not converged, up to these caps: 16 times the default's last continuous
 # window, and 4 times the default's last discrete one (the pair scan runs
-# in row blocks, so memory is not the limit; the O(N^2) time is).  Sizes,
-# not a time budget, so reports never depend on machine speed.
+# in row blocks, so memory is not the limit; the time is: each window scans
+# the admissible suffix of every row, O(N^2) times the admissible share of
+# the pairs).  Sizes, not a time budget, so reports never depend on
+# machine speed.
 MAX_DISCRETE_WINDOW = 1600
 MAX_CONTINUOUS_WINDOW = 640
 

@@ -26,6 +26,7 @@ against the definitions by direct evaluation on the final window.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -219,7 +220,8 @@ def _bounded_outcome(mu, omega, coef_mu: float, coef_omega: float,
     return _sequence_outcome(sups, params.tol_stab), float(sups[-1]), pairs
 
 
-def _ratio_necessity(mu, omega, params: Params) -> tuple[str, list, list]:
+@lru_cache(maxsize=256)
+def _ratio_necessity(mu, omega, params: Params) -> tuple[str, tuple, tuple]:
     """Necessary condition for both almost-comparisons of (mu, omega): the
     quotient L_omega / L_mu must stay bounded over pairs whose mu-distance is
     a fixed fraction of the window maximum.  (Either relation with the outer
@@ -228,6 +230,11 @@ def _ratio_necessity(mu, omega, params: Params) -> tuple[str, list, list]:
     refutes the relation outright; a supremum that stops increasing
     certifies the condition.  Sequences are not monotone because the cutoff
     tightens with the window, so a decreasing tail counts as bounded.
+
+    Both almost-comparisons of (mu, omega) ask for it, so it is computed
+    once per ordered pair: the per-window suprema, and the argmax pairs as
+    tuples of (key, value) items, immutable so that no two verdicts share a
+    witness.
     """
     def scan(r_mu, r_om):
         l_max = r_mu[-1] - r_mu[0]
@@ -236,10 +243,11 @@ def _ratio_necessity(mu, omega, params: Params) -> tuple[str, list, list]:
         return _ratio_argmax(r_mu, r_om, params.cutoff_fraction * l_max)
 
     sups, argmax_pairs = _window_sups(mu, omega, params, scan)
+    pairs = tuple(tuple(p.items()) for p in argmax_pairs)
     if _sequence_outcome(sups, params.tol_stab) == FAILS:
-        return FAILS, sups, argmax_pairs
+        return FAILS, tuple(sups), pairs
     bounded = len(sups) >= 2 and sups[-1] - sups[-2] <= params.tol_stab
-    return HOLDS if bounded else INCONCLUSIVE, sups, argmax_pairs
+    return HOLDS if bounded else INCONCLUSIVE, tuple(sups), pairs
 
 
 def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple[float, int, int]:
@@ -248,16 +256,16 @@ def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple
     maximum in row-major pair order, and a NaN ratio beats every number, as
     ``np.argmax`` over all pairs at once would pick."""
     best = None
-    for i0, mask, ratios in pair_ratio_blocks(r_mu, r_om, -r_om, threshold):
+    for i0, j0, mask, ratios in pair_ratio_blocks(r_mu, r_om, -r_om, threshold):
         top = int(np.argmax(ratios))
         value = ratios[top]
         if best is None or value > best[0] or (np.isnan(value) and not np.isnan(best[0])):
-            best = (value, i0, mask, top)
+            best = (value, i0, j0, mask, top)
     if best is None:
         raise RelationError("no admissible pairs after the log-quotient cutoff")
-    value, i0, mask, top = best
+    value, i0, j0, mask, top = best
     a, b = divmod(int(np.flatnonzero(mask)[top]), mask.shape[1])
-    return float(value), i0 + a, i0 + 1 + b
+    return float(value), i0 + a, j0 + b
 
 
 def _affine_prefilter(mu, omega, params: Params) -> str:
@@ -300,7 +308,7 @@ def check_almost(mu, omega, direction: str, params: Params = DEFAULT) -> Relatio
     if necessity == FAILS:
         diagnostics["refuted_by"] = "unbounded log-quotient ratio"
         return _verdict(relation, direction_label, FAILS, diagnostics, grid,
-                        witness=ratio_pairs)
+                        witness=[dict(p) for p in ratio_pairs])
     chosen = {}
     overall = HOLDS
     witness = None

@@ -117,7 +117,7 @@ def _window_slice(times: np.ndarray, window: int) -> slice:
     return slice(center - window, center + window + 1)
 
 
-_PAIR_BLOCK = 1 << 16  # pair candidates held at once by pair_ratio_blocks
+_PAIR_BLOCK = 1 << 14  # pair candidates held at once by pair_ratio_blocks
 
 
 def pair_ratio_blocks(r: np.ndarray, head: np.ndarray, tail: np.ndarray,
@@ -126,20 +126,39 @@ def pair_ratio_blocks(r: np.ndarray, head: np.ndarray, tail: np.ndarray,
     i < j, those with r[j] - r[i] >= threshold and > 0, one block of rows at
     a time, so memory stays O(_PAIR_BLOCK) rather than O(len(r)^2).
 
-    Yields (i0, mask, ratios) for each block with admissible pairs:
-    mask[a, b] marks the pair (i0 + a, i0 + 1 + b), and ratios holds the
+    ``r`` is a finite log-rate grid, non-decreasing up to the small drops
+    ``rates.log_rate_grid`` lets through, so the admissible partners of a
+    row lie in a suffix of the later columns.  A block starting at row i0
+    scans only the columns from j0 on, the first j > i0 with
+    top[j] - low[i0] >= threshold, where top is the running maximum of r
+    and low its suffix minimum.  For every row i >= i0, r[i] >= low[i0]
+    and r[j] <= top[j]; float subtraction is monotone, so the computed
+    r[j] - r[i] is at most the computed top[j] - low[i0], and every skipped
+    column fails the threshold for every row of the block.  low[i0] never
+    decreases, so neither does j0, and the scan stops at the first block
+    with no column left.
+
+    Yields (i0, j0, mask, ratios) for each block with admissible pairs:
+    mask[a, b] marks the pair (i0 + a, j0 + b), and ratios holds the
     marked pairs' ratios in row-major order, which over the blocks is the
     order of ``np.triu_indices``.
     """
     n = len(r)
-    step = max(1, _PAIR_BLOCK // n)
-    for i0 in range(0, n - 1, step):
-        rows = np.arange(i0, min(i0 + step, n - 1))
-        L = r[None, i0 + 1:] - r[rows, None]
-        later = np.arange(i0 + 1, n)[None, :] > rows[:, None]
+    top = np.maximum.accumulate(r)
+    low = np.minimum.accumulate(r[::-1])[::-1]
+    i0 = 0
+    while i0 < n - 1:
+        j0 = i0 + 1 + int(np.searchsorted(top[i0 + 1:] - low[i0], threshold))
+        if j0 >= n:
+            break
+        stop = min(i0 + max(1, _PAIR_BLOCK // (n - j0)), n - 1)
+        rows = np.arange(i0, stop)
+        L = r[None, j0:] - r[rows, None]
+        later = np.arange(j0, n)[None, :] > rows[:, None]
         mask = (L >= threshold) & (L > 0) & later
         if mask.any():
-            yield i0, mask, (head[None, i0 + 1:] + tail[rows, None])[mask] / L[mask]
+            yield i0, j0, mask, (head[None, j0:] + tail[rows, None])[mask] / L[mask]
+        i0 = stop
 
 
 def _pair_ratio_stats(r: np.ndarray, head: np.ndarray, tail: np.ndarray, cutoff: float):
@@ -150,7 +169,7 @@ def _pair_ratio_stats(r: np.ndarray, head: np.ndarray, tail: np.ndarray, cutoff:
     if l_max <= 0:
         raise SpectrumError("growth rate is flat on the window; no admissible pairs")
     lows, highs, count = [], [], 0
-    for _, _, ratios in pair_ratio_blocks(r, head, tail, cutoff * l_max):
+    for _, _, _, ratios in pair_ratio_blocks(r, head, tail, cutoff * l_max):
         lows.append(ratios.min())
         highs.append(ratios.max())
         count += len(ratios)

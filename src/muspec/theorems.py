@@ -211,7 +211,7 @@ def verify_805(system, mu, omega, params: Params = DEFAULT, fixture: str = "?",
     """Faster rate with a dichotomy: the spectrum under the slower rate must
     collapse to {+inf}, {-inf} or {+-inf}."""
     names = {"mu": _rate_label(mu), "omega": _rate_label(omega)}
-    h1 = relations.check_faster(mu, omega, params)
+    h1 = _faster(cache, mu, omega, params)
     dich = has_mu_dichotomy(system, mu, params, report=_spec(cache, fixture, system, mu, params))
     hyps = [
         _hyp("mu_faster_than_omega", h1.outcome),
@@ -232,7 +232,7 @@ def verify_806(system, omega, mu, params: Params = DEFAULT, fixture: str = "?",
     names = {"omega": _rate_label(omega), "mu": _rate_label(mu)}
     growth = has_mu_growth(system, omega, params,
                            report=_spec(cache, fixture, system, omega, params))
-    h2 = relations.check_faster(mu, omega, params)
+    h2 = _faster(cache, mu, omega, params)
     hyps = [
         _hyp("system_has_omega_growth", _verdict_status(growth)),
         _hyp("mu_faster_than_omega", h2.outcome),
@@ -318,8 +318,8 @@ def verify_811(system, chain, params: Params = DEFAULT, fixture: str = "?",
     if rate_names is None:
         rate_names = [_rate_label(r) for r in chain]
     names = {"chain": ",".join(rate_names)}
-    key = ("chain", json.dumps([rates.rate_to_descriptor(r) for r in chain], sort_keys=True))
-    order = _memo(cache, key, lambda: relations.chain_check(chain, params))
+    order = _memo(cache, ("chain", _descriptors(chain)),
+                  lambda: relations.chain_check(chain, params))
     hyps = [_hyp("chain_is_ordered", order.outcome,
                  "" if order.first_failure is None else f"link {order.first_failure} fails")]
 
@@ -445,16 +445,27 @@ def _memo(cache: dict | None, key, compute):
     return cache[key]
 
 
+def _descriptors(rate_list) -> str:
+    """The rates' descriptors as one cache key."""
+    return json.dumps([rates.rate_to_descriptor(r) for r in rate_list], sort_keys=True)
+
+
 def _spec(cache: dict | None, fixture: str, system, rate_obj,
           params: Params) -> SpectrumReport:
-    key = ("spectrum", fixture, json.dumps(rates.rate_to_descriptor(rate_obj), sort_keys=True))
-    return _memo(cache, key, lambda: compute_spectrum(system, rate_obj, params))
+    return _memo(cache, ("spectrum", fixture, _descriptors([rate_obj])),
+                 lambda: compute_spectrum(system, rate_obj, params))
+
+
+def _faster(cache: dict | None, mu, omega, params: Params):
+    """``relations.check_faster(mu, omega)``, once per run for each pair."""
+    return _memo(cache, ("faster", _descriptors([mu, omega])),
+                 lambda: relations.check_faster(mu, omega, params))
 
 
 def run_all(params: Params = DEFAULT) -> list[TheoremReport]:
     """The default verification grid over the catalog and generated fixtures.
-    Spectra and chain verdicts are computed once per run and shared between
-    the theorems that use them."""
+    Spectra, faster verdicts and chain verdicts are computed once per run
+    and shared between the theorems that use them."""
     fixtures = {f.name: f for f in catalog_fixtures()}
     d = DISCRETE
     c = CONTINUOUS

@@ -176,7 +176,9 @@ def _plain_diag_step(system, t, h=1e-2):
             pairs = [exprparse.evaluate_log_abs(e, {"t": float(k), "k": float(k)})
                      for e in src.diag]
             la, sg = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs], float)
-        if np.any(sg == 0) or np.any(la == -math.inf):
+        # a quotient mu(k)^s / mu(k+1)^s is never zero: a -inf log is an underflow
+        singular = np.any(sg == 0) or np.any(la == -math.inf)
+        if singular and not isinstance(src, evolution.RateQuotientSource):
             raise evolution.EvolutionError(f"coefficient matrix is singular at time {k}")
         return la
     n = max(2, int(math.ceil(1.0 / h)))
@@ -311,6 +313,12 @@ def test_component_log_grid_names_the_first_non_finite_log():
         # an inf step: log mu(6) = 6^400 overflows
         (evolution.quotient_system(rates.PowerExp(400.0, 1.0, DISCRETE), [1.0, 2.0]),
          "log-propagator of component 0 is not finite at time 6 (inf)"),
+        # with a negative slope the quotient step underflows to a -inf log;
+        # a quotient coefficient is never zero, so this is no singular step
+        (evolution.quotient_system(rates.PowerExp(400.0, 1.0, DISCRETE), [1.0, -1.0]),
+         "log-propagator of component 0 is not finite at time 6 (inf)"),
+        (evolution.quotient_system(rates.PowerExp(400.0, 1.0, DISCRETE), [-1.0]),
+         "log-propagator of component 0 is not finite at time 6 (-inf)"),
         (evolution.quotient_system(rates.PowerExp(400.0, 1.0, CONTINUOUS), [0.0]),
          "log-propagator of component 0 is not finite at time 6 (nan)"),
     ]

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from muspec import catalog, rates, relations
-from muspec.params import CONTINUOUS, DISCRETE
+from muspec.params import CONTINUOUS, DISCRETE, Params
 from muspec.relations import FAILS, HOLDS
 
 
@@ -91,6 +91,24 @@ def test_chain_order():
     assert degenerate.outcome == HOLDS
     with pytest.raises(relations.RelationError):
         relations.chain_check([EXP])
+
+
+def test_ratio_necessity_runs_once_per_ordered_pair(monkeypatch):
+    scans = []
+    argmax = relations._ratio_argmax
+    monkeypatch.setattr(relations, "_ratio_argmax", lambda *a: scans.append(a) or argmax(*a))
+    relations._ratio_necessity.cache_clear()
+    relations.chain_check([P, EXP, Q, C])
+    # both directions of each of the 3 links share one scan per window
+    assert len(scans) == 3 * len(Params().windows(DISCRETE))
+    # p -> exp fails the ratio condition in both directions; the two
+    # verdicts carry equal witnesses but never the same objects
+    faster = relations.check_almost(P, EXP, "faster")
+    slower = relations.check_almost(P, EXP, "slower")
+    assert faster.outcome == slower.outcome == FAILS
+    assert faster.witness == slower.witness
+    assert faster.witness is not slower.witness
+    assert all(a is not b for a, b in zip(faster.witness, slower.witness))
 
 
 def test_forward_backward_formulations_agree():

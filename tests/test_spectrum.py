@@ -1,8 +1,11 @@
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from muspec import catalog, evolution, rates, spectrum
+from muspec import catalog, evolution, rates, relations, spectrum
 from muspec.params import CONTINUOUS, DISCRETE, Params
 
 
@@ -215,7 +218,6 @@ def test_unpinned_schedule_extends_until_converged():
 
 
 def test_extension_of_tabulated_system_stops_at_table_range():
-    import numpy as np
     # log a_k = 1 for |k| >= 300, else 0: under exp the upper statistic is 0
     # up to window 200, then 101/400 at 400 (from -400 to 0) and 501/800 at
     # 800, so it never stabilizes; the extension may only use windows the
@@ -233,3 +235,85 @@ def test_extension_of_tabulated_system_stops_at_table_range():
     assert not rep.converged
     assert rep.windows == (50.0, 100.0, 200.0, 400.0, 800.0)
     assert rep.intervals[0].hi == pytest.approx(501 / 800)
+
+
+# ---------------------------------------------------------------------------
+# The admissible-pair primitive against a plain all-pairs scan
+
+
+def _all_pairs(r, head, tail, threshold):
+    """(i, j, ratio) of every admissible pair i < j, in np.triu_indices
+    order, with the mask and the division of pair_ratio_blocks."""
+    i, j = np.triu_indices(len(r), 1)
+    L = r[j] - r[i]
+    keep = (L >= threshold) & (L > 0)
+    return i[keep], j[keep], (head[j] + tail[i])[keep] / L[keep]
+
+
+def _same(x, y):
+    """Bitwise equal floats; any NaN equals any NaN (its sign bit depends on
+    the order numpy reduces in)."""
+    return (math.isnan(x) and math.isnan(y)) or np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+# log-rate grids: plateaus, steps that make pair distances tie with the
+# threshold, and drops within the 1e-12 that log_rate_grid lets through;
+# dyadic steps (2^-40 is 9.1e-13) keep most differences exact, so the ties
+# are exact; head and tail values tie too, and hold NaN and +-inf
+_D = 2.0 ** -40
+_steps = st.sampled_from([0.0, 0.5, 1.0, 2.0, 0.3, 1.7, _D, -_D, -_D, -_D / 2])
+_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -2.7, 4.2, math.nan, INF, -INF])
+_cutoffs = st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(1e-9, 0.05),
+                     st.floats(0.95, 1.0 - 1e-9))
+
+
+@st.composite
+def _pair_inputs(draw):
+    """(r, head, tail, cutoff); the cutoff is near 0, near 1, or puts the
+    threshold at the distance of a drawn pair, where ties decide."""
+    n = draw(st.integers(2, 24))
+    start = draw(st.sampled_from([0.0, -3.0, 0.1]))
+    r = start + np.concatenate([[0.0], np.cumsum(draw(st.lists(_steps, min_size=n - 1,
+                                                                 max_size=n - 1)))])
+    head = np.array(draw(st.lists(_values, min_size=n, max_size=n)))
+    tail = np.array(draw(st.lists(_values, min_size=n, max_size=n)))
+    a, b = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    l_max = r[-1] - r[0]
+    tie = (r[b] - r[a]) / l_max if l_max > 0 else 0.5
+    return r, head, tail, tie if draw(st.booleans()) else draw(_cutoffs)
+
+
+@given(_pair_inputs(), st.sampled_from([1, 3, 16, 64, 1 << 14]))
+@settings(max_examples=300, deadline=None)
+# a block of rows 0 and 1 must start at column 2, which row 1 admits (the
+# scan would miss it starting from r[0] instead of the suffix minimum, or
+# one column before searchsorted(r, r[0] + threshold))
+@example((np.array([0.0, -_D, 1.0 - _D, 2.0 - _D]), np.zeros(4), np.zeros(4), 0.5), 1 << 14)
+@example((np.array([0.0, -_D, 1.0 - _D, 1.0 - _D, 2.0 - _D]), np.zeros(5), np.zeros(5), 0.5),
+         1 << 14)
+def test_pair_scan_matches_all_pairs(inputs, block):
+    r, head, tail, cutoff = inputs
+    l_max = r[-1] - r[0]
+    threshold = cutoff * l_max
+    with np.errstate(invalid="ignore"), mock.patch.object(spectrum, "_PAIR_BLOCK", block):
+        i, j, ratios = _all_pairs(r, head, tail, threshold)
+        if l_max <= 0:
+            with pytest.raises(spectrum.SpectrumError, match="flat"):
+                spectrum._pair_ratio_stats(r, head, tail, cutoff)
+        elif not len(ratios):
+            with pytest.raises(spectrum.SpectrumError, match="no admissible pairs"):
+                spectrum._pair_ratio_stats(r, head, tail, cutoff)
+        else:
+            lo, hi, count = spectrum._pair_ratio_stats(r, head, tail, cutoff)
+            assert _same(lo, ratios.min()) and _same(hi, ratios.max())
+            assert count == len(ratios)
+        # the ratio-necessity scan: head r_om, tail -r_om
+        i, j, ratios = _all_pairs(r, head, -head, threshold)
+        if not len(ratios):
+            with pytest.raises(relations.RelationError, match="no admissible pairs"):
+                relations._ratio_argmax(r, head, threshold)
+            return
+        value, a, b = relations._ratio_argmax(r, head, threshold)
+    best = int(np.argmax(ratios))  # the first maximum; a NaN beats every number
+    assert _same(value, ratios[best]) and (a, b) == (i[best], j[best])
+    assert type(a) is int and type(b) is int

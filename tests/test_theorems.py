@@ -252,6 +252,19 @@ def test_run_all_reports_no_failures():
         assert {"theorem", "fixture", "rates", "status", "details"} <= set(p)
 
 
+def test_run_all_checks_each_faster_pair_once(monkeypatch):
+    pairs = []
+    check_faster = relations.check_faster
+    monkeypatch.setattr(relations, "check_faster",
+                        lambda mu, omega, params: pairs.append((mu, omega))
+                        or check_faster(mu, omega, params))
+    theorems.run_all()
+    # the 19 rows of 805 and 806 ask about 12 distinct (mu, omega) pairs,
+    # each checked once; each of the three 908 rows classifies its pair in
+    # both directions
+    assert len(pairs) == 12 + 3 * 2
+
+
 def test_run_all_is_deterministic():
     first = json.dumps([r.to_dict() for r in theorems.run_all()], sort_keys=True)
     second = json.dumps([r.to_dict() for r in theorems.run_all()], sort_keys=True)
