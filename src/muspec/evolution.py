@@ -541,13 +541,27 @@ def propagate(system: LinearSystem, to: float, frm: float) -> ScaledMatrix:
 
 
 def _diag_range_logs(system: LinearSystem, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log-magnitudes and signs of the diagonal of Phi(k, n): the unit steps
+    between n and k summed from 0.0 in increasing time, negated when k < n
+    (inverse steps; diagonal signs are self-inverse).  A non-finite log
+    raises the EvolutionError ``component_log_grid`` raises, naming the
+    first non-finite running sum of the walk from n toward k."""
     if k == n:
         return np.zeros(system.components), np.ones(system.components)
     lo, hi = (n, k) if k > n else (k, n)
-    la, sg = _diag_steps(system, list(range(lo, hi)))
-    total = _walk(la)[-1]
-    if k < n:
-        total = -total  # product of inverses; diagonal signs are self-inverse
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
+        la, sg = _diag_steps(system, list(range(lo, hi)))
+        total = _walk(la)[-1]
+        if k < n:
+            total = -total
+        if not np.isfinite(total).all():
+            # a step ahead reaches the right end of its interval, a step
+            # back the left; the total closes the walk, since summing in
+            # increasing time can overflow where the walk's order does not
+            left = np.arange(lo, hi, dtype=float)
+            walked, reached = ((_walk(la)[1:], left + 1.0) if k > n
+                               else (_walk(-la[::-1])[1:], left[::-1]))
+            _check_walk_finite(np.vstack([walked, total]), np.append(reached, float(k)))
     return total, np.prod(sg, axis=0)
 
 
@@ -555,6 +569,17 @@ def _walk(steps: np.ndarray) -> np.ndarray:
     """Running sums 0, s_0, s_0 + s_1, ... of a (count, components) array,
     added one step at a time from 0.0 as a loop adds them."""
     return np.cumsum(np.vstack([np.zeros(steps.shape[1]), steps]), axis=0)
+
+
+def _check_walk_finite(walked: np.ndarray, reached: np.ndarray):
+    """Raise at the first non-finite running sum of a walk, in walk order:
+    ``walked`` holds one row of per-component sums per step, and
+    ``reached[m]`` is the time step m reaches."""
+    bad = ~np.isfinite(walked)
+    if bad.any():
+        m, i = divmod(int(np.argmax(bad)), walked.shape[1])
+        raise EvolutionError(f"log-propagator of component {i} is not finite at time "
+                             f"{reached[m]:g} ({walked[m, i]})")
 
 
 def _full_discrete(system: LinearSystem, k: int, n: int) -> ScaledMatrix:
@@ -642,12 +667,9 @@ def component_log_grid(obj, window: int) -> tuple[np.ndarray, np.ndarray]:
         else:
             steps = _simpson_integrals(system, left, left + 1.0)
         ahead, behind = _walk(steps[:window]), _walk(-steps[window:])
-    walked = np.vstack([ahead[1:], behind[1:]])
-    bad = ~np.isfinite(walked)
-    if bad.any():
-        m, i = divmod(int(np.argmax(bad)), system.components)
-        raise EvolutionError(f"log-propagator of component {i} is not finite at time "
-                             f"{left[m] + (1.0 if m < window else 0.0):g} ({walked[m, i]})")
+    # a step ahead reaches the right end of its interval, a step behind the left
+    _check_walk_finite(np.vstack([ahead[1:], behind[1:]]),
+                       np.concatenate([left[:window] + 1.0, left[window:]]))
     logs = np.empty((system.components, len(times)))
     logs[:, center:] = ahead.T
     logs[:, center::-1] = behind.T

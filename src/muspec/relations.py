@@ -254,23 +254,32 @@ def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple
     """Largest (r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i]) over the pairs
     i < j whose mu-distance reaches the threshold, with its pair: the first
     maximum in row-major pair order, and a NaN ratio beats every number, as
-    ``np.argmax`` over all pairs at once would pick."""
+    ``np.argmax`` over all pairs at once would pick.  Within a block, the
+    row-major order of the rectangle keeps the pairs in that order, so the
+    first maximum of the rectangle with -inf off the mask is the first
+    admissible one, unless every admissible ratio is -inf."""
     best = None
-    for i0, j0, mask, ratios in pair_ratio_blocks(r_mu, r_om, -r_om, threshold):
+    for i0, j0, mask, q in pair_ratio_blocks(r_mu, r_om[None], -r_om[None], threshold):
+        ratios = q[0]
+        np.copyto(ratios, -np.inf, where=~mask)
         top = int(np.argmax(ratios))
-        value = ratios[top]
+        value = ratios.flat[top]
+        if value == -np.inf:
+            top = int(np.argmax(mask))
         if best is None or value > best[0] or (np.isnan(value) and not np.isnan(best[0])):
-            best = (value, i0, j0, mask, top)
+            best = (value, i0, j0, top, ratios.shape[1])
     if best is None:
         raise RelationError("no admissible pairs after the log-quotient cutoff")
-    value, i0, j0, mask, top = best
-    a, b = divmod(int(np.flatnonzero(mask)[top]), mask.shape[1])
+    value, i0, j0, top, width = best
+    a, b = divmod(top, width)
     return float(value), i0 + a, j0 + b
 
 
+@lru_cache(maxsize=256)
 def _affine_prefilter(mu, omega, params: Params) -> str:
     """Conjectured reformulation used only as a pre-filter: does some slope c
-    give L_omega <= c * L_mu + C on all pairs?"""
+    give L_omega <= c * L_mu + C on all pairs?  Both almost-comparisons of
+    (mu, omega) ask for it, so it runs once per ordered pair."""
     saw_inconclusive = False
     for c in PREFILTER_SLOPES:
         outcome, _, _ = _bounded_outcome(mu, omega, c, 1.0, params)

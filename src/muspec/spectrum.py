@@ -120,11 +120,13 @@ def _window_slice(times: np.ndarray, window: int) -> slice:
 _PAIR_BLOCK = 1 << 14  # pair candidates held at once by pair_ratio_blocks
 
 
-def pair_ratio_blocks(r: np.ndarray, head: np.ndarray, tail: np.ndarray,
+def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
                       threshold: float):
-    """Ratios (head[j] + tail[i]) / (r[j] - r[i]) over the admissible pairs
+    """Ratios (heads[k, j] + tails[k, i]) / (r[j] - r[i]) of K series
+    (``heads`` and ``tails`` of shape (K, len(r))) over the admissible pairs
     i < j, those with r[j] - r[i] >= threshold and > 0, one block of rows at
-    a time, so memory stays O(_PAIR_BLOCK) rather than O(len(r)^2).
+    a time, so memory stays O(_PAIR_BLOCK) rather than O(K * len(r)^2).
+    Every series on one rate grid shares the block's log-quotients and mask.
 
     ``r`` is a finite log-rate grid, non-decreasing up to the small drops
     ``rates.log_rate_grid`` lets through, so the admissible partners of a
@@ -138,10 +140,19 @@ def pair_ratio_blocks(r: np.ndarray, head: np.ndarray, tail: np.ndarray,
     decreases, so neither does j0, and the scan stops at the first block
     with no column left.
 
-    Yields (i0, j0, mask, ratios) for each block with admissible pairs:
-    mask[a, b] marks the pair (i0 + a, j0 + b), and ratios holds the
-    marked pairs' ratios in row-major order, which over the blocks is the
-    order of ``np.triu_indices``.
+    Yields (i0, j0, mask, q) for each block with admissible pairs: q has
+    shape (K, rows, len(r) - j0) and holds the ratio of every pair
+    (i0 + a, j0 + b) of the block's rectangle, and mask[a, b] marks the
+    admissible ones.  The entries off the mask are not ratios of admissible
+    pairs (their log-quotient may be zero or negative), so a caller
+    overwrites them before reducing, instead of copying the admissible
+    ratios out: with -inf before a max and +inf before a min.  A fill
+    beats no admissible entry and every admissible entry (NaN included)
+    matches or beats it, so the max or min of the filled rectangle is one
+    of the admissible ratios' extremes, bitwise; only which of tied +0.0
+    and -0.0, or which NaN, depends on numpy's order of reduction, as it
+    does on any copy.  Row-major order over the blocks' masks is the order
+    of ``np.triu_indices``.
     """
     n = len(r)
     top = np.maximum.accumulate(r)
@@ -151,31 +162,47 @@ def pair_ratio_blocks(r: np.ndarray, head: np.ndarray, tail: np.ndarray,
         j0 = i0 + 1 + int(np.searchsorted(top[i0 + 1:] - low[i0], threshold))
         if j0 >= n:
             break
-        stop = min(i0 + max(1, _PAIR_BLOCK // (n - j0)), n - 1)
-        rows = np.arange(i0, stop)
-        L = r[None, j0:] - r[rows, None]
-        later = np.arange(j0, n)[None, :] > rows[:, None]
-        mask = (L >= threshold) & (L > 0) & later
+        stop = min(i0 + max(1, _PAIR_BLOCK // (len(heads) * (n - j0))), n - 1)
+        L = r[None, j0:] - r[i0:stop, None]
+        mask = L >= threshold
+        if not threshold > 0:
+            mask &= L > 0
+        if stop > j0:  # rows from j0 on meet columns j <= i in the rectangle
+            mask &= np.arange(j0, n)[None, :] > np.arange(i0, stop)[:, None]
         if mask.any():
-            yield i0, j0, mask, (head[None, j0:] + tail[rows, None])[mask] / L[mask]
+            # off the mask L may be zero or negative; those entries are discarded
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                q = heads[:, None, j0:] + tails[:, i0:stop, None]
+                q /= L
+            yield i0, j0, mask, q
         i0 = stop
 
 
-def _pair_ratio_stats(r: np.ndarray, head: np.ndarray, tail: np.ndarray, cutoff: float):
+def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutoff: float):
     """(min ratio, max ratio, admissible pair count) of ``pair_ratio_blocks``
-    at the cutoff fraction of the window's log-quotient; min and max are
-    exact, so the result does not depend on the blocking."""
+    at the cutoff fraction of the window's log-quotient.  For a stack of
+    series (2-D ``heads`` and ``tails``) min and max are arrays with one
+    entry per series, and the count, shared by all of them, is an int.
+    min and max are exact, so the result does not depend on the blocking."""
     l_max = r[-1] - r[0]
     if l_max <= 0:
         raise SpectrumError("growth rate is flat on the window; no admissible pairs")
-    lows, highs, count = [], [], 0
-    for _, _, _, ratios in pair_ratio_blocks(r, head, tail, cutoff * l_max):
-        lows.append(ratios.min())
-        highs.append(ratios.max())
-        count += len(ratios)
+    stack_h, stack_t = np.atleast_2d(heads, tails)
+    lo = np.full(len(stack_h), INF)
+    hi = np.full(len(stack_h), -INF)
+    count = 0
+    for _, _, mask, q in pair_ratio_blocks(r, stack_h, stack_t, cutoff * l_max):
+        outside = ~mask
+        np.copyto(q, -INF, where=outside)
+        hi = np.maximum(hi, q.max(axis=(1, 2)))
+        np.copyto(q, INF, where=outside)
+        lo = np.minimum(lo, q.min(axis=(1, 2)))
+        count += int(np.count_nonzero(mask))
     if not count:
         raise SpectrumError("no admissible pairs after the log-quotient cutoff")
-    return float(np.min(lows)), float(np.max(highs)), count
+    if np.ndim(heads) == 2:
+        return lo, hi, count
+    return float(lo[0]), float(hi[0]), count
 
 
 def bohl_exponents(system, rate: rates.GrowthRate, params: Params = DEFAULT,
@@ -375,22 +402,21 @@ def _component_estimates(system, rate, params: Params, components) -> list[BohlE
     base = system.base if isinstance(system, WeightedSystem) else system
     windows = params.windows(base.time_domain)
     per_window = {comp: [] for comp in components}
-    pairs_used = {}
+    estimates = {}
 
-    def scan(grid, comp, n):
+    def scan(grid, comps, n):
+        """One pair scan of the window for all of comps at once."""
         times, logs, r_full = grid
         sl = _window_slice(times, n)
-        s = logs[comp][sl]
-        lo, hi, pairs_used[comp] = _pair_ratio_stats(r_full[sl], s, -s,
-                                                     params.cutoff_fraction)
-        per_window[comp].append((float(n), lo, hi))
-        return _finish_estimate(per_window[comp], pairs_used[comp], params)
+        s = logs[comps, sl]
+        lo, hi, pairs_used = _pair_ratio_stats(r_full[sl], s, -s, params.cutoff_fraction)
+        for comp, comp_lo, comp_hi in zip(comps, lo.tolist(), hi.tolist()):
+            per_window[comp].append((float(n), comp_lo, comp_hi))
+            estimates[comp] = _finish_estimate(per_window[comp], pairs_used, params)
 
     grid = _log_grid(system, rate, max(windows))
-    estimates = {}
-    for comp in components:
-        for n in windows:
-            estimates[comp] = scan(grid, comp, n)
+    for n in windows:
+        scan(grid, components, n)
     for n in params.extension_windows(base.time_domain):
         pending = [comp for comp in components if not estimates[comp].converged]
         if not pending:
@@ -399,8 +425,7 @@ def _component_estimates(system, rate, params: Params, components) -> list[BohlE
             grid = _log_grid(system, rate, n)
         except (evolution.EvolutionError, exprparse.ExprError, rates.RateError):
             break
-        for comp in pending:
-            estimates[comp] = scan(grid, comp, n)
+        scan(grid, pending, n)
     return [estimates[comp] for comp in components]
 
 
@@ -433,11 +458,11 @@ def _enclosure_estimate(system, rate, params: Params) -> BohlEstimate:
     pairs_used = 0
     for n in windows:
         sl = _window_slice(times, n)
-        r = r_full[sl]
-        _, hi, pairs_used = _pair_ratio_stats(r, log_fwd[sl], log_bwd[sl],
-                                              params.cutoff_fraction)
-        lo, _, _ = _pair_ratio_stats(r, -log_bwd[sl], -log_fwd[sl], params.cutoff_fraction)
-        per_window.append((float(n), lo, hi))
+        # the upper bound is the max of series 0, the lower the min of series 1
+        lows, highs, pairs_used = _pair_ratio_stats(
+            r_full[sl], np.stack([log_fwd[sl], -log_bwd[sl]]),
+            np.stack([log_bwd[sl], -log_fwd[sl]]), params.cutoff_fraction)
+        per_window.append((float(n), float(lows[1]), float(highs[0])))
     return _finish_estimate(per_window, pairs_used, params)
 
 

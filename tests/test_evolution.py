@@ -330,6 +330,20 @@ def test_component_log_grid_names_the_first_non_finite_log():
         assert str(info.value) == message
 
 
+def test_propagate_names_the_first_non_finite_log():
+    # log mu(+-6) = +-6^400 overflows; the walk from 0 meets it at time
+    # +-6, with either sign of the slope, in either direction
+    cases = [(1.0, 8, "6 (inf)"), (-1.0, 8, "6 (-inf)"),
+             (1.0, -8, "-6 (-inf)"), (-1.0, -8, "-6 (inf)")]
+    for slope, to, where in cases:
+        system = evolution.quotient_system(rates.PowerExp(400.0, 1.0, DISCRETE), [slope])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(evolution.EvolutionError) as info:
+                evolution.propagate(system, to, 0)
+        assert str(info.value) == f"log-propagator of component 0 is not finite at time {where}"
+
+
 def test_scaled_grids_are_mutually_inverse():
     rot = _rotation(0.6)
     a = rot @ np.diag([math.e, math.exp(-1.0)]) @ rot.T

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from muspec import catalog, rates, relations
+from muspec import catalog, rates, relations, theorems
 from muspec.params import CONTINUOUS, DISCRETE, Params
 from muspec.relations import FAILS, HOLDS
 
@@ -109,6 +109,15 @@ def test_ratio_necessity_runs_once_per_ordered_pair(monkeypatch):
     assert faster.witness == slower.witness
     assert faster.witness is not slower.witness
     assert all(a is not b for a, b in zip(faster.witness, slower.witness))
+
+
+def test_affine_prefilter_runs_once_per_ordered_pair():
+    relations._affine_prefilter.cache_clear()
+    theorems.run_all()
+    # the almost-checks of one run ask for it 24 times, on 11 distinct
+    # ordered (mu, omega, params)
+    info = relations._affine_prefilter.cache_info()
+    assert (info.misses, info.hits + info.misses) == (11, 24)
 
 
 def test_forward_backward_formulations_agree():

@@ -158,13 +158,17 @@ def test_continuous_catalog_spot_checks():
     assert growth.status == "holds" and growth.bound == pytest.approx(1.02, abs=1e-6)
 
 
-def test_enclosure_contains_disguised_diagonal():
-    import numpy as np
+def _disguised_diagonal():
+    """A constant full table on -60..60: diag(e, 1/e) in a rotated basis."""
     theta = 0.7
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     a = rot @ np.diag([math.e, math.exp(-1.0)]) @ rot.T
-    system = evolution.tabulated_system(-60, np.tile(a, (121, 1, 1)))
+    return evolution.tabulated_system(-60, np.tile(a, (121, 1, 1)))
+
+
+def test_enclosure_contains_disguised_diagonal():
+    system = _disguised_diagonal()
     params = Params(schedule=(15, 25, 40, 55))
     rep = spectrum.compute_spectrum(system, EXP, params)
     assert rep.mode == "enclosure"
@@ -237,6 +241,38 @@ def test_extension_of_tabulated_system_stops_at_table_range():
     assert rep.intervals[0].hi == pytest.approx(501 / 800)
 
 
+def test_series_on_one_rate_grid_share_a_pair_scan(monkeypatch):
+    calls = []
+    stats = spectrum._pair_ratio_stats
+    monkeypatch.setattr(spectrum, "_pair_ratio_stats",
+                        lambda *args: calls.append(args) or stats(*args))
+    # a 3-component diagonal system: one scan per window for all components
+    params = Params(schedule=(200, 400, 800, 1600))
+    system = evolution.diagonal_system(
+        DISCRETE, [f"exp(({s})*abs(2*k+1))" for s in (-1.25, 0.3, 1.5)])
+    rep = spectrum.compute_spectrum(system, Q, params)
+    assert len(calls) == 4
+    # each estimate, pairs_used included, is the one its own scan gives
+    for comp, est in enumerate(rep.component_estimates):
+        assert est == spectrum.bohl_exponents(system, Q, params, component=comp)
+    assert rep.component_estimates[0].pairs_used > 0
+    # the enclosure scans its upper and its lower series together
+    calls.clear()
+    params = Params(schedule=(15, 25, 40, 55))
+    full = _disguised_diagonal()
+    est = spectrum.compute_spectrum(full, EXP, params).component_estimates[0]
+    assert len(calls) == 4
+    times, fwd, bwd = evolution.scaled_grids(full, 55)
+    log_fwd, log_bwd = evolution.log_sigma_max(fwd), evolution.log_sigma_max(bwd)
+    r_full = rates.log_rate_grid(EXP, 55)
+    for window, lo, hi in est.per_window:
+        sl = spectrum._window_slice(times, int(window))
+        _, want_hi, pairs = stats(r_full[sl], log_fwd[sl], log_bwd[sl], 0.5)
+        want_lo, _, _ = stats(r_full[sl], -log_bwd[sl], -log_fwd[sl], 0.5)
+        assert (lo, hi) == (want_lo, want_hi)
+    assert est.pairs_used == pairs
+
+
 # ---------------------------------------------------------------------------
 # The admissible-pair primitive against a plain all-pairs scan
 
@@ -247,13 +283,26 @@ def _all_pairs(r, head, tail, threshold):
     i, j = np.triu_indices(len(r), 1)
     L = r[j] - r[i]
     keep = (L >= threshold) & (L > 0)
-    return i[keep], j[keep], (head[j] + tail[i])[keep] / L[keep]
+    with np.errstate(invalid="ignore"):  # inf + -inf among the drawn values
+        return i[keep], j[keep], (head[j] + tail[i])[keep] / L[keep]
 
 
 def _same(x, y):
     """Bitwise equal floats; any NaN equals any NaN (its sign bit depends on
     the order numpy reduces in)."""
     return (math.isnan(x) and math.isnan(y)) or np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def _is_extreme(x, ratios, reduce):
+    """x is, bitwise, one of the ratios that ``reduce`` (np.min or np.max)
+    can return: a NaN if any ratio is NaN, else a ratio equal to the
+    extreme.  +0.0 and -0.0 compare equal, and which of them numpy's
+    reduction returns depends on the order it reduces in, as a NaN's sign
+    bit does."""
+    extreme = reduce(ratios)
+    if math.isnan(extreme):
+        return math.isnan(x)
+    return any(_same(x, v) for v in ratios[ratios == extreme])
 
 
 # log-rate grids: plateaus, steps that make pair distances tie with the
@@ -269,18 +318,24 @@ _cutoffs = st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(1e-9, 0.05),
 
 @st.composite
 def _pair_inputs(draw):
-    """(r, head, tail, cutoff); the cutoff is near 0, near 1, or puts the
-    threshold at the distance of a drawn pair, where ties decide."""
+    """(r, heads, tails, cutoff) with 1 to 3 head/tail series of shape
+    (K, len(r)); the cutoff is near 0, near 1, or puts the threshold at the
+    distance of a drawn pair, where ties decide."""
     n = draw(st.integers(2, 24))
     start = draw(st.sampled_from([0.0, -3.0, 0.1]))
     r = start + np.concatenate([[0.0], np.cumsum(draw(st.lists(_steps, min_size=n - 1,
                                                                  max_size=n - 1)))])
-    head = np.array(draw(st.lists(_values, min_size=n, max_size=n)))
-    tail = np.array(draw(st.lists(_values, min_size=n, max_size=n)))
+    k = draw(st.integers(1, 3))
+    series = st.lists(st.lists(_values, min_size=n, max_size=n), min_size=k, max_size=k)
+    heads, tails = np.array(draw(series)), np.array(draw(series))
     a, b = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
     l_max = r[-1] - r[0]
     tie = (r[b] - r[a]) / l_max if l_max > 0 else 0.5
-    return r, head, tail, tie if draw(st.booleans()) else draw(_cutoffs)
+    return r, heads, tails, tie if draw(st.booleans()) else draw(_cutoffs)
+
+
+def _zeros(n):
+    return np.zeros((1, n)), np.zeros((1, n))
 
 
 @given(_pair_inputs(), st.sampled_from([1, 3, 16, 64, 1 << 14]))
@@ -288,32 +343,47 @@ def _pair_inputs(draw):
 # a block of rows 0 and 1 must start at column 2, which row 1 admits (the
 # scan would miss it starting from r[0] instead of the suffix minimum, or
 # one column before searchsorted(r, r[0] + threshold))
-@example((np.array([0.0, -_D, 1.0 - _D, 2.0 - _D]), np.zeros(4), np.zeros(4), 0.5), 1 << 14)
-@example((np.array([0.0, -_D, 1.0 - _D, 1.0 - _D, 2.0 - _D]), np.zeros(5), np.zeros(5), 0.5),
-         1 << 14)
+@example((np.array([0.0, -_D, 1.0 - _D, 2.0 - _D]), *_zeros(4), 0.5), 1 << 14)
+@example((np.array([0.0, -_D, 1.0 - _D, 1.0 - _D, 2.0 - _D]), *_zeros(5), 0.5), 1 << 14)
+# one block whose rectangle (rows 0-3, columns 1-4) holds L = 0 (plateaus,
+# the diagonal), L = -_D (pair 2, 3) and L = _D >= threshold on the pairs
+# (3, 1) and (3, 2), which are not later pairs: with head[1] = 4.2 the
+# ratio of (3, 1) is 4.6e12, far above the true maximum 4.2; every
+# admissible ratio of the second series is negative, so an off-mask entry
+# filled with 0 instead of -inf would win its maximum
+@example((np.array([0.0, 1.0, 1.0, 1.0 - _D, 2.0]),
+          np.array([[0.0, 4.2, 0.0, 0.0, 0.0], [-1.0] * 5]),
+          np.array([[0.0] * 5, [-1.0] * 5]), 1e-13), 1 << 14)
 def test_pair_scan_matches_all_pairs(inputs, block):
-    r, head, tail, cutoff = inputs
+    r, heads, tails, cutoff = inputs
     l_max = r[-1] - r[0]
     threshold = cutoff * l_max
-    with np.errstate(invalid="ignore"), mock.patch.object(spectrum, "_PAIR_BLOCK", block):
-        i, j, ratios = _all_pairs(r, head, tail, threshold)
+    refs = [_all_pairs(r, head, tail, threshold) for head, tail in zip(heads, tails)]
+    count = len(refs[0][2])
+    with mock.patch.object(spectrum, "_PAIR_BLOCK", block):
         if l_max <= 0:
             with pytest.raises(spectrum.SpectrumError, match="flat"):
-                spectrum._pair_ratio_stats(r, head, tail, cutoff)
-        elif not len(ratios):
+                spectrum._pair_ratio_stats(r, heads, tails, cutoff)
+        elif not count:
             with pytest.raises(spectrum.SpectrumError, match="no admissible pairs"):
-                spectrum._pair_ratio_stats(r, head, tail, cutoff)
+                spectrum._pair_ratio_stats(r, heads, tails, cutoff)
         else:
-            lo, hi, count = spectrum._pair_ratio_stats(r, head, tail, cutoff)
-            assert _same(lo, ratios.min()) and _same(hi, ratios.max())
-            assert count == len(ratios)
+            lo, hi, stacked_count = spectrum._pair_ratio_stats(r, heads, tails, cutoff)
+            assert stacked_count == count
+            for k, (_, _, ratios) in enumerate(refs):
+                assert _is_extreme(lo[k], ratios, np.min)
+                assert _is_extreme(hi[k], ratios, np.max)
+            # a single 1-D series gives floats
+            lo, hi, single_count = spectrum._pair_ratio_stats(r, heads[0], tails[0], cutoff)
+            assert type(lo) is float and type(hi) is float and single_count == count
+            assert _is_extreme(lo, refs[0][2], np.min) and _is_extreme(hi, refs[0][2], np.max)
         # the ratio-necessity scan: head r_om, tail -r_om
-        i, j, ratios = _all_pairs(r, head, -head, threshold)
+        i, j, ratios = _all_pairs(r, heads[0], -heads[0], threshold)
         if not len(ratios):
             with pytest.raises(relations.RelationError, match="no admissible pairs"):
-                relations._ratio_argmax(r, head, threshold)
+                relations._ratio_argmax(r, heads[0], threshold)
             return
-        value, a, b = relations._ratio_argmax(r, head, threshold)
+        value, a, b = relations._ratio_argmax(r, heads[0], threshold)
     best = int(np.argmax(ratios))  # the first maximum; a NaN beats every number
     assert _same(value, ratios[best]) and (a, b) == (i[best], j[best])
     assert type(a) is int and type(b) is int
