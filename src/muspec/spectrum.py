@@ -148,13 +148,15 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     overwrites them before reducing, instead of copying the admissible
     ratios out: with -inf before a max and +inf before a min.  A fill
     beats no admissible entry and every admissible entry (NaN included)
-    matches or beats it, so the max or min of the filled rectangle is one
-    of the admissible ratios' extremes, bitwise; only which of tied +0.0
-    and -0.0, or which NaN, depends on numpy's order of reduction, as it
-    does on any copy.  Row-major order over the blocks' masks is the order
-    of ``np.triu_indices``.
+    matches or beats it, so the max or min of the filled rectangle equals
+    the admissible ratios' extreme; only the sign of a zero extreme, or of
+    a NaN, depends on the order numpy reduces in.  Row-major order over the
+    blocks' masks is the order of ``np.triu_indices``.  A row block reaches
+    a column j <= i only if it holds rows from j0 on, so only such a block
+    tests j > i.
     """
     n = len(r)
+    threshold = max(threshold, math.ulp(0.0))  # L >= the least positive double is L > 0
     top = np.maximum.accumulate(r)
     low = np.minimum.accumulate(r[::-1])[::-1]
     i0 = 0
@@ -165,9 +167,7 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
         stop = min(i0 + max(1, _PAIR_BLOCK // (len(heads) * (n - j0))), n - 1)
         L = r[None, j0:] - r[i0:stop, None]
         mask = L >= threshold
-        if not threshold > 0:
-            mask &= L > 0
-        if stop > j0:  # rows from j0 on meet columns j <= i in the rectangle
+        if stop > j0:  # only rows from j0 on meet columns j <= i
             mask &= np.arange(j0, n)[None, :] > np.arange(i0, stop)[:, None]
         if mask.any():
             # off the mask L may be zero or negative; those entries are discarded
@@ -179,19 +179,19 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
 
 
 def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutoff: float):
-    """(min ratio, max ratio, admissible pair count) of ``pair_ratio_blocks``
-    at the cutoff fraction of the window's log-quotient.  For a stack of
-    series (2-D ``heads`` and ``tails``) min and max are arrays with one
-    entry per series, and the count, shared by all of them, is an int.
-    min and max are exact, so the result does not depend on the blocking."""
+    """(min ratios, max ratios, admissible pair count) of ``pair_ratio_blocks``
+    at the cutoff fraction of the window's log-quotient: one min and one max
+    per series of the (K, len(r)) stacks ``heads`` and ``tails``, and the
+    count they share.  min and max are exact, and a zero extreme is +0.0
+    (which zero numpy returns when both are admissible depends on its order
+    of reduction), so the result does not depend on the blocking."""
     l_max = r[-1] - r[0]
     if l_max <= 0:
         raise SpectrumError("growth rate is flat on the window; no admissible pairs")
-    stack_h, stack_t = np.atleast_2d(heads, tails)
-    lo = np.full(len(stack_h), INF)
-    hi = np.full(len(stack_h), -INF)
+    lo = np.full(len(heads), INF)
+    hi = np.full(len(heads), -INF)
     count = 0
-    for _, _, mask, q in pair_ratio_blocks(r, stack_h, stack_t, cutoff * l_max):
+    for _, _, mask, q in pair_ratio_blocks(r, heads, tails, cutoff * l_max):
         outside = ~mask
         np.copyto(q, -INF, where=outside)
         hi = np.maximum(hi, q.max(axis=(1, 2)))
@@ -200,9 +200,7 @@ def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutof
         count += int(np.count_nonzero(mask))
     if not count:
         raise SpectrumError("no admissible pairs after the log-quotient cutoff")
-    if np.ndim(heads) == 2:
-        return lo, hi, count
-    return float(lo[0]), float(hi[0]), count
+    return lo + 0.0, hi + 0.0, count  # -0.0 + 0.0 is +0.0; every other value stays
 
 
 def bohl_exponents(system, rate: rates.GrowthRate, params: Params = DEFAULT,

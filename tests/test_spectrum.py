@@ -267,9 +267,9 @@ def test_series_on_one_rate_grid_share_a_pair_scan(monkeypatch):
     r_full = rates.log_rate_grid(EXP, 55)
     for window, lo, hi in est.per_window:
         sl = spectrum._window_slice(times, int(window))
-        _, want_hi, pairs = stats(r_full[sl], log_fwd[sl], log_bwd[sl], 0.5)
-        want_lo, _, _ = stats(r_full[sl], -log_bwd[sl], -log_fwd[sl], 0.5)
-        assert (lo, hi) == (want_lo, want_hi)
+        _, want_hi, pairs = stats(r_full[sl], log_fwd[sl][None], log_bwd[sl][None], 0.5)
+        want_lo, _, _ = stats(r_full[sl], -log_bwd[sl][None], -log_fwd[sl][None], 0.5)
+        assert _same(lo, want_lo[0]) and _same(hi, want_hi[0])
     assert est.pairs_used == pairs
 
 
@@ -291,18 +291,6 @@ def _same(x, y):
     """Bitwise equal floats; any NaN equals any NaN (its sign bit depends on
     the order numpy reduces in)."""
     return (math.isnan(x) and math.isnan(y)) or np.float64(x).tobytes() == np.float64(y).tobytes()
-
-
-def _is_extreme(x, ratios, reduce):
-    """x is, bitwise, one of the ratios that ``reduce`` (np.min or np.max)
-    can return: a NaN if any ratio is NaN, else a ratio equal to the
-    extreme.  +0.0 and -0.0 compare equal, and which of them numpy's
-    reduction returns depends on the order it reduces in, as a NaN's sign
-    bit does."""
-    extreme = reduce(ratios)
-    if math.isnan(extreme):
-        return math.isnan(x)
-    return any(_same(x, v) for v in ratios[ratios == extreme])
 
 
 # log-rate grids: plateaus, steps that make pair distances tie with the
@@ -354,6 +342,13 @@ def _zeros(n):
 @example((np.array([0.0, 1.0, 1.0, 1.0 - _D, 2.0]),
           np.array([[0.0, 4.2, 0.0, 0.0, 0.0], [-1.0] * 5]),
           np.array([[0.0] * 5, [-1.0] * 5]), 1e-13), 1 << 14)
+# +0.0 and -0.0 tie for both extremes: one -0.0 ratio, pair (0, 4), in the
+# first series, and only -0.0 ratios in the second; numpy's min and max of
+# the 16 admissible ratios return either zero, by the order they reduce in,
+# and the scan must still give +0.0
+@example((np.array([0.0] * 4 + [0.5] * 4),
+          np.array([[0.0] * 4 + [-0.0] + [0.0] * 3, [-0.0] * 8]),
+          np.array([[-0.0] + [0.0] * 7, [-0.0] * 8]), 0.5), 64)
 def test_pair_scan_matches_all_pairs(inputs, block):
     r, heads, tails, cutoff = inputs
     l_max = r[-1] - r[0]
@@ -371,12 +366,8 @@ def test_pair_scan_matches_all_pairs(inputs, block):
             lo, hi, stacked_count = spectrum._pair_ratio_stats(r, heads, tails, cutoff)
             assert stacked_count == count
             for k, (_, _, ratios) in enumerate(refs):
-                assert _is_extreme(lo[k], ratios, np.min)
-                assert _is_extreme(hi[k], ratios, np.max)
-            # a single 1-D series gives floats
-            lo, hi, single_count = spectrum._pair_ratio_stats(r, heads[0], tails[0], cutoff)
-            assert type(lo) is float and type(hi) is float and single_count == count
-            assert _is_extreme(lo, refs[0][2], np.min) and _is_extreme(hi, refs[0][2], np.max)
+                # a zero extreme is +0.0, whichever zeros the ratios hold
+                assert _same(lo[k], ratios.min() + 0.0) and _same(hi[k], ratios.max() + 0.0)
         # the ratio-necessity scan: head r_om, tail -r_om
         i, j, ratios = _all_pairs(r, heads[0], -heads[0], threshold)
         if not len(ratios):
