@@ -12,6 +12,7 @@ time integral of the coefficient in continuous time).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,9 +179,6 @@ class TableSource:
     k0: int
     matrices: np.ndarray  # (count, d, d)
 
-    def matrix(self, k: int) -> np.ndarray:
-        return self.stack([k])[0]
-
     def stack(self, ks) -> np.ndarray:
         """The matrices at the integer times ks, shape (len(ks), d, d); the
         first time outside the range, in the order of ks, is the error."""
@@ -293,31 +291,14 @@ def tabulated_system(k0: int, matrices: np.ndarray, structure: str = FULL,
 
 
 def coefficient_matrix(system: LinearSystem, t: float) -> np.ndarray:
-    """A(t) in linear scale.  Entries of expression-backed systems must be
-    representable as doubles at the queried time."""
-    src = system.source
-    env = {"t": t, "k": t}
-    if isinstance(src, TableSource):
-        return src.matrix(int(round(t)))
-    if isinstance(src, ExprSource):
-        if src.entries is not None:
-            return np.array([[exprparse.evaluate_env(e, env) for e in row]
-                             for row in src.entries])
-        vals = [exprparse.evaluate_env(e, env) for e in src.diag]
-        return np.diag(vals)
-    if isinstance(src, RateQuotientSource):
-        if system.time_domain == DISCRETE:
-            la, sg = _diag_step_logs(system, [int(round(t))])
-            return np.diag(sg[0] * np.exp(la[0]))
-        return np.diag(_diag_values(system, [t])[0])
-    raise EvolutionError(f"unsupported source {type(src).__name__}")
+    """A(t) of a full system in linear scale."""
+    return _coefficient_stack(system, [t])[0]
 
 
 def _coefficient_stack(system: LinearSystem, ts) -> np.ndarray:
     """A(t) of a full system at every time of ``ts``, shape (len(ts), d, d):
     one array evaluation of the row-major entry expressions, or one table
-    gather.  The floats, and the first error, are those of
-    ``coefficient_matrix`` called time by time."""
+    gather.  The first error is the one the times raise one at a time."""
     src = system.source
     if isinstance(src, TableSource):
         return src.stack(ts)
@@ -356,20 +337,28 @@ def _diag_steps(system: LinearSystem, ks: list[int]) -> tuple[np.ndarray, np.nda
     step mu(k)^s / mu(k+1)^s is never zero and is not checked: a -inf log
     there is an underflow, which ``component_log_grid`` names as a
     non-finite log, as it names an overflow."""
-    checked = not isinstance(system.source, RateQuotientSource)
+    if isinstance(system.source, RateQuotientSource):
+        return _diag_step_logs(system, ks)
+    return _checked_in_order(lambda times: _diag_step_logs(system, times),
+                             _check_nonsingular, ks)
+
+
+def _checked_in_order(evaluate, check, ks):
+    """``check(evaluate(ks), ks)``, raising what evaluating and checking the
+    times one at a time, in the order of ks, raises first: when ``evaluate``
+    fails, a time failing ``check`` before the failing time is reported."""
     try:
-        la, sg = _diag_step_logs(system, ks)
+        values = evaluate(ks)
     except (ValueError, ArithmeticError):
-        if checked:  # a singular step before the failing time is reported first
-            for k in ks:
-                _check_nonsingular(*_diag_step_logs(system, [k]), [k])
+        for k in ks:
+            check(evaluate([k]), [k])
         raise
-    if checked:
-        _check_nonsingular(la, sg, ks)
-    return la, sg
+    check(values, ks)
+    return values
 
 
-def _check_nonsingular(la: np.ndarray, sg: np.ndarray, ks):
+def _check_nonsingular(steps: tuple[np.ndarray, np.ndarray], ks):
+    la, sg = steps
     singular = np.any(sg == 0, axis=1) | np.any(la == -math.inf, axis=1)
     if singular.any():
         raise EvolutionError(
@@ -438,21 +427,12 @@ def _diag_log_integral(system: LinearSystem, frm: float, to: float) -> np.ndarra
     coefficients may have a kink."""
     if frm == to:
         return np.zeros(system.components)
-    sign = 1.0
-    a, b = frm, to
-    if a > b:
-        a, b = b, a
-        sign = -1.0
-
-    def segment(lo, hi):
-        return _simpson_integrals(system, np.array([lo], dtype=float),
-                                  np.array([hi], dtype=float))[0]
-
-    if a < 0.0 < b:
-        total = segment(a, 0.0) + segment(0.0, b)
-    else:
-        total = segment(a, b)
-    return sign * total
+    a, b = sorted((frm, to))
+    cuts = [a, 0.0, b] if a < 0.0 < b else [a, b]
+    parts = [_simpson_integrals(system, np.array([lo], dtype=float),
+                                np.array([hi], dtype=float))[0]
+             for lo, hi in zip(cuts, cuts[1:])]
+    return (1.0 if frm < to else -1.0) * sum(parts[1:], parts[0])
 
 
 _RK4_BLOCK = 1 << 18  # coefficient values (nodes x entries) one RK4 lane block holds
@@ -517,10 +497,13 @@ def _rk4_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
 def propagate(system: LinearSystem, to: float, frm: float) -> ScaledMatrix:
     """Evolution operator value mapping the state at ``frm`` to ``to``.
 
-    Discrete: left-ordered coefficient product (identity when to == frm,
-    inverses when to < frm), renormalized after every factor.  Continuous:
-    Simpson quadrature of the coefficient integral for scalar/diagonal
-    structure, classical fixed-step 4th-order integration otherwise.
+    Full systems compose ``_unit_factors``: in discrete time the unit steps
+    of the walk from ``frm`` to ``to`` (inverses when to < frm), each
+    normalized and the product renormalized after every factor; in
+    continuous time one classical fixed-step 4th-order integration.  Scalar
+    and diagonal systems sum per-component step logs (discrete) or take the
+    Simpson quadrature of the coefficient integral (continuous).  The
+    identity when to == frm.
     """
     if system.time_domain == DISCRETE:
         ki, ni = int(round(to)), int(round(frm))
@@ -529,15 +512,15 @@ def propagate(system: LinearSystem, to: float, frm: float) -> ScaledMatrix:
         if system.structure in (SCALAR, DIAGONAL):
             la, sg = _diag_range_logs(system, ki, ni)
             return ScaledMatrix.from_diag_logs(la, sg)
-        return _full_discrete(system, ki, ni)
-    if system.structure in (SCALAR, DIAGONAL):
+        step = 1 if ki >= ni else -1
+        walk = np.arange(ni, ki + step, step, dtype=float)
+    elif system.structure in (SCALAR, DIAGONAL):
         logs = _diag_log_integral(system, frm, to)
         return ScaledMatrix.from_diag_logs(logs, np.ones(system.components))
-    if frm == to:
-        return ScaledMatrix.identity(system.dim)
-    units, logs = _rk4_factors(system, np.array([frm], dtype=float),
-                               np.array([to], dtype=float))
-    return ScaledMatrix(units[0], float(logs[0]))
+    else:  # one RK4 integration from frm to to
+        walk = np.array([frm] if frm == to else [frm, to], dtype=float)
+    factors = _unit_factors(system, walk[:-1], walk[1:]) or [ScaledMatrix.identity(system.dim)]
+    return functools.reduce(lambda acc, factor: factor.compose(acc), factors)
 
 
 def _diag_range_logs(system: LinearSystem, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -582,30 +565,11 @@ def _check_walk_finite(walked: np.ndarray, reached: np.ndarray):
                              f"{reached[m]:g} ({walked[m, i]})")
 
 
-def _full_discrete(system: LinearSystem, k: int, n: int) -> ScaledMatrix:
-    acc = ScaledMatrix.identity(system.dim)
-    if k == n:
-        return acc
-    ks = list(range(n, k)) if k > n else list(range(n - 1, k - 1, -1))
-    for a in _step_matrices(system, ks):
-        prod = a @ acc.unit if k > n else np.linalg.solve(a, acc.unit)
-        acc = ScaledMatrix.from_matrix(prod, acc.log_norm)
-    return acc
-
-
 def _step_matrices(system: LinearSystem, ks: list[int]) -> np.ndarray:
     """Discrete coefficient matrices at the integer times ks, stacked and
-    checked invertible.  A failure raises the error that evaluating and
-    checking the times one at a time, in the order of ks, raises first."""
-    try:
-        mats = _coefficient_stack(system, ks)
-    except (EvolutionError, exprparse.ExprError):
-        # a singular step before the failing time is reported first
-        for k in ks:
-            _check_invertible(coefficient_matrix(system, k)[None], [k])
-        raise
-    _check_invertible(mats, ks)
-    return mats
+    checked invertible, with the first error in the order of ks."""
+    return _checked_in_order(lambda times: _coefficient_stack(system, times),
+                             _check_invertible, ks)
 
 
 def _check_invertible(mats: np.ndarray, ks):
@@ -720,10 +684,11 @@ def scaled_grids(obj, window: int) -> tuple[np.ndarray, list, list]:
 
 
 def _unit_factors(system: LinearSystem, frm: np.ndarray, to: np.ndarray) -> list[ScaledMatrix]:
-    """``propagate(system, to[l], frm[l])`` for unit steps of a full system,
-    built together: stacked RK4 lanes in continuous time; in discrete time
-    one stack of step matrices A(min(frm, to)), multiplied by the identity
-    going forward and solved against it going backward."""
+    """Phi(to[l], frm[l]) of a full system for steps of one length (unit
+    steps in discrete time), built together: stacked RK4 lanes in continuous
+    time; in discrete time one stack of step matrices A(min(frm, to)),
+    multiplied by the identity going forward and solved against it going
+    backward."""
     if not len(frm):
         return []
     if system.time_domain == CONTINUOUS:
@@ -767,18 +732,30 @@ def load_table(path: str | Path) -> tuple[int, np.ndarray]:
         for line in reader:
             if not line:
                 continue
-            ks.append(int(line[0]))
-            rows.append([float(v) for v in line[1:]])
-            for name, v, text in zip(expected, rows[-1], line[1:]):
-                if not math.isfinite(v):
-                    raise EvolutionError(
-                        f"{path}: row k={ks[-1]}: {name} is not finite ({text.strip()})")
+            ks.append(_table_cell(line[0], int, f"{path}: line {reader.line_num}: k"))
+            where = f"{path}: row k={ks[-1]}"
+            if len(line) != len(header):
+                raise EvolutionError(f"{where}: expected {len(header)} columns, got {len(line)}")
+            rows.append([_table_cell(text, float, f"{where}: {name}")
+                         for name, text in zip(expected, line[1:])])
     if not ks:
         raise EvolutionError(f"{path}: no rows")
     if ks != list(range(ks[0], ks[0] + len(ks))):
         raise EvolutionError(f"{path}: rows must cover consecutive integers")
     mats = np.array(rows).reshape(len(ks), d, d)
     return ks[0], mats
+
+
+def _table_cell(text: str, kind, what: str):
+    """``kind(text)`` (int or float), finite; errors name the cell by ``what``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        article = "an integer" if kind is int else "a number"
+        raise EvolutionError(f"{what} is not {article} ({text.strip()})") from None
+    if not math.isfinite(value):
+        raise EvolutionError(f"{what} is not finite ({text.strip()})")
+    return value
 
 
 def system_to_descriptor(system: LinearSystem) -> dict:
@@ -819,6 +796,8 @@ def system_from_descriptor(desc: dict, base_dir: str | Path | None = None) -> Li
     dim = desc.get("dimension")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise EvolutionError("system.dimension: expected a positive integer")
+    if structure == SCALAR and dim != 1:
+        raise EvolutionError("system.dimension: scalar systems have dimension 1")
     coeffs = desc.get("coefficients")
     if not isinstance(coeffs, dict):
         raise EvolutionError("system.coefficients: expected an object")
@@ -826,6 +805,8 @@ def system_from_descriptor(desc: dict, base_dir: str | Path | None = None) -> Li
         if "table" in coeffs:
             if domain != DISCRETE:
                 raise EvolutionError("system.coefficients.table: tables are discrete-time")
+            if not isinstance(coeffs["table"], str):
+                raise EvolutionError("system.coefficients.table: expected a file path string")
             path = Path(coeffs["table"])
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
@@ -840,7 +821,8 @@ def system_from_descriptor(desc: dict, base_dir: str | Path | None = None) -> Li
             texts = coeffs["diagonal"]
             if structure == FULL:
                 raise EvolutionError("system.coefficients.diagonal: needs scalar or diagonal structure")
-            if not isinstance(texts, list) or len(texts) != dim:
+            if (not isinstance(texts, list) or len(texts) != dim
+                    or any(not isinstance(t, str) for t in texts)):
                 raise EvolutionError(
                     f"system.coefficients.diagonal: expected {dim} expression strings")
             return LinearSystem(domain, dim, structure, ExprSource.from_diag(texts),
@@ -850,16 +832,29 @@ def system_from_descriptor(desc: dict, base_dir: str | Path | None = None) -> Li
             if structure != FULL:
                 raise EvolutionError("system.coefficients.entries: needs full structure")
             if (not isinstance(rows, list) or len(rows) != dim
-                    or any(not isinstance(r, list) or len(r) != dim for r in rows)):
+                    or any(not isinstance(r, list) or len(r) != dim
+                           or any(not isinstance(t, str) for t in r) for r in rows)):
                 raise EvolutionError(
                     f"system.coefficients.entries: expected a {dim}x{dim} grid of expressions")
             return LinearSystem(domain, dim, FULL, ExprSource.from_entries(rows),
                                 descriptor=dict(desc))
         if "rate_quotient" in coeffs:
+            where = "system.coefficients.rate_quotient"
             spec = coeffs["rate_quotient"]
-            rate = rates.rate_from_descriptor(spec.get("rate"), domain,
-                                              path="system.coefficients.rate_quotient.rate")
-            return quotient_system(rate, spec.get("slopes", ()))
+            if not isinstance(spec, dict):
+                raise EvolutionError(f"{where}: expected an object")
+            if structure == FULL:
+                raise EvolutionError(f"{where}: needs scalar or diagonal structure")
+            slopes = spec.get("slopes")
+            if (not isinstance(slopes, list) or len(slopes) != dim
+                    or any(isinstance(s, bool) or not isinstance(s, (int, float))
+                           or not math.isfinite(s) for s in slopes)):
+                raise EvolutionError(f"{where}.slopes: expected {dim} finite numbers")
+            rate = rates.rate_from_descriptor(spec.get("rate"), domain, path=f"{where}.rate")
+            if rate.time_domain != domain:
+                raise EvolutionError(f"{where}.rate.time_domain: expected {domain!r}, "
+                                     "the system's time domain")
+            return quotient_system(rate, slopes)
     except exprparse.ParseError as exc:
         raise EvolutionError(f"system.coefficients: {exc}") from exc
     raise EvolutionError(

@@ -15,11 +15,12 @@ exp, log, abs, sgn, sqrt (unary) and min, max (binary).  An expression uses a
 single time variable, "t" or "k"; helpers that need two named variables (for
 closed-form propagators in (k, n) or (t, s)) pass an explicit variable set.
 
-Evaluation comes in two forms with one meaning: ``evaluate_env`` returns the
-value at one point and ``evaluate_log_abs`` its (log|value|, sign), folding
-exp, products, quotients and powers in log space; ``evaluate_array`` and
-``evaluate_log_abs_array`` do the same over arrays of points, bitwise equal
-point by point and raising the error the point-by-point loop raises first.
+Evaluation has one walker per form, both over arrays of points:
+``evaluate_array`` gives values and ``evaluate_log_abs_array`` gives
+(log|value|, sign), folding exp, products, quotients and powers in log space.
+Each records the first failure at every point as it walks and raises the
+first in point, expression and node order.  The per-point entry points
+``evaluate``, ``evaluate_env`` and ``evaluate_log_abs`` are calls at one point.
 """
 
 from __future__ import annotations
@@ -292,149 +293,107 @@ def variables_of(expr: Expr) -> frozenset[str]:
 # Evaluation
 
 
-def _sgn(x: float) -> float:
-    if x > 0:
-        return 1.0
-    if x < 0:
-        return -1.0
-    return 0.0
-
-
-def _is_integral(x: float) -> bool:
-    return math.isfinite(x) and x == math.floor(x)
-
-
 def evaluate_env(expr: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate with named variables bound by ``env``.  Deterministic: the
-    same inputs always produce the bitwise-identical result."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return float(env[expr.name])
-        except KeyError:
-            raise DomainError("unbound variable", expr.name, dict(env)) from None
-    if isinstance(expr, Neg):
-        return -evaluate_env(expr.arg, env)
-    if isinstance(expr, Bin):
-        a = evaluate_env(expr.left, env)
-        b = evaluate_env(expr.right, env)
-        op = expr.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero", pretty(expr), env_value(env))
-            return a / b
-        if op == "^":
-            if a < 0.0 and not _is_integral(b):
-                raise DomainError("fractional power of a negative base",
-                                  pretty(expr), env_value(env))
-            if a == 0.0 and b < 0.0:
-                raise DomainError("zero raised to a negative power",
-                                  pretty(expr), env_value(env))
-            try:
-                return float(a ** b)
-            except OverflowError:
-                raise DomainError("overflow", pretty(expr), env_value(env)) from None
-        raise DomainError(f"unknown operator {op!r}", pretty(expr), env_value(env))
-    if isinstance(expr, Call):
-        vals = [evaluate_env(a, env) for a in expr.args]
-        fn = expr.fn
-        try:
-            if fn == "exp":
-                return math.exp(vals[0])
-            if fn == "log":
-                if vals[0] <= 0.0:
-                    raise DomainError("log of a non-positive value",
-                                      pretty(expr), env_value(env))
-                return math.log(vals[0])
-            if fn == "abs":
-                return abs(vals[0])
-            if fn == "sgn":
-                return _sgn(vals[0])
-            if fn == "sqrt":
-                if vals[0] < 0.0:
-                    raise DomainError("sqrt of a negative value",
-                                      pretty(expr), env_value(env))
-                return math.sqrt(vals[0])
-            if fn == "min":
-                return min(vals[0], vals[1])
-            if fn == "max":
-                return max(vals[0], vals[1])
-        except OverflowError:
-            raise DomainError("overflow", pretty(expr), env_value(env)) from None
-        raise DomainError(f"unknown function {fn!r}", pretty(expr), env_value(env))
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def env_value(env: Mapping[str, float]):
-    if len(env) == 1:
-        return next(iter(env.values()))
-    return dict(env)
+    """The value with named variables bound by ``env``: ``evaluate_array``
+    at one point, so bitwise deterministic."""
+    return float(evaluate_array([expr], {name: [v] for name, v in env.items()})[0, 0])
 
 
 def evaluate(expr: Expr, value: float) -> float:
     """Evaluate a single-variable expression at ``value`` (binds every
     variable name appearing in the expression)."""
-    env = {name: value for name in variables_of(expr)}
-    if not env:
-        env = {"t": value}
-    return evaluate_env(expr, env)
+    return evaluate_env(expr, {name: value for name in variables_of(expr) or ("t",)})
+
+
+def evaluate_log_abs(expr: Expr, env: Mapping[str, float]) -> tuple[float, int]:
+    """``(log|value|, sign)``: ``evaluate_log_abs_array`` at one point."""
+    logs, signs = evaluate_log_abs_array([expr], {name: [v] for name, v in env.items()})
+    return float(logs[0, 0]), int(signs[0, 0])
 
 
 def evaluate_array(exprs: Sequence[Expr], env: Mapping[str, np.ndarray]) -> np.ndarray:
     """Evaluate expressions at every point of equal-length variable arrays.
 
-    Returns shape (points, len(exprs)); row m holds, bitwise, the floats
-    ``[evaluate_env(e, point_m) for e in exprs]`` with point_m binding each
-    name to element m of its array.  Arithmetic, abs, sgn, sqrt, min and max
-    run as numpy operations, which round exactly like the scalar ones; exp,
-    log and "^" apply the same ``math``/``**`` calls element by element.
-    When some point fails, the error is the one that loop raises first: at
-    the earliest failing point, from the first failing expression.
+    Returns shape (points, len(exprs)); row m holds the values of ``exprs``
+    with each name bound to element m of its array.  exp, log and "^" apply
+    ``math.exp``, ``math.log`` and ``**`` element by element, the rest runs
+    as numpy operations.  When points fail, the DomainError is the first in
+    point, expression and node order: at the earliest failing point, from
+    the first failing expression, at its first failing node in evaluation
+    order (arguments left to right, then the node).
     """
-    return np.stack(_masked_columns(exprs, env, _evaluate_masked, evaluate_env), axis=1)
+    return np.stack(_columns(exprs, env, _evaluate_masked), axis=1)
 
 
-def _masked_columns(exprs, env, masked, scalar) -> list:
-    """``masked(e, arrays, bad, size)`` for every expression over the points
-    of ``env``.  If any point is marked bad, raise what ``scalar(e, point)``
-    raises at the first marked point, expression by expression."""
+def evaluate_log_abs_array(exprs: Sequence[Expr], env: Mapping[str, Sequence[float]]
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """(logs, signs) of shape (points, len(exprs)): log|value| and the sign
+    (an integer) of every expression at every point, without forming the
+    values.  exp/product/quotient/power nodes fold in log space, so
+    coefficients such as exp(-3*k^2-3*k-1) stay representable where the
+    plain value would overflow or underflow.  log|0| is -inf with sign 0.
+    Errors are chosen as in ``evaluate_array``.
+    """
+    columns = _columns(exprs, env, _log_abs_masked)
+    return (np.stack([la for la, _ in columns], axis=1),
+            np.stack([s for _, s in columns], axis=1))
+
+
+class _Failures:
+    """The first failure at each point of an array evaluation: ``flag``
+    calls come in evaluation order, and a point keeps the (message, node)
+    of the first call that marks it."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.first: np.ndarray | None = None  # 1 + index into kinds, 0 while none
+        self.kinds: list = []
+
+    def flag(self, where, message: str, node: Expr):
+        if where.any():  # as cheap as an in-place "or" while nothing fails
+            if self.first is None:
+                self.first = np.zeros(self.size, dtype=np.intp)
+            self.kinds.append((message, node))
+            self.first[where & (self.first == 0)] = len(self.kinds)
+
+    def spared(self, values: np.ndarray) -> np.ndarray:
+        """``values`` with 1.0 at every failed point, a safe math input."""
+        return values if self.first is None else np.where(self.first > 0, 1.0, values)
+
+
+def _columns(exprs, env, walker) -> list:
+    """``walker(e, arrays, failures, size)`` for every expression over the
+    points of ``env`` (one point if it binds no variable).  The error of the
+    earliest failed point takes its input from ``env`` as given: the value
+    itself for one variable, else (and always when unbound) a dict."""
     arrays = {name: np.asarray(values, dtype=float) for name, values in env.items()}
-    size = len(next(iter(arrays.values())))
-    bad = np.zeros(size, dtype=bool)
+    failures = _Failures(len(next(iter(arrays.values()))) if arrays else 1)
     with np.errstate(all="ignore"):
-        columns = [masked(e, arrays, bad, size) for e in exprs]
-    if bad.any():
-        m = int(np.argmax(bad))
+        columns = [walker(e, arrays, failures, failures.size) for e in exprs]
+    if failures.first is not None:
+        m = int(np.argmax(failures.first > 0))
+        message, node = failures.kinds[failures.first[m] - 1]
         point = {name: values[m] for name, values in env.items()}
-        for e in exprs:
-            scalar(e, point)
-        raise AssertionError(f"array evaluation flagged input {point!r} that evaluates")
+        one = len(point) == 1 and not isinstance(node, Var)
+        raise DomainError(message, pretty(node), next(iter(point.values())) if one else point)
     return columns
 
 
-def _evaluate_masked(expr: Expr, env: Mapping[str, np.ndarray], bad: np.ndarray,
+def _evaluate_masked(expr: Expr, env: Mapping[str, np.ndarray], failures: _Failures,
                      size: int) -> np.ndarray:
-    """Array twin of ``evaluate_env``: marks in ``bad`` every point at which
-    the scalar evaluation raises; values at marked points are meaningless."""
+    """Values of ``expr`` at every point, flagging in ``failures`` every point
+    where it is undefined; values at failed points are meaningless."""
     if isinstance(expr, Num):
         return np.full(size, expr.value)
-    if isinstance(expr, Var):
-        if expr.name not in env:
-            bad[:] = True
-            return np.zeros(size)
-        return env[expr.name]
     if isinstance(expr, Neg):
-        return -_evaluate_masked(expr.arg, env, bad, size)
-    if isinstance(expr, Bin):
-        a = _evaluate_masked(expr.left, env, bad, size)
-        b = _evaluate_masked(expr.right, env, bad, size)
+        return -_evaluate_masked(expr.arg, env, failures, size)
+    if isinstance(expr, Var):
+        if expr.name in env:
+            return env[expr.name]
+        message = "unbound variable"
+    elif isinstance(expr, Bin):
+        a = _evaluate_masked(expr.left, env, failures, size)
+        b = _evaluate_masked(expr.right, env, failures, size)
         op = expr.op
         if op == "+":
             return a + b
@@ -443,159 +402,99 @@ def _evaluate_masked(expr: Expr, env: Mapping[str, np.ndarray], bad: np.ndarray,
         if op == "*":
             return a * b
         if op == "/":
-            bad |= b == 0.0
+            failures.flag(b == 0.0, "division by zero", expr)
             return a / b
         if op == "^":
             integral = np.isfinite(b) & (b == np.floor(b))
-            bad |= ((a < 0.0) & ~integral) | ((a == 0.0) & (b < 0.0))
-            return _map_checked(operator.pow, bad, np.where(bad, 1.0, a), b)
+            failures.flag((a < 0.0) & ~integral, "fractional power of a negative base", expr)
+            failures.flag((a == 0.0) & (b < 0.0), "zero raised to a negative power", expr)
+            return _map_checked(operator.pow, failures, expr, failures.spared(a), b)
+        message = f"unknown operator {op!r}"
     elif isinstance(expr, Call):
-        vals = [_evaluate_masked(a, env, bad, size) for a in expr.args]
+        vals = [_evaluate_masked(a, env, failures, size) for a in expr.args]
         fn = expr.fn
         if fn == "exp":
-            return _map_checked(math.exp, bad, vals[0])
+            return _map_checked(math.exp, failures, expr, vals[0])
         if fn == "log":
-            bad |= vals[0] <= 0.0
-            return _map_checked(math.log, bad, np.where(bad, 1.0, vals[0]))
+            failures.flag(vals[0] <= 0.0, "log of a non-positive value", expr)
+            return _map_checked(math.log, failures, expr, failures.spared(vals[0]))
         if fn == "abs":
             return np.abs(vals[0])
         if fn == "sgn":
             return np.where(vals[0] > 0.0, 1.0, np.where(vals[0] < 0.0, -1.0, 0.0))
         if fn == "sqrt":
-            bad |= vals[0] < 0.0
+            failures.flag(vals[0] < 0.0, "sqrt of a negative value", expr)
             return np.sqrt(vals[0])
         if fn == "min":
             return np.where(vals[1] < vals[0], vals[1], vals[0])
         if fn == "max":
             return np.where(vals[1] > vals[0], vals[1], vals[0])
+        message = f"unknown function {fn!r}"
     else:
         raise TypeError(f"not an expression node: {expr!r}")
-    bad[:] = True  # unknown operator or function
+    failures.flag(np.True_, message, expr)  # unbound, or not a known operation
     return np.zeros(size)
 
 
-def _map_checked(fn, bad: np.ndarray, *arrays: np.ndarray) -> np.ndarray:
+def _map_checked(fn, failures: _Failures, node: Expr, *arrays: np.ndarray) -> np.ndarray:
     """``fn`` on Python floats, element by element; elements where it
-    overflows are marked in ``bad``."""
+    overflows are flagged as an overflow of ``node``."""
     columns = [a.tolist() for a in arrays]
     try:
         return np.array(list(map(fn, *columns)), dtype=float)
     except OverflowError:
         pass
     out = np.empty(len(columns[0]))
+    overflow = np.zeros(len(out), dtype=bool)
     for i, args in enumerate(zip(*columns)):
         try:
             out[i] = fn(*args)
         except OverflowError:
-            bad[i] = True
+            overflow[i] = True
             out[i] = math.nan
+    failures.flag(overflow, "overflow", node)
     return out
 
 
-def evaluate_log_abs(expr: Expr, env: Mapping[str, float]) -> tuple[float, int]:
-    """Return ``(log|value|, sign)`` without forming the value itself.
-
-    exp/product/quotient/power nodes are folded structurally in log space, so
-    coefficients such as exp(-3*k^2-3*k-1) stay representable at times where
-    the plain value would overflow or underflow.  log|0| is -inf with sign 0.
-    """
-    if isinstance(expr, Neg):
-        la, s = evaluate_log_abs(expr.arg, env)
-        return la, -s
-    if isinstance(expr, Call) and expr.fn == "exp":
-        return evaluate_env(expr.args[0], env), 1
-    if isinstance(expr, Call) and expr.fn == "abs":
-        la, s = evaluate_log_abs(expr.args[0], env)
-        return la, (1 if s != 0 else 0)
-    if isinstance(expr, Call) and expr.fn == "sqrt":
-        la, s = evaluate_log_abs(expr.args[0], env)
-        if s < 0:
-            raise DomainError("sqrt of a negative value", pretty(expr), env_value(env))
-        return la / 2.0, s
-    if isinstance(expr, Bin) and expr.op in "*/":
-        la, sa = evaluate_log_abs(expr.left, env)
-        lb, sb = evaluate_log_abs(expr.right, env)
-        if expr.op == "/":
-            if sb == 0:
-                raise DomainError("division by zero", pretty(expr), env_value(env))
-            return la - lb, sa * sb
-        if sa == 0 or sb == 0:
-            return -math.inf, 0
-        return la + lb, sa * sb
-    if isinstance(expr, Bin) and expr.op == "^":
-        la, sa = evaluate_log_abs(expr.left, env)
-        e = evaluate_env(expr.right, env)
-        if sa < 0 and not _is_integral(e):
-            raise DomainError("fractional power of a negative base",
-                              pretty(expr), env_value(env))
-        if sa == 0:
-            if e > 0.0:
-                return -math.inf, 0
-            if e == 0.0:
-                return 0.0, 1
-            raise DomainError("zero raised to a negative power",
-                              pretty(expr), env_value(env))
-        sign = sa if (sa > 0 or int(e) % 2) else 1
-        return e * la, sign
-    value = evaluate_env(expr, env)
-    if value == 0.0:
-        return -math.inf, 0
-    return math.log(abs(value)), (1 if value > 0 else -1)
-
-
-def evaluate_log_abs_array(exprs: Sequence[Expr], env: Mapping[str, Sequence[float]]
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of ``evaluate_log_abs``, as ``evaluate_array`` is of
-    ``evaluate_env``.
-
-    Returns (logs, signs) of shape (points, len(exprs)); entry (m, i) is,
-    bitwise, ``evaluate_log_abs(exprs[i], point_m)`` with signs as integers.
-    When some point fails, the error is the one evaluating point by point,
-    expression by expression, raises first; its input is the element of
-    ``env`` as given (a Python float stays one).
-    """
-    columns = _masked_columns(exprs, env, _log_abs_masked, evaluate_log_abs)
-    return (np.stack([la for la, _ in columns], axis=1),
-            np.stack([s for _, s in columns], axis=1))
-
-
-def _log_abs_masked(expr: Expr, env: Mapping[str, np.ndarray], bad: np.ndarray,
+def _log_abs_masked(expr: Expr, env: Mapping[str, np.ndarray], failures: _Failures,
                     size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of ``evaluate_log_abs`` node by node: marks in ``bad``
-    every point at which the scalar call raises."""
+    """(log|value|, sign) of ``expr`` at every point, folding exp, products,
+    quotients and powers in log space; flags as ``_evaluate_masked`` does."""
     if isinstance(expr, Neg):
-        la, s = _log_abs_masked(expr.arg, env, bad, size)
+        la, s = _log_abs_masked(expr.arg, env, failures, size)
         return la, -s
     if isinstance(expr, Call) and expr.fn == "exp":
-        return _evaluate_masked(expr.args[0], env, bad, size), np.ones(size, dtype=int)
+        return _evaluate_masked(expr.args[0], env, failures, size), np.ones(size, dtype=int)
     if isinstance(expr, Call) and expr.fn == "abs":
-        la, s = _log_abs_masked(expr.args[0], env, bad, size)
+        la, s = _log_abs_masked(expr.args[0], env, failures, size)
         return la, (s != 0).astype(int)
     if isinstance(expr, Call) and expr.fn == "sqrt":
-        la, s = _log_abs_masked(expr.args[0], env, bad, size)
-        bad |= s < 0
+        la, s = _log_abs_masked(expr.args[0], env, failures, size)
+        failures.flag(s < 0, "sqrt of a negative value", expr)
         return la / 2.0, s
     if isinstance(expr, Bin) and expr.op in "*/":
-        la, sa = _log_abs_masked(expr.left, env, bad, size)
-        lb, sb = _log_abs_masked(expr.right, env, bad, size)
+        la, sa = _log_abs_masked(expr.left, env, failures, size)
+        lb, sb = _log_abs_masked(expr.right, env, failures, size)
         if expr.op == "/":
-            bad |= sb == 0
+            failures.flag(sb == 0, "division by zero", expr)
             return la - lb, sa * sb
         zero = (sa == 0) | (sb == 0)
         return np.where(zero, -math.inf, la + lb), np.where(zero, 0, sa * sb)
     if isinstance(expr, Bin) and expr.op == "^":
-        la, sa = _log_abs_masked(expr.left, env, bad, size)
-        e = _evaluate_masked(expr.right, env, bad, size)
+        la, sa = _log_abs_masked(expr.left, env, failures, size)
+        e = _evaluate_masked(expr.right, env, failures, size)
         integral = np.isfinite(e) & (e == np.floor(e))
         zero = sa == 0
-        bad |= ((sa < 0) & ~integral) | (zero & ~(e > 0.0) & ~(e == 0.0))
+        failures.flag((sa < 0) & ~integral, "fractional power of a negative base", expr)
+        # a NaN exponent on a zero base fails like a negative one
+        failures.flag(zero & ~(e > 0.0) & ~(e == 0.0), "zero raised to a negative power", expr)
         # a negative base keeps its sign under an odd integral power
         even = (sa < 0) & integral & (np.fmod(np.where(integral, e, 0.0), 2.0) == 0.0)
         return (np.where(zero, np.where(e > 0.0, -math.inf, 0.0), e * la),
                 np.where(zero, np.where(e > 0.0, 0, 1), np.where(even, 1, sa)))
-    value = _evaluate_masked(expr, env, bad, size)
+    value = _evaluate_masked(expr, env, failures, size)
     zero = value == 0.0
-    la = _map_checked(math.log, bad, np.where(zero, 1.0, np.abs(value)))
+    la = _map_checked(math.log, failures, expr, np.where(zero, 1.0, np.abs(value)))
     return np.where(zero, -math.inf, la), np.where(zero, 0, np.where(value > 0.0, 1, -1))
 
 

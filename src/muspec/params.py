@@ -49,11 +49,12 @@ class Params:
     delta_merge: float | None = None
 
     def __post_init__(self):
-        if self.tol_stab <= 0 or self.cutoff_fraction <= 0 or self.cutoff_fraction >= 1:
+        # written as "not (x > 0)" so that NaN fails too
+        if not (self.tol_stab > 0 and 0 < self.cutoff_fraction < 1):
             raise ValueError("tol_stab must be positive and cutoff_fraction in (0, 1)")
-        if self.gamma_max <= 0:
+        if not self.gamma_max > 0:
             raise ValueError("gamma_max must be positive")
-        if self.delta_merge is not None and self.delta_merge <= 0:
+        if self.delta_merge is not None and not self.delta_merge > 0:
             raise ValueError("delta_merge must be positive")
         if self.schedule is not None:
             sched = tuple(self.schedule)

@@ -463,7 +463,8 @@ def rate_from_descriptor(desc: dict, time_domain: str | None = None,
         crossover = desc.get("crossover")
         if crossover is None:
             crossover = find_crossover(inner, outer)
-        elif not isinstance(crossover, (int, float)) or crossover <= 0:
+        elif (isinstance(crossover, bool) or not isinstance(crossover, (int, float))
+              or not crossover > 0):
             raise RateError(f"{path}.crossover: expected a positive number")
         return Glued(inner=inner, outer=outer, crossover=float(crossover),
                      time_domain=domain)

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from muspec import catalog
 from muspec.cli import main
+from muspec.params import Params
 
 
 def _run(capsys, argv):
@@ -180,6 +182,58 @@ def test_descriptor_validation_error(capsys):
     assert code == 1
     assert "system.dimension" in err
 
+
+_POLY = {"kind": "polynomial"}
+
+
+@pytest.mark.parametrize("domain, dim, structure, coefficients, message", [
+    ("discrete", 1, "scalar", {"diagonal": [2]},
+     "system.coefficients.diagonal: expected 1 expression strings"),
+    ("discrete", 2, "full", {"entries": [["1", 0], ["0", "1"]]},
+     "system.coefficients.entries: expected a 2x2 grid of expressions"),
+    ("discrete", 1, "scalar", {"rate_quotient": [1]},
+     "system.coefficients.rate_quotient: expected an object"),
+    ("discrete", 1, "scalar", {"rate_quotient": {"rate": _POLY, "slopes": 5}},
+     "system.coefficients.rate_quotient.slopes: expected 1 finite numbers"),
+    ("discrete", 1, "scalar", {"rate_quotient": {"rate": _POLY, "slopes": ["a"]}},
+     "system.coefficients.rate_quotient.slopes: expected 1 finite numbers"),
+    ("discrete", 1, "scalar", {"rate_quotient": {"rate": _POLY, "slopes": [True]}},
+     "system.coefficients.rate_quotient.slopes: expected 1 finite numbers"),
+    ("discrete", 1, "scalar", {"table": 5},
+     "system.coefficients.table: expected a file path string"),
+    # a rate-quotient descriptor must agree with its declared fields
+    ("discrete", 3, "scalar", {"rate_quotient": {"rate": _POLY, "slopes": [1, 2]}},
+     "system.dimension: scalar systems have dimension 1"),
+    ("discrete", 3, "diagonal", {"rate_quotient": {"rate": _POLY, "slopes": [1, 2]}},
+     "system.coefficients.rate_quotient.slopes: expected 3 finite numbers"),
+    ("discrete", 1, "full", {"rate_quotient": {"rate": _POLY, "slopes": [1]}},
+     "system.coefficients.rate_quotient: needs scalar or diagonal structure"),
+    ("continuous", 1, "scalar",
+     {"rate_quotient": {"rate": {**_POLY, "time_domain": "discrete"}, "slopes": [1]}},
+     "system.coefficients.rate_quotient.rate.time_domain: expected 'continuous', "
+     "the system's time domain"),
+])
+def test_spectrum_names_malformed_descriptor_fields(capsys, domain, dim, structure,
+                                                    coefficients, message):
+    system = {"time_domain": domain, "dimension": dim, "structure": structure,
+              "coefficients": coefficients}
+    code, out, err = _run(capsys, ["spectrum", "--system", json.dumps(system), "--rate", "q"])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--tol-stab", "tol_stab must be positive and cutoff_fraction in (0, 1)"),
+    ("--cutoff", "tol_stab must be positive and cutoff_fraction in (0, 1)"),
+    ("--gamma-max", "gamma_max must be positive"),
+    ("--delta-merge", "delta_merge must be positive"),
+])
+def test_nan_parameters_fail_up_front(capsys, flag, message):
+    code, out, err = _run(capsys, ["spectrum", "--system", "identity", "--rate", "q",
+                                   flag, "nan"])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    field = {"--cutoff": "cutoff_fraction"}.get(flag, flag[2:].replace("-", "_"))
+    with pytest.raises(ValueError, match=message.replace("(", r"\(").replace(")", r"\)")):
+        Params(**{field: math.nan})
 
 def test_spectrum_rejects_non_finite_table_cell(capsys, tmp_path):
     table = tmp_path / "table.csv"

@@ -169,7 +169,7 @@ def _plain_diag_step(system, t, h=1e-2):
             step = rates.log_rate(src.rate, k + 1) - rates.log_rate(src.rate, k)
             la, sg = np.array([s * step for s in src.slopes]), np.ones(len(src.slopes))
         elif isinstance(src, evolution.TableSource):
-            diag = np.diag(src.matrix(k))
+            diag = np.diag(src.stack([k])[0])
             with np.errstate(divide="ignore"):
                 la, sg = np.where(diag == 0, -np.inf, np.log(np.abs(diag))), np.sign(diag)
         else:
@@ -489,6 +489,19 @@ def test_tabulated_csv_rejects_non_finite_cells(tmp_path):
             evolution.load_table(path)
         assert f"row k=0: a_2_1 is not finite ({cell})" in str(info.value)
 
+
+@pytest.mark.parametrize("row, message", [
+    ("0,1,0,0", "row k=0: expected 5 columns, got 4"),
+    ("0,1,0,0,1,7", "row k=0: expected 5 columns, got 6"),
+    ("z,1,0,0,1", "line 3: k is not an integer (z)"),
+    ("0,1,x,0,1", "row k=0: a_1_2 is not a number (x)"),
+])
+def test_tabulated_csv_names_malformed_rows(tmp_path, row, message):
+    path = tmp_path / "table.csv"
+    path.write_text(f"k,a_1_1,a_1_2,a_2_1,a_2_2\n-1,1,0,0,1\n{row}\n", encoding="utf-8")
+    with pytest.raises(evolution.EvolutionError) as info:
+        evolution.load_table(path)
+    assert str(info.value) == f"{path}: {message}"
 
 def test_tabulated_csv_header_validation(tmp_path):
     path = tmp_path / "bad.csv"

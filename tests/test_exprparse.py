@@ -140,13 +140,147 @@ def test_pretty_print_round_trip(ast):
     assert ep.parse(ep.pretty(ast)) == ast
 
 
+# -- point-by-point reference walkers ----------------------------------------
+# An evaluator independent of the array walkers: one point at a time on
+# Python floats, raising at the first undefined operation.
+
+
+def _ref_sgn(x: float) -> float:
+    if x > 0:
+        return 1.0
+    if x < 0:
+        return -1.0
+    return 0.0
+
+
+def _ref_is_integral(x: float) -> bool:
+    return math.isfinite(x) and x == math.floor(x)
+
+
+def _ref_env_value(env):
+    if len(env) == 1:
+        return next(iter(env.values()))
+    return dict(env)
+
+
+def _ref_evaluate_env(expr, env):
+    if isinstance(expr, ep.Num):
+        return expr.value
+    if isinstance(expr, ep.Var):
+        try:
+            return float(env[expr.name])
+        except KeyError:
+            raise ep.DomainError("unbound variable", expr.name, dict(env)) from None
+    if isinstance(expr, ep.Neg):
+        return -_ref_evaluate_env(expr.arg, env)
+    if isinstance(expr, ep.Bin):
+        a = _ref_evaluate_env(expr.left, env)
+        b = _ref_evaluate_env(expr.right, env)
+        op = expr.op
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            if b == 0.0:
+                raise ep.DomainError("division by zero", ep.pretty(expr), _ref_env_value(env))
+            return a / b
+        if op == "^":
+            if a < 0.0 and not _ref_is_integral(b):
+                raise ep.DomainError("fractional power of a negative base",
+                                     ep.pretty(expr), _ref_env_value(env))
+            if a == 0.0 and b < 0.0:
+                raise ep.DomainError("zero raised to a negative power",
+                                     ep.pretty(expr), _ref_env_value(env))
+            try:
+                return float(a ** b)
+            except OverflowError:
+                raise ep.DomainError("overflow", ep.pretty(expr), _ref_env_value(env)) from None
+        raise ep.DomainError(f"unknown operator {op!r}", ep.pretty(expr), _ref_env_value(env))
+    if isinstance(expr, ep.Call):
+        vals = [_ref_evaluate_env(a, env) for a in expr.args]
+        fn = expr.fn
+        try:
+            if fn == "exp":
+                return math.exp(vals[0])
+            if fn == "log":
+                if vals[0] <= 0.0:
+                    raise ep.DomainError("log of a non-positive value",
+                                         ep.pretty(expr), _ref_env_value(env))
+                return math.log(vals[0])
+            if fn == "abs":
+                return abs(vals[0])
+            if fn == "sgn":
+                return _ref_sgn(vals[0])
+            if fn == "sqrt":
+                if vals[0] < 0.0:
+                    raise ep.DomainError("sqrt of a negative value",
+                                         ep.pretty(expr), _ref_env_value(env))
+                return math.sqrt(vals[0])
+            if fn == "min":
+                return min(vals[0], vals[1])
+            if fn == "max":
+                return max(vals[0], vals[1])
+        except OverflowError:
+            raise ep.DomainError("overflow", ep.pretty(expr), _ref_env_value(env)) from None
+        raise ep.DomainError(f"unknown function {fn!r}", ep.pretty(expr), _ref_env_value(env))
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def _ref_evaluate_log_abs(expr, env):
+    if isinstance(expr, ep.Neg):
+        la, s = _ref_evaluate_log_abs(expr.arg, env)
+        return la, -s
+    if isinstance(expr, ep.Call) and expr.fn == "exp":
+        return _ref_evaluate_env(expr.args[0], env), 1
+    if isinstance(expr, ep.Call) and expr.fn == "abs":
+        la, s = _ref_evaluate_log_abs(expr.args[0], env)
+        return la, (1 if s != 0 else 0)
+    if isinstance(expr, ep.Call) and expr.fn == "sqrt":
+        la, s = _ref_evaluate_log_abs(expr.args[0], env)
+        if s < 0:
+            raise ep.DomainError("sqrt of a negative value", ep.pretty(expr), _ref_env_value(env))
+        return la / 2.0, s
+    if isinstance(expr, ep.Bin) and expr.op in "*/":
+        la, sa = _ref_evaluate_log_abs(expr.left, env)
+        lb, sb = _ref_evaluate_log_abs(expr.right, env)
+        if expr.op == "/":
+            if sb == 0:
+                raise ep.DomainError("division by zero", ep.pretty(expr), _ref_env_value(env))
+            return la - lb, sa * sb
+        if sa == 0 or sb == 0:
+            return -math.inf, 0
+        return la + lb, sa * sb
+    if isinstance(expr, ep.Bin) and expr.op == "^":
+        la, sa = _ref_evaluate_log_abs(expr.left, env)
+        e = _ref_evaluate_env(expr.right, env)
+        if sa < 0 and not _ref_is_integral(e):
+            raise ep.DomainError("fractional power of a negative base",
+                                 ep.pretty(expr), _ref_env_value(env))
+        if sa == 0:
+            if e > 0.0:
+                return -math.inf, 0
+            if e == 0.0:
+                return 0.0, 1
+            raise ep.DomainError("zero raised to a negative power",
+                                 ep.pretty(expr), _ref_env_value(env))
+        sign = sa if (sa > 0 or int(e) % 2) else 1
+        return e * la, sign
+    value = _ref_evaluate_env(expr, env)
+    if value == 0.0:
+        return -math.inf, 0
+    return math.log(abs(value)), (1 if value > 0 else -1)
+
+
 def _scalar_rows(exprs, xs):
-    """Point-by-point reference for evaluate_array: the rows, or the first
-    DomainError raised."""
+    """Point-by-point reference for evaluate_array from the reference walker:
+    the rows, or the first DomainError raised."""
     rows = []
     for x in xs:
         try:
-            rows.append([ep.evaluate_env(e, {"t": x}) for e in exprs])
+            rows.append([_ref_evaluate_env(e, {"t": x}) for e in exprs])
         except ep.DomainError as exc:
             return None, exc
     return np.array(rows, dtype=float).reshape(len(xs), len(exprs)), None
@@ -186,12 +320,12 @@ def test_array_evaluation_raises_at_first_failing_point():
 
 
 def _assert_log_abs_matches_scalar(exprs, xs):
-    """evaluate_log_abs_array against evaluate_log_abs point by point: the
-    same logs bitwise, the same signs, or the same first DomainError."""
+    """evaluate_log_abs_array against the reference walker point by point:
+    the same logs bitwise, the same signs, or the same first DomainError."""
     rows, want_err = [], None
     for x in xs:
         try:
-            rows.append([ep.evaluate_log_abs(e, {"t": x}) for e in exprs])
+            rows.append([_ref_evaluate_log_abs(e, {"t": x}) for e in exprs])
         except ep.DomainError as exc:
             want_err = exc
             break

@@ -161,6 +161,14 @@ def test_glued_descriptor_computes_missing_crossover():
                                             abs=1e-9)
 
 
+@pytest.mark.parametrize("crossover", [True, math.nan, 0.0, -1.0, "1"])
+def test_glued_descriptor_rejects_a_bad_crossover(crossover):
+    desc = {"kind": "glued", "inner": {"kind": "power_exp", "p": 3.0},
+            "outer": {"kind": "polynomial"}, "crossover": crossover,
+            "time_domain": CONTINUOUS}
+    with pytest.raises(rates.RateError, match="rate.crossover: expected a positive number"):
+        rates.rate_from_descriptor(desc)
+
 def test_power_exp_rejects_bad_parameters():
     with pytest.raises(rates.RateError):
         rates.PowerExp(-1.0, 1.0, DISCRETE)
