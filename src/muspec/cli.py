@@ -75,18 +75,27 @@ def _add_shared(parser: argparse.ArgumentParser):
     parser.add_argument("--cutoff", type=float, dest="cutoff_fraction")
     parser.add_argument("--gamma-max", type=float, dest="gamma_max")
     parser.add_argument("--delta-merge", type=float, dest="delta_merge")
-    parser.add_argument("--format", choices=("json", "csv", "table"), dest="fmt")
     parser.add_argument("--output")
     parser.add_argument("--config")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, the error code; argparse's own 2
+    is this CLI's "inconclusive"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(_EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="muspec")
+    parser = _Parser(prog="muspec")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="dichotomy spectrum of a system under a rate")
     sp.add_argument("--system", required=True)
     sp.add_argument("--rate", required=True)
+    sp.add_argument("--format", choices=("json", "csv", "table"), dest="fmt")
     _add_shared(sp)
 
     cp = sub.add_parser("compare", help="relation between two growth rates")

@@ -847,8 +847,7 @@ def system_from_descriptor(desc: dict, base_dir: str | Path | None = None) -> Li
                 raise EvolutionError(f"{where}: needs scalar or diagonal structure")
             slopes = spec.get("slopes")
             if (not isinstance(slopes, list) or len(slopes) != dim
-                    or any(isinstance(s, bool) or not isinstance(s, (int, float))
-                           or not math.isfinite(s) for s in slopes)):
+                    or not all(rates.is_finite_number(s) for s in slopes)):
                 raise EvolutionError(f"{where}.slopes: expected {dim} finite numbers")
             rate = rates.rate_from_descriptor(spec.get("rate"), domain, path=f"{where}.rate")
             if rate.time_domain != domain:

@@ -21,6 +21,7 @@ Families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -463,8 +464,7 @@ def rate_from_descriptor(desc: dict, time_domain: str | None = None,
         crossover = desc.get("crossover")
         if crossover is None:
             crossover = find_crossover(inner, outer)
-        elif (isinstance(crossover, bool) or not isinstance(crossover, (int, float))
-              or not crossover > 0):
+        elif not is_finite_number(crossover) or not crossover > 0:
             raise RateError(f"{path}.crossover: expected a positive number")
         return Glued(inner=inner, outer=outer, crossover=float(crossover),
                      time_domain=domain)
@@ -474,7 +474,20 @@ def rate_from_descriptor(desc: dict, time_domain: str | None = None,
 
 
 def _num_field(desc: dict, name: str, path: str, default: float | None = None) -> float:
+    """A positive finite number field (``p``, ``lambda``) of a descriptor."""
     val = desc.get(name, default)
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise RateError(f"{path}.{name}: expected a number, got {val!r}")
+    if not is_finite_number(val) or not val > 0:
+        raise RateError(f"{path}.{name}: expected a positive finite number, got {val!r}")
     return float(val)
+
+
+def is_finite_number(val) -> bool:
+    """Whether a descriptor value is a number (not a bool) with a finite
+    float value: NaN, the infinities and integers beyond double range are
+    not."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer too large for a float
+        return False

@@ -322,9 +322,8 @@ def check_almost(mu, omega, direction: str, params: Params = DEFAULT) -> Relatio
     overall = HOLDS
     witness = None
     for outer in OUTER_EXPONENTS:
-        found = None
-        all_failed = True
-        best_attempt = None
+        key = f"outer={outer:g}"
+        inconclusive = False
         for inner in inner_grid:
             if direction == "faster":
                 coef_mu, coef_omega = -inner, -outer
@@ -332,22 +331,16 @@ def check_almost(mu, omega, direction: str, params: Params = DEFAULT) -> Relatio
                 coef_mu, coef_omega = -outer, -inner
             outcome, sup, pairs = _bounded_outcome(mu, omega, coef_mu, coef_omega, params)
             if outcome == HOLDS:
-                found = (inner, sup)
-                all_failed = False
+                chosen[key] = {"inner": inner, "sup": sup}
+                diagnostics[key] = "bounded"
                 break
-            if outcome == INCONCLUSIVE:
-                all_failed = False
-            best_attempt = pairs
-        key = f"outer={outer:g}"
-        if found is not None:
-            chosen[key] = {"inner": found[0], "sup": found[1]}
-            diagnostics[key] = "bounded"
-        elif all_failed:
-            overall = FAILS
-            witness = best_attempt
-            diagnostics[key] = "unbounded for every inner exponent"
-            break
+            inconclusive = inconclusive or outcome == INCONCLUSIVE
         else:
+            if not inconclusive:  # the witness is the last inner exponent's argmax pairs
+                overall = FAILS
+                witness = pairs
+                diagnostics[key] = "unbounded for every inner exponent"
+                break
             overall = INCONCLUSIVE
             diagnostics[key] = "not resolved on the inner grid"
     prefilter = _affine_prefilter(mu, omega, params)
@@ -360,14 +353,6 @@ def check_almost(mu, omega, direction: str, params: Params = DEFAULT) -> Relatio
 
 # ---------------------------------------------------------------------------
 # Pair classification and the chain order
-
-
-_DIRECTED_KEYS = (
-    "faster_ab", "faster_ba",
-    "weakly_ab", "weakly_ba",
-    "almost_faster_ab", "almost_faster_ba",
-    "almost_slower_ab", "almost_slower_ba",
-)
 
 
 @dataclass
@@ -427,18 +412,8 @@ def classify_pair(a, b, params: Params = DEFAULT,
     symbolic = rates.symbolic_compare(a, b) if use_symbolic else None
     conflicts: list[str] = []
     if symbolic is not None:
-        expected = {
-            "faster_ab": symbolic.faster_ab,
-            "faster_ba": symbolic.faster_ba,
-            "weakly_ab": symbolic.weakly_ab,
-            "weakly_ba": symbolic.weakly_ba,
-            "almost_faster_ab": symbolic.almost_faster_ab,
-            "almost_faster_ba": symbolic.almost_faster_ba,
-            "almost_slower_ab": symbolic.almost_slower_ab,
-            "almost_slower_ba": symbolic.almost_slower_ba,
-        }
-        for key, sym in expected.items():
-            verdict = checks[key]
+        for key, verdict in checks.items():
+            sym = getattr(symbolic, key)  # the profile names its fields as the checks
             if verdict.outcome == INCONCLUSIVE:
                 verdict.outcome = HOLDS if sym else FAILS
                 verdict.diagnostics["source"] = "symbolic"

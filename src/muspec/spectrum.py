@@ -206,21 +206,24 @@ def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutof
 def bohl_exponents(system, rate: rates.GrowthRate, params: Params = DEFAULT,
                    component: int | None = None) -> BohlEstimate:
     """Extremal exponents for a scalar system or one diagonal component."""
-    base = system.base if isinstance(system, WeightedSystem) else system
-    _check_pairing(base, rate)
+    base = _base(system, rate)
     if base.structure == FULL:
         raise SpectrumError("Bohl exponents need scalar or diagonal structure")
     if component is None:
         if base.components != 1:
             raise SpectrumError("pick a component of the diagonal system")
         component = 0
-    return _component_estimates(system, rate, params, [component])[0]
+    return _estimates(system, rate, params, [component])[0]
 
 
-def _check_pairing(system: LinearSystem, rate: rates.GrowthRate):
-    if system.time_domain != rate.time_domain:
+def _base(system, rate: rates.GrowthRate) -> LinearSystem:
+    """The unweighted system of ``system``, checked to share the rate's
+    time domain."""
+    base = system.base if isinstance(system, WeightedSystem) else system
+    if base.time_domain != rate.time_domain:
         raise SpectrumError(
-            f"system is {system.time_domain}-time but the rate is {rate.time_domain}-time")
+            f"system is {base.time_domain}-time but the rate is {rate.time_domain}-time")
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +361,12 @@ def compute_spectrum(system, rate: rates.GrowthRate, params: Params = DEFAULT) -
     outer enclosure from singular-value statistics, with no projector claims,
     always on the schedule as given.  ``windows`` lists the windows used;
     for exact-structure reports that includes any extension of an unpinned
-    schedule (see ``_component_estimates``).
+    schedule (see ``_estimates``).
     """
-    base = system.base if isinstance(system, WeightedSystem) else system
-    _check_pairing(base, rate)
-    if base.structure == FULL:
-        estimates = [_enclosure_estimate(system, rate, params)]
-        mode = "enclosure"
-    else:
-        estimates = _component_estimates(system, rate, params, range(base.components))
-        mode = "exact"
+    base = _base(system, rate)
+    mode = "enclosure" if base.structure == FULL else "exact"
+    estimates = _estimates(system, rate, params,
+                           [0] if mode == "enclosure" else range(base.components))
     component_intervals = [SpectralInterval(est.lower, est.upper) for est in estimates]
     merged = _merge_intervals(component_intervals, params.merge_tolerance)
     gaps = _build_gaps(merged, component_intervals, with_ranks=(mode == "exact"))
@@ -386,57 +385,63 @@ def compute_spectrum(system, rate: rates.GrowthRate, params: Params = DEFAULT) -
     )
 
 
-def _component_estimates(system, rate, params: Params, components) -> list[BohlEstimate]:
-    """Bohl estimates of the given components over the window schedule.
+def _estimates(system, rate, params: Params, components) -> list[BohlEstimate]:
+    """Bohl estimates of the given components over the window schedule; a
+    full system has one, its enclosure.
 
-    Unless the schedule is pinned, an estimate that has not converged takes
-    further doubled windows (``Params.extension_windows``) until it
-    converges or the cap is reached; a converged component takes no more
-    windows, so each estimate depends on its own component only.  The
-    extension stops early at the first window on which the system or rate
-    cannot be evaluated (a tabulated system's range ends, a coefficient
-    leaves its domain): the estimate then keeps the windows it has.
+    Unless the schedule is pinned, a scalar or diagonal estimate that has
+    not converged takes further doubled windows
+    (``Params.extension_windows``) until it converges or the cap is
+    reached; a converged component takes no more windows, so each estimate
+    depends on its own component only.  The extension stops early at the
+    first window on which the system or rate cannot be evaluated (a
+    tabulated system's range ends, a coefficient leaves its domain): the
+    estimate then keeps the windows it has.  An enclosure always uses the
+    schedule as given.
     """
-    base = system.base if isinstance(system, WeightedSystem) else system
+    base = _base(system, rate)
+    enclosure = base.structure == FULL
     windows = params.windows(base.time_domain)
     per_window = {comp: [] for comp in components}
     estimates = {}
 
     def scan(grid, comps, n):
         """One pair scan of the window for all of comps at once."""
-        times, logs, r_full = grid
+        times, r, heads, tails = grid
         sl = _window_slice(times, n)
-        s = logs[comps, sl]
-        lo, hi, pairs_used = _pair_ratio_stats(r_full[sl], s, -s, params.cutoff_fraction)
-        for comp, comp_lo, comp_hi in zip(comps, lo.tolist(), hi.tolist()):
+        rows = slice(None) if enclosure else comps
+        lo, hi, pairs_used = _pair_ratio_stats(r[sl], heads[rows, sl], tails[rows, sl],
+                                               params.cutoff_fraction)
+        lo, hi = lo.tolist(), hi.tolist()
+        # an enclosure's upper bound is the max of series 0, its lower the min of series 1
+        bounds = [(lo[1], hi[0])] if enclosure else zip(lo, hi)
+        for comp, (comp_lo, comp_hi) in zip(comps, bounds):
             per_window[comp].append((float(n), comp_lo, comp_hi))
             estimates[comp] = _finish_estimate(per_window[comp], pairs_used, params)
 
-    grid = _log_grid(system, rate, max(windows))
+    grid = _grid(system, rate, max(windows))
     for n in windows:
         scan(grid, components, n)
-    for n in params.extension_windows(base.time_domain):
+    for n in () if enclosure else params.extension_windows(base.time_domain):
         pending = [comp for comp in components if not estimates[comp].converged]
         if not pending:
             break
         try:
-            grid = _log_grid(system, rate, n)
+            grid = _grid(system, rate, n)
         except (evolution.EvolutionError, exprparse.ExprError, rates.RateError):
             break
         scan(grid, pending, n)
     return [estimates[comp] for comp in components]
 
 
-def _log_grid(system, rate, window: int):
-    times, logs = evolution.component_log_grid(system, window)
-    # the rate grid is sampled at the same integer times, and checked
-    return times, logs, rates.log_rate_grid(rate, window)
+def _grid(system, rate, window: int):
+    """(times, r, heads, tails) on [-window, window]: the sample times, the
+    log-rate grid, and the series whose pair ratios
+    (heads[:, j] + tails[:, i]) / (r[j] - r[i]) the scan bounds.
 
-
-def _enclosure_estimate(system, rate, params: Params) -> BohlEstimate:
-    """Outer singular-value bounds over admissible pairs.
-
-    Pair values are bounded submultiplicatively through time zero:
+    Scalar and diagonal systems give the component log-propagators and their
+    negatives, so a ratio is log |Phi(k, n)| / L.  A full system gives the
+    enclosure's two series, bounded submultiplicatively through time zero:
 
         log smax Phi(k, n) <= log smax Phi(k, 0) + log smax Phi(0, n)
         log smin Phi(k, n) >= -log smax Phi(0, k) - log smax Phi(n, 0)
@@ -446,22 +451,16 @@ def _enclosure_estimate(system, rate, params: Params) -> BohlEstimate:
     contracting directions to rounding; the inequalities make the resulting
     interval an enclosure of the exact spectrum by construction.
     """
-    base = system.base if isinstance(system, WeightedSystem) else system
-    windows = params.windows(base.time_domain)
-    times, fwd, bwd = evolution.scaled_grids(system, max(windows))
-    r_full = rates.log_rate_grid(rate, max(windows))
-    log_fwd = evolution.log_sigma_max(fwd)
-    log_bwd = evolution.log_sigma_max(bwd)
-    per_window = []
-    pairs_used = 0
-    for n in windows:
-        sl = _window_slice(times, n)
-        # the upper bound is the max of series 0, the lower the min of series 1
-        lows, highs, pairs_used = _pair_ratio_stats(
-            r_full[sl], np.stack([log_fwd[sl], -log_bwd[sl]]),
-            np.stack([log_bwd[sl], -log_fwd[sl]]), params.cutoff_fraction)
-        per_window.append((float(n), float(lows[1]), float(highs[0])))
-    return _finish_estimate(per_window, pairs_used, params)
+    if _base(system, rate).structure == FULL:
+        times, fwd, bwd = evolution.scaled_grids(system, window)
+        log_fwd = evolution.log_sigma_max(fwd)
+        log_bwd = evolution.log_sigma_max(bwd)
+        heads, tails = np.stack([log_fwd, -log_bwd]), np.stack([log_bwd, -log_fwd])
+    else:
+        times, logs = evolution.component_log_grid(system, window)
+        heads, tails = logs, -logs
+    # the rate grid is sampled at the same integer times, and checked
+    return times, rates.log_rate_grid(rate, window), heads, tails
 
 
 # ---------------------------------------------------------------------------

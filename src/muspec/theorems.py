@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from . import catalog, evolution, rates, relations, spectrum
+from . import catalog, evolution, rates, relations
 from .params import CONTINUOUS, DEFAULT, DISCRETE, Params
 from .relations import FAILS, HOLDS, INCONCLUSIVE
 from .spectrum import SpectrumReport, compute_spectrum, has_mu_dichotomy, has_mu_growth
@@ -128,20 +128,6 @@ def _hyp(name: str, status: str, detail: str = "") -> dict:
     return {"name": name, "status": status, "detail": detail}
 
 
-def _verdict_status(v) -> str:
-    if isinstance(v, relations.RelationVerdict):
-        return v.outcome
-    if isinstance(v, spectrum.DichotomyVerdict):
-        if v.holds is True:
-            return HOLDS
-        if v.holds is False:
-            return FAILS
-        return INCONCLUSIVE
-    if isinstance(v, spectrum.GrowthVerdict):
-        return v.status
-    raise TypeError(f"no status for {v!r}")
-
-
 def _assemble(theorem, fixture, rate_names, hypotheses, conclude) -> TheoremReport:
     bad = [h for h in hypotheses if h["status"] != HOLDS]
     if bad:
@@ -162,8 +148,8 @@ def _assemble(theorem, fixture, rate_names, hypotheses, conclude) -> TheoremRepo
 # Spectral comparisons with resolution-aware tolerances
 
 
-def _fmt_interval(iv) -> str:
-    return f"[{iv.lo:g}, {iv.hi:g}]"
+def _fmt_spectrum(rep: SpectrumReport) -> str:
+    return "+".join(f"[{iv.lo:g}, {iv.hi:g}]" for iv in rep.intervals)
 
 
 def _point_check(rep: SpectrumReport, target: float, tol: float):
@@ -172,14 +158,13 @@ def _point_check(rep: SpectrumReport, target: float, tol: float):
           and math.isfinite(rep.intervals[0].lo)
           and abs(rep.intervals[0].lo - target) <= tol_eff
           and abs(rep.intervals[0].hi - target) <= tol_eff)
-    detail = (f"spectrum {'+'.join(_fmt_interval(iv) for iv in rep.intervals)} "
-              f"vs point {target:g} (tolerance {tol_eff:.4g})")
+    detail = f"spectrum {_fmt_spectrum(rep)} vs point {target:g} (tolerance {tol_eff:.4g})"
     return ok, ok or rep.converged, detail
 
 
 def _infinite_set_check(rep: SpectrumReport):
     degenerate = all(iv.lo == iv.hi and not math.isfinite(iv.lo) for iv in rep.intervals)
-    detail = "spectrum " + "+".join(_fmt_interval(iv) for iv in rep.intervals)
+    detail = "spectrum " + _fmt_spectrum(rep)
     return degenerate, degenerate or rep.converged, detail
 
 
@@ -197,8 +182,7 @@ def _inclusion_check(rep: SpectrumReport, lo: float, hi: float, tol: float,
         if side != "-" and iv.hi > hi + tol_eff:
             ok = False
     label = {"+": "positive part of ", "-": "negative part of ", None: ""}[side]
-    detail = (f"{label}spectrum {'+'.join(_fmt_interval(iv) for iv in rep.intervals)} "
-              f"vs [{lo:g}, {hi:g}] (tolerance {tol_eff:.4g})")
+    detail = f"{label}spectrum {_fmt_spectrum(rep)} vs [{lo:g}, {hi:g}] (tolerance {tol_eff:.4g})"
     return ok, ok or rep.converged, detail
 
 
@@ -215,7 +199,7 @@ def verify_805(system, mu, omega, params: Params = DEFAULT, fixture: str = "?",
     dich = has_mu_dichotomy(system, mu, params, report=_spec(cache, fixture, system, mu, params))
     hyps = [
         _hyp("mu_faster_than_omega", h1.outcome),
-        _hyp("system_has_mu_dichotomy", _verdict_status(dich)),
+        _hyp("system_has_mu_dichotomy", {True: HOLDS, False: FAILS}.get(dich.holds, INCONCLUSIVE)),
     ]
 
     def conclude():
@@ -234,7 +218,7 @@ def verify_806(system, omega, mu, params: Params = DEFAULT, fixture: str = "?",
                            report=_spec(cache, fixture, system, omega, params))
     h2 = _faster(cache, mu, omega, params)
     hyps = [
-        _hyp("system_has_omega_growth", _verdict_status(growth)),
+        _hyp("system_has_omega_growth", growth.status),
         _hyp("mu_faster_than_omega", h2.outcome),
     ]
 
@@ -254,60 +238,38 @@ def verify_808_809(system, mu, omega, a: float | None = None, b: float | None = 
     one side of the axis; 809i/809ii/809iii move inclusions around zero from
     omega to mu.  An infinite bound leaves nothing to prove and is skipped.
     """
-    theorem = variant
     names = {"mu": _rate_label(mu), "omega": _rate_label(omega)}
     h1 = relations.check_weakly_faster(mu, omega, params)
     hyps = [_hyp("mu_weakly_faster_than_omega", h1.outcome)]
-    tol = params.tol_stab
-
+    # each variant moves the inclusion [lo, hi] (on one side of the axis, or
+    # all of it when side is None) from the spectrum under ``given`` to ``moved``
     if variant in ("808i", "808ii"):
         if a is None or a <= 0:
             raise ValueError("808 needs a positive bound a")
-        rep_mu = _spec(cache, fixture, system, mu, params)
-        if variant == "808i":
-            ok, resolved, detail = _inclusion_check(rep_mu, -INF, -a, tol)
-        else:
-            ok, resolved, detail = _inclusion_check(rep_mu, a, INF, tol)
-        hyps.append(_hyp("mu_spectrum_inclusion",
-                         HOLDS if ok else (FAILS if resolved else INCONCLUSIVE), detail))
-
-        def conclude():
-            rep = _spec(cache, fixture, system, omega, params)
-            if variant == "808i":
-                return _inclusion_check(rep, -INF, -a, tol)
-            return _inclusion_check(rep, a, INF, tol)
-
-        return _assemble(theorem, fixture, names, hyps, conclude)
-
-    if variant not in ("809i", "809ii", "809iii"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant in ("809i", "809iii") and (b is None or b < 0):
-        raise ValueError("809i/809iii need a bound b >= 0")
-    if variant in ("809ii", "809iii") and (a is None or a > 0):
-        raise ValueError("809ii/809iii need a bound a <= 0")
-    if (variant == "809i" and b == INF) or (variant == "809ii" and a == -INF) \
-            or (variant == "809iii" and (b == INF or a == -INF)):
-        return TheoremReport(theorem, fixture, names, hyps, None, "skipped",
-                             "infinite bound: nothing to prove")
-    rep_omega = _spec(cache, fixture, system, omega, params)
-    if variant == "809i":
-        ok, resolved, detail = _inclusion_check(rep_omega, 0.0, b, tol, side="+")
-    elif variant == "809ii":
-        ok, resolved, detail = _inclusion_check(rep_omega, a, 0.0, tol, side="-")
+        lo, hi = (-INF, -a) if variant == "808i" else (a, INF)
+        given, moved, side, given_name = mu, omega, None, "mu"
+    elif variant in ("809i", "809ii", "809iii"):
+        if variant in ("809i", "809iii") and (b is None or b < 0):
+            raise ValueError("809i/809iii need a bound b >= 0")
+        if variant in ("809ii", "809iii") and (a is None or a > 0):
+            raise ValueError("809ii/809iii need a bound a <= 0")
+        lo, hi, side = {"809i": (0.0, b, "+"), "809ii": (a, 0.0, "-"),
+                        "809iii": (a, b, None)}[variant]
+        given, moved, given_name = omega, mu, "omega"
+        if (side != "-" and hi == INF) or (side != "+" and lo == -INF):
+            return TheoremReport(variant, fixture, names, hyps, None, "skipped",
+                                 "infinite bound: nothing to prove")
     else:
-        ok, resolved, detail = _inclusion_check(rep_omega, a, b, tol)
-    hyps.append(_hyp("omega_spectrum_inclusion",
+        raise ValueError(f"unknown variant {variant!r}")
+
+    def inclusion(rate_obj):
+        rep = _spec(cache, fixture, system, rate_obj, params)
+        return _inclusion_check(rep, lo, hi, params.tol_stab, side)
+
+    ok, resolved, detail = inclusion(given)
+    hyps.append(_hyp(f"{given_name}_spectrum_inclusion",
                      HOLDS if ok else (FAILS if resolved else INCONCLUSIVE), detail))
-
-    def conclude():
-        rep = _spec(cache, fixture, system, mu, params)
-        if variant == "809i":
-            return _inclusion_check(rep, 0.0, b, tol, side="+")
-        if variant == "809ii":
-            return _inclusion_check(rep, a, 0.0, tol, side="-")
-        return _inclusion_check(rep, a, b, tol)
-
-    return _assemble(theorem, fixture, names, hyps, conclude)
+    return _assemble(variant, fixture, names, hyps, lambda: inclusion(moved))
 
 
 def verify_811(system, chain, params: Params = DEFAULT, fixture: str = "?",
@@ -353,60 +315,55 @@ def verify_908(system, mu, omega, params: Params = DEFAULT, fixture: str = "?",
     +-inf, gap count, ordered correspondence, projector ranks, semiaxis)."""
     names = {"mu": _rate_label(mu), "omega": _rate_label(omega)}
     cls = relations.classify_pair(mu, omega, params)
-    weak = cls.weakly_equivalent
-    equiv = cls.equivalent
-    if weak == HOLDS:
-        hyps = [_hyp("rates_weakly_equivalent", HOLDS)]
+    if cls.weakly_equivalent == HOLDS:
+        theorem, hypothesis, same = "908i", "rates_weakly_equivalent", _same_spectrum
+    elif cls.equivalent == HOLDS:
+        theorem, hypothesis, same = "908ii", "rates_equivalent", _same_gaps
+    else:
+        both_fail = cls.weakly_equivalent == FAILS and cls.equivalent == FAILS
+        hyps = [_hyp("rates_weakly_equivalent_or_equivalent",
+                     FAILS if both_fail else INCONCLUSIVE)]
+        return _assemble("908", fixture, names, hyps, lambda: (False, True, ""))
 
-        def conclude():
-            rep_mu = _spec(cache, fixture, system, mu, params)
-            rep_om = _spec(cache, fixture, system, omega, params)
-            tol_eff = params.tol_stab + rep_mu.resolution + rep_om.resolution
-            ok = len(rep_mu.intervals) == len(rep_om.intervals)
-            if ok:
-                for u, v in zip(rep_mu.intervals, rep_om.intervals):
-                    if not _ends_match(u.lo, v.lo, tol_eff) or not _ends_match(u.hi, v.hi, tol_eff):
-                        ok = False
-            detail = (f"mu spectrum {'+'.join(_fmt_interval(iv) for iv in rep_mu.intervals)}"
-                      f" vs omega spectrum "
-                      f"{'+'.join(_fmt_interval(iv) for iv in rep_om.intervals)}")
-            resolved = ok or (rep_mu.converged and rep_om.converged)
-            return ok, resolved, detail
+    def conclude():
+        rep_mu = _spec(cache, fixture, system, mu, params)
+        rep_om = _spec(cache, fixture, system, omega, params)
+        ok, detail = same(rep_mu, rep_om,
+                          params.tol_stab + rep_mu.resolution + rep_om.resolution)
+        return ok, ok or (rep_mu.converged and rep_om.converged), detail
 
-        return _assemble("908i", fixture, names, hyps, conclude)
-    if equiv == HOLDS:
-        hyps = [_hyp("rates_equivalent", HOLDS)]
+    return _assemble(theorem, fixture, names, [_hyp(hypothesis, HOLDS)], conclude)
 
-        def conclude():
-            rep_mu = _spec(cache, fixture, system, mu, params)
-            rep_om = _spec(cache, fixture, system, omega, params)
-            problems = []
-            mu_plus = any(iv.hi == INF for iv in rep_mu.intervals)
-            om_plus = any(iv.hi == INF for iv in rep_om.intervals)
-            mu_minus = any(iv.lo == -INF for iv in rep_mu.intervals)
-            om_minus = any(iv.lo == -INF for iv in rep_om.intervals)
-            if mu_plus != om_plus or mu_minus != om_minus:
-                problems.append("infinite membership differs")
-            if len(rep_mu.gaps) != len(rep_om.gaps):
-                problems.append("gap counts differ")
-            else:
-                for i, (g, h) in enumerate(zip(rep_mu.gaps, rep_om.gaps)):
-                    if g.rank != h.rank:
-                        problems.append(f"gap {i} ranks differ ({g.rank} vs {h.rank})")
-                    tol = params.tol_stab + rep_mu.resolution + rep_om.resolution
-                    if _gap_semiaxis(g, tol) != _gap_semiaxis(h, tol):
-                        problems.append(f"gap {i} semiaxes differ")
-            ok = not problems
-            detail = "; ".join(problems) if problems else (
-                f"{len(rep_mu.gaps)} corresponding gaps, ranks "
-                f"{[g.rank for g in rep_mu.gaps]}")
-            resolved = ok or (rep_mu.converged and rep_om.converged)
-            return ok, resolved, detail
 
-        return _assemble("908ii", fixture, names, hyps, conclude)
-    status = FAILS if (weak == FAILS and equiv == FAILS) else INCONCLUSIVE
-    hyps = [_hyp("rates_weakly_equivalent_or_equivalent", status)]
-    return _assemble("908", fixture, names, hyps, lambda: (False, True, ""))
+def _same_spectrum(rep_mu: SpectrumReport, rep_om: SpectrumReport, tol: float):
+    """(ok, detail): the two spectra have the same intervals, endpoint by
+    endpoint within tol."""
+    ok = len(rep_mu.intervals) == len(rep_om.intervals) and all(
+        _ends_match(u.lo, v.lo, tol) and _ends_match(u.hi, v.hi, tol)
+        for u, v in zip(rep_mu.intervals, rep_om.intervals))
+    return ok, f"mu spectrum {_fmt_spectrum(rep_mu)} vs omega spectrum {_fmt_spectrum(rep_om)}"
+
+
+def _same_gaps(rep_mu: SpectrumReport, rep_om: SpectrumReport, tol: float):
+    """(ok, detail): the two spectra have the same gap structure."""
+    def infinite_ends(rep):
+        return (any(iv.hi == INF for iv in rep.intervals),
+                any(iv.lo == -INF for iv in rep.intervals))
+
+    problems = []
+    if infinite_ends(rep_mu) != infinite_ends(rep_om):
+        problems.append("infinite membership differs")
+    if len(rep_mu.gaps) != len(rep_om.gaps):
+        problems.append("gap counts differ")
+    else:
+        for i, (g, h) in enumerate(zip(rep_mu.gaps, rep_om.gaps)):
+            if g.rank != h.rank:
+                problems.append(f"gap {i} ranks differ ({g.rank} vs {h.rank})")
+            if _gap_semiaxis(g, tol) != _gap_semiaxis(h, tol):
+                problems.append(f"gap {i} semiaxes differ")
+    if problems:
+        return False, "; ".join(problems)
+    return True, f"{len(rep_mu.gaps)} corresponding gaps, ranks {[g.rank for g in rep_mu.gaps]}"
 
 
 def _ends_match(x: float, y: float, tol: float) -> bool:

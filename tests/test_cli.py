@@ -212,6 +212,12 @@ _POLY = {"kind": "polynomial"}
      {"rate_quotient": {"rate": {**_POLY, "time_domain": "discrete"}, "slopes": [1]}},
      "system.coefficients.rate_quotient.rate.time_domain: expected 'continuous', "
      "the system's time domain"),
+    # JSON integers beyond double range do not convert to a float
+    ("discrete", 1, "scalar", {"rate_quotient": {"rate": _POLY, "slopes": [10 ** 400]}},
+     "system.coefficients.rate_quotient.slopes: expected 1 finite numbers"),
+    ("discrete", 1, "scalar",
+     {"rate_quotient": {"rate": {"kind": "power_exp", "p": 10 ** 400}, "slopes": [1]}},
+     f"system.coefficients.rate_quotient.rate.p: expected a positive finite number, got {10 ** 400}"),
 ])
 def test_spectrum_names_malformed_descriptor_fields(capsys, domain, dim, structure,
                                                     coefficients, message):
@@ -255,6 +261,13 @@ def test_spectrum_rejects_non_finite_table_cell(capsys, tmp_path):
     ('{"kind":"expression","log_rate":"1+k"}', "rate: log mu(0) is 1, not 0"),
     # falls on the negative half-line
     ('{"kind":"expression","log_rate":"k^2"}', "rate: log mu decreases from t=-400 to t=-399"),
+    # descriptor numbers that are not finite floats are named by field
+    ('{"kind":"power_exp","p":Infinity}', "rate.p: expected a positive finite number, got inf"),
+    ('{"kind":"power_exp","p":2,"lambda":Infinity}', "rate.lambda: expected a positive finite number, got inf"),
+    ('{"kind":"power_exp","p":NaN}', "rate.p: expected a positive finite number, got nan"),
+    ('{"kind":"power_exp","p":1' + "0" * 400 + "}",
+     f"rate.p: expected a positive finite number, got {10 ** 400}"),
+    ('{"kind":"power_exp","p":2,"lambda":0}', "rate.lambda: expected a positive finite number, got 0"),
 ])
 def test_spectrum_rejects_rates_that_are_not_growth_rates(capsys, rate, message):
     code, out, err = _run(capsys, ["spectrum", "--system", "catalog:disc_q", "--rate", rate])
@@ -279,6 +292,8 @@ def test_spectrum_names_an_overflowing_quotient_grid(capsys):
 
 
 DATA = Path(__file__).parent / "data"
+_VERIFY = ["verify", "--theorem"]
+_DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--omega", "exp"]
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -287,6 +302,30 @@ DATA = Path(__file__).parent / "data"
       "--time-domain", "discrete"], "chain_discrete.json"),
     (["compare", "--relation", "chain", "--rates", "p,exp,q,c",
       "--time-domain", "continuous"], "chain_continuous.json"),
+    (_VERIFY + ["808", "--variant", "i", "--system", "catalog:frak_a", "--mu", "c",
+                "--omega", "exp", "--a", "1"], "verify_808i.jsonl"),
+    (_VERIFY + ["808", "--variant", "ii", "--system", "catalog:disc_q", "--mu", "q",
+                "--omega", "exp", "--a", "1"], "verify_808ii.jsonl"),
+    # an infinite bound leaves nothing to prove
+    (_DISC_Q_809 + ["--variant", "i", "--b", "inf"], "verify_809i_infinite_b.jsonl"),
+    (_DISC_Q_809 + ["--variant", "ii", "--a=-inf"], "verify_809ii_infinite_a.jsonl"),
+    (_DISC_Q_809 + ["--variant", "iii", "--a=-inf", "--b", "1"],
+     "verify_809iii_infinite_a.jsonl"),
+    (_DISC_Q_809 + ["--variant", "iii", "--a=-1", "--b", "inf"],
+     "verify_809iii_infinite_b.jsonl"),
+    (_VERIFY + ["805", "--system", "catalog:identity", "--mu", "q", "--omega", "exp"],
+     "verify_805_hypothesis_not_met.jsonl"),
+    # 908 in each branch: neither equivalence, weak equivalence, equivalence
+    (_VERIFY + ["908", "--system", "catalog:disc_q", "--mu", "q", "--omega", "exp"],
+     "verify_908_not_equivalent.jsonl"),
+    (_VERIFY + ["908", "--system", "catalog:disc_q", "--mu", "q", "--omega", "q"],
+     "verify_908i.jsonl"),
+    (_VERIFY + ["908", "--system", "catalog:disc_q", "--mu", "exp",
+                "--omega", '{"kind":"power_exp","p":1,"lambda":3}'], "verify_908ii.jsonl"),
+    (["spectrum", "--system", json.dumps(
+        {"time_domain": "continuous", "dimension": 2, "structure": "full",
+         "coefficients": {"entries": [["2*abs(t)", "1"], ["0", "-1/(1+abs(t))"]]}}),
+      "--rate", "q"], "spectrum_full_continuous_q.json"),
 ])
 def test_output_matches_the_recorded_reports(capsys, tmp_path, argv, golden):
     """The reports are byte-identical to the recorded ones.  A change that
@@ -303,3 +342,42 @@ def test_bad_rate_name(capsys):
         "compare", "--relation", "faster", "--a", "catalog:nope", "--b", "q"])
     assert code == 1
     assert "rate" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["808"], "808 needs a positive bound a"),
+    (["808", "--a", "0"], "808 needs a positive bound a"),
+    (["809", "--variant", "i", "--b=-1"], "809i/809iii need a bound b >= 0"),
+    (["809", "--variant", "ii", "--a", "1"], "809ii/809iii need a bound a <= 0"),
+])
+def test_verify_808_809_rejects_bad_bounds(capsys, args, message):
+    code, out, err = _run(capsys, _VERIFY + args + ["--system", "catalog:disc_q",
+                                                     "--mu", "q", "--omega", "exp"])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--system", "catalog:frak_a"],
+     "muspec spectrum: error: the following arguments are required: --rate"),
+    # -inf reads as an option, so a negative infinite bound is written --a=-inf
+    (_DISC_Q_809 + ["--a", "-inf"], "muspec verify: error: argument --a: expected one argument"),
+    (["compare", "--relation", "faster", "--a", "q", "--b", "exp", "--format", "csv"],
+     "muspec: error: unrecognized arguments: --format csv"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    """A usage error exits 1 like every other error: 2 means inconclusive."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert captured.err.endswith(f"\n{message}\n")
+
+
+def test_format_belongs_to_spectrum(capsys):
+    for command, listed in (("spectrum", True), ("compare", False), ("verify", False)):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert ("--format" in capsys.readouterr().out) is listed

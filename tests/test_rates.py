@@ -161,7 +161,7 @@ def test_glued_descriptor_computes_missing_crossover():
                                             abs=1e-9)
 
 
-@pytest.mark.parametrize("crossover", [True, math.nan, 0.0, -1.0, "1"])
+@pytest.mark.parametrize("crossover", [True, math.nan, 0.0, -1.0, "1", math.inf, 10 ** 400])
 def test_glued_descriptor_rejects_a_bad_crossover(crossover):
     desc = {"kind": "glued", "inner": {"kind": "power_exp", "p": 3.0},
             "outer": {"kind": "polynomial"}, "crossover": crossover,
