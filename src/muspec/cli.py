@@ -88,7 +88,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = _Parser(prog="muspec")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -125,10 +126,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gp = sub.add_parser("catalog", help="list built-in rates and systems")
     gp.add_argument("--json", action="store_true", dest="as_json")
     gp.add_argument("--output")
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args: argparse.Namespace):
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    """Fill unset flags from the JSON config, whose keys are the subcommand's
+    long options without dashes ("format", "tol-stab" or "tol_stab")."""
     if not getattr(args, "config", None):
         return
     with open(args.config, encoding="utf-8") as fh:
@@ -136,9 +139,14 @@ def _apply_config(args: argparse.Namespace):
     if not isinstance(cfg, dict):
         raise ValueError("config: expected a JSON object")
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
+        action = parser._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or not hasattr(args, action.dest):
+            raise ValueError(f"config: unknown key {key!r}")
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config: {key} must be one of {', '.join(action.choices)}, "
+                             f"got {value!r}")
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
 
 
 def _build_params(args: argparse.Namespace) -> Params:
@@ -146,9 +154,8 @@ def _build_params(args: argparse.Namespace) -> Params:
     schedule = getattr(args, "schedule", None)
     if schedule:
         if isinstance(schedule, str):
-            kwargs["schedule"] = tuple(int(tok) for tok in schedule.split(",") if tok)
-        else:
-            kwargs["schedule"] = tuple(int(v) for v in schedule)
+            schedule = [int(tok) for tok in schedule.split(",") if tok]
+        kwargs["schedule"] = tuple(schedule)
     for name in ("tol_stab", "cutoff_fraction", "gamma_max", "delta_merge"):
         value = getattr(args, name, None)
         if value is not None:
@@ -206,17 +213,12 @@ def _cmd_compare(args) -> int:
         raise ValueError("compare needs --a and --b")
     a = catalog.resolve_rate(args.a, domain)
     b = catalog.resolve_rate(args.b, domain)
-    if args.relation == "faster":
-        verdict = relations.check_faster(a, b, params)
-        payload, outcome = verdict.to_dict(), verdict.outcome
-    elif args.relation == "weakly-faster":
-        verdict = relations.check_weakly_faster(a, b, params)
-        payload, outcome = verdict.to_dict(), verdict.outcome
-    elif args.relation == "almost-faster":
-        verdict = relations.check_almost(a, b, "faster", params)
-        payload, outcome = verdict.to_dict(), verdict.outcome
-    elif args.relation == "almost-slower":
-        verdict = relations.check_almost(b, a, "slower", params)
+    checks = {"faster": lambda: relations.check_faster(a, b, params),
+              "weakly-faster": lambda: relations.check_weakly_faster(a, b, params),
+              "almost-faster": lambda: relations.check_almost(a, b, "faster", params),
+              "almost-slower": lambda: relations.check_almost(b, a, "slower", params)}
+    if args.relation in checks:
+        verdict = checks[args.relation]()
         payload, outcome = verdict.to_dict(), verdict.outcome
     else:
         cls = relations.classify_pair(a, b, params)
@@ -281,21 +283,19 @@ def _cmd_catalog(args) -> int:
     if args.as_json:
         _emit(_json_block(payload), getattr(args, "output", None))
         return _EXIT_OK
-    lines = ["rates:"]
-    for name, desc in payload["rates"].items():
-        lines.append(f"  {name}: {json.dumps(_sanitize(desc))}")
-    lines.append("systems:")
-    for name, desc in payload["systems"].items():
-        lines.append(f"  {name}: {json.dumps(_sanitize(desc))}")
+    lines = []
+    for section, entries in payload.items():
+        lines.append(f"{section}:")
+        lines += [f"  {name}: {json.dumps(_sanitize(desc))}" for name, desc in entries.items()]
     _emit("\n".join(lines) + "\n", getattr(args, "output", None))
     return _EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, commands[args.command])
         if args.command == "spectrum":
             return _cmd_spectrum(args)
         if args.command == "compare":

@@ -66,7 +66,8 @@ class ScaledMatrix:
 
     @staticmethod
     def from_matrix(m: np.ndarray, extra_log: float = 0.0) -> "ScaledMatrix":
-        return _normalized(np.asarray(m, dtype=float)[None], [extra_log])[0]
+        units, logs = _normalized(np.asarray(m, dtype=float)[None], [extra_log])
+        return ScaledMatrix(units[0], logs.item())
 
     @staticmethod
     def from_diag_logs(log_abs: np.ndarray, signs: np.ndarray) -> "ScaledMatrix":
@@ -126,24 +127,21 @@ def operator_norm_bounds(m: ScaledMatrix) -> tuple[float, float]:
     return (hi, lo)
 
 
-def _normalized(mats: np.ndarray, extra_logs) -> list[ScaledMatrix]:
-    """``ScaledMatrix.from_matrix`` of every matrix of a (n, d, d) stack, with
-    the 2-norms from one stacked SVD (the largest singular value comes
-    first)."""
-    norms = np.linalg.svd(mats, compute_uv=False)[:, 0].tolist()
-    return [ScaledMatrix(np.zeros_like(m), -math.inf) if nrm == 0.0
-            else ScaledMatrix(m / nrm, extra + math.log(nrm))
-            for m, nrm, extra in zip(mats, norms, extra_logs)]
+def _normalized(mats: np.ndarray, extra_logs) -> tuple[np.ndarray, np.ndarray]:
+    """(units, logs) of a (n, d, d) stack: each m as m / ||m|| and
+    extra + log ||m||, with the 2-norms from one stacked SVD (the largest
+    singular value comes first); a zero matrix gives a zero unit and -inf."""
+    norms = np.linalg.svd(mats, compute_uv=False)[:, 0, None, None]
+    units = np.divide(mats, norms, out=np.zeros_like(mats), where=norms != 0.0)
+    logs = [-math.inf if nrm == 0.0 else extra + math.log(nrm)
+            for nrm, extra in zip(norms.ravel().tolist(), extra_logs)]
+    return units, np.array(logs)
 
 
-def log_sigma_max(mats) -> np.ndarray:
-    """log sigma_max of every scaled matrix of a sequence of full-structure
-    values, from one stacked SVD: the first entry of
-    ``operator_norm_bounds`` for each."""
-    units = np.stack([m.unit for m in mats])
-    top = np.linalg.svd(units, compute_uv=False)[:, 0].tolist()
-    return np.array([-math.inf if sv == 0.0 else m.log_norm + math.log(sv)
-                     for m, sv in zip(mats, top)])
+def log_sigma_max(units: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """log sigma_max of every matrix exp(logs[m]) * units[m] of a grid, from
+    one stacked SVD: the first entry of ``operator_norm_bounds`` for each."""
+    return _normalized(units, logs)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +517,8 @@ def propagate(system: LinearSystem, to: float, frm: float) -> ScaledMatrix:
         return ScaledMatrix.from_diag_logs(logs, np.ones(system.components))
     else:  # one RK4 integration from frm to to
         walk = np.array([frm] if frm == to else [frm, to], dtype=float)
-    factors = _unit_factors(system, walk[:-1], walk[1:]) or [ScaledMatrix.identity(system.dim)]
+    units, logs = _unit_factors(system, walk[:-1], walk[1:])
+    factors = [*map(ScaledMatrix, units, logs.tolist())] or [ScaledMatrix.identity(system.dim)]
     return functools.reduce(lambda acc, factor: factor.compose(acc), factors)
 
 
@@ -640,60 +639,67 @@ def component_log_grid(obj, window: int) -> tuple[np.ndarray, np.ndarray]:
     return times, logs
 
 
-def scaled_grids(obj, window: int) -> tuple[np.ndarray, list, list]:
+def scaled_grids(obj, window: int) -> tuple[np.ndarray, tuple, tuple]:
     """Integer-time grids of scaled propagators for full systems.
 
-    Returns (times, forward, backward) with forward[m] = Phi(t_m, 0) and
-    backward[m] = Phi(0, t_m).  Both are accumulated one unit-step factor at
-    a time (each factor inverted at the coefficient level), never by
-    inverting a long product, so the dominant singular direction of each
-    grid entry stays reliable on windows whose propagators are
-    astronomically ill-conditioned.
+    Returns (times, (fwd_units, fwd_logs), (bwd_units, bwd_logs)) with
+    Phi(t_m, 0) = exp(fwd_logs[m]) * fwd_units[m] and Phi(0, t_m) likewise.
+    Both are accumulated one unit-step factor at a time (each factor
+    inverted at the coefficient level), never by inverting a long product,
+    so the dominant singular direction of each grid entry stays reliable on
+    windows whose propagators are astronomically ill-conditioned.
 
     All 4 * window factors, Phi(t_m +- 1, t_m) and their backward twins, are
-    built in one batch (``_unit_factors``); each equals, bitwise, the
-    single-step ``propagate`` value, so only the composition runs factor by
-    factor.
+    built in one batch (``_unit_factors``).  The four walks out from 0 depend
+    only on their own last entries, so they advance in lockstep, one stacked
+    product and one stacked SVD per step, bitwise equal to composing factor
+    by factor with ``ScaledMatrix.compose``.
     """
     if isinstance(obj, WeightedSystem):
-        times, fwd, bwd = scaled_grids(obj.base, window)
+        times, (fu, fl), (bu, bl) = scaled_grids(obj.base, window)
         mu = rates.log_rate_values(obj.rate, times)
-        fwd = [m.shifted(-obj.gamma * float(mu[i])) for i, m in enumerate(fwd)]
-        bwd = [m.shifted(obj.gamma * float(mu[i])) for i, m in enumerate(bwd)]
-        return times, fwd, bwd
+        return times, (fu, fl + -obj.gamma * mu), (bu, bl + obj.gamma * mu)
     system: LinearSystem = obj
     if system.structure != FULL:
         raise EvolutionError("scalar and diagonal systems use the component log grid")
     times = np.arange(-window, window + 1, dtype=float)
-    center = window
+    d = system.dim
     # walk outward from 0, first ahead and then behind; each move m -> n
-    # takes the factor Phi(t_n, t_m) and its backward twin Phi(t_m, t_n)
-    moves = ([(m, m + 1) for m in range(center, len(times) - 1)]
-             + [(m, m - 1) for m in range(center, 0, -1)])
-    frm = np.array([times[i] for m, n in moves for i in (m, n)])
-    to = np.array([times[i] for m, n in moves for i in (n, m)])
-    factors = iter(_unit_factors(system, frm, to))
-    fwd: list = [None] * len(times)
-    bwd: list = [None] * len(times)
-    fwd[center] = ScaledMatrix.identity(system.dim)
-    bwd[center] = ScaledMatrix.identity(system.dim)
-    for m, n in moves:
-        fwd[n] = next(factors).compose(fwd[m])
-        bwd[n] = bwd[m].compose(next(factors))
-    return times, fwd, bwd
+    # takes the factor Phi(t_n, t_m) and its backward twin Phi(t_m, t_n),
+    # in the order whose first error the walk meets first
+    at = np.concatenate([times[window:-1], times[window:0:-1]])
+    nxt = at + np.repeat([1.0, -1.0], window)
+    units, logs = _unit_factors(system, np.column_stack([at, nxt]).ravel(),
+                                np.column_stack([nxt, at]).ravel())
+    # step s: the factors ahead and behind, then their twins
+    units = units.reshape(2, window, 2, d, d).transpose(1, 2, 0, 3, 4).reshape(window, 4, d, d)
+    logs = logs.reshape(2, window, 2).transpose(1, 2, 0).reshape(window, 4)
+    # walked[s]: the four walks s steps out, forward ahead and behind
+    # (factor @ walk) then backward ahead and behind (walk @ twin); each
+    # log adds its own factor's, as addition commutes bitwise
+    walked, walked_logs = np.tile(np.eye(d), (window + 1, 4, 1, 1)), np.zeros((window + 1, 4))
+    for s in range(window):
+        last = walked[s]
+        product = (np.concatenate([units[s, :2], last[2:]])
+                   @ np.concatenate([last[:2], units[s, 2:]]))
+        walked[s + 1], walked_logs[s + 1] = _normalized(product, logs[s] + walked_logs[s])
+    # in time order: walk k + 1 behind, reversed, then walk k ahead from 0
+    return times, *((np.concatenate([walked[:0:-1, k + 1], walked[:, k]]),
+                     np.concatenate([walked_logs[:0:-1, k + 1], walked_logs[:, k]]))
+                    for k in (0, 2))
 
 
-def _unit_factors(system: LinearSystem, frm: np.ndarray, to: np.ndarray) -> list[ScaledMatrix]:
-    """Phi(to[l], frm[l]) of a full system for steps of one length (unit
-    steps in discrete time), built together: stacked RK4 lanes in continuous
-    time; in discrete time one stack of step matrices A(min(frm, to)),
-    multiplied by the identity going forward and solved against it going
-    backward."""
+def _unit_factors(system: LinearSystem, frm: np.ndarray,
+                  to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(units, logs) of Phi(to[l], frm[l]) of a full system for steps of one
+    length (unit steps in discrete time), built together: stacked RK4 lanes
+    in continuous time; in discrete time one stack of step matrices
+    A(min(frm, to)), multiplied by the identity going forward and solved
+    against it going backward."""
     if not len(frm):
-        return []
+        return np.empty((0, system.dim, system.dim)), np.empty(0)
     if system.time_domain == CONTINUOUS:
-        units, logs = _rk4_factors(system, frm, to)
-        return [ScaledMatrix(u, g) for u, g in zip(units, logs.tolist())]
+        return _rk4_factors(system, frm, to)
     mats = _step_matrices(system, np.rint(np.minimum(frm, to)).astype(int).tolist())
     eye = np.eye(system.dim)
     ahead = to > frm

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
@@ -58,6 +59,9 @@ class Params:
             raise ValueError("delta_merge must be positive")
         if self.schedule is not None:
             sched = tuple(self.schedule)
+            for w in sched:
+                if isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1:
+                    raise ValueError(f"schedule windows must be positive integers, got {w!r}")
             if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
                 raise ValueError("schedule must be non-empty and strictly increasing")
             object.__setattr__(self, "schedule", sched)

@@ -453,8 +453,7 @@ def _grid(system, rate, window: int):
     """
     if _base(system, rate).structure == FULL:
         times, fwd, bwd = evolution.scaled_grids(system, window)
-        log_fwd = evolution.log_sigma_max(fwd)
-        log_bwd = evolution.log_sigma_max(bwd)
+        log_fwd, log_bwd = evolution.log_sigma_max(*fwd), evolution.log_sigma_max(*bwd)
         heads, tails = np.stack([log_fwd, -log_bwd]), np.stack([log_bwd, -log_fwd])
     else:
         times, logs = evolution.component_log_grid(system, window)

@@ -41,7 +41,7 @@ def _sgn(x: float) -> float:
 
 
 def catalog_fixtures() -> list[Fixture]:
-    def abs2t_cf(_c, t, s):
+    def signed_square_cf(_c, t, s):  # abs2t and disc_q
         return _sgn(t) * t * t - _sgn(s) * s * s
 
     def inv1pt_cf(_c, t, s):
@@ -53,14 +53,11 @@ def catalog_fixtures() -> list[Fixture]:
     def frak_a_cf(_c, k, n):
         return -(k ** 3 - n ** 3)
 
-    def disc_q_cf(_c, k, n):
-        return _sgn(k) * k * k - _sgn(n) * n * n
-
     def identity_cf(_c, k, n):
         return 0.0
 
     return [
-        Fixture("abs2t", catalog.system("abs2t"), abs2t_cf,
+        Fixture("abs2t", catalog.system("abs2t"), signed_square_cf,
                 {"p": ((INF, INF),), "exp": ((INF, INF),),
                  "q": ((1.0, 1.0),), "c": ((0.0, 0.0),)}),
         Fixture("inv1pt", catalog.system("inv1pt"), inv1pt_cf,
@@ -71,7 +68,7 @@ def catalog_fixtures() -> list[Fixture]:
         Fixture("frak_a", catalog.system("frak_a"), frak_a_cf,
                 {"p": ((-INF, -INF),), "exp": ((-INF, -INF),),
                  "q": ((-INF, -INF),), "c": ((-1.0, -1.0),)}),
-        Fixture("disc_q", catalog.system("disc_q"), disc_q_cf,
+        Fixture("disc_q", catalog.system("disc_q"), signed_square_cf,
                 {"p": ((INF, INF),), "exp": ((INF, INF),),
                  "q": ((1.0, 1.0),), "c": ((0.0, 0.0),)}),
         Fixture("identity", catalog.system("identity"), identity_cf,
@@ -201,12 +198,8 @@ def verify_805(system, mu, omega, params: Params = DEFAULT, fixture: str = "?",
         _hyp("mu_faster_than_omega", h1.outcome),
         _hyp("system_has_mu_dichotomy", {True: HOLDS, False: FAILS}.get(dich.holds, INCONCLUSIVE)),
     ]
-
-    def conclude():
-        rep = _spec(cache, fixture, system, omega, params)
-        return _infinite_set_check(rep)
-
-    return _assemble("805", fixture, names, hyps, conclude)
+    return _assemble("805", fixture, names, hyps,
+                     lambda: _infinite_set_check(_spec(cache, fixture, system, omega, params)))
 
 
 def verify_806(system, omega, mu, params: Params = DEFAULT, fixture: str = "?",
@@ -221,12 +214,8 @@ def verify_806(system, omega, mu, params: Params = DEFAULT, fixture: str = "?",
         _hyp("system_has_omega_growth", growth.status),
         _hyp("mu_faster_than_omega", h2.outcome),
     ]
-
-    def conclude():
-        rep = _spec(cache, fixture, system, mu, params)
-        return _point_check(rep, 0.0, params.tol_stab)
-
-    return _assemble("806", fixture, names, hyps, conclude)
+    return _assemble("806", fixture, names, hyps, lambda: _point_check(
+        _spec(cache, fixture, system, mu, params), 0.0, params.tol_stab))
 
 
 def verify_808_809(system, mu, omega, a: float | None = None, b: float | None = None,

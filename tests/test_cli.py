@@ -175,6 +175,50 @@ def test_config_file_merging(capsys, tmp_path):
     assert payload["params"]["tol_stab"] == 0.05
 
 
+@pytest.mark.parametrize("key", ["tol-stab", "tol_stab"])
+def test_config_keys_are_long_options(capsys, tmp_path, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "csv", key: 0.05, "schedule": [25, 50]}),
+                      encoding="utf-8")
+    argv = ["spectrum", "--system", "catalog:disc_q", "--rate", "q", "--schedule", "25,50",
+            "--tol-stab", "0.05", "--format", "csv"]
+    code, want, _ = _run(capsys, argv)
+    assert code == 0 and want.startswith("window,component,")
+    assert _run(capsys, argv[:5] + ["--config", str(config)]) == (0, want, "")
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"format": "csv", "tol-stabb": 5}, "config: unknown key 'tol-stabb'"),
+    # a dest is not an option
+    ({"fmt": "csv"}, "config: unknown key 'fmt'"),
+    ({"cutoff_fraction": 0.4}, "config: unknown key 'cutoff_fraction'"),
+    ({"help": True}, "config: unknown key 'help'"),
+    ({"format": "xml"}, "config: format must be one of json, csv, table, got 'xml'"),
+])
+def test_config_rejects_unknown_keys_and_choices(capsys, tmp_path, cfg, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = _run(capsys, ["spectrum", "--system", "catalog:disc_q", "--rate", "q",
+                                   "--config", str(config)])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("args, bad", [
+    (["--schedule=-3,2"], "-3"),
+    (["--schedule=0"], "0"),
+    (["--schedule", "5,0"], "0"),
+    (["--config", "{cfg}"], "0.5"),
+])
+def test_schedule_windows_must_be_positive_integers(capsys, tmp_path, args, bad):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schedule": [0.5, 2]}), encoding="utf-8")
+    args = [a.format(cfg=config) for a in args]
+    code, out, err = _run(capsys, ["spectrum", "--system", "catalog:disc_q", "--rate", "q",
+                                   *args])
+    assert (code, out, err) == (
+        1, "", f"error: schedule windows must be positive integers, got {bad}\n")
+
+
 def test_descriptor_validation_error(capsys):
     code, out, err = _run(capsys, [
         "spectrum", "--system", '{"time_domain":"discrete","dimension":"x","structure":"scalar","coefficients":{"diagonal":["1"]}}',
@@ -326,11 +370,17 @@ _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--om
         {"time_domain": "continuous", "dimension": 2, "structure": "full",
          "coefficients": {"entries": [["2*abs(t)", "1"], ["0", "-1/(1+abs(t))"]]}}),
       "--rate", "q"], "spectrum_full_continuous_q.json"),
+    # a seeded upper-triangular table, read relative to tests/data
+    (["spectrum", "--system", json.dumps(
+        {"time_domain": "discrete", "dimension": 2, "structure": "full",
+         "coefficients": {"table": "table_full_exp.csv"}}),
+      "--rate", "exp", "--schedule", "25,50,100"], "spectrum_full_table_exp.json"),
 ])
-def test_output_matches_the_recorded_reports(capsys, tmp_path, argv, golden):
+def test_output_matches_the_recorded_reports(capsys, monkeypatch, tmp_path, argv, golden):
     """The reports are byte-identical to the recorded ones.  A change that
-    moves a digit regenerates the file (same command with --output) and
-    says which digit moved and why."""
+    moves a digit regenerates the file (same command with --output, run in
+    tests/data) and says which digit moved and why."""
+    monkeypatch.chdir(DATA)
     out = tmp_path / golden
     assert main(argv + ["--output", str(out)]) == 0
     capsys.readouterr()

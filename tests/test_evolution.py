@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from muspec import catalog, evolution, exprparse, rates
 from muspec.params import CONTINUOUS, DISCRETE
@@ -348,11 +349,12 @@ def test_scaled_grids_are_mutually_inverse():
     rot = _rotation(0.6)
     a = rot @ np.diag([math.e, math.exp(-1.0)]) @ rot.T
     system = evolution.tabulated_system(-30, np.tile(a, (61, 1, 1)))
-    times, fwd, bwd = evolution.scaled_grids(system, 10)
+    times, (fwd, fwd_logs), (bwd, bwd_logs) = evolution.scaled_grids(system, 10)
     # reconstruction error scales with the propagator condition number, so a
     # window of 10 with an exponent spread of 2 sits near 1e-7
     for m in range(len(times)):
-        prod = fwd[m].compose(bwd[m])
+        prod = evolution.ScaledMatrix(fwd[m], fwd_logs[m]).compose(
+            evolution.ScaledMatrix(bwd[m], bwd_logs[m]))
         assert prod.definitely_close(evolution.ScaledMatrix.identity(2), 1e-6)
 
 
@@ -401,6 +403,25 @@ def _plain_scaled_grids(system, window):
     return times, fwd, bwd
 
 
+def _assert_grids_equal(obj, window):
+    """scaled_grids(obj, window) is bitwise the plain walk's grid, every unit
+    and log entry, forward and backward; a weighted system shifts the logs
+    by -+gamma * log mu."""
+    base = obj.base if isinstance(obj, evolution.WeightedSystem) else obj
+    times, *got = evolution.scaled_grids(obj, window)
+    want_times, *want = _plain_scaled_grids(base, window)
+    assert np.array_equal(times, want_times)
+    if isinstance(obj, evolution.WeightedSystem):
+        mu = rates.log_rate_values(obj.rate, times)
+        want = [[m.shifted(sign * obj.gamma * float(v)) for m, v in zip(grid, mu)]
+                for sign, grid in zip((-1.0, 1.0), want)]
+    for (units, logs), plain in zip(got, want):
+        assert units.shape == (len(times), base.dim, base.dim) and logs.shape == (len(times),)
+        for u, g, m in zip(units, logs.tolist(), plain):
+            assert np.array_equal(u, m.unit)
+            assert g == m.log_norm
+
+
 def test_scaled_grids_match_composed_single_steps():
     cont = evolution.full_system(CONTINUOUS, [["2*abs(t)", "1"], ["0", "-1/(1+abs(t))"]])
     rng = np.random.default_rng(11)
@@ -409,20 +430,38 @@ def test_scaled_grids_match_composed_single_steps():
     weighted = evolution.WeightedSystem(cont, q, 0.7)
     for obj, window in ((cont, 6), (weighted, 4), (table, 15)):
         base = obj.base if isinstance(obj, evolution.WeightedSystem) else obj
-        times, fwd, bwd = evolution.scaled_grids(obj, window)
-        _, want_fwd, want_bwd = _plain_scaled_grids(base, window)
-        if obj is weighted:
-            mu = rates.log_rate_values(q, times)
-            want_fwd = [m.shifted(-0.7 * float(v)) for m, v in zip(want_fwd, mu)]
-            want_bwd = [m.shifted(0.7 * float(v)) for m, v in zip(want_bwd, mu)]
-        for got, want in zip(fwd + bwd, want_fwd + want_bwd):
-            assert np.array_equal(got.unit, want.unit)
-            assert got.log_norm == want.log_norm
+        _assert_grids_equal(obj, window)
         for t in (-2.0, 0.0, 3.0):
             for to, frm in ((t + 1, t), (t, t + 1)):
                 got, want = evolution.propagate(base, to, frm), _plain_unit_step(base, to, frm)
                 assert np.array_equal(got.unit, want.unit)
                 assert got.log_norm == want.log_norm
+
+
+@given(st.sampled_from([1, 2, 3]), st.integers(0, 12), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 2.0]), st.lists(st.integers(0, 23), max_size=2),
+       st.none() | st.tuples(st.sampled_from(["p", "exp", "q", "c"]), st.floats(-3.0, 3.0)))
+@settings(max_examples=150, deadline=None)
+def test_lockstep_grids_equal_the_plain_walk(d, window, seed, shift, zeroed, weight):
+    """On seeded tables (window 0 has no factors), plain or weighted, the
+    lockstep walk is bitwise the one-factor-at-a-time grid.  Zeroed rows make
+    singular steps, and the first one the walk meets is the one reported:
+    the steps ahead from 0, then the steps behind."""
+    rng = np.random.default_rng(seed)
+    mats = rng.uniform(-1.0, 1.0, (max(2 * window, 1), d, d)) + shift * np.eye(d)
+    zeroed = [i for i in zeroed if i < 2 * window]
+    mats[zeroed] = 0.0
+    obj = evolution.tabulated_system(-window, mats)
+    if weight is not None:
+        obj = evolution.WeightedSystem(obj, catalog.rate(weight[0], DISCRETE), weight[1])
+    singular = [k for k in [*range(window), *range(-1, -window - 1, -1)]
+                if k + window in zeroed]
+    if not singular:
+        _assert_grids_equal(obj, window)
+        return
+    with pytest.raises(evolution.EvolutionError) as info:
+        evolution.scaled_grids(obj, window)
+    assert str(info.value) == f"coefficient matrix is singular at time {singular[0]}"
 
 
 def test_scaled_grids_raise_the_first_stepwise_error():
@@ -523,3 +562,11 @@ def test_system_descriptor_round_trip():
         evolution.system_from_descriptor({**desc, "dimension": "two"})
     with pytest.raises(evolution.EvolutionError, match="system.coefficients.diagonal"):
         evolution.system_from_descriptor({**desc, "coefficients": {"diagonal": ["t"]}})
+
+
+def test_zero_matrix_scales_to_minus_infinity():
+    zero = evolution.ScaledMatrix.from_matrix(np.zeros((2, 2)), 3.0)
+    assert np.array_equal(zero.unit, np.zeros((2, 2))) and zero.log_norm == -math.inf
+    units = np.stack([np.zeros((2, 2)), 2.0 * np.eye(2)])
+    got = evolution.log_sigma_max(units, np.array([1.0, 1.0]))
+    assert got.tolist() == [-math.inf, 1.0 + math.log(2.0)]

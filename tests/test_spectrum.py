@@ -263,7 +263,7 @@ def test_series_on_one_rate_grid_share_a_pair_scan(monkeypatch):
     est = spectrum.compute_spectrum(full, EXP, params).component_estimates[0]
     assert len(calls) == 4
     times, fwd, bwd = evolution.scaled_grids(full, 55)
-    log_fwd, log_bwd = evolution.log_sigma_max(fwd), evolution.log_sigma_max(bwd)
+    log_fwd, log_bwd = evolution.log_sigma_max(*fwd), evolution.log_sigma_max(*bwd)
     r_full = rates.log_rate_grid(EXP, 55)
     for window, lo, hi in est.per_window:
         sl = spectrum._window_slice(times, int(window))
