@@ -146,7 +146,33 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
             raise ValueError(f"config: {key} must be one of {', '.join(action.choices)}, "
                              f"got {value!r}")
         if getattr(args, action.dest) is None:
-            setattr(args, action.dest, value)
+            setattr(args, action.dest, _config_value(key, value, action))
+
+
+# flags naming a system or a rate, which take a descriptor object as well
+_DESCRIPTOR_DESTS = frozenset({"system", "rate", "mu", "omega", "a", "b"})
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """A config value as its flag takes it: a JSON number for a float flag,
+    a list of windows or a comma-separated string for --schedule, a string
+    or a descriptor object for a system or rate, and a string otherwise."""
+    if action.type is float:
+        accepted, kind = (int, float), "a number"
+    elif action.dest == "schedule":
+        accepted, kind = (str, list), "a list of windows or a comma-separated string"
+    elif action.dest in _DESCRIPTOR_DESTS:
+        accepted, kind = (str, dict), "a string or a descriptor object"
+    else:
+        accepted, kind = (str,), "a string"
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"config: {key} must be {kind}, got {value!r}")
+    if action.type is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"config: {key} is out of range") from None
 
 
 def _build_params(args: argparse.Namespace) -> Params:

@@ -380,7 +380,7 @@ def _diag_values(system: LinearSystem, ts) -> np.ndarray:
 # Quadrature and integration
 
 
-_SIMPSON_BLOCK = 1 << 11  # quadrature nodes one array evaluation holds
+_SIMPSON_BLOCK = 1 << 13  # quadrature nodes one array evaluation holds
 
 
 def _simpson_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -610,12 +610,21 @@ def component_log_grid(obj, window: int) -> tuple[np.ndarray, np.ndarray]:
     bitwise what walking out one unit step at a time gives.  A step or
     running sum that leaves double range raises an EvolutionError naming
     the first one in walk order, by time and component.
+
+    The grid of a plain system depends only on (system, window), so it is
+    built once and cached, read-only, as ``rates.log_rate_grid`` is; a
+    weighted system shifts its base system's cached grid.
     """
     if isinstance(obj, WeightedSystem):
-        times, logs = component_log_grid(obj.base, window)
+        times, logs = _system_log_grid(obj.base, window)
         mu = rates.log_rate_values(obj.rate, times)
         return times, logs - obj.gamma * mu[None, :]
-    system: LinearSystem = obj
+    return _system_log_grid(obj, window)
+
+
+@functools.lru_cache(maxsize=64)
+def _system_log_grid(system: LinearSystem, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """``component_log_grid`` of a plain system, read-only."""
     if system.structure == FULL:
         raise EvolutionError("full systems use the scaled-matrix grid")
     times = np.arange(-window, window + 1, dtype=float)
@@ -636,6 +645,8 @@ def component_log_grid(obj, window: int) -> tuple[np.ndarray, np.ndarray]:
     logs = np.empty((system.components, len(times)))
     logs[:, center:] = ahead.T
     logs[:, center::-1] = behind.T
+    times.flags.writeable = False
+    logs.flags.writeable = False
     return times, logs
 
 

@@ -26,7 +26,6 @@ first in point, expression and node order.  The per-point entry points
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -315,12 +314,15 @@ def evaluate_array(exprs: Sequence[Expr], env: Mapping[str, np.ndarray]) -> np.n
     """Evaluate expressions at every point of equal-length variable arrays.
 
     Returns shape (points, len(exprs)); row m holds the values of ``exprs``
-    with each name bound to element m of its array.  exp, log and "^" apply
-    ``math.exp``, ``math.log`` and ``**`` element by element, the rest runs
-    as numpy operations.  When points fail, the DomainError is the first in
-    point, expression and node order: at the earliest failing point, from
-    the first failing expression, at its first failing node in evaluation
-    order (arguments left to right, then the node).
+    with each name bound to element m of its array.  Every node runs as
+    numpy array operations except exp and log, which apply ``math.exp`` and
+    ``math.log`` one point at a time (``_map_checked``: numpy's SIMD exp
+    and log round differently); "^" is one ``np.float_power`` call, which
+    gives the floats of Python's ``**`` (``_power``).  When points fail,
+    the DomainError is the first in point, expression and node order: at
+    the earliest failing point, from the first failing expression, at its
+    first failing node in evaluation order (arguments left to right, then
+    the node).
     """
     return np.stack(_columns(exprs, env, _evaluate_masked), axis=1)
 
@@ -408,7 +410,7 @@ def _evaluate_masked(expr: Expr, env: Mapping[str, np.ndarray], failures: _Failu
             integral = np.isfinite(b) & (b == np.floor(b))
             failures.flag((a < 0.0) & ~integral, "fractional power of a negative base", expr)
             failures.flag((a == 0.0) & (b < 0.0), "zero raised to a negative power", expr)
-            return _map_checked(operator.pow, failures, expr, failures.spared(a), b)
+            return _power(failures, expr, failures.spared(a), b)
         message = f"unknown operator {op!r}"
     elif isinstance(expr, Call):
         vals = [_evaluate_masked(a, env, failures, size) for a in expr.args]
@@ -436,19 +438,42 @@ def _evaluate_masked(expr: Expr, env: Mapping[str, np.ndarray], failures: _Failu
     return np.zeros(size)
 
 
-def _map_checked(fn, failures: _Failures, node: Expr, *arrays: np.ndarray) -> np.ndarray:
-    """``fn`` on Python floats, element by element; elements where it
-    overflows are flagged as an overflow of ``node``."""
-    columns = [a.tolist() for a in arrays]
+def _power(failures: _Failures, node: Expr, base: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """``base ** exponent`` as Python floats give it, in one ufunc call:
+    numpy's float64 ``float_power`` loop calls libm's ``pow`` as CPython's
+    float power does (``np.power`` runs numpy's own SIMD kernel instead).
+    ``**`` raises OverflowError exactly where ``pow`` returns +-inf from
+    finite operands, flagged as an overflow of ``node``.  Where ``pow``
+    gives NaN, ``**``'s answer is put back (libm may clear a NaN's sign or
+    quiet a signaling one).  The caller flags and spares negative bases
+    under fractional exponents and zero under negative ones."""
+    out = np.float_power(base, exponent)
+    failures.flag(np.isinf(out) & np.isfinite(base) & np.isfinite(exponent), "overflow", node)
+    nan = np.isnan(out)
+    if nan.any():  # 1 under a zero exponent, a NaN base, 1 on base 1, a NaN exponent
+        python = np.where(exponent == 0.0, 1.0,
+                          np.where(np.isnan(base), base, np.where(base == 1.0, 1.0, exponent)))
+        out = np.where(nan, python, out)
+    return out
+
+
+def _map_checked(fn, failures: _Failures, node: Expr, values: np.ndarray) -> np.ndarray:
+    """``fn`` on Python floats, one point at a time; points where it
+    overflows are flagged as an overflow of ``node``.  exp and log take this
+    path because numpy's ``np.exp`` and ``np.log`` run SIMD kernels whose
+    results differ from ``math.exp`` and ``math.log`` in the last bit on
+    some inputs (about one in twenty for exp), and the evaluator gives
+    ``math``'s floats."""
+    column = values.tolist()
     try:
-        return np.array(list(map(fn, *columns)), dtype=float)
+        return np.array(list(map(fn, column)), dtype=float)
     except OverflowError:
         pass
-    out = np.empty(len(columns[0]))
+    out = np.empty(len(column))
     overflow = np.zeros(len(out), dtype=bool)
-    for i, args in enumerate(zip(*columns)):
+    for i, x in enumerate(column):
         try:
-            out[i] = fn(*args)
+            out[i] = fn(x)
         except OverflowError:
             overflow[i] = True
             out[i] = math.nan

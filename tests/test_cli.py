@@ -203,6 +203,41 @@ def test_config_rejects_unknown_keys_and_choices(capsys, tmp_path, cfg, message)
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+_SPECTRUM_DISC_Q = ["spectrum", "--system", "catalog:disc_q", "--rate", "q"]
+_VERIFY_808 = ["verify", "--theorem", "808", "--system", "catalog:disc_q", "--mu", "q",
+               "--omega", "exp"]
+_COMPARE_Q = ["compare", "--relation", "faster", "--b", "q"]
+
+
+@pytest.mark.parametrize("argv, cfg, message", [
+    (_SPECTRUM_DISC_Q, {"schedule": 25},
+     "config: schedule must be a list of windows or a comma-separated string, got 25"),
+    (_VERIFY_808, {"a": "1"}, "config: a must be a number, got '1'"),
+    (_VERIFY_808, {"a": True}, "config: a must be a number, got True"),
+    (_VERIFY_808, {"a": 10 ** 400}, "config: a is out of range"),
+    (_SPECTRUM_DISC_Q, {"tol-stab": [0.05]}, "config: tol-stab must be a number, got [0.05]"),
+    (_SPECTRUM_DISC_Q, {"output": True}, "config: output must be a string, got True"),
+    (_COMPARE_Q, {"a": 5}, "config: a must be a string or a descriptor object, got 5"),
+])
+def test_config_values_must_have_their_flags_type(capsys, tmp_path, argv, cfg, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    code, out, err = _run(capsys, argv + ["--config", str(config)])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, cfg, flags", [
+    (_VERIFY_808, {"a": 1}, ["--a", "1"]),
+    (_SPECTRUM_DISC_Q, {"schedule": [25, 50]}, ["--schedule", "25,50"]),
+    (_COMPARE_Q, {"a": {"kind": "power_exp", "p": 3}}, ["--a", "c"]),
+])
+def test_config_values_match_their_flags(capsys, tmp_path, argv, cfg, flags):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    code, want, _ = _run(capsys, argv + flags)
+    assert _run(capsys, argv + ["--config", str(config)]) == (code, want, "")
+
+
 @pytest.mark.parametrize("args, bad", [
     (["--schedule=-3,2"], "-3"),
     (["--schedule=0"], "0"),

@@ -245,6 +245,35 @@ def test_component_log_grids_match_plain_unit_steps():
         assert got.tobytes() == (total if to > frm else -total).tobytes()
 
 
+@pytest.mark.parametrize("window", [40, 400])
+def test_simpson_integrals_do_not_depend_on_the_block(monkeypatch, window):
+    three = evolution.diagonal_system(CONTINUOUS, ["2*abs(t)", "-1/(1+abs(t))", "t^3/5"])
+    left = np.arange(-window, window, dtype=float)
+    for system in (catalog.system("sq3t2"), three):
+        got = set()
+        for block in (1, 101, 1 << 11, 1 << 13):
+            monkeypatch.setattr(evolution, "_SIMPSON_BLOCK", block)
+            got.add(evolution._simpson_integrals(system, left, left + 1.0).tobytes())
+        assert len(got) == 1, system
+
+
+def test_component_log_grid_is_built_once_per_system_and_window():
+    three = evolution.diagonal_system(CONTINUOUS, ["2*abs(t)", "-1/(1+abs(t))", "t"])
+    times, logs = evolution.component_log_grid(three, 20)
+    assert not times.flags.writeable and not logs.flags.writeable
+    built = evolution._system_log_grid.cache_info().misses
+    again = evolution.component_log_grid(three, 20)
+    assert again[0] is times and again[1] is logs
+    # a weighted system shifts its base system's grid
+    weighted = evolution.WeightedSystem(three, catalog.rate("q", CONTINUOUS), 0.5)
+    w_times, w_logs = evolution.component_log_grid(weighted, 20)
+    assert evolution._system_log_grid.cache_info().misses == built
+    assert w_times is times
+    want = logs - 0.5 * rates.log_rate_values(weighted.rate, times)[None, :]
+    assert w_logs.tobytes() == want.tobytes()
+    assert evolution.component_log_grid(three, 10)[1].shape == (3, 21)
+
+
 def test_component_log_grid_raises_the_first_stepwise_error():
     c_cases = {
         "1/(t-3.5)": "division by zero in '1/(t-3.5)' at input "

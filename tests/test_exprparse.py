@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -317,6 +318,101 @@ def test_array_evaluation_raises_at_first_failing_point():
     assert err.value.value == -1.0
     _assert_matches_scalar([ep.parse("exp(t)")], np.array([1.0, 800.0, -800.0]))
     _assert_matches_scalar([ep.parse("t^400")], np.array([1.0, 10.0, -10.0]))
+
+
+_INF = math.inf
+
+
+@pytest.mark.parametrize("source, xs", [
+    # inf - inf is a NaN whose sign bit is set on most hardware, and its
+    # negation the other one: ** returns a NaN base as given, libm's pow
+    # may not
+    ("(t-t)^1", [_INF]), ("(t-t)^3", [_INF]), ("(-(t-t))^3", [_INF]), ("(t-t)^0", [_INF]),
+    ("1^(t-t)", [_INF]), ("2^(t-t)", [_INF]), ("(t-t)^(t-t)", [_INF]),
+    ("t^3", [0.0, -0.0, _INF, -_INF]), ("t^2", [0.0, -0.0, _INF, -_INF]),
+    ("t^0.5", [0.0, -0.0, _INF]), ("t^0", [0.0, -0.0, _INF, -_INF]),
+    ("t^-3", [_INF, -_INF]), ("t^-2", [_INF, -_INF]), ("t^-0.5", [_INF]),
+    ("t^-3", [0.0]), ("t^-3", [-0.0]), ("t^0.5", [-_INF]), ("t^(1e308*10)", [-2.0]),
+    ("t^3", [-2.5, -1.0, -1e-3, -7.25]), ("t^2", [-2.5, -1.0, -1e-3, -7.25]),
+    ("t^-3", [-2.5, -1.0, -1e-3]), ("t^-4", [-2.5, -1.0, -1e-3]),
+    ("t^1e300", [-1.0, 1.0, 0.5, -0.5]), ("t^-1e300", [-1.0, 2.0]),
+    ("t^400", [1.0, 2.0, 10.0, -10.0]), ("t^301", [2.0, -10.0, 10.0]),
+    ("t^-400", [0.5, 1e-3, 1e-4]), ("2^t", [1.0, 1023.0, 1024.0, 2000.0]),
+    ("t^0.5", [5e-324, 2.0 ** -1074 * 3]), ("t^2", [5e-324, 1e-160, 1e-200]),
+])
+def test_power_matches_python_on_special_operands(source, xs):
+    _assert_matches_scalar([ep.parse(source)], np.array(xs))
+
+
+def _power_operands(rng: random.Random, count: int) -> tuple[list, list]:
+    """(base, exponent) pairs mixing ordinary magnitudes of both signs,
+    integral exponents, every double's bit pattern (NaNs of both signs,
+    signaling ones, subnormals, infinities) and hand-picked specials."""
+    specials = [0.0, -0.0, _INF, -_INF, math.nan, -math.nan, 1.0, -1.0, 5e-324, -5e-324,
+                2.2250738585072014e-308, struct.unpack("d", struct.pack("Q", 0x7FF0000000000001))[0]]
+
+    def any_double():
+        return struct.unpack("d", struct.pack("Q", rng.getrandbits(64)))[0]
+
+    def base():
+        r = rng.random()
+        if r < 0.1:
+            return rng.choice(specials)
+        if r < 0.3:
+            return any_double()
+        return rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 50.0) * 10.0 ** rng.uniform(-5, 5)
+
+    def exponent():
+        r = rng.random()
+        if r < 0.4:
+            return float(rng.randint(-400, 400))
+        if r < 0.5:
+            return rng.choice(specials + [0.5, -0.5, 1e300, -1e300, 2.0 ** 53 + 2])
+        if r < 0.6:
+            return any_double()
+        return rng.uniform(-400.0, 400.0)
+
+    pairs = [(base(), exponent()) for _ in range(count)]
+    return [b for b, _ in pairs], [e for _, e in pairs]
+
+
+def _python_power(x: float, y: float):
+    """x ** y, or the kind of DomainError the evaluator raises for it."""
+    if x < 0.0 and not _ref_is_integral(y):
+        return "fractional power of a negative base"
+    if x == 0.0 and y < 0.0:
+        return "zero raised to a negative power"
+    try:
+        return x ** y
+    except OverflowError:
+        return "overflow"
+
+
+def test_power_matches_python_bitwise_in_bulk():
+    xs, ys = _power_operands(random.Random(20261018), 100_000)
+    want = [_python_power(x, y) for x, y in zip(xs, ys)]
+    failed = [isinstance(w, str) for w in want]
+    assert 1000 < sum(w == "overflow" for w in want) < sum(failed) < 90_000
+    power = ep.parse("x^y", ("x", "y"))
+
+    def check_first_error(keep):
+        """Evaluated on the pairs ``keep`` selects, the error names the first
+        failing one, by kind and by the bits of its operands."""
+        bs = [x for x, k in zip(xs, keep) if k]
+        es = [y for y, k in zip(ys, keep) if k]
+        kinds = [w for w, k in zip(want, keep) if k]
+        with pytest.raises(ep.DomainError) as err:
+            ep.evaluate_array([power], {"x": np.array(bs), "y": np.array(es)})
+        m = next(i for i, w in enumerate(kinds) if isinstance(w, str))
+        assert str(err.value).startswith(kinds[m] + " in 'x^y' at input ")
+        got = np.array([err.value.value["x"], err.value.value["y"]])
+        assert got.tobytes() == np.array([bs[m], es[m]]).tobytes()
+
+    check_first_error([True] * len(want))
+    check_first_error([w == "overflow" or not f for w, f in zip(want, failed)])
+    ok = ~np.array(failed)
+    got = ep.evaluate_array([power], {"x": np.array(xs)[ok], "y": np.array(ys)[ok]})[:, 0]
+    assert got.tobytes() == np.array([w for w, f in zip(want, failed) if not f]).tobytes()
 
 
 def _assert_log_abs_matches_scalar(exprs, xs):
