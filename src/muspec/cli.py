@@ -175,12 +175,21 @@ def _config_value(key: str, value, action: argparse.Action):
         raise ValueError(f"config: {key} is out of range") from None
 
 
+def _window(token: str) -> int | str:
+    """One window of a comma-separated schedule: its integer, or the token
+    itself when it is none, which ``Params`` then rejects by name."""
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
 def _build_params(args: argparse.Namespace) -> Params:
     kwargs = {}
     schedule = getattr(args, "schedule", None)
     if schedule:
         if isinstance(schedule, str):
-            schedule = [int(tok) for tok in schedule.split(",") if tok]
+            schedule = [_window(tok) for tok in schedule.split(",") if tok]
         kwargs["schedule"] = tuple(schedule)
     for name in ("tol_stab", "cutoff_fraction", "gamma_max", "delta_merge"):
         value = getattr(args, name, None)

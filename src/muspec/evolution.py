@@ -2,7 +2,9 @@
 systems, in overflow-safe scaled form.
 
 A propagator value is held as a ``ScaledMatrix``: a unit-scale matrix times
-``exp(log_norm)``.  Every product is renormalized factor by factor, so the
+``exp(log_norm)``.  Long products (RK4 substeps, the walks of a full-system
+grid) are rescaled after every factor by an exact power of two, which
+changes no digit, and are brought to 2-norm 1 once at the end; so the
 catalog systems, whose propagators reach e^(+-10^4) on ordinary windows,
 never leave double range.  Scalar and diagonal structures additionally keep
 their per-component logs exactly (sums of per-step log-magnitudes, or the
@@ -136,6 +138,20 @@ def _normalized(mats: np.ndarray, extra_logs) -> tuple[np.ndarray, np.ndarray]:
     logs = [-math.inf if nrm == 0.0 else extra + math.log(nrm)
             for nrm, extra in zip(norms.ravel().tolist(), extra_logs)]
     return units, np.array(logs)
+
+
+_LN2 = math.log(2.0)
+
+
+def _rescale(mats: np.ndarray) -> np.ndarray:
+    """Scale each matrix of a (n, d, d) stack in place by 2^-e, with e the
+    exponent that puts its largest |entry| in [0.5, 1), and return the e (0
+    for a zero or non-finite matrix).  Scaling by a power of two is exact
+    and commutes with products and sums (barring subnormals), so a loop that
+    rescales after every step is the unscaled loop times 2^-(sum of e)."""
+    e = np.frexp(np.abs(mats).max(axis=(1, 2)))[1]
+    np.ldexp(mats, -e[:, None, None], out=mats)
+    return e
 
 
 def log_sigma_max(units: np.ndarray, logs: np.ndarray) -> np.ndarray:
@@ -445,10 +461,15 @@ def _rk4_factors(system: LinearSystem, frm: np.ndarray,
     span the same length, so they take the same steps and are integrated
     together, in blocks of lanes whose coefficient values stay within
     ``_RK4_BLOCK``.  Each lane does the float operations of a lone
-    integration: the same node times, the same products and 2-norms, and
-    the log scale accumulated with ``math.log``.  All nodes of a block are
-    evaluated in one call, lane by lane and step by step, so a failing
-    coefficient raises the error the lanes would raise one at a time.
+    integration: the same node times and products, rescaled after every
+    substep by a power of two (``_rescale``), so a lane is its unscaled
+    integration x times 2^-E, digit for digit.  Its unit is x / ||x|| and
+    its log E * log 2 + log ||x||, with one stacked 2-norm per block.  All
+    nodes of a block are evaluated in one call, lane by lane and step by
+    step, so a failing coefficient raises the error the lanes would raise
+    one at a time.  Lanes that overflow or collapse to zero are reported at
+    the end of their block, the first in lane order; an overflow names the
+    lane by its times.
     """
     steps = max(1, math.ceil(abs(float(to[0] - frm[0])) / ODE_STEP))
     d = system.dim
@@ -463,6 +484,7 @@ def _rk4_factors(system: LinearSystem, frm: np.ndarray,
 
 def _rk4_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
                steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_rk4_factors`` of one block of lanes."""
     lanes, d = len(frm), system.dim
     dt = (to - frm) / steps
     # t advances by repeated addition of dt, as a step loop does
@@ -472,20 +494,26 @@ def _rk4_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
     coeff = _coefficient_stack(system, nodes.ravel()).reshape(lanes, steps, 3, d, d)
     half, full, sixth = (v[:, None, None] for v in (half, dt, dt / 6))
     x = np.tile(np.eye(d), (lanes, 1, 1))
-    log_acc = np.zeros(lanes)
-    for s in range(steps):
-        a0, a1, a2 = coeff[:, s, 0], coeff[:, s, 1], coeff[:, s, 2]
-        k1 = a0 @ x
-        k2 = a1 @ (x + half * k1)
-        k3 = a1 @ (x + half * k2)
-        k4 = a2 @ (x + full * k3)
-        x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-        nrm = np.linalg.svd(x, compute_uv=False)[:, 0]
-        if np.any(nrm == 0.0):
+    exps = np.zeros(lanes, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
+        for s in range(steps):
+            a0, a1, a2 = coeff[:, s, 0], coeff[:, s, 1], coeff[:, s, 2]
+            k1 = a0 @ x
+            k2 = a1 @ (x + half * k1)
+            k3 = a1 @ (x + half * k2)
+            k4 = a2 @ (x + full * k3)
+            x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            exps += _rescale(x)
+    # a zero lane stays zero and a non-finite one non-finite
+    top = np.abs(x).max(axis=(1, 2))
+    bad = ~np.isfinite(top) | (top == 0.0)
+    if bad.any():
+        lane = int(np.argmax(bad))
+        if top[lane] == 0.0:
             raise EvolutionError("propagator collapsed to zero during integration")
-        x /= nrm[:, None, None]
-        log_acc += [math.log(v) for v in nrm.tolist()]
-    return x, log_acc
+        raise EvolutionError(f"propagator from time {frm[lane]:g} to {to[lane]:g} "
+                             "is not finite during integration")
+    return _normalized(x, (exps * _LN2).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +691,12 @@ def scaled_grids(obj, window: int) -> tuple[np.ndarray, tuple, tuple]:
     All 4 * window factors, Phi(t_m +- 1, t_m) and their backward twins, are
     built in one batch (``_unit_factors``).  The four walks out from 0 depend
     only on their own last entries, so they advance in lockstep, one stacked
-    product and one stacked SVD per step, bitwise equal to composing factor
-    by factor with ``ScaledMatrix.compose``.
+    product per step, rescaled by powers of two (``_rescale``): each walk
+    entry is the exact product of the factor units times 2^-E.  Its log is
+    the sum of the factor logs plus E * log 2, and one stacked 2-norm
+    (``_normalized``) over the whole grid makes the units.  This is bitwise
+    the grid of composing the units one factor at a time with that same
+    rescale and normalizing each product at the end.
     """
     if isinstance(obj, WeightedSystem):
         times, (fu, fl), (bu, bl) = scaled_grids(obj.base, window)
@@ -686,17 +718,22 @@ def scaled_grids(obj, window: int) -> tuple[np.ndarray, tuple, tuple]:
     units = units.reshape(2, window, 2, d, d).transpose(1, 2, 0, 3, 4).reshape(window, 4, d, d)
     logs = logs.reshape(2, window, 2).transpose(1, 2, 0).reshape(window, 4)
     # walked[s]: the four walks s steps out, forward ahead and behind
-    # (factor @ walk) then backward ahead and behind (walk @ twin); each
-    # log adds its own factor's, as addition commutes bitwise
-    walked, walked_logs = np.tile(np.eye(d), (window + 1, 4, 1, 1)), np.zeros((window + 1, 4))
+    # (factor @ walk) then backward ahead and behind (walk @ twin), each
+    # 2^-exps[s] times the exact product; exps[s] holds the exponents of
+    # step s alone until the running sum below
+    walked, exps = np.tile(np.eye(d), (window + 1, 4, 1, 1)), np.zeros((window + 1, 4), dtype=int)
     for s in range(window):
-        last = walked[s]
-        product = (np.concatenate([units[s, :2], last[2:]])
-                   @ np.concatenate([last[:2], units[s, 2:]]))
-        walked[s + 1], walked_logs[s + 1] = _normalized(product, logs[s] + walked_logs[s])
+        last, step = walked[s], walked[s + 1]
+        np.matmul(units[s, :2], last[:2], out=step[:2])
+        np.matmul(last[2:], units[s, 2:], out=step[2:])
+        exps[s + 1] = _rescale(step)
+    # each walk's log adds its own factor's, as addition commutes bitwise
+    units, logs = _normalized(walked.reshape(-1, d, d),
+                              (_walk(logs) + np.cumsum(exps, axis=0) * _LN2).ravel().tolist())
+    units, logs = units.reshape(window + 1, 4, d, d), logs.reshape(window + 1, 4)
     # in time order: walk k + 1 behind, reversed, then walk k ahead from 0
-    return times, *((np.concatenate([walked[:0:-1, k + 1], walked[:, k]]),
-                     np.concatenate([walked_logs[:0:-1, k + 1], walked_logs[:, k]]))
+    return times, *((np.concatenate([units[:0:-1, k + 1], units[:, k]]),
+                     np.concatenate([logs[:0:-1, k + 1], logs[:, k]]))
                     for k in (0, 2))
 
 

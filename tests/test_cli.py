@@ -254,6 +254,34 @@ def test_schedule_windows_must_be_positive_integers(capsys, tmp_path, args, bad)
         1, "", f"error: schedule windows must be positive integers, got {bad}\n")
 
 
+@pytest.mark.parametrize("args, cfg, bad", [
+    (["--schedule", "25,x"], None, "'x'"),
+    (["--schedule", "25,2.5"], None, "'2.5'"),
+    (["--schedule", "25,0,x"], None, "0"),
+    (["--config", "{cfg}"], {"schedule": "25,2.5"}, "'2.5'"),
+])
+def test_schedule_tokens_must_be_integers(capsys, tmp_path, args, cfg, bad):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    args = [a.format(cfg=config) for a in args]
+    code, out, err = _run(capsys, _SPECTRUM_DISC_Q + args)
+    assert (code, out, err) == (
+        1, "", f"error: schedule windows must be positive integers, got {bad}\n")
+
+
+def test_rk4_overflow_is_one_named_error(capsys):
+    """A coefficient that overflows RK4 gives one error line naming the first
+    unit step of the walk, and no numpy warning."""
+    system = {"time_domain": "continuous", "dimension": 2, "structure": "full",
+              "coefficients": {"entries": [["1e200", "0"], ["0", "1"]]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["spectrum", "--system", json.dumps(system),
+                                       "--rate", "q"])
+    assert (code, out, err) == (
+        1, "", "error: propagator from time 0 to 1 is not finite during integration\n")
+
+
 def test_descriptor_validation_error(capsys):
     code, out, err = _run(capsys, [
         "spectrum", "--system", '{"time_domain":"discrete","dimension":"x","structure":"scalar","coefficients":{"diagonal":["1"]}}',

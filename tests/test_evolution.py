@@ -392,44 +392,74 @@ def _plain_from_matrix(m, extra_log):
     return evolution.ScaledMatrix(m / nrm, extra_log + math.log(nrm))
 
 
-def _plain_unit_step(system, to, frm, h=1e-2):
-    """One unit-step factor the plain way: a coefficient matrix per point,
-    and for continuous time one RK4 loop on 2-D arrays."""
-    eye = np.eye(system.dim)
-    if system.time_domain == DISCRETE:
-        a = evolution.coefficient_matrix(system, int(min(to, frm)))
-        return _plain_from_matrix(a @ eye if to > frm else np.linalg.solve(a, eye), 0.0)
+def _plain_rescaled(m, rescale=True):
+    """(m * 2^-e, e) with e the frexp exponent of the largest |entry|, or
+    (m, 0) without rescaling."""
+    if not rescale:
+        return m, 0
+    e = math.frexp(float(np.max(np.abs(m))))[1]
+    return np.ldexp(m, -e), e
+
+
+def _plain_rk4(system, to, frm, rescale=True, h=1e-2):
+    """(x, E) of one RK4 loop on 2-D arrays from frm to to, a coefficient
+    matrix per point: the propagator is x * 2^E, with x rescaled by a power
+    of two after every substep, or never."""
     steps = max(1, int(math.ceil(abs(to - frm) / h)))
     dt = (to - frm) / steps
-    x, log_acc, t = eye, 0.0, frm
+    x, exp, t = np.eye(system.dim), 0, frm
     for _ in range(steps):
         k1 = evolution.coefficient_matrix(system, t) @ x
         k2 = evolution.coefficient_matrix(system, t + dt / 2) @ (x + dt / 2 * k1)
         k3 = evolution.coefficient_matrix(system, t + dt / 2) @ (x + dt / 2 * k2)
         k4 = evolution.coefficient_matrix(system, t + dt) @ (x + dt * k3)
-        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        x, e = _plain_rescaled(x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), rescale)
+        exp += e
         t += dt
-        nrm = float(np.linalg.norm(x, 2))
-        x /= nrm
-        log_acc += math.log(nrm)
-    return evolution.ScaledMatrix(x, log_acc)
+    return x, exp
 
 
-def _plain_scaled_grids(system, window):
-    """scaled_grids built the plain way: one unit step at a time, composed
-    factor by factor."""
+def _plain_unit_step(system, to, frm):
+    """One unit-step factor the plain way: a coefficient matrix per point,
+    and for continuous time one rescaled RK4 loop brought to 2-norm 1 at the
+    end."""
+    eye = np.eye(system.dim)
+    if system.time_domain == DISCRETE:
+        a = evolution.coefficient_matrix(system, int(min(to, frm)))
+        return _plain_from_matrix(a @ eye if to > frm else np.linalg.solve(a, eye), 0.0)
+    x, exp = _plain_rk4(system, to, frm)
+    return _plain_from_matrix(x, exp * math.log(2.0))
+
+
+def _plain_walks(system, window, rescale=True):
+    """The forward and backward walks of scaled_grids the plain way, one
+    unit step at a time: entries (x, E, g) with the walk's product of factor
+    units x * 2^E, rescaled after every factor or never, and g the sum of
+    the factor logs."""
     times = np.arange(-window, window + 1, dtype=float)
     fwd = [None] * len(times)
     bwd = [None] * len(times)
-    fwd[window] = bwd[window] = evolution.ScaledMatrix(np.eye(system.dim), 0.0)
+    fwd[window] = bwd[window] = (np.eye(system.dim), 0, 0.0)
     moves = ([(m, m + 1) for m in range(window, 2 * window)]
              + [(m, m - 1) for m in range(window, 0, -1)])
     for m, n in moves:
         step = _plain_unit_step(system, times[n], times[m])
         back = _plain_unit_step(system, times[m], times[n])
-        fwd[n] = _plain_from_matrix(step.unit @ fwd[m].unit, step.log_norm + fwd[m].log_norm)
-        bwd[n] = _plain_from_matrix(bwd[m].unit @ back.unit, bwd[m].log_norm + back.log_norm)
+        x, exp, g = fwd[m]
+        y, e = _plain_rescaled(step.unit @ x, rescale)
+        fwd[n] = (y, exp + e, step.log_norm + g)
+        x, exp, g = bwd[m]
+        y, e = _plain_rescaled(x @ back.unit, rescale)
+        bwd[n] = (y, exp + e, g + back.log_norm)
     return times, fwd, bwd
+
+
+def _plain_scaled_grids(system, window):
+    """scaled_grids built the plain way: the rescaled walks, each entry
+    brought to 2-norm 1 with log g + E * log 2 + log ||x||."""
+    times, *walks = _plain_walks(system, window)
+    return times, *([_plain_from_matrix(x, g + exp * math.log(2.0)) for x, exp, g in walk]
+                    for walk in walks)
 
 
 def _assert_grids_equal(obj, window):
@@ -491,6 +521,59 @@ def test_lockstep_grids_equal_the_plain_walk(d, window, seed, shift, zeroed, wei
     with pytest.raises(evolution.EvolutionError) as info:
         evolution.scaled_grids(obj, window)
     assert str(info.value) == f"coefficient matrix is singular at time {singular[0]}"
+
+
+@given(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_rescaled_rk4_is_the_unscaled_loop_exactly(d, degree, seed):
+    """Rescaling by powers of two adds no rounding: on constant and
+    polynomial coefficients over spans short enough to stay in double range,
+    the rescaled RK4 loop times 2^E is bitwise the unscaled loop."""
+    rng = random.Random(seed)
+    rows = [["+".join(f"({rng.uniform(-2.0, 2.0)!r})" + "*t" * p for p in range(degree + 1))
+             for _ in range(d)] for _ in range(d)]
+    system = evolution.full_system(CONTINUOUS, rows)
+    frm = rng.uniform(-3.0, 3.0)
+    to = frm + rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 0.6)
+    x, exp = _plain_rk4(system, to, frm)
+    unscaled, zero = _plain_rk4(system, to, frm, rescale=False)
+    assert zero == 0 and np.isfinite(unscaled).all()
+    assert np.array_equal(np.ldexp(x, exp), unscaled)
+
+
+@given(st.sampled_from([1, 2, 3]), st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 2.0]))
+@settings(max_examples=60, deadline=None)
+def test_rescaled_walk_is_the_unscaled_walk_exactly(d, window, seed, shift):
+    """On seeded tables, every entry of the rescaled walks times 2^E is
+    bitwise the unscaled product of the same factor units."""
+    rng = np.random.default_rng(seed)
+    mats = rng.uniform(-1.0, 1.0, (2 * window, d, d)) + shift * np.eye(d)
+    system = evolution.tabulated_system(-window, mats)
+    _, *scaled = _plain_walks(system, window)
+    _, *unscaled = _plain_walks(system, window, rescale=False)
+    for walk, plain in zip(scaled, unscaled):
+        for (x, exp, g), (y, zero, h) in zip(walk, plain):
+            assert zero == 0 and g == h
+            assert np.array_equal(np.ldexp(x, exp), y)
+
+
+def test_rk4_overflow_names_the_first_non_finite_step():
+    """A lane that leaves double range is named by its times, the first one
+    in walk order, with no numpy warning: here the coefficient is zero up to
+    t = 2 and about 1e200 * (t - 2) after it."""
+    system = evolution.full_system(CONTINUOUS, [["1e200*((t-2)+abs(t-2))", "0"], ["0", "1"]])
+    cases = [(lambda: evolution.scaled_grids(system, 4), "from time 2 to 3"),
+             (lambda: evolution.propagate(system, 5.0, 0.0), "from time 0 to 5"),
+             (lambda: evolution.propagate(system, 0.0, 3.0), "from time 3 to 0")]
+    for call, where in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(evolution.EvolutionError) as info:
+                call()
+        assert str(info.value) == f"propagator {where} is not finite during integration"
+    # a span that ends before t = 2 stays in range
+    assert np.isfinite(evolution.propagate(system, 1.5, -3.0).log_norm)
 
 
 def test_scaled_grids_raise_the_first_stepwise_error():

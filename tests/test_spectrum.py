@@ -378,3 +378,30 @@ def test_pair_scan_matches_all_pairs(inputs, block):
     best = int(np.argmax(ratios))  # the first maximum; a NaN beats every number
     assert _same(value, ratios[best]) and (a, b) == (i[best], j[best])
     assert type(a) is int and type(b) is int
+
+
+def test_svd_calls_do_not_grow_with_the_window(monkeypatch):
+    """An enclosure takes a fixed number of stacked SVDs, however many RK4
+    substeps and walk steps its grid has: one per RK4 lane block and one
+    per grid, then one per log sigma_max series, with the discrete unit
+    factors normalized in one call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+
+    def count(system, rate, schedule):
+        calls.clear()
+        spectrum.compute_spectrum(system, rate, Params(schedule=schedule))
+        return len(calls)
+
+    cont = evolution.full_system(CONTINUOUS, [["2*abs(t)", "1"], ["0", "-1/(1+abs(t))"]])
+    q = catalog.rate("q", CONTINUOUS)
+    table = evolution.tabulated_system(
+        -400, np.random.default_rng(5).uniform(-1.0, 1.0, (800, 2, 2)) + 2.0 * np.eye(2))
+    assert count(cont, q, None) == count(cont, q, (5, 10, 20)) == 4
+    assert count(table, EXP, (50, 100, 200, 400)) == count(table, EXP, (25, 50)) == 4
