@@ -7,8 +7,9 @@ grid) are rescaled after every factor by an exact power of two, which
 changes no digit, and are brought to 2-norm 1 once at the end; so the
 catalog systems, whose propagators reach e^(+-10^4) on ordinary windows,
 never leave double range.  Scalar and diagonal structures additionally keep
-their per-component logs exactly (sums of per-step log-magnitudes, or the
-time integral of the coefficient in continuous time).
+their per-component logs exactly: sums of per-step log-magnitudes, the
+Simpson integral of the coefficient in continuous time, or the closed-form
+log of a rate quotient in either time domain.
 """
 
 from __future__ import annotations
@@ -154,12 +155,6 @@ def _rescale(mats: np.ndarray) -> np.ndarray:
     return e
 
 
-def log_sigma_max(units: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """log sigma_max of every matrix exp(logs[m]) * units[m] of a grid, from
-    one stacked SVD: the first entry of ``operator_norm_bounds`` for each."""
-    return _normalized(units, logs)[1]
-
-
 # ---------------------------------------------------------------------------
 # Coefficient sources
 
@@ -208,8 +203,8 @@ class TableSource:
 @dataclass(frozen=True, eq=False)
 class RateQuotientSource:
     """Diagonal system whose propagator is a growth-rate quotient raised to
-    per-component slopes: discrete steps are (nu(k+1)/nu(k))^s_i, continuous
-    coefficients are s_i * d/dt log nu(t)."""
+    per-component slopes, Phi_ii(t, s) = (nu(t)/nu(s))^s_i in either time
+    domain; its logs are s_i * (log nu(t) - log nu(s)) in closed form."""
 
     rate: rates.GrowthRate
     slopes: tuple
@@ -331,12 +326,8 @@ def _diag_step_logs(system: LinearSystem, ks: list[int]) -> tuple[np.ndarray, np
         la, sg = exprparse.evaluate_log_abs_array(src.diag, {"t": kf, "k": kf})
         return la, sg.astype(float)
     if isinstance(src, RateQuotientSource):
-        # a step is log mu(k+1) - log mu(k), left operand first; one call in
-        # that order raises what a step-by-step loop raises first
         kf = np.asarray(ks, dtype=float)
-        ends = rates.log_rate_values(src.rate, np.column_stack([kf + 1.0, kf]).ravel())
-        step = ends[0::2] - ends[1::2]
-        return step[:, None] * np.array(src.slopes), np.ones((len(ks), len(src.slopes)))
+        return _quotient_logs(src, kf, kf + 1.0), np.ones((len(ks), len(src.slopes)))
     if isinstance(src, TableSource):
         diag = np.diagonal(src.stack(ks), axis1=1, axis2=2)
         with np.errstate(divide="ignore"):
@@ -379,17 +370,13 @@ def _check_nonsingular(steps: tuple[np.ndarray, np.ndarray], ks):
             f"coefficient matrix is singular at time {ks[int(np.argmax(singular))]}")
 
 
-def _diag_values(system: LinearSystem, ts) -> np.ndarray:
-    """Continuous-time integrands a_ii at every time of ``ts`` for
-    scalar/diagonal systems, shape (len(ts), components).  Expressions take
-    one array call, with the same floats and the same first DomainError as
-    evaluating time by time; quotient sources one log mu' call."""
-    src = system.source
-    if isinstance(src, ExprSource) and src.diag is not None:
-        return exprparse.evaluate_array(src.diag, {"t": ts, "k": ts})
-    if isinstance(src, RateQuotientSource):
-        return rates.log_rate_derivative(src.rate, ts)[:, None] * np.array(src.slopes)
-    raise EvolutionError("continuous diagonal values need expression or quotient sources")
+def _quotient_logs(src: RateQuotientSource, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """s_i * (log nu(b[s]) - log nu(a[s])), the exact log of a quotient
+    source's propagator over each segment [a[s], b[s]], shape (segments,
+    components).  One log nu call on the times b[0], a[0], b[1], ... raises
+    what a step-by-step loop, left operand first, raises first."""
+    ends = rates.log_rate_values(src.rate, np.column_stack([b, a]).ravel())
+    return (ends[0::2] - ends[1::2])[:, None] * np.array(src.slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -401,20 +388,25 @@ _SIMPSON_BLOCK = 1 << 13  # quadrature nodes one array evaluation holds
 
 def _simpson_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Componentwise integrals of the diagonal coefficients over segments
-    [a[s], b[s]] of one common nonzero length, shape (segments, components):
-    composite Simpson with an even panel count, no interior kink handling.
+    [a[s], b[s]] of one common nonzero length, shape (segments, components).
+    A quotient source's integrals are its exact logs (``_quotient_logs``).
+    Expression sources take composite Simpson with an even panel count, no
+    interior kink handling.
 
     Each segment gets the floats of integrating it alone: the nodes of
     ``np.linspace(a[s], b[s], n + 1)``, and the weighted sum reduced as
     numpy reduces one segment's (n + 1, components) array, pairwise over a
     single column and row by row over several.  Segments go in order, in
-    blocks of at most ``_SIMPSON_BLOCK`` nodes per array evaluation, so
-    memory stays flat and a failing node raises the error a
+    blocks of at most ``_SIMPSON_BLOCK`` nodes per array evaluation (with
+    the same floats and the same first DomainError as evaluating node by
+    node), so memory stays flat and a failing node raises the error a
     segment-by-segment loop raises first.
     """
-    comp = system.components
+    comp, src = system.components, system.source
     if not len(a):
         return np.zeros((0, comp))
+    if isinstance(src, RateQuotientSource):
+        return _quotient_logs(src, a, b)
     n = max(2, int(math.ceil(abs(b[0] - a[0]) / ODE_STEP)))
     if n % 2:
         n += 1
@@ -426,7 +418,8 @@ def _simpson_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np
     for s in range(0, len(a), per_call):
         lo, hi = a[s:s + per_call], b[s:s + per_call]
         xs = np.linspace(lo, hi, n + 1, axis=1)
-        vals = _diag_values(system, xs.ravel()).reshape(len(lo), n + 1, comp)
+        nodes = xs.ravel()
+        vals = exprparse.evaluate_array(src.diag, {"t": nodes, "k": nodes}).reshape(len(lo), n + 1, comp)
         weighted = w[:, None] * vals
         if comp == 1:
             sums = weighted[:, :, 0].sum(axis=1)[:, None]
@@ -528,7 +521,7 @@ def propagate(system: LinearSystem, to: float, frm: float) -> ScaledMatrix:
     normalized and the product renormalized after every factor; in
     continuous time one classical fixed-step 4th-order integration.  Scalar
     and diagonal systems sum per-component step logs (discrete) or take the
-    Simpson quadrature of the coefficient integral (continuous).  The
+    coefficient integral (continuous, ``_simpson_integrals``).  The
     identity when to == frm.
     """
     if system.time_domain == DISCRETE:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -57,6 +58,11 @@ class Params:
             raise ValueError("gamma_max must be positive")
         if self.delta_merge is not None and not self.delta_merge > 0:
             raise ValueError("delta_merge must be positive")
+        # an infinite tolerance agrees with anything and merges everything
+        if self.tol_stab == math.inf:
+            raise ValueError("tol_stab must be finite")
+        if self.delta_merge == math.inf:
+            raise ValueError("delta_merge must be finite")
         if self.schedule is not None:
             sched = tuple(self.schedule)
             for w in sched:

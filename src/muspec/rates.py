@@ -135,40 +135,19 @@ def log_rate_values(rate: GrowthRate, ts) -> np.ndarray:
         env = {name: points for name in exprparse.variables_of(ast) or ("t",)}
         return exprparse.evaluate_array([ast], env)[:, 0]
     if isinstance(rate, Glued):
-        return _glued(rate, log_rate_values, ts)
+        return _glued(rate, ts)
     raise TypeError(f"not a growth rate: {rate!r}")
 
 
-def _glued(rate: Glued, formula, ts: np.ndarray) -> np.ndarray:
-    """``formula`` of the inner branch where |t| >= crossover and of the
-    outer one elsewhere, each evaluated only where it is selected."""
+def _glued(rate: Glued, ts: np.ndarray) -> np.ndarray:
+    """log mu of the inner branch where |t| >= crossover and of the outer
+    one elsewhere, each evaluated only where it is selected."""
     inner = np.abs(ts) >= rate.crossover
     out = np.empty_like(ts)
     for mask, branch in ((inner, rate.inner), (~inner, rate.outer)):
         if mask.any():
-            out[mask] = formula(branch, ts[mask])
+            out[mask] = log_rate_values(branch, ts[mask])
     return out
-
-
-def log_rate_derivative(rate: GrowthRate, ts) -> np.ndarray:
-    """d/dt log mu at every time of ``ts`` for differentiable families
-    (continuous time).
-
-    Used to realize diagonal systems whose propagator is a rate quotient.
-    """
-    if rate.time_domain != CONTINUOUS:
-        raise RateError("log-rate derivative is defined for continuous rates only")
-    ts = np.asarray(ts, dtype=float)
-    if isinstance(rate, PowerExp):
-        if rate.p < 1 and np.any(ts == 0):
-            raise RateError("derivative is singular at 0 for exponents below 1")
-        with np.errstate(over="ignore"):
-            return rate.lam * rate.p * np.abs(ts) ** (rate.p - 1.0)
-    if isinstance(rate, Polynomial):
-        return 1.0 / (1.0 + np.abs(ts))
-    if isinstance(rate, Glued):
-        return _glued(rate, log_rate_derivative, ts)
-    raise RateError(f"no closed-form derivative for {type(rate).__name__}")
 
 
 # ---------------------------------------------------------------------------

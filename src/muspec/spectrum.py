@@ -449,11 +449,11 @@ def _grid(system, rate, window: int):
     Only dominant singular values of factor-wise accumulated products enter,
     which stay accurate where a direct pair product would have lost its
     contracting directions to rounding; the inequalities make the resulting
-    interval an enclosure of the exact spectrum by construction.
+    interval an enclosure of the exact spectrum by construction.  They are
+    the logs of ``scaled_grids`` as returned: its units have 2-norm 1.
     """
     if _base(system, rate).structure == FULL:
-        times, fwd, bwd = evolution.scaled_grids(system, window)
-        log_fwd, log_bwd = evolution.log_sigma_max(*fwd), evolution.log_sigma_max(*bwd)
+        times, (_, log_fwd), (_, log_bwd) = evolution.scaled_grids(system, window)
         heads, tails = np.stack([log_fwd, -log_bwd]), np.stack([log_bwd, -log_fwd])
     else:
         times, logs = evolution.component_log_grid(system, window)

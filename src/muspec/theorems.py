@@ -232,15 +232,16 @@ def verify_808_809(system, mu, omega, a: float | None = None, b: float | None = 
     hyps = [_hyp("mu_weakly_faster_than_omega", h1.outcome)]
     # each variant moves the inclusion [lo, hi] (on one side of the axis, or
     # all of it when side is None) from the spectrum under ``given`` to ``moved``
+    # written as "not (x > 0)" so that a NaN bound fails too
     if variant in ("808i", "808ii"):
-        if a is None or a <= 0:
+        if a is None or not a > 0:
             raise ValueError("808 needs a positive bound a")
         lo, hi = (-INF, -a) if variant == "808i" else (a, INF)
         given, moved, side, given_name = mu, omega, None, "mu"
     elif variant in ("809i", "809ii", "809iii"):
-        if variant in ("809i", "809iii") and (b is None or b < 0):
+        if variant in ("809i", "809iii") and (b is None or not b >= 0):
             raise ValueError("809i/809iii need a bound b >= 0")
-        if variant in ("809ii", "809iii") and (a is None or a > 0):
+        if variant in ("809ii", "809iii") and (a is None or not a <= 0):
             raise ValueError("809ii/809iii need a bound a <= 0")
         lo, hi, side = {"809i": (0.0, b, "+"), "809ii": (a, 0.0, "-"),
                         "809iii": (a, b, None)}[variant]

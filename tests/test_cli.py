@@ -28,6 +28,20 @@ def test_spectrum_abs2t_quadratic(capsys):
     assert payload["mode"] == "exact"
 
 
+def test_spectrum_continuous_quotient_below_linear_power(capsys):
+    """log nu = sqrt|t| has no derivative at 0, and the quotient's logs
+    need none: the spectrum under nu is the slope."""
+    nu = {"kind": "power_exp", "p": 0.5, "time_domain": "continuous"}
+    system = {"time_domain": "continuous", "dimension": 1, "structure": "scalar",
+              "coefficients": {"rate_quotient": {"rate": nu, "slopes": [1.5]}}}
+    code, out, err = _run(capsys, ["spectrum", "--system", json.dumps(system),
+                                   "--rate", json.dumps(nu)])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["intervals"] == [{"lo": 1.5, "hi": 1.5}]
+    assert payload["converged"] is True
+
+
 def test_spectrum_identity(capsys):
     code, out, _ = _run(capsys, [
         "spectrum", "--system", "catalog:identity", "--rate", "catalog:exp"])
@@ -339,14 +353,20 @@ def test_spectrum_names_malformed_descriptor_fields(capsys, domain, dim, structu
     ("--cutoff", "tol_stab must be positive and cutoff_fraction in (0, 1)"),
     ("--gamma-max", "gamma_max must be positive"),
     ("--delta-merge", "delta_merge must be positive"),
+    ("--tol-stab=inf", "tol_stab must be finite"),
+    ("--delta-merge=inf", "delta_merge must be finite"),
 ])
 def test_nan_parameters_fail_up_front(capsys, flag, message):
+    """NaN, or the value written after '=', fails by name in the CLI and in
+    Params alike."""
+    flag, _, value = flag.partition("=")
+    value = value or "nan"
     code, out, err = _run(capsys, ["spectrum", "--system", "identity", "--rate", "q",
-                                   flag, "nan"])
+                                   flag, value])
     assert (code, out, err) == (1, "", f"error: {message}\n")
     field = {"--cutoff": "cutoff_fraction"}.get(flag, flag[2:].replace("-", "_"))
     with pytest.raises(ValueError, match=message.replace("(", r"\(").replace(")", r"\)")):
-        Params(**{field: math.nan})
+        Params(**{field: float(value)})
 
 def test_spectrum_rejects_non_finite_table_cell(capsys, tmp_path):
     table = tmp_path / "table.csv"
@@ -462,6 +482,10 @@ def test_bad_rate_name(capsys):
     (["808", "--a", "0"], "808 needs a positive bound a"),
     (["809", "--variant", "i", "--b=-1"], "809i/809iii need a bound b >= 0"),
     (["809", "--variant", "ii", "--a", "1"], "809ii/809iii need a bound a <= 0"),
+    # a NaN bound compares False every way, so it must not pass the checks
+    (["808", "--a", "nan"], "808 needs a positive bound a"),
+    (["809", "--variant", "ii", "--a", "nan"], "809ii/809iii need a bound a <= 0"),
+    (["809", "--variant", "i", "--b", "nan"], "809i/809iii need a bound b >= 0"),
 ])
 def test_verify_808_809_rejects_bad_bounds(capsys, args, message):
     code, out, err = _run(capsys, _VERIFY + args + ["--system", "catalog:disc_q",

@@ -161,15 +161,17 @@ def test_component_log_grid_matches_propagate():
 
 
 def _plain_diag_step(system, t, h=1e-2):
-    """log |Psi_ii(t + 1, t)| the plain way: one discrete step evaluated in
-    log space point by point, or one Simpson segment of its own."""
+    """log |Psi_ii(t + 1, t)| the plain way: a rate quotient's closed form,
+    one discrete step evaluated in log space point by point, or one Simpson
+    segment of its own."""
     src = system.source
+    if isinstance(src, evolution.RateQuotientSource):
+        # a quotient mu(t)^s / mu(t+1)^s is never zero: a -inf log is an underflow
+        step = rates.log_rate(src.rate, t + 1) - rates.log_rate(src.rate, t)
+        return np.array([s * step for s in src.slopes])
     if system.time_domain == DISCRETE:
         k = int(t)
-        if isinstance(src, evolution.RateQuotientSource):
-            step = rates.log_rate(src.rate, k + 1) - rates.log_rate(src.rate, k)
-            la, sg = np.array([s * step for s in src.slopes]), np.ones(len(src.slopes))
-        elif isinstance(src, evolution.TableSource):
+        if isinstance(src, evolution.TableSource):
             diag = np.diag(src.stack([k])[0])
             with np.errstate(divide="ignore"):
                 la, sg = np.where(diag == 0, -np.inf, np.log(np.abs(diag))), np.sign(diag)
@@ -177,19 +179,13 @@ def _plain_diag_step(system, t, h=1e-2):
             pairs = [exprparse.evaluate_log_abs(e, {"t": float(k), "k": float(k)})
                      for e in src.diag]
             la, sg = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs], float)
-        # a quotient mu(k)^s / mu(k+1)^s is never zero: a -inf log is an underflow
-        singular = np.any(sg == 0) or np.any(la == -math.inf)
-        if singular and not isinstance(src, evolution.RateQuotientSource):
+        if np.any(sg == 0) or np.any(la == -math.inf):
             raise evolution.EvolutionError(f"coefficient matrix is singular at time {k}")
         return la
     n = max(2, int(math.ceil(1.0 / h)))
     n += n % 2
     xs = np.linspace(t, t + 1.0, n + 1)
-    if isinstance(src, evolution.RateQuotientSource):
-        vals = np.array([[s * rates.log_rate_derivative(src.rate, [x])[0] for s in src.slopes]
-                         for x in xs])
-    else:
-        vals = exprparse.evaluate_array(src.diag, {"t": xs, "k": xs})
+    vals = exprparse.evaluate_array(src.diag, {"t": xs, "k": xs})
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -680,5 +676,6 @@ def test_zero_matrix_scales_to_minus_infinity():
     zero = evolution.ScaledMatrix.from_matrix(np.zeros((2, 2)), 3.0)
     assert np.array_equal(zero.unit, np.zeros((2, 2))) and zero.log_norm == -math.inf
     units = np.stack([np.zeros((2, 2)), 2.0 * np.eye(2)])
-    got = evolution.log_sigma_max(units, np.array([1.0, 1.0]))
+    got_units, got = evolution._normalized(units, [1.0, 1.0])
     assert got.tolist() == [-math.inf, 1.0 + math.log(2.0)]
+    assert got_units.tolist() == [np.zeros((2, 2)).tolist(), np.eye(2).tolist()]

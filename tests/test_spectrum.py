@@ -73,6 +73,40 @@ def test_pure_quotient_fixtures(nu_name, slope):
     assert rep.converged
 
 
+@st.composite
+def _own_rate_quotients(draw):
+    """A rate nu (PowerExp, the same power as an expression, or a PowerExp
+    glued at 1 onto a linear rate) and 2-3 slopes more than ``delta_merge``
+    apart."""
+    domain = draw(st.sampled_from([DISCRETE, CONTINUOUS]))
+    p, lam = draw(st.floats(0.3, 3.0)), draw(st.floats(0.5, 2.0))
+    nu = draw(st.sampled_from([
+        rates.PowerExp(p, lam, domain),
+        rates.ExpressionRate(f"{lam!r}*sgn(t)*abs(t)^{p!r}", domain),
+        rates.Glued(rates.PowerExp(p, lam, domain), rates.PowerExp(1.0, lam, domain),
+                    crossover=1.0, time_domain=domain),
+    ]))
+    merge = Params().merge_tolerance
+    slopes = draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=3)
+                  .map(sorted)
+                  .filter(lambda s: all(b - a > merge for a, b in zip(s, s[1:]))))
+    return nu, slopes
+
+
+@given(_own_rate_quotients())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_quotient_systems_under_their_own_rate_give_their_slopes(case):
+    """Phi_ii(k, n) = (nu(k)/nu(n))^s_i, so under nu every pair ratio is s_i
+    and the spectrum is the slopes, in both time domains."""
+    nu, slopes = case
+    params = Params()
+    rep = spectrum.compute_spectrum(evolution.quotient_system(nu, slopes), nu, params)
+    assert rep.converged
+    assert len(rep.intervals) == len(slopes)
+    for iv, slope in zip(rep.intervals, slopes):
+        assert max(abs(iv.lo - slope), abs(iv.hi - slope)) <= rep.resolution + params.tol_stab
+
+
 def test_diagonal_gap_structure():
     system = evolution.quotient_system(EXP, [1.0, 3.0])
     rep = spectrum.compute_spectrum(system, EXP)
@@ -262,8 +296,7 @@ def test_series_on_one_rate_grid_share_a_pair_scan(monkeypatch):
     full = _disguised_diagonal()
     est = spectrum.compute_spectrum(full, EXP, params).component_estimates[0]
     assert len(calls) == 4
-    times, fwd, bwd = evolution.scaled_grids(full, 55)
-    log_fwd, log_bwd = evolution.log_sigma_max(*fwd), evolution.log_sigma_max(*bwd)
+    times, (_, log_fwd), (_, log_bwd) = evolution.scaled_grids(full, 55)
     r_full = rates.log_rate_grid(EXP, 55)
     for window, lo, hi in est.per_window:
         sl = spectrum._window_slice(times, int(window))
@@ -383,8 +416,7 @@ def test_pair_scan_matches_all_pairs(inputs, block):
 def test_svd_calls_do_not_grow_with_the_window(monkeypatch):
     """An enclosure takes a fixed number of stacked SVDs, however many RK4
     substeps and walk steps its grid has: one per RK4 lane block and one
-    per grid, then one per log sigma_max series, with the discrete unit
-    factors normalized in one call."""
+    per grid, with the discrete unit factors normalized in one call."""
     calls = []
     svd = np.linalg.svd
 
@@ -403,5 +435,5 @@ def test_svd_calls_do_not_grow_with_the_window(monkeypatch):
     q = catalog.rate("q", CONTINUOUS)
     table = evolution.tabulated_system(
         -400, np.random.default_rng(5).uniform(-1.0, 1.0, (800, 2, 2)) + 2.0 * np.eye(2))
-    assert count(cont, q, None) == count(cont, q, (5, 10, 20)) == 4
-    assert count(table, EXP, (50, 100, 200, 400)) == count(table, EXP, (25, 50)) == 4
+    assert count(cont, q, None) == count(cont, q, (5, 10, 20)) == 2
+    assert count(table, EXP, (50, 100, 200, 400)) == count(table, EXP, (25, 50)) == 2
