@@ -279,9 +279,15 @@ def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple
 def _affine_prefilter(mu, omega, params: Params) -> str:
     """Conjectured reformulation used only as a pre-filter: does some slope c
     give L_omega <= c * L_mu + C on all pairs?  Both almost-comparisons of
-    (mu, omega) ask for it, so it runs once per ordered pair."""
+    (mu, omega) ask for it, so it runs once per ordered pair.
+
+    The answer is "holds" if any slope holds, else "inconclusive" if any
+    slope is inconclusive, else "fails": no slope's outcome depends on
+    another's, so the order of the search does not change it.  The search
+    runs from the largest slope down, because a bound that holds at some c
+    usually holds at every larger one, and stops at the first that holds."""
     saw_inconclusive = False
-    for c in PREFILTER_SLOPES:
+    for c in reversed(PREFILTER_SLOPES):
         outcome, _, _ = _bounded_outcome(mu, omega, c, 1.0, params)
         if outcome == HOLDS:
             return HOLDS
@@ -379,13 +385,56 @@ class PairClassification:
         }
 
 
-def _combine(outcomes) -> str:
+def combine(outcomes) -> str:
+    """"fails" if any outcome fails, "holds" if all hold, else
+    "inconclusive"."""
     outcomes = list(outcomes)
     if any(o == FAILS for o in outcomes):
         return FAILS
     if all(o == HOLDS for o in outcomes):
         return HOLDS
     return INCONCLUSIVE
+
+
+# The directed checks between a and b, by the name the symbolic profile
+# gives each (almost_slower_ab means a almost-slower-than b).  The lambdas
+# look the checks up at call time, so a patched module attribute is seen.
+_DIRECTED = {
+    "faster_ab": lambda a, b, params: check_faster(a, b, params),
+    "faster_ba": lambda a, b, params: check_faster(b, a, params),
+    "weakly_ab": lambda a, b, params: check_weakly_faster(a, b, params),
+    "weakly_ba": lambda a, b, params: check_weakly_faster(b, a, params),
+    "almost_faster_ab": lambda a, b, params: check_almost(a, b, "faster", params),
+    "almost_faster_ba": lambda a, b, params: check_almost(b, a, "faster", params),
+    "almost_slower_ab": lambda a, b, params: check_almost(b, a, "slower", params),
+    "almost_slower_ba": lambda a, b, params: check_almost(a, b, "slower", params),
+}
+WEAKLY_CHECKS = ("weakly_ab", "weakly_ba")
+ALMOST_CHECKS = ("almost_faster_ab", "almost_faster_ba",
+                 "almost_slower_ab", "almost_slower_ba")
+
+
+def run_checks(a, b, keys, params: Params,
+               symbolic: rates.RelationProfile | None) -> tuple[dict, list]:
+    """Run the directed checks named by ``keys`` between a and b, and
+    cross-check each against the closed-form profile ``symbolic`` (None
+    skips it): an inconclusive verdict takes the symbolic answer, and a
+    decisive one that disagrees becomes inconclusive.  Returns the verdicts
+    by key and the keys that disagreed."""
+    checks = {key: _DIRECTED[key](a, b, params) for key in keys}
+    conflicts: list[str] = []
+    if symbolic is not None:
+        for key, verdict in checks.items():
+            sym = getattr(symbolic, key)  # the profile names its fields as the checks
+            if verdict.outcome == INCONCLUSIVE:
+                verdict.outcome = HOLDS if sym else FAILS
+                verdict.diagnostics["source"] = "symbolic"
+            elif (verdict.outcome == HOLDS) != sym:
+                conflicts.append(key)
+                verdict.diagnostics["symbolic"] = sym
+                verdict.diagnostics["numeric"] = verdict.outcome
+                verdict.outcome = INCONCLUSIVE
+    return checks, conflicts
 
 
 def classify_pair(a, b, params: Params = DEFAULT,
@@ -399,36 +448,14 @@ def classify_pair(a, b, params: Params = DEFAULT,
     relation).  below_ab is the order: a almost-slower-than b and b
     almost-faster-than a.
     """
-    checks = {
-        "faster_ab": check_faster(a, b, params),
-        "faster_ba": check_faster(b, a, params),
-        "weakly_ab": check_weakly_faster(a, b, params),
-        "weakly_ba": check_weakly_faster(b, a, params),
-        "almost_faster_ab": check_almost(a, b, "faster", params),
-        "almost_faster_ba": check_almost(b, a, "faster", params),
-        "almost_slower_ab": check_almost(b, a, "slower", params),
-        "almost_slower_ba": check_almost(a, b, "slower", params),
-    }
     symbolic = rates.symbolic_compare(a, b) if use_symbolic else None
-    conflicts: list[str] = []
-    if symbolic is not None:
-        for key, verdict in checks.items():
-            sym = getattr(symbolic, key)  # the profile names its fields as the checks
-            if verdict.outcome == INCONCLUSIVE:
-                verdict.outcome = HOLDS if sym else FAILS
-                verdict.diagnostics["source"] = "symbolic"
-            elif (verdict.outcome == HOLDS) != sym:
-                conflicts.append(key)
-                verdict.diagnostics["symbolic"] = sym
-                verdict.diagnostics["numeric"] = verdict.outcome
-                verdict.outcome = INCONCLUSIVE
-    weakly_eq = _combine((checks["weakly_ab"].outcome, checks["weakly_ba"].outcome))
-    equivalent = _combine(checks[k].outcome for k in (
-        "almost_faster_ab", "almost_faster_ba", "almost_slower_ab", "almost_slower_ba"))
-    below_ab = _combine((checks["almost_slower_ab"].outcome,
-                         checks["almost_faster_ba"].outcome))
-    below_ba = _combine((checks["almost_slower_ba"].outcome,
-                         checks["almost_faster_ab"].outcome))
+    checks, conflicts = run_checks(a, b, _DIRECTED, params, symbolic)
+    weakly_eq = combine(checks[k].outcome for k in WEAKLY_CHECKS)
+    equivalent = combine(checks[k].outcome for k in ALMOST_CHECKS)
+    below_ab = combine((checks["almost_slower_ab"].outcome,
+                        checks["almost_faster_ba"].outcome))
+    below_ba = combine((checks["almost_slower_ba"].outcome,
+                        checks["almost_faster_ab"].outcome))
     return PairClassification(checks, weakly_eq, equivalent, below_ab, below_ba,
                               symbolic, conflicts)
 
@@ -474,9 +501,9 @@ def chain_check(rate_list, params: Params = DEFAULT) -> ChainReport:
     for idx, (a, b) in enumerate(zip(rate_list, rate_list[1:])):
         slower = check_almost(b, a, "slower", params)   # a almost-slower-than b
         faster = check_almost(b, a, "faster", params)   # b almost-faster-than a
-        outcome = _combine((slower.outcome, faster.outcome))
+        outcome = combine((slower.outcome, faster.outcome))
         links.append(ChainLink(idx, outcome, slower, faster))
         if outcome == FAILS and first_failure is None:
             first_failure = idx
-    overall = _combine(l.outcome for l in links)
+    overall = combine(l.outcome for l in links)
     return ChainReport(overall, links, first_failure)

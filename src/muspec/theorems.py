@@ -269,6 +269,9 @@ def verify_811(system, chain, params: Params = DEFAULT, fixture: str = "?",
     chain = list(chain)
     if rate_names is None:
         rate_names = [_rate_label(r) for r in chain]
+    elif len(rate_names) != len(chain):
+        raise ValueError(f"rate_names has {len(rate_names)} names for a chain of "
+                         f"{len(chain)} rates")
     names = {"chain": ",".join(rate_names)}
     order = _memo(cache, ("chain", _descriptors(chain)),
                   lambda: relations.chain_check(chain, params))
@@ -304,13 +307,21 @@ def verify_908(system, mu, omega, params: Params = DEFAULT, fixture: str = "?",
     spectra, plain equivalence forces the same gap structure (membership of
     +-inf, gap count, ordered correspondence, projector ranks, semiaxis)."""
     names = {"mu": _rate_label(mu), "omega": _rate_label(omega)}
-    cls = relations.classify_pair(mu, omega, params)
-    if cls.weakly_equivalent == HOLDS:
+    symbolic = rates.symbolic_compare(mu, omega)
+
+    def equivalence(keys):  # the combined outcome of the named checks
+        checks, _ = relations.run_checks(mu, omega, keys, params, symbolic)
+        return relations.combine(v.outcome for v in checks.values())
+
+    # the almost checks are run only when weak equivalence does not hold
+    weakly_equivalent = equivalence(relations.WEAKLY_CHECKS)
+    equivalent = None if weakly_equivalent == HOLDS else equivalence(relations.ALMOST_CHECKS)
+    if weakly_equivalent == HOLDS:
         theorem, hypothesis, same = "908i", "rates_weakly_equivalent", _same_spectrum
-    elif cls.equivalent == HOLDS:
+    elif equivalent == HOLDS:
         theorem, hypothesis, same = "908ii", "rates_equivalent", _same_gaps
     else:
-        both_fail = cls.weakly_equivalent == FAILS and cls.equivalent == FAILS
+        both_fail = weakly_equivalent == FAILS and equivalent == FAILS
         hyps = [_hyp("rates_weakly_equivalent_or_equivalent",
                      FAILS if both_fail else INCONCLUSIVE)]
         return _assemble("908", fixture, names, hyps, lambda: (False, True, ""))

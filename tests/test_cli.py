@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -157,6 +160,16 @@ def test_catalog_listing(capsys):
         catalog.resolve_rate(desc)
     for desc in payload["systems"].values():
         catalog.resolve_system(desc)
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "muspec", "catalog", "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "abs2t" in json.loads(proc.stdout)["systems"]
 
 
 def test_output_is_byte_identical(capsys, tmp_path):

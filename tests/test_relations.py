@@ -1,10 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from muspec import catalog, rates, relations, theorems
 from muspec.params import CONTINUOUS, DISCRETE, Params
-from muspec.relations import FAILS, HOLDS
+from muspec.relations import FAILS, HOLDS, INCONCLUSIVE
 
 
 P = catalog.rate("p", DISCRETE)
@@ -114,10 +115,29 @@ def test_ratio_necessity_runs_once_per_ordered_pair(monkeypatch):
 def test_affine_prefilter_runs_once_per_ordered_pair():
     relations._affine_prefilter.cache_clear()
     theorems.run_all()
-    # the almost-checks of one run ask for it 24 times, on 11 distinct
+    # the almost-checks of one run ask for it 16 times, on 8 distinct
     # ordered (mu, omega, params)
     info = relations._affine_prefilter.cache_info()
-    assert (info.misses, info.hits + info.misses) == (11, 24)
+    assert (info.misses, info.hits + info.misses) == (8, 16)
+
+
+_POWER_EXP = st.tuples(st.floats(0.25, 3.0), st.floats(0.25, 4.0))
+
+
+@given(st.sampled_from([DISCRETE, CONTINUOUS]), _POWER_EXP, _POWER_EXP, st.booleans())
+@settings(max_examples=64, deadline=None, derandomize=True)
+def test_affine_prefilter_does_not_depend_on_the_slope_order(domain, a, b, short):
+    """The top-down search with its early stop gives the answer of the rule
+    applied to every slope: "holds" if any slope holds, else "inconclusive"
+    if any slope is inconclusive, else "fails"."""
+    params = Params(schedule=(10, 20, 40) if domain == DISCRETE else (2, 4, 8)) if short else Params()
+    mu, omega = rates.PowerExp(*a, domain), rates.PowerExp(*b, domain)
+    for x, y in ((mu, omega), (omega, mu)):
+        outcomes = {relations._bounded_outcome(x, y, c, 1.0, params)[0]
+                    for c in relations.PREFILTER_SLOPES}
+        expected = (HOLDS if HOLDS in outcomes
+                    else INCONCLUSIVE if INCONCLUSIVE in outcomes else FAILS)
+        assert relations._affine_prefilter(x, y, params) == expected
 
 
 def test_forward_backward_formulations_agree():

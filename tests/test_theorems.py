@@ -163,6 +163,33 @@ def test_verify_811_rejects_unordered_chain(fixtures):
     assert "chain_is_ordered" in report.reason
 
 
+def test_verify_811_rejects_rate_names_of_the_wrong_length(fixtures):
+    chain = [catalog.rate(n, CONTINUOUS) for n in ("p", "exp", "q", "c")]
+    with pytest.raises(ValueError, match="rate_names"):
+        theorems.verify_811(fixtures["abs2t"].system, chain, rate_names=["p"])
+
+
+def test_verify_908_runs_only_the_checks_it_reads(fixtures, monkeypatch):
+    """The almost checks run only when weak equivalence does not hold, and
+    no faster check runs."""
+    calls = {"check_faster": 0, "check_almost": 0}
+    for name, original in [(n, getattr(relations, n)) for n in calls]:
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(relations, name, counted)
+    q_c = catalog.rate("q", CONTINUOUS)
+    report = theorems.verify_908(fixtures["abs2t"].system, q_c, q_c, fixture="abs2t")
+    assert report.theorem == "908i"
+    assert calls == {"check_faster": 0, "check_almost": 0}
+    exp = catalog.rate("exp", DISCRETE)
+    fx = theorems.generate_quotient_system(exp, [-1.0, 1.0])
+    report = theorems.verify_908(fx.system, exp, rates.PowerExp(1.0, 3.0, DISCRETE),
+                                 fixture=fx.name)
+    assert report.theorem == "908ii"
+    assert calls == {"check_faster": 0, "check_almost": 4}
+
+
 def test_verify_908_weak_equivalence():
     c_cont = catalog.rate("c", CONTINUOUS)
     glued = catalog.rate("glued_c_p", CONTINUOUS)
@@ -260,9 +287,8 @@ def test_run_all_checks_each_faster_pair_once(monkeypatch):
                         or check_faster(mu, omega, params))
     theorems.run_all()
     # the 19 rows of 805 and 806 ask about 12 distinct (mu, omega) pairs,
-    # each checked once; each of the three 908 rows classifies its pair in
-    # both directions
-    assert len(pairs) == 12 + 3 * 2
+    # each checked once; the 908 rows ask for no faster check
+    assert len(pairs) == 12
 
 
 def test_run_all_is_deterministic():
