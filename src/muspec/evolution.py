@@ -322,7 +322,7 @@ def _diag_step_logs(system: LinearSystem, ks: list[int]) -> tuple[np.ndarray, np
     evaluation in log space, one table gather, or one log mu call."""
     src = system.source
     if isinstance(src, ExprSource) and src.diag is not None:
-        kf = [float(k) for k in ks]  # a DomainError reports a Python float input
+        kf = np.asarray(ks, dtype=float).tolist()  # a DomainError reports a Python float input
         la, sg = exprparse.evaluate_log_abs_array(src.diag, {"t": kf, "k": kf})
         return la, sg.astype(float)
     if isinstance(src, RateQuotientSource):
@@ -395,9 +395,11 @@ def _simpson_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np
 
     Each segment gets the floats of integrating it alone: the nodes of
     ``np.linspace(a[s], b[s], n + 1)``, and the weighted sum reduced as
-    numpy reduces one segment's (n + 1, components) array, pairwise over a
-    single column and row by row over several.  Segments go in order, in
-    blocks of at most ``_SIMPSON_BLOCK`` nodes per array evaluation (with
+    numpy reduces one segment's (n + 1, components) array: pairwise over a
+    single column, and row by row over several, which one reduction of a
+    block's node-major (n + 1, segments * components) array does for all
+    its segments at once.  Segments go in order, in blocks of at most
+    ``_SIMPSON_BLOCK`` nodes per array evaluation (with
     the same floats and the same first DomainError as evaluating node by
     node), so memory stays flat and a failing node raises the error a
     segment-by-segment loop raises first.
@@ -420,11 +422,12 @@ def _simpson_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np
         xs = np.linspace(lo, hi, n + 1, axis=1)
         nodes = xs.ravel()
         vals = exprparse.evaluate_array(src.diag, {"t": nodes, "k": nodes}).reshape(len(lo), n + 1, comp)
-        weighted = w[:, None] * vals
         if comp == 1:
-            sums = weighted[:, :, 0].sum(axis=1)[:, None]
+            sums = (w * vals[:, :, 0]).sum(axis=1)[:, None]
         else:
-            sums = np.cumsum(weighted, axis=1)[:, -1]
+            weighted = np.multiply(w[:, None, None], vals.transpose(1, 0, 2),
+                                   out=np.empty((n + 1, len(lo), comp)))
+            sums = np.add.reduce(weighted.reshape(n + 1, -1), axis=0).reshape(len(lo), comp)
         out.append(((hi - lo) / n / 3.0)[:, None] * sums)
     return np.concatenate(out)
 
@@ -466,7 +469,7 @@ def _rk4_factors(system: LinearSystem, frm: np.ndarray,
     """
     steps = max(1, math.ceil(abs(float(to[0] - frm[0])) / ODE_STEP))
     d = system.dim
-    block = max(1, _RK4_BLOCK // (3 * steps * d * d))
+    block = max(1, _RK4_BLOCK // ((2 * steps + 1) * d * d))
     units, logs = [], []
     for l0 in range(0, len(frm), block):
         u, g = _rk4_block(system, frm[l0:l0 + block], to[l0:l0 + block], steps)
@@ -480,17 +483,22 @@ def _rk4_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
     """``_rk4_factors`` of one block of lanes."""
     lanes, d = len(frm), system.dim
     dt = (to - frm) / steps
-    # t advances by repeated addition of dt, as a step loop does
-    t = np.cumsum(np.column_stack([frm] + [dt] * (steps - 1)), axis=1)
+    # t advances by repeated addition of dt, as a step loop does, so the end
+    # t[s] + dt of step s is bitwise the start t[s + 1] of the next: the
+    # nodes of a lane are t[0], t[0] + dt/2, t[1], ..., t[steps], each once,
+    # in the order a step loop first evaluates them
+    t = np.cumsum(np.column_stack([frm] + [dt] * steps), axis=1)
     half = dt / 2
-    nodes = np.stack([t, t + half[:, None], t + dt[:, None]], axis=2)
-    coeff = _coefficient_stack(system, nodes.ravel()).reshape(lanes, steps, 3, d, d)
+    nodes = np.empty((lanes, 2 * steps + 1))
+    nodes[:, 0::2] = t
+    nodes[:, 1::2] = t[:, :-1] + half[:, None]
+    coeff = _coefficient_stack(system, nodes.ravel()).reshape(lanes, 2 * steps + 1, d, d)
     half, full, sixth = (v[:, None, None] for v in (half, dt, dt / 6))
     x = np.tile(np.eye(d), (lanes, 1, 1))
     exps = np.zeros(lanes, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
         for s in range(steps):
-            a0, a1, a2 = coeff[:, s, 0], coeff[:, s, 1], coeff[:, s, 2]
+            a0, a1, a2 = coeff[:, 2 * s], coeff[:, 2 * s + 1], coeff[:, 2 * s + 2]
             k1 = a0 @ x
             k2 = a1 @ (x + half * k1)
             k3 = a1 @ (x + half * k2)
@@ -656,7 +664,7 @@ def _system_log_grid(system: LinearSystem, window: int) -> tuple[np.ndarray, np.
     left = np.concatenate([times[center:-1], times[:center][::-1]])
     with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
         if system.time_domain == DISCRETE:
-            steps, _ = _diag_steps(system, [int(k) for k in left])
+            steps, _ = _diag_steps(system, left.astype(int).tolist())
         else:
             steps = _simpson_integrals(system, left, left + 1.0)
         ahead, behind = _walk(steps[:window]), _walk(-steps[window:])

@@ -19,6 +19,7 @@ outer enclosure from singular-value statistics.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -140,6 +141,20 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     decreases, so neither does j0, and the scan stops at the first block
     with no column left.
 
+    A block's log-quotients, and then the numerators of its K series, are
+    matrix products of rank-2 factors, [x_i, 1] @ [1, y_j]^T = x_i * 1 +
+    1 * y_j (x = -r and y = r for the log-quotients, x = tails[k] and
+    y = heads[k] for series k), which numpy forms several times faster
+    than the broadcast sums.  Both products are exact and their sum is
+    rounded once, so every cell is bitwise the broadcast r[j] - r[i] or
+    heads[k, j] + tails[k, i], with one exception: a product sum that
+    starts from +0.0 gives +0.0 where both operands are -0.0.  Those
+    numerators are set back to -0.0, visiting only the rows whose tail is
+    -0.0, and none in a scan with no -0.0 head; a zero log-quotient is
+    never admissible, so its sign does not matter.  The two products
+    allocate the arrays the broadcasts did; one product for both, of twice
+    the size, raised peak memory.
+
     Yields (i0, j0, mask, q) for each block with admissible pairs: q has
     shape (K, rows, len(r) - j0) and holds the ratio of every pair
     (i0 + a, j0 + b) of the block's rectangle, and mask[a, b] marks the
@@ -159,20 +174,34 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     threshold = max(threshold, math.ulp(0.0))  # L >= the least positive double is L > 0
     top = np.maximum.accumulate(r)
     low = np.minimum.accumulate(r[::-1])[::-1]
+    # rows x, 1, y of layer 0 form the log-quotients, those of layer 1 + k
+    # the numerators of series k: rows 0-1, transposed, are the row factors
+    # [x_i, 1] and rows 1-2 the column factors [1, y_j]
+    factors = np.empty((len(heads) + 1, 3, n))
+    factors[0, 0], factors[1:, 0] = -r, tails
+    factors[:, 1] = 1.0
+    factors[0, 2], factors[1:, 2] = r, heads
+    row_factors, col_factors = factors[:, :2].transpose(0, 2, 1), factors[:, 1:]
+    zero_heads, zero_tails = (np.signbit(x) & (x == 0) for x in (heads, tails))
+    zero_rows = np.flatnonzero(zero_tails.any(axis=0)).tolist() if zero_heads.any() else []
     i0 = 0
     while i0 < n - 1:
         j0 = i0 + 1 + int(np.searchsorted(top[i0 + 1:] - low[i0], threshold))
         if j0 >= n:
             break
         stop = min(i0 + max(1, _PAIR_BLOCK // (len(heads) * (n - j0))), n - 1)
-        L = r[None, j0:] - r[i0:stop, None]
+        L = row_factors[0, i0:stop] @ col_factors[0, :, j0:]
         mask = L >= threshold
         if stop > j0:  # only rows from j0 on meet columns j <= i
             mask &= np.arange(j0, n)[None, :] > np.arange(i0, stop)[:, None]
         if mask.any():
             # off the mask L may be zero or negative; those entries are discarded
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                q = heads[:, None, j0:] + tails[:, i0:stop, None]
+                q = row_factors[1:, i0:stop] @ col_factors[1:, :, j0:]
+                for i in zero_rows[bisect.bisect_left(zero_rows, i0):
+                                   bisect.bisect_left(zero_rows, stop)]:
+                    np.copyto(q[:, i - i0], -0.0,
+                              where=zero_tails[:, i, None] & zero_heads[:, j0:])
                 q /= L
             yield i0, j0, mask, q
         i0 = stop

@@ -1,4 +1,5 @@
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -411,6 +412,73 @@ def test_pair_scan_matches_all_pairs(inputs, block):
     best = int(np.argmax(ratios))  # the first maximum; a NaN beats every number
     assert _same(value, ratios[best]) and (a, b) == (i[best], j[best])
     assert type(a) is int and type(b) is int
+
+
+def _numerator_scan(heads, tails, block):
+    """The numerators heads[k, j] + tails[k, i] that pair_ratio_blocks forms
+    for every row i and column j, shape (K, rows, cols): on r = 0 at the
+    rows and 1 at the columns, every log-quotient of a row with a column is
+    1.0, and x / 1.0 is x, bitwise."""
+    (k, rows), cols = tails.shape, heads.shape[1]
+    r = np.repeat([0.0, 1.0], [rows, cols])
+    heads = np.concatenate([np.zeros((k, rows)), heads], axis=1)
+    tails = np.concatenate([tails, np.zeros((k, cols))], axis=1)
+    parts = []
+    with mock.patch.object(spectrum, "_PAIR_BLOCK", block):
+        for i0, j0, _, q in spectrum.pair_ratio_blocks(r, heads, tails, 0.5):
+            assert (i0, j0) == (sum(p.shape[1] for p in parts), rows)
+            parts.append(q[:, :rows - i0])  # later rows have L = 0
+    return np.concatenate(parts, axis=1)
+
+
+def _bits(x: float) -> float:
+    return struct.unpack("<d", struct.pack("<Q", x))[0]
+
+
+_MAX = np.finfo(float).max
+_TINY = np.finfo(float).smallest_normal
+# random bit patterns (NaN payloads, infinities and subnormals among them),
+# signed zeros, the subnormal and overflow edges, and numbers that cancel
+_doubles = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(_bits),
+    st.sampled_from([0.0, -0.0, INF, -INF, math.nan, 5e-324, -5e-324, _TINY, -_TINY,
+                     _TINY / 3, -_TINY / 3, _MAX, -_MAX, _MAX / 2, 1.0, -1.0]),
+    st.floats(),
+)
+
+
+@given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9), st.data(),
+       st.sampled_from([1, 2, 7, 1 << 14]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_rank2_numerators_are_the_broadcast_sums(k, rows, cols, data, block):
+    """The scan's rank-2 matrix products give bitwise the broadcast sums on
+    any doubles, with one row or column per block or many.  IEEE 754 fixes
+    no NaN's payload or sign, so a NaN only has to be a NaN."""
+    def draw(size):
+        return np.array(data.draw(st.lists(st.lists(_doubles, min_size=size, max_size=size),
+                                           min_size=k, max_size=k)))
+
+    heads, tails = draw(cols), draw(rows)
+    got = _numerator_scan(heads, tails, block)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf + -inf, and overflow
+        want = heads[:, None, :] + tails[:, :, None]
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("block", [1, 1 << 14])
+def test_rank2_numerators_are_negative_zero_where_both_operands_are(block):
+    """A product sum that starts from +0.0 gives +0.0 for -0.0 + -0.0; the
+    scan sets exactly those numerators back to -0.0, and no others."""
+    values = [-0.0, 0.0, -1.0, 1.0, -0.0]
+    heads = np.array([values, values[::-1]])
+    tails = np.array([values[::-1], [-0.0] * 5])
+    got = _numerator_scan(heads, tails, block)
+    negative_zero = (tails == 0) & np.signbit(tails)
+    both = negative_zero[:, :, None] & ((heads == 0) & np.signbit(heads))[:, None, :]
+    assert np.array_equal((got == 0) & np.signbit(got), both)
+    assert np.array_equal(got, heads[:, None, :] + tails[:, :, None])
 
 
 def test_svd_calls_do_not_grow_with_the_window(monkeypatch):
