@@ -71,7 +71,11 @@ def _add_shared(parser: argparse.ArgumentParser):
         "the default schedule and keep doubling the last window while an "
         f"estimate has not converged (up to {MAX_DISCRETE_WINDOW} discrete, "
         f"{MAX_CONTINUOUS_WINDOW} continuous)"))
-    parser.add_argument("--tol-stab", type=float, dest="tol_stab")
+    parser.add_argument("--tol-stab", type=float, dest="tol_stab", help=(
+        f"absolute stabilization tolerance (default {Params.tol_stab}), in the "
+        "units of the exponents and of the relation suprema; a spectrum under "
+        "power_exp(p, lambda) scales like 1/lambda, so whether it converges "
+        "depends on the rate's scale"))
     parser.add_argument("--cutoff", type=float, dest="cutoff_fraction")
     parser.add_argument("--gamma-max", type=float, dest="gamma_max")
     parser.add_argument("--delta-merge", type=float, dest="delta_merge")
@@ -189,7 +193,7 @@ def _build_params(args: argparse.Namespace) -> Params:
     schedule = getattr(args, "schedule", None)
     if schedule:
         if isinstance(schedule, str):
-            schedule = [_window(tok) for tok in schedule.split(",") if tok]
+            schedule = [_window(tok) for tok in schedule.split(",")]
         kwargs["schedule"] = tuple(schedule)
     for name in ("tol_stab", "cutoff_fraction", "gamma_max", "delta_merge"):
         value = getattr(args, name, None)
@@ -285,7 +289,7 @@ def _cmd_verify(args) -> int:
         if args.theorem == "811":
             if not args.chain:
                 raise ValueError("verify --theorem 811 needs --chain")
-            names = [tok.strip() for tok in args.chain.split(",") if tok.strip()]
+            names = [tok.strip() for tok in args.chain.split(",")]
             chain = [catalog.resolve_rate(n, domain) for n in names]
             reports = [theorems.verify_811(system, chain, params,
                                            fixture=args.system, rate_names=names)]

@@ -37,7 +37,12 @@ class Params:
                      last window while an estimate has not converged (up to
                      MAX_DISCRETE_WINDOW / MAX_CONTINUOUS_WINDOW); a given
                      schedule is used as is
-    tol_stab         two estimates within this agree ("stabilized")
+    tol_stab         two estimates within this agree ("stabilized"); it is
+                     absolute, in the units of the exponents and of the
+                     relation suprema, so it is not scale-free: a spectrum
+                     under PowerExp(p, lambda) scales like 1/lambda, and
+                     whether a report is converged depends on the rate's
+                     scale
     cutoff_fraction  pair admission: log-quotient >= fraction of the window max
     gamma_max        |estimate| beyond this is flagged as divergent
     delta_merge      adjacent component intervals closer than this merge

@@ -25,6 +25,7 @@ against the definitions by direct evaluation on the final window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -250,14 +251,41 @@ def _ratio_necessity(mu, omega, params: Params) -> tuple[str, tuple, tuple]:
     return HOLDS if bounded else INCONCLUSIVE, tuple(sups), pairs
 
 
+# The ratio-necessity scan bounds the pairs of a row tile of _PAIR_TILE
+# samples with a column tile of as many.  Coarse tiles, runs of fine tiles
+# with at most _COARSE_SIDE of them across the grid, choose the scan.
+# _TILE_BLOCK caps the tile pairs bounded, and the pair cells scanned, at
+# once.  The row scan runs where pruning cannot pay: on triangles of at
+# most _ROW_SCAN_PAIRS pairs (grids of up to 1024 samples, whose row scan
+# takes well under a millisecond), and where the coarse tile pairs that
+# can hold the maximum are at least _ROW_SCAN_SHARE of those that can hold
+# admissible pairs (a constant ratio prunes none).
+_PAIR_TILE = 16
+_COARSE_SIDE = 64
+_TILE_BLOCK = 1 << 14
+_ROW_SCAN_PAIRS = 1 << 19
+_ROW_SCAN_SHARE = 0.5
+
+
 def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple[float, int, int]:
     """Largest (r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i]) over the pairs
     i < j whose mu-distance reaches the threshold, with its pair: the first
     maximum in row-major pair order, and a NaN ratio beats every number, as
-    ``np.argmax`` over all pairs at once would pick.  Within a block, the
-    row-major order of the rectangle keeps the pairs in that order, so the
-    first maximum of the rectangle with -inf off the mask is the first
-    admissible one, unless every admissible ratio is -inf."""
+    ``np.argmax`` over all pairs at once would pick.  ``_tile_argmax``
+    scans only the tiles of the pair triangle that can hold the maximum;
+    where that cannot pay, ``_row_argmax`` scans every admissible pair."""
+    threshold = max(threshold, math.ulp(0.0))  # L >= the least positive double is L > 0
+    n = len(r_mu)
+    found = _tile_argmax(r_mu, r_om, threshold) if n * (n - 1) // 2 > _ROW_SCAN_PAIRS else None
+    return found if found is not None else _row_argmax(r_mu, r_om, threshold)
+
+
+def _row_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple[float, int, int]:
+    """``_ratio_argmax`` over every admissible pair, one row block of
+    ``pair_ratio_blocks`` at a time.  Within a block, the row-major order
+    of the rectangle keeps the pairs in order, so the first maximum of the
+    rectangle with -inf off the mask is the first admissible one, unless
+    every admissible ratio is -inf."""
     best = None
     for i0, j0, mask, q in pair_ratio_blocks(r_mu, r_om[None], -r_om[None], threshold):
         ratios = q[0]
@@ -273,6 +301,182 @@ def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple
     value, i0, j0, top, width = best
     a, b = divmod(top, width)
     return float(value), i0 + a, j0 + b
+
+
+def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray,
+                 threshold: float) -> tuple[float, int, int] | None:
+    """``_ratio_argmax`` by branch and bound over the tiles of the pair
+    triangle (Land and Doig), or None where the coarse tiles show that
+    pruning cannot pay.
+
+    The floor is the largest number among the ratios of real admissible
+    pairs seen so far: one sample pair per tile pair (the first row of the
+    row tile and the last column of the column tile), then the pairs
+    scanned.  It never exceeds the maximum, and no ratio in a tile pair
+    exceeds its bound (``_tile_bounds``), so a tile pair whose bound is
+    below the floor holds no pair at or above the maximum and is skipped;
+    a NaN bound never is, nor a bound of +inf, the only bounds of a tile
+    pair that holds a NaN ratio.  The coarse tile pairs that survive are
+    cut into fine ones, and the fine ones that survive are scanned pair by
+    pair, best bound first, in batches, each against the floor the batches
+    before it raised.  Of equal maxima the least (i, j) wins, whichever
+    tile is scanned first, and the value returned is that pair's plain
+    (r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i]), the row scan's value, sign
+    of a zero included."""
+    n, width = len(r_mu), _PAIR_TILE
+    fine = -(-n // width)
+    group = -(-fine // _COARSE_SIDE)  # fine tiles a coarse tile side
+    stats = _tile_extremes((r_mu, r_mu, r_om, r_om), width)
+    coarse = _tile_extremes(stats, group) if group > 1 else stats
+    span = np.arange(len(coarse[0]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rows, cols = _live_tiles(coarse, span, span, threshold)
+        bound, floor = _tile_bounds(coarse, r_mu, r_om, rows, cols, group * width,
+                                    threshold, -np.inf)
+        keep = _kept(bound, floor)
+        if np.count_nonzero(keep) >= _ROW_SCAN_SHARE * len(keep):
+            return None
+        rows, cols, bound = rows[keep], cols[keep], bound[keep]
+        if group > 1:
+            rows, cols, bound, floor = _fine_tiles(stats, r_mu, r_om, rows, cols, group,
+                                                   threshold, floor)
+        # grids padded to whole fine tiles: a NaN log-rate admits no pair
+        pad = fine * width - n
+        mu = np.concatenate([r_mu, np.full(pad, np.nan)])
+        om = np.concatenate([r_om, np.zeros(pad)])
+        order = np.argsort(-bound)
+        rows, cols, bound = rows[order], cols[order], bound[order]
+        best = None
+        step = max(1, _TILE_BLOCK // width ** 2)
+        for s in range(0, len(rows), step):
+            keep = _kept(bound[s:s + step], floor)
+            found = _cells_max(mu, om, rows[s:s + step][keep], cols[s:s + step][keep],
+                               threshold)
+            if found is not None and (best is None or _beats(found, best)):
+                best = found
+                floor = np.fmax(floor, best[0])
+        if best is None:
+            raise RelationError("no admissible pairs after the log-quotient cutoff")
+        _, i, j = best
+        return float((r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i])), i, j
+
+
+def _fine_tiles(stats, r_mu, r_om, rows, cols, group: int, threshold: float, floor: float):
+    """The fine tile pairs within the coarse tile pairs (rows[k], cols[k])
+    that survive their bounds: their row and column tiles and bounds, and
+    the floor their samples raise."""
+    sub = np.arange(group)
+    last = len(stats[0]) - 1  # the last coarse tiles may hold fewer fine tiles
+    kept = []
+    step = max(1, _TILE_BLOCK // group ** 2)
+    for s in range(0, len(rows), step):
+        fine_rows = np.minimum(rows[s:s + step, None] * group + sub, last)
+        fine_cols = np.minimum(cols[s:s + step, None] * group + sub, last)
+        k, a, b = _live_tiles(stats, fine_rows, fine_cols, threshold)
+        fine_rows, fine_cols = fine_rows[k, a], fine_cols[k, b]
+        bound, floor = _tile_bounds(stats, r_mu, r_om, fine_rows, fine_cols, _PAIR_TILE,
+                                    threshold, floor)
+        kept.append((fine_rows, fine_cols, bound))
+    rows, cols, bound = (np.concatenate(part) for part in zip(*kept))
+    keep = _kept(bound, floor)
+    return rows[keep], cols[keep], bound[keep], floor
+
+
+def _tile_extremes(stats, width: int) -> tuple:
+    """Over each run of ``width`` consecutive entries (the last run may be
+    shorter) of mu minima, mu maxima, omega minima and omega maxima, the
+    same four extremes.  A NaN in a run is its extreme."""
+    starts = np.arange(0, len(stats[0]), width)
+    lo, hi, om_lo, om_hi = stats
+    return (np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts),
+            np.minimum.reduceat(om_lo, starts), np.maximum.reduceat(om_hi, starts))
+
+
+def _live_tiles(stats, rows: np.ndarray, cols: np.ndarray, threshold: float):
+    """Which tile pairs (rows[..., :, None], cols[..., None, :]) of tiles
+    with extremes ``stats`` can hold an admissible pair, as the indices
+    ``np.nonzero`` gives: the column tile is not before the row tile, and
+    max r_mu over it minus min r_mu over the row tile reaches the
+    threshold."""
+    rows, cols = rows[..., :, None], cols[..., None, :]
+    lo, hi = stats[:2]
+    return np.nonzero((hi[cols] - lo[rows] >= threshold) & (cols >= rows))
+
+
+def _tile_bounds(stats, r_mu, r_om, rows, cols, width: int, threshold: float, floor: float):
+    """An upper bound on every ratio the scan forms in each tile pair
+    (rows[k], cols[k]) of tiles ``width`` samples wide with extremes
+    ``stats``, and the floor raised by the tile pairs' sample pairs.
+
+    For a pair (i, j) of row tile I and column tile J, the computed
+    r_mu[j] - r_mu[i] lies between fl(min r_mu[J] - max r_mu[I]) and
+    fl(max r_mu[J] - min r_mu[I]), and r_om[j] - r_om[i] is at most
+    N = fl(max r_om[J] - min r_om[I]), because IEEE rounding is monotone;
+    an admissible pair also has r_mu[j] - r_mu[i] >= threshold.  Division
+    by a positive number is monotone too, so every admissible ratio is at
+    most N divided by the larger of the threshold and the least
+    mu-difference when N >= 0, and at most N divided by the largest
+    mu-difference when N < 0.  A NaN ratio needs a NaN in r_om, or two
+    equal infinite values, in the tile pair, and then N, and so the bound,
+    is NaN or +inf.  The sample pairs that reach the threshold are real
+    admissible pairs, as the column tile is never before the row tile."""
+    lo, hi, om_lo, om_hi = stats
+    num = om_hi[cols] - om_lo[rows]
+    bound = num / np.where(num >= 0, np.maximum(lo[cols] - hi[rows], threshold),
+                           hi[cols] - lo[rows])
+    first, last = rows * width, np.minimum(cols * width + width - 1, len(r_mu) - 1)
+    gap = r_mu[last] - r_mu[first]
+    samples = ((r_om[last] - r_om[first]) / gap)[gap >= threshold]
+    return bound, np.fmax.reduce(samples, initial=floor)
+
+
+def _kept(bound, floor: float):
+    """Which bounds are not below the floor: a NaN bound is kept."""
+    return ~(bound < floor)
+
+
+def _cells_max(mu: np.ndarray, om: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+               threshold: float):
+    """(value, i, j) of the first maximum, in row-major pair order, of the
+    admissible pairs of the fine tile pairs (rows[k], cols[k]) on the
+    padded grids ``mu`` and ``om``, NaN beating all; None if they hold no
+    admissible pair.  Each ratio is (om[j] - om[i]) / (mu[j] - mu[i]),
+    bitwise what ``pair_ratio_blocks`` forms."""
+    width = _PAIR_TILE
+    if not len(rows):
+        return None
+    cell = np.arange(width)
+    i = (rows[:, None] * width + cell)[:, :, None]
+    j = (cols[:, None] * width + cell)[:, None, :]
+    gap = mu[j] - mu[i]
+    admissible = gap >= threshold
+    diagonal = rows == cols
+    if diagonal.any():  # in a tile pair on the diagonal, only j > i is a pair
+        admissible[diagonal] &= cell[:, None] < cell
+    ratios = om[j] - om[i]
+    np.divide(ratios, gap, out=ratios)
+    np.copyto(ratios, -np.inf, where=~admissible)
+    top = ratios.max()
+    hit = np.isnan(ratios) if np.isnan(top) else ratios == top
+    if top == -np.inf:
+        hit &= admissible
+    pos = np.flatnonzero(hit)
+    if not len(pos):
+        return None
+    tile, cell = np.divmod(pos, width * width)
+    i, j = rows[tile] * width + cell // width, cols[tile] * width + cell % width
+    first = int(np.lexsort((j, i))[0])
+    return top, int(i[first]), int(j[first])
+
+
+def _beats(found, best) -> bool:
+    """Whether (value, i, j) ``found`` comes before ``best`` in the scan's
+    order: the larger value, NaN beating all, and of equal values the
+    least (i, j)."""
+    (value, *pair), (top, *at) = found, best
+    if np.isnan(value) or np.isnan(top):
+        return bool(np.isnan(value)) and (not np.isnan(top) or pair < at)
+    return value > top or (value == top and pair < at)
 
 
 @lru_cache(maxsize=256)

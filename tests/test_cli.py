@@ -286,6 +286,9 @@ def test_schedule_windows_must_be_positive_integers(capsys, tmp_path, args, bad)
     (["--schedule", "25,2.5"], None, "'2.5'"),
     (["--schedule", "25,0,x"], None, "0"),
     (["--config", "{cfg}"], {"schedule": "25,2.5"}, "'2.5'"),
+    # an empty token is a window too, not a separator to skip
+    (["--schedule", "50,,100"], None, "''"),
+    (["--schedule", "50,100,"], None, "''"),
 ])
 def test_schedule_tokens_must_be_integers(capsys, tmp_path, args, cfg, bad):
     config = tmp_path / "config.json"
@@ -294,6 +297,15 @@ def test_schedule_tokens_must_be_integers(capsys, tmp_path, args, cfg, bad):
     code, out, err = _run(capsys, _SPECTRUM_DISC_Q + args)
     assert (code, out, err) == (
         1, "", f"error: schedule windows must be positive integers, got {bad}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--relation", "chain", "--rates", "p,,exp"],
+    ["verify", "--theorem", "811", "--system", "catalog:disc_q", "--chain", "p,,exp"],
+    ["verify", "--theorem", "811", "--system", "catalog:disc_q", "--chain", "p,exp,"],
+])
+def test_rate_lists_reject_empty_tokens(capsys, argv):
+    assert _run(capsys, argv) == (1, "", "error: rate: not a catalog name or JSON descriptor: ''\n")
 
 
 def test_rk4_overflow_is_one_named_error(capsys):
@@ -471,6 +483,15 @@ _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--om
         {"time_domain": "discrete", "dimension": 2, "structure": "full",
          "coefficients": {"table": "table_full_exp.csv"}}),
       "--rate", "exp", "--schedule", "25,50,100"], "spectrum_full_table_exp.json"),
+    # relation scans past the default schedule: most pair tiles of the
+    # chain's peaked ratios are pruned, and the constant ratio of exp and
+    # power_exp(1, 3) takes the row scan
+    (["compare", "--relation", "chain", "--rates", "p,exp,q,c",
+      "--time-domain", "discrete", "--schedule", "200,400,800,1600"],
+     "chain_discrete_wide.json"),
+    (["compare", "--relation", "equivalent", "--a", "exp",
+      "--b", '{"kind":"power_exp","p":1,"lambda":3}', "--time-domain", "discrete",
+      "--schedule", "200,400,800,1600"], "equivalent_constant_ratio_wide.json"),
 ])
 def test_output_matches_the_recorded_reports(capsys, monkeypatch, tmp_path, argv, golden):
     """The reports are byte-identical to the recorded ones.  A change that

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from muspec import catalog, rates, relations, theorems
+from muspec import catalog, rates, relations, spectrum, theorems
 from muspec.params import CONTINUOUS, DISCRETE, Params
 from muspec.relations import FAILS, HOLDS, INCONCLUSIVE
 
@@ -110,6 +110,40 @@ def test_ratio_necessity_runs_once_per_ordered_pair(monkeypatch):
     assert faster.witness == slower.witness
     assert faster.witness is not slower.witness
     assert all(a is not b for a, b in zip(faster.witness, slower.witness))
+
+
+def test_ratio_scan_forms_few_ratios_where_the_ratios_peak(monkeypatch):
+    """The ratio-necessity scan forms the ratio of every cell of the tiles
+    it scans, or of every rectangle cell of the row blocks it falls back
+    to.  On discrete exp over p at window 1600, the tiles that can hold the
+    maximum hold under 10% of the admissible pairs; the constant ratio of
+    exp and power_exp(1, 3) leaves nothing to prune, so the row scan forms
+    them all."""
+    formed = []
+    blocks, cells = relations.pair_ratio_blocks, relations._cells_max
+
+    def counting_blocks(*args):
+        for block in blocks(*args):
+            formed.append(block[3][0].size)
+            yield block
+
+    def counting_cells(mu, om, rows, cols, threshold):
+        formed.append(len(rows) * relations._PAIR_TILE ** 2)
+        return cells(mu, om, rows, cols, threshold)
+
+    monkeypatch.setattr(relations, "pair_ratio_blocks", counting_blocks)
+    monkeypatch.setattr(relations, "_cells_max", counting_cells)
+
+    def share(mu, omega):
+        r_mu, r_om = rates.log_rate_grid(mu, 1600), rates.log_rate_grid(omega, 1600)
+        # spectrum's own scan counts the admissible pairs, unwatched
+        _, _, admissible = spectrum._pair_ratio_stats(r_mu, r_om[None], -r_om[None], 0.5)
+        formed.clear()
+        relations._ratio_argmax(r_mu, r_om, 0.5 * (r_mu[-1] - r_mu[0]))
+        return sum(formed) / admissible
+
+    assert share(EXP, P) <= 0.1
+    assert share(EXP, rates.PowerExp(1.0, 3.0, DISCRETE)) >= 1.0
 
 
 def test_affine_prefilter_runs_once_per_ordered_pair():

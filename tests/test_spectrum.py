@@ -1,3 +1,4 @@
+import contextlib
 import math
 import struct
 from unittest import mock
@@ -360,13 +361,38 @@ def _zeros(n):
     return np.zeros((1, n)), np.zeros((1, n))
 
 
-@given(_pair_inputs(), st.sampled_from([1, 3, 16, 64, 1 << 14]))
-@settings(max_examples=300, deadline=None)
+def _tiles(tile, block):
+    """The ratio-necessity scan as it dispatches (tile None), or its tile
+    scan forced with tiles ``tile`` samples wide, at most 3 coarse tiles a
+    side (so that coarse tiles hold several fine ones), and ``block`` tile
+    pairs or cells at once; a share above 1 leaves the row scan only where
+    no tile pair is live."""
+    if tile is None:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(relations, _PAIR_TILE=tile, _COARSE_SIDE=3, _TILE_BLOCK=block,
+                               _ROW_SCAN_PAIRS=0, _ROW_SCAN_SHARE=2.0)
+
+
+def _ramp(n, om, cutoff):
+    """Inputs on r = 0, 1, ..., n - 1 whose ratio-necessity scan reads r_om
+    = ``om``."""
+    om = np.array(om, dtype=float)
+    return np.arange(float(n)), om[None], np.zeros((1, n)), cutoff
+
+
+# a peaked ratio landscape, (j^2 - i^2) / (24 (j - i)) = (i + j) / 24, whose
+# maximum is the last admissible pair, so that the tile scan prunes most tiles
+_PEAKED = [k * k / 24.0 for k in range(24)]
+
+
+@given(_pair_inputs(), st.sampled_from([1, 3, 16, 64, 1 << 14]),
+       st.sampled_from([None, 1, 2, 3, 16]))
+@settings(max_examples=400, deadline=None)
 # a block of rows 0 and 1 must start at column 2, which row 1 admits (the
 # scan would miss it starting from r[0] instead of the suffix minimum, or
 # one column before searchsorted(r, r[0] + threshold))
-@example((np.array([0.0, -_D, 1.0 - _D, 2.0 - _D]), *_zeros(4), 0.5), 1 << 14)
-@example((np.array([0.0, -_D, 1.0 - _D, 1.0 - _D, 2.0 - _D]), *_zeros(5), 0.5), 1 << 14)
+@example((np.array([0.0, -_D, 1.0 - _D, 2.0 - _D]), *_zeros(4), 0.5), 1 << 14, None)
+@example((np.array([0.0, -_D, 1.0 - _D, 1.0 - _D, 2.0 - _D]), *_zeros(5), 0.5), 1 << 14, None)
 # one block whose rectangle (rows 0-3, columns 1-4) holds L = 0 (plateaus,
 # the diagonal), L = -_D (pair 2, 3) and L = _D >= threshold on the pairs
 # (3, 1) and (3, 2), which are not later pairs: with head[1] = 4.2 the
@@ -375,21 +401,47 @@ def _zeros(n):
 # filled with 0 instead of -inf would win its maximum
 @example((np.array([0.0, 1.0, 1.0, 1.0 - _D, 2.0]),
           np.array([[0.0, 4.2, 0.0, 0.0, 0.0], [-1.0] * 5]),
-          np.array([[0.0] * 5, [-1.0] * 5]), 1e-13), 1 << 14)
+          np.array([[0.0] * 5, [-1.0] * 5]), 1e-13), 1 << 14, None)
 # +0.0 and -0.0 tie for both extremes: one -0.0 ratio, pair (0, 4), in the
 # first series, and only -0.0 ratios in the second; numpy's min and max of
 # the 16 admissible ratios return either zero, by the order they reduce in,
 # and the scan must still give +0.0
 @example((np.array([0.0] * 4 + [0.5] * 4),
           np.array([[0.0] * 4 + [-0.0] + [0.0] * 3, [-0.0] * 8]),
-          np.array([[-0.0] + [0.0] * 7, [-0.0] * 8]), 0.5), 64)
-def test_pair_scan_matches_all_pairs(inputs, block):
+          np.array([[-0.0] + [0.0] * 7, [-0.0] * 8]), 0.5), 64, None)
+# the tile scan: every admissible ratio is a zero, and the first, pair
+# (0, 4), is -0.0 while numpy's max of the tile's ratios is +0.0
+@example(_ramp(8, [0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0, 0.0], 0.5), 1 << 14, 2)
+# +inf ratios at (1, 3), in the coarse tile of rows 0-2 and columns 3-5,
+# and at (0, 6), in the next one: (1, 3) is scanned first, one pair at a
+# time, but (0, 6) is the first in row-major order
+@example(_ramp(9, [0.0, -INF, 0.0, 0.0, 0.0, 0.0, INF, 0.0, 0.0], 0.25), 1, 1)
+# a NaN, an -inf and a +inf in r_om beside tiles that the peaked ratios
+# prune: the NaN pair (5, 11), and +inf at (3, 9) and (0, 20)
+@example(_ramp(24, _PEAKED[:5] + [math.nan] + _PEAKED[6:], 0.25), 16, 2)
+@example(_ramp(24, _PEAKED[:3] + [-INF] + _PEAKED[4:], 0.25), 1 << 14, 2)
+@example(_ramp(24, _PEAKED[:20] + [INF] + _PEAKED[21:], 0.25), 3, 3)
+# numerator bounds in [0, 1): the tile of the maximum, pair (3, 7), is kept
+# only when its bound divides by the least mu-difference, not the largest
+@example((np.array([0.0, 0.0, 2.0, 3.0, 3.5, 4.5, 5.5, 6.0, 6.5, 7.5]),
+          np.array([[0.01, 0.01, 0.01, 0.02, 0.04, 0.06, 0.07, 0.08, 0.06, 0.06]]),
+          np.zeros((1, 10)), 0.25), 1 << 14, 3)
+# the sample pair of tiles {0, 1} and {2, 3}, (0, 3), falls 2^-40 short of
+# the threshold 0.5, and its ratio, just above 2, must not raise the floor
+# past the maximum, 1 at (0, 4)
+@example((np.array([0.0, -_D, 0.5 - _D, 0.5 - _D, 1.0]), np.array([[-1.0, 0.0, 0.0, 0.0, 0.0]]),
+          np.zeros((1, 5)), 0.5), 1 << 14, 2)
+# a tile pair below the diagonal holds no pair: r_mu rises 2^-40 from
+# index 2 back to index 1, and that reversed pair's ratio, 2^40, is far
+# above the maximum, 0 at (0, 1)
+@example((np.array([0.0, _D, 0.0]), np.array([[0.0, 0.0, -1.0]]), np.zeros((1, 3)), 0.25), 1, 1)
+def test_pair_scan_matches_all_pairs(inputs, block, tile):
     r, heads, tails, cutoff = inputs
     l_max = r[-1] - r[0]
     threshold = cutoff * l_max
     refs = [_all_pairs(r, head, tail, threshold) for head, tail in zip(heads, tails)]
     count = len(refs[0][2])
-    with mock.patch.object(spectrum, "_PAIR_BLOCK", block):
+    with mock.patch.object(spectrum, "_PAIR_BLOCK", block), _tiles(tile, block):
         if l_max <= 0:
             with pytest.raises(spectrum.SpectrumError, match="flat"):
                 spectrum._pair_ratio_stats(r, heads, tails, cutoff)
