@@ -101,6 +101,7 @@ Expr = Num | Var | Neg | Bin | Call
 
 
 _OPERATORS = set("+-*/^(),")
+_DIGITS = set("0123456789")  # str.isdigit also takes superscripts and other scripts' digits
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -115,28 +116,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k] in _DIGITS:
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
             tokens.append(("num", text[i:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalpha() or text[j] in _DIGITS or text[j] == "_"):
                 j += 1
             tokens.append(("ident", text[i:j], i))
             i = j

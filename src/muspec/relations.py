@@ -366,12 +366,16 @@ def _fine_tiles(stats, r_mu, r_om, rows, cols, group: int, threshold: float, flo
     that survive their bounds: their row and column tiles and bounds, and
     the floor their samples raise."""
     sub = np.arange(group)
-    last = len(stats[0]) - 1  # the last coarse tiles may hold fewer fine tiles
+    # the last coarse tiles may hold fewer fine tiles: the extremes are padded
+    # with empty tiles up to whole coarse tiles, and no pair of those is live
+    pad = -len(stats[0]) % group
+    stats = tuple(np.concatenate([extreme, np.full(pad, empty)])
+                  for extreme, empty in zip(stats, (np.inf, -np.inf, np.inf, -np.inf)))
     kept = []
     step = max(1, _TILE_BLOCK // group ** 2)
     for s in range(0, len(rows), step):
-        fine_rows = np.minimum(rows[s:s + step, None] * group + sub, last)
-        fine_cols = np.minimum(cols[s:s + step, None] * group + sub, last)
+        fine_rows = rows[s:s + step, None] * group + sub
+        fine_cols = cols[s:s + step, None] * group + sub
         k, a, b = _live_tiles(stats, fine_rows, fine_cols, threshold)
         fine_rows, fine_cols = fine_rows[k, a], fine_cols[k, b]
         bound, floor = _tile_bounds(stats, r_mu, r_om, fine_rows, fine_cols, _PAIR_TILE,

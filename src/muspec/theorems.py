@@ -8,11 +8,15 @@ resolution; a conclusion that misses the target while the underlying
 estimate has not converged is reported as skipped ("conclusion-unresolved")
 rather than as a failure, so a failure always means confident
 counterevidence.
+
+Every verifier takes an optional ``cache``, one dict per run: spectra and
+relation verdicts are then computed once per function and arguments (the
+system object, the rates and the ``Params``) and shared with the other
+verifiers of the run; without it each call computes its own.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -192,14 +196,16 @@ def verify_805(system, mu, omega, params: Params = DEFAULT, fixture: str = "?",
     """Faster rate with a dichotomy: the spectrum under the slower rate must
     collapse to {+inf}, {-inf} or {+-inf}."""
     names = {"mu": _rate_label(mu), "omega": _rate_label(omega)}
-    h1 = _faster(cache, mu, omega, params)
-    dich = has_mu_dichotomy(system, mu, params, report=_spec(cache, fixture, system, mu, params))
+    h1 = _memo(cache, relations.check_faster, mu, omega, params)
+    dich = has_mu_dichotomy(system, mu, params,
+                            report=_memo(cache, compute_spectrum, system, mu, params))
     hyps = [
         _hyp("mu_faster_than_omega", h1.outcome),
         _hyp("system_has_mu_dichotomy", {True: HOLDS, False: FAILS}.get(dich.holds, INCONCLUSIVE)),
     ]
     return _assemble("805", fixture, names, hyps,
-                     lambda: _infinite_set_check(_spec(cache, fixture, system, omega, params)))
+                     lambda: _infinite_set_check(
+                         _memo(cache, compute_spectrum, system, omega, params)))
 
 
 def verify_806(system, omega, mu, params: Params = DEFAULT, fixture: str = "?",
@@ -208,14 +214,14 @@ def verify_806(system, omega, mu, params: Params = DEFAULT, fixture: str = "?",
     be the single point {0}."""
     names = {"omega": _rate_label(omega), "mu": _rate_label(mu)}
     growth = has_mu_growth(system, omega, params,
-                           report=_spec(cache, fixture, system, omega, params))
-    h2 = _faster(cache, mu, omega, params)
+                           report=_memo(cache, compute_spectrum, system, omega, params))
+    h2 = _memo(cache, relations.check_faster, mu, omega, params)
     hyps = [
         _hyp("system_has_omega_growth", growth.status),
         _hyp("mu_faster_than_omega", h2.outcome),
     ]
     return _assemble("806", fixture, names, hyps, lambda: _point_check(
-        _spec(cache, fixture, system, mu, params), 0.0, params.tol_stab))
+        _memo(cache, compute_spectrum, system, mu, params), 0.0, params.tol_stab))
 
 
 def verify_808_809(system, mu, omega, a: float | None = None, b: float | None = None,
@@ -228,7 +234,7 @@ def verify_808_809(system, mu, omega, a: float | None = None, b: float | None = 
     omega to mu.  An infinite bound leaves nothing to prove and is skipped.
     """
     names = {"mu": _rate_label(mu), "omega": _rate_label(omega)}
-    h1 = relations.check_weakly_faster(mu, omega, params)
+    h1 = _memo(cache, relations.check_weakly_faster, mu, omega, params)
     hyps = [_hyp("mu_weakly_faster_than_omega", h1.outcome)]
     # each variant moves the inclusion [lo, hi] (on one side of the axis, or
     # all of it when side is None) from the spectrum under ``given`` to ``moved``
@@ -253,7 +259,7 @@ def verify_808_809(system, mu, omega, a: float | None = None, b: float | None = 
         raise ValueError(f"unknown variant {variant!r}")
 
     def inclusion(rate_obj):
-        rep = _spec(cache, fixture, system, rate_obj, params)
+        rep = _memo(cache, compute_spectrum, system, rate_obj, params)
         return _inclusion_check(rep, lo, hi, params.tol_stab, side)
 
     ok, resolved, detail = inclusion(given)
@@ -273,15 +279,14 @@ def verify_811(system, chain, params: Params = DEFAULT, fixture: str = "?",
         raise ValueError(f"rate_names has {len(rate_names)} names for a chain of "
                          f"{len(chain)} rates")
     names = {"chain": ",".join(rate_names)}
-    order = _memo(cache, ("chain", _descriptors(chain)),
-                  lambda: relations.chain_check(chain, params))
+    order = _memo(cache, relations.chain_check, tuple(chain), params)
     hyps = [_hyp("chain_is_ordered", order.outcome,
                  "" if order.first_failure is None else f"link {order.first_failure} fails")]
 
     def conclude():
         strong = []
         for label, r in zip(rate_names, chain):
-            rep = _spec(cache, fixture, system, r, params)
+            rep = _memo(cache, compute_spectrum, system, r, params)
             growth = has_mu_growth(system, r, params, report=rep)
             dich = has_mu_dichotomy(system, r, params, report=rep)
             if growth.status == HOLDS and dich.holds is True:
@@ -327,8 +332,8 @@ def verify_908(system, mu, omega, params: Params = DEFAULT, fixture: str = "?",
         return _assemble("908", fixture, names, hyps, lambda: (False, True, ""))
 
     def conclude():
-        rep_mu = _spec(cache, fixture, system, mu, params)
-        rep_om = _spec(cache, fixture, system, omega, params)
+        rep_mu = _memo(cache, compute_spectrum, system, mu, params)
+        rep_om = _memo(cache, compute_spectrum, system, omega, params)
         ok, detail = same(rep_mu, rep_om,
                           params.tol_stab + rep_mu.resolution + rep_om.resolution)
         return ok, ok or (rep_mu.converged and rep_om.converged), detail
@@ -378,52 +383,37 @@ def _ends_match(x: float, y: float, tol: float) -> bool:
 
 
 def _rate_label(rate_obj) -> str:
-    if isinstance(rate_obj, rates.Polynomial):
-        return "p"
+    """The first catalog name of the rate in its time domain; otherwise a
+    label built from its kind and parameters."""
+    for name in catalog.RATE_NAMES:
+        if catalog.rate(name, rate_obj.time_domain) == rate_obj:
+            return name
     if isinstance(rate_obj, rates.PowerExp):
-        if rate_obj.lam == 1.0:
-            if rate_obj.p == 1.0:
-                return "exp"
-            if rate_obj.p == 2.0:
-                return "q"
-            if rate_obj.p == 3.0:
-                return "c"
         return f"power_exp(p={rate_obj.p:g},lambda={rate_obj.lam:g})"
     if isinstance(rate_obj, rates.Glued):
-        return "glued_c_p"
+        return f"glued(crossover={rate_obj.crossover:g})"
     return "expression"
 
 
-def _memo(cache: dict | None, key, compute):
-    """compute(), remembered under key in the run's cache when there is one."""
+def _memo(cache: dict | None, fn, *args):
+    """``fn(*args)``, remembered in the run's cache under ``(fn, *args)`` when
+    there is one.  The arguments are the system object, rates, ``Params``
+    and chains as tuples, so two calls share a value only when they would
+    compute the same one.  A remembered value is shared between callers and
+    must only be read."""
     if cache is None:
-        return compute()
+        return fn(*args)
+    key = (fn, *args)
     if key not in cache:
-        cache[key] = compute()
+        cache[key] = fn(*args)
     return cache[key]
-
-
-def _descriptors(rate_list) -> str:
-    """The rates' descriptors as one cache key."""
-    return json.dumps([rates.rate_to_descriptor(r) for r in rate_list], sort_keys=True)
-
-
-def _spec(cache: dict | None, fixture: str, system, rate_obj,
-          params: Params) -> SpectrumReport:
-    return _memo(cache, ("spectrum", fixture, _descriptors([rate_obj])),
-                 lambda: compute_spectrum(system, rate_obj, params))
-
-
-def _faster(cache: dict | None, mu, omega, params: Params):
-    """``relations.check_faster(mu, omega)``, once per run for each pair."""
-    return _memo(cache, ("faster", _descriptors([mu, omega])),
-                 lambda: relations.check_faster(mu, omega, params))
 
 
 def run_all(params: Params = DEFAULT) -> list[TheoremReport]:
     """The default verification grid over the catalog and generated fixtures.
-    Spectra, faster verdicts and chain verdicts are computed once per run
-    and shared between the theorems that use them."""
+    Spectra and the faster, weakly-faster and chain verdicts are computed
+    once per function and arguments in one run-wide cache and shared between
+    the rows that use them."""
     fixtures = {f.name: f for f in catalog_fixtures()}
     d = DISCRETE
     c = CONTINUOUS

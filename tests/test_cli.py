@@ -364,6 +364,8 @@ _POLY = {"kind": "polynomial"}
     ("discrete", 1, "scalar",
      {"rate_quotient": {"rate": {"kind": "power_exp", "p": 10 ** 400}, "slopes": [1]}},
      f"system.coefficients.rate_quotient.rate.p: expected a positive finite number, got {10 ** 400}"),
+    ("discrete", 1, "scalar", {"diagonal": ["k+\u00b2"]},
+     "system.coefficients: unexpected character '\u00b2' at offset 2"),
 ])
 def test_spectrum_names_malformed_descriptor_fields(capsys, domain, dim, structure,
                                                     coefficients, message):
@@ -420,6 +422,8 @@ def test_spectrum_rejects_non_finite_table_cell(capsys, tmp_path):
     ('{"kind":"power_exp","p":1' + "0" * 400 + "}",
      f"rate.p: expected a positive finite number, got {10 ** 400}"),
     ('{"kind":"power_exp","p":2,"lambda":0}', "rate.lambda: expected a positive finite number, got 0"),
+    ('{"kind":"expression","log_rate":"k+\u00b2"}',
+     "rate.log_rate: unexpected character '\u00b2' at offset 2"),
 ])
 def test_spectrum_rejects_rates_that_are_not_growth_rates(capsys, rate, message):
     code, out, err = _run(capsys, ["spectrum", "--system", "catalog:disc_q", "--rate", rate])

@@ -35,6 +35,18 @@ def test_syntax_error_offset_and_expected():
     assert any("number" in e for e in err.value.expected)
 
 
+@pytest.mark.parametrize("source, offset", [
+    ("k+\u00b2", 2),     # superscript two
+    ("1e\u00b2", 2),
+    ("t*\u0663", 2),     # Arabic-Indic three
+    ("k\u00b2", 1),
+])
+def test_only_ascii_digits_are_digits(source, offset):
+    with pytest.raises(ep.ParseError, match="unexpected character") as err:
+        ep.parse(source)
+    assert err.value.offset == offset
+
+
 def test_no_implicit_multiplication():
     with pytest.raises(ep.ParseError) as err:
         ep.parse("2t")

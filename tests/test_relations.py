@@ -146,6 +146,25 @@ def test_ratio_scan_forms_few_ratios_where_the_ratios_peak(monkeypatch):
     assert share(EXP, rates.PowerExp(1.0, 3.0, DISCRETE)) >= 1.0
 
 
+@pytest.mark.parametrize("window", [800, 1600])
+@pytest.mark.parametrize("mu, omega", [(P, EXP), (EXP, Q), (Q, C)])
+def test_ratio_scan_scans_each_tile_pair_once(monkeypatch, mu, omega, window):
+    """The last coarse tile of a grid may hold fewer fine tiles than the
+    others; none of its fine tile pairs is scanned twice."""
+    scanned = []
+    cells = relations._cells_max
+
+    def counting_cells(mu_grid, om_grid, rows, cols, threshold):
+        scanned.extend(zip(rows.tolist(), cols.tolist()))
+        return cells(mu_grid, om_grid, rows, cols, threshold)
+
+    monkeypatch.setattr(relations, "_cells_max", counting_cells)
+    r_mu, r_om = rates.log_rate_grid(mu, window), rates.log_rate_grid(omega, window)
+    relations._ratio_argmax(r_mu, r_om, 0.5 * (r_mu[-1] - r_mu[0]))
+    assert scanned
+    assert len(scanned) == len(set(scanned))
+
+
 def test_affine_prefilter_runs_once_per_ordered_pair():
     relations._affine_prefilter.cache_clear()
     theorems.run_all()

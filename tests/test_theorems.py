@@ -5,7 +5,7 @@ import random
 import pytest
 
 from muspec import catalog, evolution, rates, relations, spectrum, theorems
-from muspec.params import CONTINUOUS, DISCRETE
+from muspec.params import CONTINUOUS, DEFAULT, DISCRETE, Params
 
 
 INF = math.inf
@@ -26,11 +26,7 @@ def _rate_for(fixture, name):
 
 
 def _spectrum(cache, fixture, rate):
-    key = (fixture.name, rates.rate_to_descriptor(rate)["kind"],
-           repr(rates.rate_to_descriptor(rate)))
-    if key not in cache:
-        cache[key] = spectrum.compute_spectrum(fixture.system, rate)
-    return cache[key]
+    return theorems._memo(cache, spectrum.compute_spectrum, fixture.system, rate, DEFAULT)
 
 
 def test_closed_forms_match_propagation(fixtures):
@@ -280,15 +276,59 @@ def test_run_all_reports_no_failures():
 
 
 def test_run_all_checks_each_faster_pair_once(monkeypatch):
-    pairs = []
-    check_faster = relations.check_faster
-    monkeypatch.setattr(relations, "check_faster",
-                        lambda mu, omega, params: pairs.append((mu, omega))
-                        or check_faster(mu, omega, params))
+    calls = {"compute_spectrum": 0, "check_faster": 0, "chain_check": 0,
+             "check_weakly_faster": 0}
+    for module, name in [(theorems, "compute_spectrum"), (relations, "check_faster"),
+                         (relations, "chain_check"), (relations, "check_weakly_faster")]:
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
     theorems.run_all()
     # the 19 rows of 805 and 806 ask about 12 distinct (mu, omega) pairs,
-    # each checked once; the 908 rows ask for no faster check
-    assert len(pairs) == 12
+    # each checked once; the 908 rows ask for no faster check.  The 808/809
+    # rows share their weakly-faster verdicts with each other and with the
+    # faster checks, which also run it, and the 811 rows share the two chains.
+    assert calls == {"compute_spectrum": 36, "check_faster": 12, "chain_check": 2,
+                     "check_weakly_faster": 8}
+
+
+def test_cache_keeps_systems_with_the_same_label_apart(fixtures):
+    """Two systems verified under the default fixture label do not share
+    spectra: the second call answers as an uncached one."""
+    q, exp = catalog.rate("q", DISCRETE), catalog.rate("exp", DISCRETE)
+    cache = {}
+    first = theorems.verify_805(fixtures["disc_q"].system, q, exp, cache=cache)
+    assert first.status == "pass"
+    cached = theorems.verify_805(fixtures["identity"].system, q, exp, cache=cache)
+    uncached = theorems.verify_805(fixtures["identity"].system, q, exp)
+    assert uncached.status == "skipped"
+    assert cached.to_dict() == uncached.to_dict()
+
+
+def test_cache_keeps_params_apart(fixtures):
+    """A short schedule's inconclusive verdicts are not reused at the
+    default parameters."""
+    q, exp = catalog.rate("q", DISCRETE), catalog.rate("exp", DISCRETE)
+    system = fixtures["disc_q"].system
+    cache = {}
+    theorems.verify_805(system, q, exp, params=Params(schedule=(5, 10)),
+                        fixture="disc_q", cache=cache)
+    cached = theorems.verify_805(system, q, exp, fixture="disc_q", cache=cache)
+    uncached = theorems.verify_805(system, q, exp, fixture="disc_q")
+    assert uncached.status == "pass"
+    assert cached.to_dict() == uncached.to_dict()
+
+
+def test_rate_labels_come_from_the_catalog():
+    for domain in (DISCRETE, CONTINUOUS):
+        for name in catalog.RATE_NAMES:
+            assert theorems._rate_label(catalog.rate(name, domain)) == name
+    assert theorems._rate_label(rates.PowerExp(1.0, 2.0, DISCRETE)) == \
+        "power_exp(p=1,lambda=2)"
+    c, p = catalog.rate("c", CONTINUOUS), catalog.rate("p", CONTINUOUS)
+    assert theorems._rate_label(rates.Glued(c, p, 2.0, CONTINUOUS)) == "glued(crossover=2)"
+    assert theorems._rate_label(rates.ExpressionRate("k", DISCRETE)) == "expression"
 
 
 def test_run_all_is_deterministic():
