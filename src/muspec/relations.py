@@ -33,7 +33,7 @@ import numpy as np
 
 from . import rates
 from .params import DEFAULT, DISCRETE, SAMPLES_PER_UNIT, Params
-from .spectrum import pair_ratio_blocks
+from .spectrum import admission_threshold, pair_ratio_blocks
 
 
 EPS_GRID = (1.0, 0.5, 0.25, 0.1, 0.05)
@@ -274,7 +274,7 @@ def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple
     ``np.argmax`` over all pairs at once would pick.  ``_tile_argmax``
     scans only the tiles of the pair triangle that can hold the maximum;
     where that cannot pay, ``_row_argmax`` scans every admissible pair."""
-    threshold = max(threshold, math.ulp(0.0))  # L >= the least positive double is L > 0
+    threshold = admission_threshold(threshold)
     n = len(r_mu)
     found = _tile_argmax(r_mu, r_om, threshold) if n * (n - 1) // 2 > _ROW_SCAN_PAIRS else None
     return found if found is not None else _row_argmax(r_mu, r_om, threshold)

@@ -392,7 +392,7 @@ def _rate_label(rate_obj) -> str:
         return f"power_exp(p={rate_obj.p:g},lambda={rate_obj.lam:g})"
     if isinstance(rate_obj, rates.Glued):
         return f"glued(crossover={rate_obj.crossover:g})"
-    return "expression"
+    return f"expression({rate_obj.log_rate})"
 
 
 def _memo(cache: dict | None, fn, *args):

@@ -508,6 +508,45 @@ def test_output_matches_the_recorded_reports(capsys, monkeypatch, tmp_path, argv
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
+_WIDE_SCHEDULES = {"discrete": "200,400,800,1600", "continuous": "50,100,200,400"}
+
+
+def catalog_spectra(work_dir: Path) -> str:
+    """One JSON line per catalog system, catalog rate and schedule (the
+    default one and the wide one): the ``spectrum`` report the CLI writes,
+    and its exit code."""
+    lines = []
+    out = work_dir / "spectrum.json"
+    for system, (domain, _) in catalog.SYSTEM_DEFS.items():
+        for rate in catalog.RATE_NAMES:
+            for schedule in (None, _WIDE_SCHEDULES[domain]):
+                argv = ["spectrum", "--system", f"catalog:{system}", "--rate", rate]
+                argv += ["--schedule", schedule] if schedule else []
+                code = main(argv + ["--output", str(out)])
+                entry = {"system": system, "rate": rate, "schedule": schedule, "exit": code,
+                         "report": json.loads(out.read_text(encoding="utf-8"))}
+                lines.append(json.dumps(entry, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+def test_catalog_spectra_match_the_recorded_reports(tmp_path):
+    """Every catalog system under every catalog rate, at both schedules, is
+    byte-identical to the recorded reports.  A change that moves a digit
+    regenerates the file (run this module as a script) and says which digit
+    moved and why."""
+    got = catalog_spectra(tmp_path)
+    assert got == (DATA / "catalog_spectra.jsonl").read_text(encoding="utf-8")
+
+
+def test_verify_labels_expression_rates_by_their_log_rate(capsys):
+    """Two expression rates get two labels: each carries its log_rate."""
+    code, out, _ = _run(capsys, _VERIFY + [
+        "908", "--system", "catalog:identity", "--mu", '{"kind":"expression","log_rate":"k"}',
+        "--omega", '{"kind":"expression","log_rate":"2*k"}'])
+    assert code == 0
+    assert json.loads(out)["rates"] == {"mu": "expression(k)", "omega": "expression(2*k)"}
+
+
 def test_bad_rate_name(capsys):
     code, _, err = _run(capsys, [
         "compare", "--relation", "faster", "--a", "catalog:nope", "--b", "q"])
@@ -556,3 +595,11 @@ def test_format_belongs_to_spectrum(capsys):
             main([command, "--help"])
         assert exc.value.code == 0
         assert ("--format" in capsys.readouterr().out) is listed
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work:
+        text = catalog_spectra(Path(work))
+    (DATA / "catalog_spectra.jsonl").write_text(text, encoding="utf-8")

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -308,6 +309,65 @@ def test_series_on_one_rate_grid_share_a_pair_scan(monkeypatch):
     assert est.pairs_used == pairs
 
 
+def test_exact_multiples_of_the_rate_form_no_pair_block(monkeypatch):
+    """frak_a under c, disc_q under q and identity under exp have the
+    log-propagators -r, r and 0 on the log-rate grid r: their scans form
+    no block of pair_ratio_blocks and still count the pairs its masks hold.
+    A diagonal system with other slopes forms the blocks."""
+    params = Params(schedule=(200, 400, 800, 1600))
+    blocks, calls = spectrum.pair_ratio_blocks, []
+    monkeypatch.setattr(spectrum, "pair_ratio_blocks", lambda *args: calls.append(args)
+                        or blocks(*args))
+    for system, rate in ((FRAK_A, C), (DISC_Q, Q), (IDENTITY, EXP)):
+        est = spectrum.compute_spectrum(system, rate, params).component_estimates[0]
+        assert not calls
+        _, r, heads, tails = spectrum._grid(system, rate, 1600)
+        threshold = params.cutoff_fraction * (r[-1] - r[0])
+        assert est.pairs_used == sum(int(np.count_nonzero(mask))
+                                     for _, _, mask, _ in blocks(r, heads, tails, threshold))
+    system = evolution.diagonal_system(
+        DISCRETE, [f"exp(({s})*abs(2*k+1))" for s in (-0.731, 0.402, 1.218)])
+    spectrum.compute_spectrum(system, Q, params)
+    assert len(calls) == 4
+
+
+def test_closed_form_count_holds_few_cells_at_once():
+    """identity (c = 0) under a rate that rises 1e-15 a step and alternates
+    by 8e-13, drops that log_rate_grid lets through: the running maximum and
+    the suffix minimum stay about 800 columns apart, so over a million
+    cells lie between their suffix starts.  The closed form counts the
+    pairs the scan's masks hold, holding at most _PAIR_BLOCK of those cells
+    at a time."""
+    rate = rates.ExpressionRate("1e-15*k + 4e-13*(-1)^k", DISCRETE)
+    _, r, heads, tails = spectrum._grid(IDENTITY, rate, 1600)
+    threshold = 0.5 * (r[-1] - r[0])
+    top, low = spectrum._envelopes(r)
+    between = (spectrum._suffix_starts(r, low, threshold)
+               - spectrum._suffix_starts(r, top, threshold))
+    assert between.sum() > 1_000_000
+    tracemalloc.start()
+    try:
+        lo, hi, count = spectrum._pair_ratio_stats(r, heads, tails, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20  # all the between cells at once take over 40 MB
+    assert lo.tolist() == hi.tolist() == [0.0]
+    assert count == sum(int(np.count_nonzero(mask))
+                        for _, _, mask, _ in spectrum.pair_ratio_blocks(r, heads, tails, threshold))
+
+
+def test_closed_form_leaves_overflowing_differences_to_the_scan():
+    """r and r[-1] - r[0] = DBL_MAX are finite, but r[1] - r[0] overflows,
+    so the ratio of r over r at (0, 1) is +inf / +inf, a NaN, not 1: the
+    closed form's guard (max |r| <= DBL_MAX / 2) sends the series to the
+    scan."""
+    r = np.array([-1.0, 1.0, 1.0 - 2.0 ** -52]) * 2.0 ** 1023
+    with np.errstate(over="ignore", invalid="ignore"):  # the scan's own overflow
+        lo, hi, count = spectrum._pair_ratio_stats(r, r[None], -r[None], 0.5)
+    assert math.isnan(lo[0]) and math.isnan(hi[0]) and count == 2
+
+
 # ---------------------------------------------------------------------------
 # The admissible-pair primitive against a plain all-pairs scan
 
@@ -316,9 +376,10 @@ def _all_pairs(r, head, tail, threshold):
     """(i, j, ratio) of every admissible pair i < j, in np.triu_indices
     order, with the mask and the division of pair_ratio_blocks."""
     i, j = np.triu_indices(len(r), 1)
-    L = r[j] - r[i]
-    keep = (L >= threshold) & (L > 0)
-    with np.errstate(invalid="ignore"):  # inf + -inf among the drawn values
+    # inf + -inf among the drawn values, and differences and sums near overflow
+    with np.errstate(invalid="ignore", over="ignore"):
+        L = r[j] - r[i]
+        keep = (L >= threshold) & (L > 0)
         return i[keep], j[keep], (head[j] + tail[i])[keep] / L[keep]
 
 
@@ -357,6 +418,40 @@ def _pair_inputs(draw):
     return r, heads, tails, tie if draw(st.booleans()) else draw(_cutoffs)
 
 
+# the multiples c * r of the closed form, and magnitudes of r: near
+# overflow, the largest grids fail its guard at 2^1018 (max |r| > 2^1023)
+_UNIT = [0.0, 1.0, -1.0]
+_SCALES = [1.0, 2.0 ** 1018]
+# a log-rate grid that drops 2^-41 from index 3 to 4
+_DROP = np.array([-3.0, -1.3, 0.3999999999999999, 1.4000000000000004, 1.3999999999995456,
+                  2.3999999999995456])
+
+
+@st.composite
+def _multiple_inputs(draw):
+    """(r, heads, tails, cutoff) on the grids and cutoffs of ``_pair_inputs``
+    scaled by one of ``_SCALES``, whose series are c * r with c in
+    ``_UNIT`` and tails -heads, the input of the closed-form path; or a
+    near miss that must take the scan: one entry an ulp off, a tail that
+    is not -head, or c = 2, 0.5 or 3."""
+    r, _, _, cutoff = draw(_pair_inputs())
+    r = r * draw(st.sampled_from(_SCALES))
+    slopes = np.array(draw(st.lists(st.sampled_from(_UNIT), min_size=1, max_size=3)))
+    heads = slopes[:, None] * r
+    k = draw(st.integers(0, len(slopes) - 1))
+    miss = draw(st.sampled_from([None, None, "ulp", "tail", "slope"]))
+    if miss == "ulp":
+        i = draw(st.integers(0, len(r) - 1))
+        heads[k, i] = np.nextafter(heads[k, i], draw(st.sampled_from([INF, -INF])))
+    elif miss == "slope":
+        with np.errstate(over="ignore"):  # 2 * r may overflow to +-inf
+            heads[k] = draw(st.sampled_from([2.0, 0.5, 3.0])) * r
+    tails = -heads
+    if miss == "tail":
+        tails[k] = -np.roll(heads[k], 1)
+    return r, heads, tails, cutoff
+
+
 def _zeros(n):
     return np.zeros((1, n)), np.zeros((1, n))
 
@@ -385,9 +480,9 @@ def _ramp(n, om, cutoff):
 _PEAKED = [k * k / 24.0 for k in range(24)]
 
 
-@given(_pair_inputs(), st.sampled_from([1, 3, 16, 64, 1 << 14]),
+@given(st.one_of(_pair_inputs(), _multiple_inputs()), st.sampled_from([1, 3, 16, 64, 1 << 14]),
        st.sampled_from([None, 1, 2, 3, 16]))
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=800, deadline=None)
 # a block of rows 0 and 1 must start at column 2, which row 1 admits (the
 # scan would miss it starting from r[0] instead of the suffix minimum, or
 # one column before searchsorted(r, r[0] + threshold))
@@ -435,6 +530,19 @@ _PEAKED = [k * k / 24.0 for k in range(24)]
 # index 2 back to index 1, and that reversed pair's ratio, 2^40, is far
 # above the maximum, 0 at (0, 1)
 @example((np.array([0.0, _D, 0.0]), np.array([[0.0, 0.0, -1.0]]), np.zeros((1, 3)), 0.25), 1, 1)
+# the closed form: a rounded key r[i] + threshold puts the suffix start of
+# row 0 one column early, at 1, where fl(-2.7 - -3.0) < 0.3
+@example((np.array([-3.0, -2.7, -2.4]), np.array([[-3.0, -2.7, -2.4]]),
+          np.array([[3.0, 2.7, 2.4]]), 0.5), 1 << 14, None)
+# a 2^-41 drop leaves cells between the envelopes' suffix starts
+@example((_DROP, -_DROP[None], _DROP[None], 0.5), 1 << 14, None)
+# r with entry 1 an ulp up, and its negative: c reads 1 from entry 3, but
+# the ratio of (1, 3) is 1 - 2^-53, not 1
+@example((np.arange(4.0), np.array([[0.0, 1.0 + 2.0 ** -52, 2.0, 3.0]]),
+          np.array([[0.0, -1.0 - 2.0 ** -52, -2.0, -3.0]]), 0.5), 1 << 14, None)
+# heads r but a tail that is not -r: pair (0, 2) has the ratio 0.75, not 1
+@example((np.arange(4.0), np.arange(4.0)[None], np.array([[-0.5, -1.0, -2.0, -3.0]]), 0.5),
+         1 << 14, None)
 def test_pair_scan_matches_all_pairs(inputs, block, tile):
     r, heads, tails, cutoff = inputs
     l_max = r[-1] - r[0]

@@ -328,7 +328,7 @@ def test_rate_labels_come_from_the_catalog():
         "power_exp(p=1,lambda=2)"
     c, p = catalog.rate("c", CONTINUOUS), catalog.rate("p", CONTINUOUS)
     assert theorems._rate_label(rates.Glued(c, p, 2.0, CONTINUOUS)) == "glued(crossover=2)"
-    assert theorems._rate_label(rates.ExpressionRate("k", DISCRETE)) == "expression"
+    assert theorems._rate_label(rates.ExpressionRate("k", DISCRETE)) == "expression(k)"
 
 
 def test_run_all_is_deterministic():
