@@ -179,6 +179,17 @@ class ExprSource:
         texts = tuple(tuple(row) for row in rows)
         return ExprSource(diag=None, entries=asts, diag_text=None, entries_text=texts)
 
+    @functools.cached_property
+    def distinct_entries(self) -> tuple[tuple, list]:
+        """(exprs, columns) of a full system: one expression per distinct
+        entry text, in row-major order of first appearance, and for every
+        row-major entry the index of its text in exprs."""
+        texts = [t for row in self.entries_text for t in row]
+        first = {}
+        for text, expr in zip(texts, (e for row in self.entries for e in row)):
+            first.setdefault(text, (len(first), expr))
+        return tuple(expr for _, expr in first.values()), [first[t][0] for t in texts]
+
 
 @dataclass(frozen=True, eq=False)
 class TableSource:
@@ -306,14 +317,16 @@ def coefficient_matrix(system: LinearSystem, t: float) -> np.ndarray:
 
 def _coefficient_stack(system: LinearSystem, ts) -> np.ndarray:
     """A(t) of a full system at every time of ``ts``, shape (len(ts), d, d):
-    one array evaluation of the row-major entry expressions, or one table
-    gather.  The first error is the one the times raise one at a time."""
+    one array evaluation of the distinct entry expressions, each copied to
+    every entry that repeats its text, or one table gather.  The first
+    error is the one the times raise one at a time: a repeated entry fails
+    where its first appearance, evaluated before it, does."""
     src = system.source
     if isinstance(src, TableSource):
         return src.stack(ts)
-    entries = [e for row in src.entries for e in row]
-    values = exprparse.evaluate_array(entries, {"t": ts, "k": ts})
-    return values.reshape(len(ts), system.dim, system.dim)
+    exprs, columns = src.distinct_entries
+    values = exprparse.evaluate_array(exprs, {"t": ts, "k": ts})
+    return values[:, columns].reshape(len(ts), system.dim, system.dim)
 
 
 def _diag_step_logs(system: LinearSystem, ks: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -445,7 +458,7 @@ def _diag_log_integral(system: LinearSystem, frm: float, to: float) -> np.ndarra
     return (1.0 if frm < to else -1.0) * sum(parts[1:], parts[0])
 
 
-_RK4_BLOCK = 1 << 18  # coefficient values (nodes x entries) one RK4 lane block holds
+_RK4_CHUNK = 1 << 14  # coefficient values (nodes x entries) one chunk of RK4 steps holds
 
 
 def _rk4_factors(system: LinearSystem, frm: np.ndarray,
@@ -454,57 +467,30 @@ def _rk4_factors(system: LinearSystem, frm: np.ndarray,
     classical fixed-step 4th-order integration, one lane l per pair.
 
     Returns (units, logs) of shapes (lanes, d, d) and (lanes,).  All lanes
-    span the same length, so they take the same steps and are integrated
-    together, in blocks of lanes whose coefficient values stay within
-    ``_RK4_BLOCK``.  Each lane does the float operations of a lone
-    integration: the same node times and products, rescaled after every
-    substep by a power of two (``_rescale``), so a lane is its unscaled
-    integration x times 2^-E, digit for digit.  Its unit is x / ||x|| and
-    its log E * log 2 + log ||x||, with one stacked 2-norm per block.  All
-    nodes of a block are evaluated in one call, lane by lane and step by
-    step, so a failing coefficient raises the error the lanes would raise
-    one at a time.  Lanes that overflow or collapse to zero are reported at
-    the end of their block, the first in lane order; an overflow names the
-    lane by its times.
+    span the same length, so they take the same steps.  They are integrated
+    in blocks of at most ``_RK4_CHUNK // (2 d^2)`` lanes, every lane of a
+    block in one step loop (``_rk4_block``), so the working set is the
+    lanes' d x d states plus one chunk of at most ``_RK4_CHUNK`` coefficient
+    values, whatever the window or span.  Each lane does the float
+    operations of a lone integration: the same node times and products,
+    rescaled after every substep by a power of two (``_rescale``), so a lane
+    is its unscaled integration x times 2^-E, digit for digit.  Its unit is
+    x / ||x|| and its log E * log 2 + log ||x||, with one stacked 2-norm for
+    all lanes.
+
+    Errors come in this order.  A failing coefficient raises the error the
+    lanes raise one at a time, in lane order: the first failing node of the
+    first lane that has one, whichever block and chunk it falls in.  Only
+    then are lanes that overflow or collapse to zero reported, the first in
+    lane order; an overflow names the lane by its times.
     """
     steps = max(1, math.ceil(abs(float(to[0] - frm[0])) / ODE_STEP))
     d = system.dim
-    block = max(1, _RK4_BLOCK // ((2 * steps + 1) * d * d))
-    units, logs = [], []
-    for l0 in range(0, len(frm), block):
-        u, g = _rk4_block(system, frm[l0:l0 + block], to[l0:l0 + block], steps)
-        units.append(u)
-        logs.append(g)
-    return np.concatenate(units), np.concatenate(logs)
-
-
-def _rk4_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
-               steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_rk4_factors`` of one block of lanes."""
-    lanes, d = len(frm), system.dim
-    dt = (to - frm) / steps
-    # t advances by repeated addition of dt, as a step loop does, so the end
-    # t[s] + dt of step s is bitwise the start t[s + 1] of the next: the
-    # nodes of a lane are t[0], t[0] + dt/2, t[1], ..., t[steps], each once,
-    # in the order a step loop first evaluates them
-    t = np.cumsum(np.column_stack([frm] + [dt] * steps), axis=1)
-    half = dt / 2
-    nodes = np.empty((lanes, 2 * steps + 1))
-    nodes[:, 0::2] = t
-    nodes[:, 1::2] = t[:, :-1] + half[:, None]
-    coeff = _coefficient_stack(system, nodes.ravel()).reshape(lanes, 2 * steps + 1, d, d)
-    half, full, sixth = (v[:, None, None] for v in (half, dt, dt / 6))
-    x = np.tile(np.eye(d), (lanes, 1, 1))
-    exps = np.zeros(lanes, dtype=int)
-    with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
-        for s in range(steps):
-            a0, a1, a2 = coeff[:, 2 * s], coeff[:, 2 * s + 1], coeff[:, 2 * s + 2]
-            k1 = a0 @ x
-            k2 = a1 @ (x + half * k1)
-            k3 = a1 @ (x + half * k2)
-            k4 = a2 @ (x + full * k3)
-            x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-            exps += _rescale(x)
+    block = max(1, _RK4_CHUNK // (2 * d * d))
+    runs = [_rk4_block(system, frm[l0:l0 + block], to[l0:l0 + block], steps)
+            for l0 in range(0, len(frm), block)]
+    x = np.concatenate([x for x, _ in runs])
+    exps = np.concatenate([e for _, e in runs])
     # a zero lane stays zero and a non-finite one non-finite
     top = np.abs(x).max(axis=(1, 2))
     bad = ~np.isfinite(top) | (top == 0.0)
@@ -515,6 +501,75 @@ def _rk4_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
         raise EvolutionError(f"propagator from time {frm[lane]:g} to {to[lane]:g} "
                              "is not finite during integration")
     return _normalized(x, (exps * _LN2).tolist())
+
+
+def _rk4_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
+               steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, E) of one block of ``_rk4_factors``'s lanes, all of them in one
+    step loop: x (lanes, d, d) rescaled and E (lanes,) the exponent sums.
+
+    The coefficients are evaluated a chunk of steps at a time, at most
+    ``_RK4_CHUNK`` values per chunk (``_rk4_chunks``), each node once: a
+    chunk's first node is the last of the chunk before.  When a chunk
+    fails, ``_raise_in_lane_order`` raises the error the lanes would raise
+    one at a time."""
+    lanes, d = len(frm), system.dim
+    dt = (to - frm) / steps
+    half, full, sixth = (v[:, None, None] for v in (dt / 2, dt, dt / 6))
+    x = np.tile(np.eye(d), (lanes, 1, 1))
+    exps = np.zeros(lanes, dtype=int)
+    a2 = None  # the coefficient at the end of the last step taken
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
+        for nodes in _rk4_chunks(frm, dt, steps, max(1, _RK4_CHUNK // (2 * lanes * d * d))):
+            fresh = nodes if a2 is None else nodes[:, 1:]
+            try:
+                coeff = _coefficient_stack(system, fresh.ravel())
+            except (ValueError, ArithmeticError):
+                _raise_in_lane_order(system, frm, dt, steps)
+                raise
+            coeff = coeff.reshape(lanes, fresh.shape[1], d, d)
+            if a2 is None:
+                a2, coeff = coeff[:, 0], coeff[:, 1:]
+            for j in range(nodes.shape[1] // 2):
+                a0, a1, a2 = a2, coeff[:, 2 * j], coeff[:, 2 * j + 1]
+                k1 = a0 @ x
+                k2 = a1 @ (x + half * k1)
+                k3 = a1 @ (x + half * k2)
+                k4 = a2 @ (x + full * k3)
+                x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+                exps += _rescale(x)
+    return x, exps
+
+
+def _rk4_chunks(frm: np.ndarray, dt: np.ndarray, steps: int, per_chunk: int):
+    """The node times of ``steps`` RK4 steps of length dt from frm, per lane,
+    as arrays of shape (lanes, 2n + 1) for chunks of n <= per_chunk steps.
+
+    The step ends advance by repeated addition of dt, one running sum
+    continued from chunk to chunk, as a step loop does, so the end t + dt
+    of a step is bitwise the start of the next: a chunk holds its steps'
+    ends t_0, ..., t_n with the midpoints t_i + dt/2 between them, in the
+    order a step loop first evaluates them, and its t_n is the next chunk's
+    t_0."""
+    t = frm
+    for s0 in range(0, steps, per_chunk):
+        n = min(per_chunk, steps - s0)
+        ends = np.cumsum(np.column_stack([t] + [dt] * n), axis=1)
+        nodes = np.empty((len(t), 2 * n + 1))
+        nodes[:, 0::2] = ends
+        nodes[:, 1::2] = ends[:, :-1] + (dt / 2)[:, None]
+        yield nodes
+        t = ends[:, -1]
+
+
+def _raise_in_lane_order(system: LinearSystem, frm: np.ndarray, dt: np.ndarray, steps: int):
+    """Evaluate the coefficients at the RK4 nodes lane by lane, each lane's
+    in time order and a chunk at a time, so the first failing node of the
+    first lane that has one raises its error."""
+    per_chunk = max(1, _RK4_CHUNK // (2 * system.dim ** 2))
+    for lane in range(len(frm)):
+        for nodes in _rk4_chunks(frm[lane:lane + 1], dt[lane:lane + 1], steps, per_chunk):
+            _coefficient_stack(system, nodes.ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,7 @@ def log_quotient(rate: GrowthRate, k: float, n: float) -> LogQuotient:
 
 
 _TOL = 1e-12  # slack on log mu(0) = 0 and on non-decreasing samples
+MAX_LOG_RATE = np.finfo(float).max / 2  # DBL_MAX / 2: no difference of two samples this size overflows
 
 
 def _drops(vals: np.ndarray) -> np.ndarray:
@@ -194,15 +195,17 @@ def sample_times(time_domain: str, window: int, samples_per_unit: int = 1) -> np
 @lru_cache(maxsize=512)
 def log_rate_grid(rate: GrowthRate, window: int, samples_per_unit: int = 1) -> np.ndarray:
     """log mu at ``sample_times``, the grid every estimator scans.  It must
-    look like a growth rate there: finite, log mu(0) = 0 and non-decreasing
-    (up to _TOL); otherwise a RateError names the failed check and the
-    first time at which it fails."""
+    look like a growth rate there: finite and at most DBL_MAX / 2 in
+    magnitude, so that no difference of two samples overflows, log mu(0) = 0
+    and non-decreasing (up to _TOL); otherwise a RateError names the failed
+    check and the first time at which it fails."""
     ts = sample_times(rate.time_domain, window, samples_per_unit)
     vals = log_rate_values(rate, ts)
-    infinite = ~np.isfinite(vals)
-    if infinite.any():
-        i = int(np.argmax(infinite))
-        raise RateError(f"rate: log mu is not finite at t={ts[i]:g} ({vals[i]})")
+    out_of_range = ~(np.abs(vals) <= MAX_LOG_RATE)  # NaN compares false
+    if out_of_range.any():
+        i = int(np.argmax(out_of_range))
+        what = "not finite" if not math.isfinite(vals[i]) else "beyond DBL_MAX/2 in magnitude"
+        raise RateError(f"rate: log mu is {what} at t={ts[i]:g} ({vals[i]})")
     origin = log_rate(rate, 0.0)
     if abs(origin) > _TOL:
         raise RateError(f"rate: log mu(0) is {origin:g}, not 0 (mu(0) must be 1)")

@@ -267,9 +267,6 @@ def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutof
     return lo + 0.0, hi + 0.0, count  # -0.0 + 0.0 is +0.0; every other value stays
 
 
-_MAX_HALF = np.finfo(float).max / 2
-
-
 def _unit_slopes(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndarray | None:
     """The slopes c_k in {0, 1, -1} with heads[k] == c_k * r and tails[k] ==
     -heads[k] (as values: zeros of either sign are equal) for every series
@@ -298,7 +295,7 @@ def _unit_slopes(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndar
             return None
         if not (np.array_equal(heads[k], c * r) and np.array_equal(tails[k], -heads[k])):
             return None
-    if slopes.any() and not np.abs(r).max() <= _MAX_HALF:
+    if slopes.any() and not np.abs(r).max() <= rates.MAX_LOG_RATE:
         return None
     return slopes
 

@@ -415,6 +415,9 @@ def test_spectrum_rejects_non_finite_table_cell(capsys, tmp_path):
     ('{"kind":"expression","log_rate":"1+k"}', "rate: log mu(0) is 1, not 0"),
     # falls on the negative half-line
     ('{"kind":"expression","log_rate":"k^2"}', "rate: log mu decreases from t=-400 to t=-399"),
+    # finite, but the differences of the samples overflow
+    ('{"kind":"expression","log_rate":"1e308*sgn(k)"}',
+     "rate: log mu is beyond DBL_MAX/2 in magnitude at t=-400 (-1e+308)"),
     # descriptor numbers that are not finite floats are named by field
     ('{"kind":"power_exp","p":Infinity}', "rate.p: expected a positive finite number, got inf"),
     ('{"kind":"power_exp","p":2,"lambda":Infinity}', "rate.lambda: expected a positive finite number, got inf"),

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -587,6 +588,91 @@ def test_scaled_grids_raise_the_first_stepwise_error():
     mixed = evolution.full_system(DISCRETE, [["k-2", "0"], ["0", "1/(k-5)"]])
     with pytest.raises(evolution.EvolutionError, match="singular at time 2$"):
         evolution.scaled_grids(mixed, 8)
+
+
+def _probe_rows(d):
+    """The d x d probe system: a_11 = 2|t|, the rest of the diagonal
+    -1/(1 + |t|), the superdiagonal 1 and every other entry 0."""
+    rows = [["0"] * d for _ in range(d)]
+    for i in range(d):
+        rows[i][i] = "-1/(1+abs(t))"
+        if i + 1 < d:
+            rows[i][i + 1] = "1"
+    rows[0][0] = "2*abs(t)"
+    return rows
+
+
+_PROBE_2 = evolution.full_system(CONTINUOUS, _probe_rows(2))
+_PROBE_4 = evolution.full_system(CONTINUOUS, _probe_rows(4))
+
+
+def _rk4_outputs():
+    """Every RK4 result the chunking test compares: the grids of the 2x2 at
+    windows 40 and 160 and of the 4x4 at 80, and one long propagation."""
+    grids = [evolution.scaled_grids(system, window)
+             for system, window in ((_PROBE_2, 40), (_PROBE_2, 160), (_PROBE_4, 80))]
+    phi = evolution.propagate(_PROBE_2, 37.5, -12.25)
+    return [a for _, *walks in grids for walk in walks for a in walk] + [phi.unit, phi.log_norm]
+
+
+@pytest.fixture(scope="module")
+def rk4_reference():
+    return _rk4_outputs()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, evolution._RK4_CHUNK])
+def test_rk4_chunks_move_no_bit(monkeypatch, rk4_reference, chunk):
+    """Any chunk of coefficient values, down to one lane of one step at a
+    time, gives bitwise the same units and logs; and a coefficient that
+    fails on nodes of several lanes raises the first failing node of the
+    first lane, as a lone integration of that lane meets it, however the
+    lanes and steps are cut."""
+    monkeypatch.setattr(evolution, "_RK4_CHUNK", chunk)
+    for got, want in zip(_rk4_outputs(), rk4_reference, strict=True):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # |t - 1| <= 0.1 fails: the last steps of lane 0 (0 -> 1), the first
+    # of lanes 1 (1 -> 0) and 2 (1 -> 2), which a step-major chunk meets first
+    gap = evolution.full_system(CONTINUOUS, [["1", "log(abs(t-1)-0.1)"], ["0", "1"]])
+    with pytest.raises(exprparse.DomainError) as plain:
+        _plain_rk4(gap, 1.0, 0.0)
+    assert 0.89 < plain.value.value["t"] < 0.91
+    for call in (lambda: evolution.scaled_grids(gap, 40),
+                 lambda: evolution.propagate(gap, 1.0, 0.0)):
+        with pytest.raises(exprparse.DomainError) as info:
+            call()
+        assert info.value.fragment == plain.value.fragment
+        assert float(info.value.value["t"]) == plain.value.value["t"]
+
+
+def test_rk4_holds_one_chunk_of_coefficients():
+    """The 2x2 grid at window 40 integrates 160 lanes of 201 RK4 nodes of 4
+    entries: held at once, with their evaluation temporaries, they peak at
+    about 2.3 MB."""
+    evolution.scaled_grids(_PROBE_2, 1)
+    tracemalloc.start()
+    try:
+        evolution.scaled_grids(_PROBE_2, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_coefficient_stack_evaluates_each_entry_text_once(monkeypatch):
+    """The 8x8 probe system has 64 entries and 4 distinct texts: one array
+    evaluation of the 4, copied out to the 64, is bitwise the evaluation of
+    every entry."""
+    system = evolution.full_system(CONTINUOUS, _probe_rows(8))
+    ts = np.linspace(-3.0, 3.0, 61)
+    entries = [e for row in system.source.entries for e in row]
+    want = exprparse.evaluate_array(entries, {"t": ts, "k": ts}).reshape(-1, 8, 8)
+    calls = []
+    evaluate = exprparse.evaluate_array
+    monkeypatch.setattr(exprparse, "evaluate_array",
+                        lambda exprs, env: calls.append(len(exprs)) or evaluate(exprs, env))
+    got = evolution._coefficient_stack(system, ts)
+    assert calls == [4]
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_unit_norm_stays_bounded():
