@@ -175,10 +175,14 @@ _TOL = 1e-12  # slack on log mu(0) = 0 and on non-decreasing samples
 MAX_LOG_RATE = np.finfo(float).max / 2  # DBL_MAX / 2: no difference of two samples this size overflows
 
 
-def _drops(vals: np.ndarray) -> np.ndarray:
-    """Mask of the sample steps i -> i+1 on which log mu falls by more than
-    _TOL."""
-    return vals[1:] < vals[:-1] - _TOL
+def _drops(vals: np.ndarray) -> tuple[np.ndarray, list]:
+    """(top, drops): the running maximum of the log mu samples, and the
+    samples more than _TOL below it, in order, as (peak, i) index pairs:
+    sample i and the last sample before it at that maximum."""
+    top = np.maximum.accumulate(vals)
+    low = np.flatnonzero(vals < top - _TOL)
+    at_top = np.flatnonzero(vals == top)  # holds 0, before every low sample
+    return top, list(zip(at_top[np.searchsorted(at_top, low) - 1].tolist(), low.tolist()))
 
 
 @lru_cache(maxsize=128)
@@ -197,8 +201,10 @@ def log_rate_grid(rate: GrowthRate, window: int, samples_per_unit: int = 1) -> n
     """log mu at ``sample_times``, the grid every estimator scans.  It must
     look like a growth rate there: finite and at most DBL_MAX / 2 in
     magnitude, so that no difference of two samples overflows, log mu(0) = 0
-    and non-decreasing (up to _TOL); otherwise a RateError names the failed
-    check and the first time at which it fails."""
+    and no sample more than _TOL below an earlier one; otherwise a RateError
+    names the failed check and the first time at which it fails.  The grid
+    returned is non-decreasing: a sample below the running maximum is
+    raised to it, and every other sample keeps its bits."""
     ts = sample_times(rate.time_domain, window, samples_per_unit)
     vals = log_rate_values(rate, ts)
     out_of_range = ~(np.abs(vals) <= MAX_LOG_RATE)  # NaN compares false
@@ -209,11 +215,12 @@ def log_rate_grid(rate: GrowthRate, window: int, samples_per_unit: int = 1) -> n
     origin = log_rate(rate, 0.0)
     if abs(origin) > _TOL:
         raise RateError(f"rate: log mu(0) is {origin:g}, not 0 (mu(0) must be 1)")
-    drops = _drops(vals)
-    if drops.any():
-        i = int(np.argmax(drops))
-        raise RateError(f"rate: log mu decreases from t={ts[i]:g} to t={ts[i + 1]:g} "
+    top, drops = _drops(vals)
+    if drops:
+        peak, i = drops[0]
+        raise RateError(f"rate: log mu decreases from t={ts[peak]:g} to t={ts[i]:g} "
                         "(a growth rate is non-decreasing)")
+    vals = np.where(vals < top, top, vals)
     vals.flags.writeable = False
     return vals
 
@@ -238,8 +245,10 @@ class RateValidation:
 def validate_rate(rate: GrowthRate, window: float,
                   samples_per_unit: int = 10) -> RateValidation:
     """Sample log mu on [-window, window] and report monotonicity violations,
-    the value at the origin, and the attained range.  Violations are data,
-    not errors."""
+    the value at the origin, and the attained range.  A violation is a
+    sample more than _TOL below the running maximum, recorded as (time of
+    the maximum, time of the sample, and their values).  Violations are
+    data, not errors."""
     if window <= 0:
         raise RateError("validation window must be positive")
     if rate.time_domain == DISCRETE:
@@ -248,8 +257,8 @@ def validate_rate(rate: GrowthRate, window: float,
         count = int(round(2 * window * samples_per_unit))
         ts = np.linspace(-window, window, count + 1)
     vals = log_rate_values(rate, ts)
-    bad = tuple((float(ts[i]), float(ts[i + 1]), float(vals[i]), float(vals[i + 1]))
-                for i in np.flatnonzero(_drops(vals)))
+    bad = tuple((float(ts[p]), float(ts[i]), float(vals[p]), float(vals[i]))
+                for p, i in _drops(vals)[1])
     origin = log_rate(rate, 0.0)
     return RateValidation(
         violations=bad,

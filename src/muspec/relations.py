@@ -270,10 +270,12 @@ _ROW_SCAN_SHARE = 0.5
 def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple[float, int, int]:
     """Largest (r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i]) over the pairs
     i < j whose mu-distance reaches the threshold, with its pair: the first
-    maximum in row-major pair order, and a NaN ratio beats every number, as
-    ``np.argmax`` over all pairs at once would pick.  ``_tile_argmax``
-    scans only the tiles of the pair triangle that can hold the maximum;
-    where that cannot pay, ``_row_argmax`` scans every admissible pair."""
+    maximum in row-major pair order, as ``np.argmax`` over all pairs at
+    once would pick.  Both grids are log-rate grids, finite and at most
+    DBL_MAX / 2 in magnitude, so every admissible mu-distance is finite and
+    positive, and no ratio is a NaN.  ``_tile_argmax`` scans only the tiles
+    of the pair triangle that can hold the maximum; where that cannot pay,
+    ``_row_argmax`` scans every admissible pair."""
     threshold = admission_threshold(threshold)
     n = len(r_mu)
     found = _tile_argmax(r_mu, r_om, threshold) if n * (n - 1) // 2 > _ROW_SCAN_PAIRS else None
@@ -283,18 +285,16 @@ def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple
 def _row_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple[float, int, int]:
     """``_ratio_argmax`` over every admissible pair, one row block of
     ``pair_ratio_blocks`` at a time.  Within a block, the row-major order
-    of the rectangle keeps the pairs in order, so the first maximum of the
-    rectangle with -inf off the mask is the first admissible one, unless
-    every admissible ratio is -inf."""
+    of the rectangle keeps the pairs in order, and its first cell is
+    admissible, so the first maximum of the rectangle with -inf off the
+    mask is the first admissible one."""
     best = None
     for i0, j0, mask, q in pair_ratio_blocks(r_mu, r_om[None], -r_om[None], threshold):
         ratios = q[0]
         np.copyto(ratios, -np.inf, where=~mask)
         top = int(np.argmax(ratios))
         value = ratios.flat[top]
-        if value == -np.inf:
-            top = int(np.argmax(mask))
-        if best is None or value > best[0] or (np.isnan(value) and not np.isnan(best[0])):
+        if best is None or value > best[0]:
             best = (value, i0, j0, top, ratios.shape[1])
     if best is None:
         raise RelationError("no admissible pairs after the log-quotient cutoff")
@@ -309,20 +309,18 @@ def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray,
     triangle (Land and Doig), or None where the coarse tiles show that
     pruning cannot pay.
 
-    The floor is the largest number among the ratios of real admissible
-    pairs seen so far: one sample pair per tile pair (the first row of the
-    row tile and the last column of the column tile), then the pairs
-    scanned.  It never exceeds the maximum, and no ratio in a tile pair
-    exceeds its bound (``_tile_bounds``), so a tile pair whose bound is
-    below the floor holds no pair at or above the maximum and is skipped;
-    a NaN bound never is, nor a bound of +inf, the only bounds of a tile
-    pair that holds a NaN ratio.  The coarse tile pairs that survive are
-    cut into fine ones, and the fine ones that survive are scanned pair by
-    pair, best bound first, in batches, each against the floor the batches
-    before it raised.  Of equal maxima the least (i, j) wins, whichever
-    tile is scanned first, and the value returned is that pair's plain
-    (r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i]), the row scan's value, sign
-    of a zero included."""
+    The floor is the largest ratio of the real admissible pairs seen so
+    far: one sample pair per tile pair (the first row of the row tile and
+    the last column of the column tile), then the pairs scanned.  It never
+    exceeds the maximum, and no ratio in a tile pair exceeds its bound
+    (``_tile_bounds``), so a tile pair whose bound is below the floor holds
+    no pair at or above the maximum and is skipped.  The coarse tile pairs
+    that survive are cut into fine ones, and the fine ones that survive are
+    scanned pair by pair, best bound first, in batches, each against the
+    floor the batches before it raised.  Of equal maxima the least (i, j)
+    wins, whichever tile is scanned first, and the value returned is that
+    pair's plain (r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i]), the row scan's
+    value, sign of a zero included."""
     n, width = len(r_mu), _PAIR_TILE
     fine = -(-n // width)
     group = -(-fine // _COARSE_SIDE)  # fine tiles a coarse tile side
@@ -333,7 +331,7 @@ def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray,
         rows, cols = _live_tiles(coarse, span, span, threshold)
         bound, floor = _tile_bounds(coarse, r_mu, r_om, rows, cols, group * width,
                                     threshold, -np.inf)
-        keep = _kept(bound, floor)
+        keep = bound >= floor
         if np.count_nonzero(keep) >= _ROW_SCAN_SHARE * len(keep):
             return None
         rows, cols, bound = rows[keep], cols[keep], bound[keep]
@@ -349,7 +347,7 @@ def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray,
         best = None
         step = max(1, _TILE_BLOCK // width ** 2)
         for s in range(0, len(rows), step):
-            keep = _kept(bound[s:s + step], floor)
+            keep = bound[s:s + step] >= floor
             found = _cells_max(mu, om, rows[s:s + step][keep], cols[s:s + step][keep],
                                threshold)
             if found is not None and (best is None or _beats(found, best)):
@@ -382,14 +380,14 @@ def _fine_tiles(stats, r_mu, r_om, rows, cols, group: int, threshold: float, flo
                                     threshold, floor)
         kept.append((fine_rows, fine_cols, bound))
     rows, cols, bound = (np.concatenate(part) for part in zip(*kept))
-    keep = _kept(bound, floor)
+    keep = bound >= floor
     return rows[keep], cols[keep], bound[keep], floor
 
 
 def _tile_extremes(stats, width: int) -> tuple:
     """Over each run of ``width`` consecutive entries (the last run may be
     shorter) of mu minima, mu maxima, omega minima and omega maxima, the
-    same four extremes.  A NaN in a run is its extreme."""
+    same four extremes."""
     starts = np.arange(0, len(stats[0]), width)
     lo, hi, om_lo, om_hi = stats
     return (np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts),
@@ -399,12 +397,12 @@ def _tile_extremes(stats, width: int) -> tuple:
 def _live_tiles(stats, rows: np.ndarray, cols: np.ndarray, threshold: float):
     """Which tile pairs (rows[..., :, None], cols[..., None, :]) of tiles
     with extremes ``stats`` can hold an admissible pair, as the indices
-    ``np.nonzero`` gives: the column tile is not before the row tile, and
-    max r_mu over it minus min r_mu over the row tile reaches the
-    threshold."""
+    ``np.nonzero`` gives: max r_mu over the column tile minus min r_mu
+    over the row tile reaches the threshold.  r_mu is non-decreasing, so
+    no column tile before the row tile does."""
     rows, cols = rows[..., :, None], cols[..., None, :]
     lo, hi = stats[:2]
-    return np.nonzero((hi[cols] - lo[rows] >= threshold) & (cols >= rows))
+    return np.nonzero(hi[cols] - lo[rows] >= threshold)
 
 
 def _tile_bounds(stats, r_mu, r_om, rows, cols, width: int, threshold: float, floor: float):
@@ -420,10 +418,9 @@ def _tile_bounds(stats, r_mu, r_om, rows, cols, width: int, threshold: float, fl
     by a positive number is monotone too, so every admissible ratio is at
     most N divided by the larger of the threshold and the least
     mu-difference when N >= 0, and at most N divided by the largest
-    mu-difference when N < 0.  A NaN ratio needs a NaN in r_om, or two
-    equal infinite values, in the tile pair, and then N, and so the bound,
-    is NaN or +inf.  The sample pairs that reach the threshold are real
-    admissible pairs, as the column tile is never before the row tile."""
+    mu-difference when N < 0.  The sample pairs that reach the threshold
+    are real admissible pairs: r_mu is non-decreasing, so a positive
+    mu-difference puts the column after the row."""
     lo, hi, om_lo, om_hi = stats
     num = om_hi[cols] - om_lo[rows]
     bound = num / np.where(num >= 0, np.maximum(lo[cols] - hi[rows], threshold),
@@ -434,18 +431,14 @@ def _tile_bounds(stats, r_mu, r_om, rows, cols, width: int, threshold: float, fl
     return bound, np.fmax.reduce(samples, initial=floor)
 
 
-def _kept(bound, floor: float):
-    """Which bounds are not below the floor: a NaN bound is kept."""
-    return ~(bound < floor)
-
-
 def _cells_max(mu: np.ndarray, om: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                threshold: float):
     """(value, i, j) of the first maximum, in row-major pair order, of the
     admissible pairs of the fine tile pairs (rows[k], cols[k]) on the
-    padded grids ``mu`` and ``om``, NaN beating all; None if they hold no
-    admissible pair.  Each ratio is (om[j] - om[i]) / (mu[j] - mu[i]),
-    bitwise what ``pair_ratio_blocks`` forms."""
+    padded grids ``mu`` and ``om``; None if they hold no admissible pair.
+    Each ratio is (om[j] - om[i]) / (mu[j] - mu[i]), bitwise what
+    ``pair_ratio_blocks`` forms.  mu is non-decreasing, so no cell with
+    j <= i is admissible."""
     width = _PAIR_TILE
     if not len(rows):
         return None
@@ -454,17 +447,11 @@ def _cells_max(mu: np.ndarray, om: np.ndarray, rows: np.ndarray, cols: np.ndarra
     j = (cols[:, None] * width + cell)[:, None, :]
     gap = mu[j] - mu[i]
     admissible = gap >= threshold
-    diagonal = rows == cols
-    if diagonal.any():  # in a tile pair on the diagonal, only j > i is a pair
-        admissible[diagonal] &= cell[:, None] < cell
     ratios = om[j] - om[i]
     np.divide(ratios, gap, out=ratios)
     np.copyto(ratios, -np.inf, where=~admissible)
     top = ratios.max()
-    hit = np.isnan(ratios) if np.isnan(top) else ratios == top
-    if top == -np.inf:
-        hit &= admissible
-    pos = np.flatnonzero(hit)
+    pos = np.flatnonzero(admissible & (ratios == top))
     if not len(pos):
         return None
     tile, cell = np.divmod(pos, width * width)
@@ -475,11 +462,8 @@ def _cells_max(mu: np.ndarray, om: np.ndarray, rows: np.ndarray, cols: np.ndarra
 
 def _beats(found, best) -> bool:
     """Whether (value, i, j) ``found`` comes before ``best`` in the scan's
-    order: the larger value, NaN beating all, and of equal values the
-    least (i, j)."""
+    order: the larger value, and of equal values the least (i, j)."""
     (value, *pair), (top, *at) = found, best
-    if np.isnan(value) or np.isnan(top):
-        return bool(np.isnan(value)) and (not np.isnan(top) or pair < at)
     return value > top or (value == top and pair < at)
 
 

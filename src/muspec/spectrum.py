@@ -23,8 +23,8 @@ in the catalog (identity under any rate, disc_q under q, frak_a under c).
 Negation is exact and commutes with rounding, so with the magnitudes
 guarded against overflow every admissible ratio is exactly c in IEEE
 arithmetic (see ``_unit_slopes``).  A scan whose series all qualify
-returns c and counts its admissible pairs from per-row suffix starts
-(``_admissible_count``) instead of forming them.  In fresh-process
+returns c without forming a pair; every scan counts its admissible pairs
+from per-row suffix starts (``_suffix_starts``).  In fresh-process
 captures of every scan, 12 of the 16 scans of the scalar_disc_wide
 benchmark workload qualify and 56 of the 149 of the harness workload; none
 of scalar_cont_wide or full_matrix do (Simpson and RK4 grids are not exact
@@ -149,17 +149,13 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     a time, so memory stays O(_PAIR_BLOCK) rather than O(K * len(r)^2).
     Every series on one rate grid shares the block's log-quotients and mask.
 
-    ``r`` is a finite log-rate grid, non-decreasing up to the small drops
-    ``rates.log_rate_grid`` lets through, so the admissible partners of a
-    row lie in a suffix of the later columns.  A block starting at row i0
-    scans only the columns from j0 on, the first j > i0 with
-    top[j] - low[i0] >= threshold, where top is the running maximum of r
-    and low its suffix minimum.  For every row i >= i0, r[i] >= low[i0]
-    and r[j] <= top[j]; float subtraction is monotone, so the computed
-    r[j] - r[i] is at most the computed top[j] - low[i0], and every skipped
-    column fails the threshold for every row of the block.  low[i0] never
-    decreases, so neither does j0, and the scan stops at the first block
-    with no column left.
+    ``r`` is a non-decreasing log-rate grid (``rates.log_rate_grid``), so
+    the admissible partners of each row are a suffix of the columns, from
+    its start on (``_suffix_starts``).  The starts are non-decreasing, so a
+    block starting at row i0 scans the columns from the start j0 of row i0
+    on, the first j > i0 with fl(r[j] - r[i0]) >= threshold, found by one
+    search of that row's computed log-quotients (they are non-decreasing
+    too), and the scan stops at the first row with no partner.
 
     A block's log-quotients, and then the numerators of its K series, are
     matrix products of rank-2 factors, [x_i, 1] @ [1, y_j]^T = x_i * 1 +
@@ -175,10 +171,10 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     allocate the arrays the broadcasts did; one product for both, of twice
     the size, raised peak memory.
 
-    Yields (i0, j0, mask, q) for each block with admissible pairs: q has
-    shape (K, rows, len(r) - j0) and holds the ratio of every pair
-    (i0 + a, j0 + b) of the block's rectangle, and mask[a, b] marks the
-    admissible ones.  The entries off the mask are not ratios of admissible
+    Yields (i0, j0, mask, q) for each block: q has shape (K, rows,
+    len(r) - j0) and holds the ratio of every pair (i0 + a, j0 + b) of the
+    block's rectangle, and mask[a, b] marks the admissible ones, (i0, j0)
+    among them.  The entries off the mask are not ratios of admissible
     pairs (their log-quotient may be zero or negative), so a caller
     overwrites them before reducing, instead of copying the admissible
     ratios out: with -inf before a max and +inf before a min.  A fill
@@ -186,13 +182,10 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     matches or beats it, so the max or min of the filled rectangle equals
     the admissible ratios' extreme; only the sign of a zero extreme, or of
     a NaN, depends on the order numpy reduces in.  Row-major order over the
-    blocks' masks is the order of ``np.triu_indices``.  A row block reaches
-    a column j <= i only if it holds rows from j0 on, so only such a block
-    tests j > i.
+    blocks' masks is the order of ``np.triu_indices``.
     """
     n = len(r)
     threshold = admission_threshold(threshold)
-    top, low = _envelopes(r)
     # rows x, 1, y of layer 0 form the log-quotients, those of layer 1 + k
     # the numerators of series k: rows 0-1, transposed, are the row factors
     # [x_i, 1] and rows 1-2 the column factors [1, y_j]
@@ -205,65 +198,53 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     zero_rows = np.flatnonzero(zero_tails.any(axis=0)).tolist() if zero_heads.any() else []
     i0 = 0
     while i0 < n - 1:
-        j0 = i0 + 1 + int(np.searchsorted(top[i0 + 1:] - low[i0], threshold))
+        j0 = i0 + 1 + int(np.searchsorted(r[i0 + 1:] - r[i0], threshold))
         if j0 >= n:
             break
         stop = min(i0 + max(1, _PAIR_BLOCK // (len(heads) * (n - j0))), n - 1)
         L = row_factors[0, i0:stop] @ col_factors[0, :, j0:]
-        mask = L >= threshold
-        if stop > j0:  # only rows from j0 on meet columns j <= i
-            mask &= np.arange(j0, n)[None, :] > np.arange(i0, stop)[:, None]
-        if mask.any():
-            # off the mask L may be zero or negative; those entries are discarded
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                q = row_factors[1:, i0:stop] @ col_factors[1:, :, j0:]
-                for i in zero_rows[bisect.bisect_left(zero_rows, i0):
-                                   bisect.bisect_left(zero_rows, stop)]:
-                    np.copyto(q[:, i - i0], -0.0,
-                              where=zero_tails[:, i, None] & zero_heads[:, j0:])
-                q /= L
-            yield i0, j0, mask, q
+        # off the mask L may be zero or negative; those entries are discarded
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q = row_factors[1:, i0:stop] @ col_factors[1:, :, j0:]
+            for i in zero_rows[bisect.bisect_left(zero_rows, i0):
+                               bisect.bisect_left(zero_rows, stop)]:
+                np.copyto(q[:, i - i0], -0.0,
+                          where=zero_tails[:, i, None] & zero_heads[:, j0:])
+            q /= L
+        yield i0, j0, L >= threshold, q
         i0 = stop
-
-
-def _envelopes(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(top, low): the running maximum of r and its suffix minimum, both
-    non-decreasing, with low <= r <= top."""
-    return np.maximum.accumulate(r), np.minimum.accumulate(r[::-1])[::-1]
 
 
 def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutoff: float):
     """(min ratios, max ratios, admissible pair count) of ``pair_ratio_blocks``
     at the cutoff fraction of the window's log-quotient: one min and one max
     per series of the (K, len(r)) stacks ``heads`` and ``tails``, and the
-    count they share.  min and max are exact, and a zero extreme is +0.0
-    (which zero numpy returns when both are admissible depends on its order
-    of reduction), so the result does not depend on the blocking.
+    count they share, len(r) - start summed over the rows' suffix starts.
+    min and max are exact, and a zero extreme is +0.0 (which zero numpy
+    returns when both are admissible depends on its order of reduction), so
+    the result does not depend on the blocking.
 
     When every series is 0, 1 or -1 times the rate (see ``_unit_slopes``),
     every admissible ratio is that multiple exactly, so no block is formed:
-    the extremes are the multiples and ``_admissible_count`` counts the
-    pairs."""
+    the extremes are the multiples."""
     l_max = r[-1] - r[0]
     if l_max <= 0:
         raise SpectrumError("growth rate is flat on the window; no admissible pairs")
+    count = int((len(r) - _suffix_starts(r, admission_threshold(cutoff * l_max))).sum())
+    if not count:
+        raise SpectrumError("no admissible pairs after the log-quotient cutoff")
     slopes = _unit_slopes(r, heads, tails)
     if slopes is not None:
         lo = hi = slopes
-        count = _admissible_count(r, cutoff * l_max)
     else:
         lo = np.full(len(heads), INF)
         hi = np.full(len(heads), -INF)
-        count = 0
         for _, _, mask, q in pair_ratio_blocks(r, heads, tails, cutoff * l_max):
             outside = ~mask
             np.copyto(q, -INF, where=outside)
             hi = np.maximum(hi, q.max(axis=(1, 2)))
             np.copyto(q, INF, where=outside)
             lo = np.minimum(lo, q.min(axis=(1, 2)))
-            count += int(np.count_nonzero(mask))
-    if not count:
-        raise SpectrumError("no admissible pairs after the log-quotient cutoff")
     return lo + 0.0, hi + 0.0, count  # -0.0 + 0.0 is +0.0; every other value stays
 
 
@@ -300,63 +281,32 @@ def _unit_slopes(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndar
     return slopes
 
 
-def _admissible_count(r: np.ndarray, threshold: float) -> int:
-    """The number of pairs i < j that ``pair_ratio_blocks`` admits, those
-    with fl(r[j] - r[i]) >= ``admission_threshold(threshold)``, counted
-    without forming them.
+def _suffix_starts(r: np.ndarray, threshold: float) -> np.ndarray:
+    """For each row i, the first column j > i with fl(r[j] - r[i]) >=
+    threshold, or len(r) if there is none, for a non-decreasing ``r``: the
+    start of the row's admissible suffix, for a threshold from
+    ``admission_threshold``.  No column j <= i is admissible, as float
+    subtraction is monotone: the computed r[j] - r[i] is at most 0.
 
-    Columns j where fl(low[j] - r[i]) passes are admissible for row i, since
-    r[j] >= low[j] and float subtraction is monotone, and columns where
-    fl(top[j] - r[i]) fails are not; both envelopes are non-decreasing, so
-    each holds from a per-row suffix start on (``_suffix_starts``).  The
-    cells between the two starts are tested one by one, in chunks of rows
-    holding at most _PAIR_BLOCK cells (or one row), as the scan's blocks
-    do.  A non-decreasing r has top == low == r and no such cell; the small
-    drops ``rates.log_rate_grid`` lets through leave a few."""
+    The test is monotone in j (r is, and float subtraction is), so a guess
+    is right when the test holds at it and fails at the column before.  One
+    searchsorted for r[i] + threshold guesses every start, one pass over the
+    guesses checks them, however long r's plateaus, and the rows that fail
+    the check (their rounded key misses the start, or lands at or before
+    the row) are bisected together, in at most log2(len(r)) + 1 passes.  On
+    the catalog grids at windows 200..1600 the guess is 2-6x faster than
+    bisecting every row, and bisecting every row made the scalar_disc_wide
+    and harness benchmark workloads about 9% slower end to end."""
     n = len(r)
-    threshold = admission_threshold(threshold)
-    top, low = _envelopes(r)
+    # column n, past the last, holds +inf, which every row admits; so does
+    # column -1, where a guess of column 0 looks for the column before
+    env = np.concatenate((r, [INF]))
     with np.errstate(over="ignore"):  # past DBL_MAX a sum is +-inf; the starts are checked
-        first = _suffix_starts(r, top, threshold)
-        if np.array_equal(top, low):
-            return int((n - first).sum())
-        sure = _suffix_starts(r, low, threshold)
-    width = sure - first
-    ends = np.cumsum(width)
-    between, i0 = 0, 0
-    while i0 < n:
-        done = ends[i0] - width[i0]  # the cells of the rows before i0
-        i1 = max(i0 + 1, int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")))
-        w = width[i0:i1]
-        rows = np.repeat(np.arange(i0, i1), w)
-        cols = np.arange(len(rows)) + np.repeat(first[i0:i1] - (ends[i0:i1] - w - done), w)
-        with np.errstate(over="ignore"):  # past DBL_MAX a difference is +inf, as in the scan
-            between += int(np.count_nonzero(r[cols] - r[rows] >= threshold))
-        i0 = i1
-    return int((n - sure).sum()) + between
-
-
-def _suffix_starts(r: np.ndarray, env: np.ndarray, threshold: float) -> np.ndarray:
-    """For each row i, the first column j > i with fl(env[j] - r[i]) >=
-    threshold, or len(r) if there is none, for a non-decreasing ``env``.
-
-    The test is monotone in j (env is, and float subtraction is), so a
-    guess is right when the test holds at it and fails at the column
-    before.  One searchsorted for r[i] + threshold guesses every start, one
-    pass over the guesses checks them, however long env's plateaus, and the
-    rows that fail the check (their rounded key misses the start) are
-    bisected together, in at most log2(len(r)) + 1 passes.  On the catalog
-    grids at windows 200..1600 the guess is 2-6x faster than bisecting
-    every row, and bisecting every row made the scalar_disc_wide and
-    harness benchmark workloads about 9% slower end to end."""
-    n = len(r)
-    floor = np.arange(1, n + 1)
-    # column n, past the last, holds +inf, which every row admits
-    env = np.append(env, INF)
-    start = np.maximum(np.searchsorted(env, r + threshold), floor)
-    bad = np.flatnonzero((env[start] - r < threshold) | (env[start - 1] - r >= threshold))
+        keys = r + threshold
+    start = env.searchsorted(keys)
+    bad = ((env[start] - r < threshold) | (env[start - 1] - r >= threshold)).nonzero()[0]
     if bad.size:
-        lo, hi, rows = floor[bad], np.full(len(bad), n), r[bad]
+        lo, hi, rows = bad + 1, np.full(len(bad), n), r[bad]
         for _ in range(n.bit_length()):
             mid = (lo + hi) // 2
             ok = env[mid] - rows >= threshold

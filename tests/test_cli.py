@@ -408,6 +408,10 @@ def test_spectrum_rejects_non_finite_table_cell(capsys, tmp_path):
     assert "row k=-398: a_1_2 is not finite" in err
 
 
+_SLOW_DECLINE = ('{"kind":"expression","log_rate":"max(k,0) - 1e-13*min(k,0)",'
+                 '"time_domain":"discrete"}')
+
+
 @pytest.mark.parametrize("rate, message", [
     # overflows: log mu = -inf at the left end of the window
     ('{"kind":"power_exp","p":400}', "rate: log mu is not finite at t=-400 (-inf)"),
@@ -415,6 +419,9 @@ def test_spectrum_rejects_non_finite_table_cell(capsys, tmp_path):
     ('{"kind":"expression","log_rate":"1+k"}', "rate: log mu(0) is 1, not 0"),
     # falls on the negative half-line
     ('{"kind":"expression","log_rate":"k^2"}', "rate: log mu decreases from t=-400 to t=-399"),
+    # falls 1e-13 a step, within the slack of one step, but 1.1e-12 below
+    # the running maximum, the sample at t=-400, eleven steps on
+    (_SLOW_DECLINE, "rate: log mu decreases from t=-400 to t=-389"),
     # finite, but the differences of the samples overflow
     ('{"kind":"expression","log_rate":"1e308*sgn(k)"}',
      "rate: log mu is beyond DBL_MAX/2 in magnitude at t=-400 (-1e+308)"),
@@ -433,6 +440,13 @@ def test_spectrum_rejects_rates_that_are_not_growth_rates(capsys, rate, message)
     assert code == 1
     assert out == ""
     assert message in err
+
+
+def test_compare_rejects_a_slowly_declining_rate(capsys):
+    code, out, err = _run(capsys, ["compare", "--relation", "faster", "--a", _SLOW_DECLINE,
+                                   "--b", "q"])
+    assert (code, out) == (1, "")
+    assert "rate: log mu decreases from t=-50 to t=-40" in err
 
 
 def test_spectrum_names_an_overflowing_quotient_grid(capsys):

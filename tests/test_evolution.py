@@ -606,29 +606,37 @@ _PROBE_2 = evolution.full_system(CONTINUOUS, _probe_rows(2))
 _PROBE_4 = evolution.full_system(CONTINUOUS, _probe_rows(4))
 
 
-def _rk4_outputs():
-    """Every RK4 result the chunking test compares: the grids of the 2x2 at
-    windows 40 and 160 and of the 4x4 at 80, and one long propagation."""
-    grids = [evolution.scaled_grids(system, window)
-             for system, window in ((_PROBE_2, 40), (_PROBE_2, 160), (_PROBE_4, 80))]
+# (system, window) grids the chunking test compares: the long ones, and
+# short ones for the chunks of one lane and one step, which integrate a
+# lane at a time
+_RK4_LONG = ((_PROBE_2, 40), (_PROBE_2, 160), (_PROBE_4, 80))
+_RK4_SHORT = ((_PROBE_2, 40), (_PROBE_4, 10))
+
+
+def _rk4_outputs(cases):
+    """Every RK4 result the chunking test compares: the grids of the
+    (system, window) cases, and one long propagation."""
+    grids = [evolution.scaled_grids(system, window) for system, window in cases]
     phi = evolution.propagate(_PROBE_2, 37.5, -12.25)
     return [a for _, *walks in grids for walk in walks for a in walk] + [phi.unit, phi.log_norm]
 
 
 @pytest.fixture(scope="module")
 def rk4_reference():
-    return _rk4_outputs()
+    return {cases: _rk4_outputs(cases) for cases in (_RK4_LONG, _RK4_SHORT)}
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, evolution._RK4_CHUNK])
 def test_rk4_chunks_move_no_bit(monkeypatch, rk4_reference, chunk):
     """Any chunk of coefficient values, down to one lane of one step at a
-    time, gives bitwise the same units and logs; and a coefficient that
-    fails on nodes of several lanes raises the first failing node of the
-    first lane, as a lone integration of that lane meets it, however the
-    lanes and steps are cut."""
+    time (chunks 1 and 7), through blocks of several lanes (64) to chunks
+    of several steps (the default), gives bitwise the same units and logs;
+    and a coefficient that fails on nodes of several lanes raises the first
+    failing node of the first lane, as a lone integration of that lane
+    meets it, however the lanes and steps are cut."""
     monkeypatch.setattr(evolution, "_RK4_CHUNK", chunk)
-    for got, want in zip(_rk4_outputs(), rk4_reference, strict=True):
+    cases = _RK4_SHORT if chunk < 64 else _RK4_LONG
+    for got, want in zip(_rk4_outputs(cases), rk4_reference[cases], strict=True):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     # |t - 1| <= 0.1 fails: the last steps of lane 0 (0 -> 1), the first
     # of lanes 1 (1 -> 0) and 2 (1 -> 2), which a step-major chunk meets first

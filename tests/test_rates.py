@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from muspec import catalog, exprparse, rates
-from muspec.params import CONTINUOUS, DISCRETE
+from muspec.params import CONTINUOUS, DISCRETE, SAMPLES_PER_UNIT, Params
 
 
 Q = catalog.rate("q", DISCRETE)
@@ -62,6 +62,22 @@ def test_catalog_rates_validate(name, domain):
         assert report.attained == (-10000.0, 10000.0)
 
 
+@pytest.mark.parametrize("domain", [DISCRETE, CONTINUOUS])
+def test_catalog_grids_are_their_samples(domain):
+    """Every catalog rate is non-decreasing on every grid the estimators
+    and the relation checks scan, so log_rate_grid raises no sample: the
+    grid is log_rate_values at the sample times, byte for byte."""
+    params = Params()
+    windows = params.windows(domain) + params.extension_windows(domain)
+    for name in catalog.RATE_NAMES:
+        rate = catalog.rate(name, domain)
+        for window in windows:
+            for per_unit in (1, SAMPLES_PER_UNIT):
+                ts = rates.sample_times(domain, window, per_unit)
+                want = rates.log_rate_values(rate, ts)
+                assert rates.log_rate_grid(rate, window, per_unit).tobytes() == want.tobytes()
+
+
 def test_validate_expression_rate():
     same_as_q = rates.ExpressionRate("sgn(t)*abs(t)^2", CONTINUOUS)
     assert rates.validate_rate(same_as_q, 50).ok
@@ -69,6 +85,15 @@ def test_validate_expression_rate():
     report = rates.validate_rate(decreasing, 10)
     assert not report.ok
     assert len(report.violations) == report.points_checked - 1
+    # every step falls by 1e-13 on the negative half-line, less than the
+    # slack, but the samples from k = -389 on lie more than 1e-12 below
+    # the running maximum, the sample at k = -400
+    slow = rates.ExpressionRate("max(k,0) - 1e-13*min(k,0)", DISCRETE)
+    report = rates.validate_rate(slow, 400)
+    assert not report.ok
+    first = report.violations[0]
+    assert first[:2] == (-400.0, -389.0) and first[2] - first[3] > 1e-12
+    assert {v[0] for v in report.violations} == {-400.0}
 
 
 @given(st.integers(min_value=-100, max_value=100),
