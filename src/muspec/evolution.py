@@ -2,14 +2,16 @@
 systems, in overflow-safe scaled form.
 
 A propagator value is held as a ``ScaledMatrix``: a unit-scale matrix times
-``exp(log_norm)``.  Long products (RK4 substeps, the walks of a full-system
-grid) are rescaled after every factor by an exact power of two, which
-changes no digit, and are brought to 2-norm 1 once at the end; so the
-catalog systems, whose propagators reach e^(+-10^4) on ordinary windows,
-never leave double range.  Scalar and diagonal structures additionally keep
-their per-component logs exactly: sums of per-step log-magnitudes, the
-Simpson integral of the coefficient in continuous time, or the closed-form
-log of a rate quotient in either time domain.
+``exp(log_norm)``.  Long products (Magnus steps and their squarings, the
+walks of a full-system grid) are rescaled after every factor by an exact
+power of two, which changes no digit, and are brought to 2-norm 1 once at
+the end; so the catalog systems, whose propagators reach e^(+-10^4) on
+ordinary windows, never leave double range.  Full continuous systems are
+integrated by the 4th-order Magnus method (``_magnus_factors``).  Scalar
+and diagonal structures additionally keep their per-component logs
+exactly: sums of per-step log-magnitudes, the Simpson integral of the
+coefficient in continuous time, or the closed-form log of a rate quotient
+in either time domain.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ FULL = "full"
 
 _MAX_DIM = 16
 _MIN_ABS_DET = 1e-300
-ODE_STEP = 1e-2  # fixed step of continuous quadrature and integration
+ODE_STEP = 1e-2  # node spacing of Simpson's rule for continuous scalar and diagonal systems
 
 
 class EvolutionError(ValueError):
@@ -458,36 +460,45 @@ def _diag_log_integral(system: LinearSystem, frm: float, to: float) -> np.ndarra
     return (1.0 if frm < to else -1.0) * sum(parts[1:], parts[0])
 
 
-_RK4_CHUNK = 1 << 14  # coefficient values (nodes x entries) one chunk of RK4 steps holds
+MAGNUS_STEP = 0.1  # step of the Magnus integration of full continuous systems
+_MAGNUS_CHUNK = 1 << 14  # coefficient values (nodes x entries) one chunk of Magnus steps holds
+# exp(X) for ||X||_1 < 1/2 as its Taylor polynomial of degree 15, whose
+# remainder is below 0.5^16 / 16! ~ 7e-19; c[i, j] = 1 / (4i + j)!, the
+# coefficient of X^j in the block that multiplies (X^4)^i
+_TAYLOR = 1.0 / np.array([math.factorial(k) for k in range(16)]).reshape(4, 4, 1, 1, 1)
 
 
-def _rk4_factors(system: LinearSystem, frm: np.ndarray,
-                 to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _magnus_factors(system: LinearSystem, frm: np.ndarray,
+                    to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scaled propagators Phi(to[l], frm[l]) of a full continuous system by
-    classical fixed-step 4th-order integration, one lane l per pair.
+    the 4th-order Magnus method at fixed steps of at most ``MAGNUS_STEP``,
+    one lane l per pair.
 
     Returns (units, logs) of shapes (lanes, d, d) and (lanes,).  All lanes
     span the same length, so they take the same steps.  They are integrated
-    in blocks of at most ``_RK4_CHUNK // (2 d^2)`` lanes, every lane of a
-    block in one step loop (``_rk4_block``), so the working set is the
-    lanes' d x d states plus one chunk of at most ``_RK4_CHUNK`` coefficient
-    values, whatever the window or span.  Each lane does the float
-    operations of a lone integration: the same node times and products,
-    rescaled after every substep by a power of two (``_rescale``), so a lane
-    is its unscaled integration x times 2^-E, digit for digit.  Its unit is
-    x / ||x|| and its log E * log 2 + log ||x||, with one stacked 2-norm for
-    all lanes.
+    in blocks of at most ``_MAGNUS_CHUNK // (2 d^2)`` lanes, every lane of a
+    block in one step loop (``_magnus_block``), so the working set is the
+    lanes' d x d states plus one chunk of at most ``_MAGNUS_CHUNK``
+    coefficient values, whatever the window or span.  Each lane does the
+    float operations of a lone integration: the same node times, the same
+    products and its own number of squarings (``_expm``), rescaled after
+    every squaring and every step by a power of two (``_rescale``), so a
+    lane is its unscaled integration x times 2^-E, digit for digit.  Its
+    unit is x / ||x|| and its log E * log 2 + log ||x||, with one stacked
+    2-norm for all lanes.
 
     Errors come in this order.  A failing coefficient raises the error the
     lanes raise one at a time, in lane order: the first failing node of the
     first lane that has one, whichever block and chunk it falls in.  Only
     then are lanes that overflow or collapse to zero reported, the first in
-    lane order; an overflow names the lane by its times.
+    lane order; an overflow names the lane by its times.  A lane overflows
+    when a step's exponential is not finite, or needs so many squarings
+    that its exponent sum could leave int64 (``_magnus_block``).
     """
-    steps = max(1, math.ceil(abs(float(to[0] - frm[0])) / ODE_STEP))
+    steps = max(1, math.ceil(abs(float(to[0] - frm[0])) / MAGNUS_STEP))
     d = system.dim
-    block = max(1, _RK4_CHUNK // (2 * d * d))
-    runs = [_rk4_block(system, frm[l0:l0 + block], to[l0:l0 + block], steps)
+    block = max(1, _MAGNUS_CHUNK // (2 * d * d))
+    runs = [_magnus_block(system, frm[l0:l0 + block], to[l0:l0 + block], steps)
             for l0 in range(0, len(frm), block)]
     x = np.concatenate([x for x, _ in runs])
     exps = np.concatenate([e for _, e in runs])
@@ -503,72 +514,127 @@ def _rk4_factors(system: LinearSystem, frm: np.ndarray,
     return _normalized(x, (exps * _LN2).tolist())
 
 
-def _rk4_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
-               steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, E) of one block of ``_rk4_factors``'s lanes, all of them in one
-    step loop: x (lanes, d, d) rescaled and E (lanes,) the exponent sums.
+def _magnus_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
+                  steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, E) of one block of ``_magnus_factors``'s lanes, all of them in
+    one step loop: x (lanes, d, d) rescaled and E (lanes,) the exponent sums.
+
+    A step of length h from t takes the coefficient at its ends and its
+    midpoint, A0 = A(t), A1 = A(t + h/2), A2 = A(t + h), and maps x to
+    exp(Omega) x with
+
+        Omega = (h/6) (A0 + 4 A1 + A2) + (h^2/12) [A2, A0],
+
+    the Magnus expansion truncated at 4th order with Simpson's nodes
+    (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  Being an
+    exponential, the step is stable at any h ||A||, where the stability
+    function of an explicit Runge-Kutta step falls short of e^z.
 
     The coefficients are evaluated a chunk of steps at a time, at most
-    ``_RK4_CHUNK`` values per chunk (``_rk4_chunks``), each node once: a
-    chunk's first node is the last of the chunk before.  When a chunk
+    ``_MAGNUS_CHUNK`` values per chunk (``_magnus_chunks``), each node once:
+    a chunk's first node is the last of the chunk before.  When a chunk
     fails, ``_raise_in_lane_order`` raises the error the lanes would raise
-    one at a time."""
+    one at a time.  A lane that needs more than 60 - bit_length(steps)
+    squarings in a step becomes NaN, which ``_magnus_factors`` reports as
+    not finite: a step moves E by about log2 of its exponential's size, at
+    most ||Omega||_1 / log 2 < 2^(s - 1) / log 2 for s squarings, so below
+    that bound no exponent sum, nor any doubling inside a squaring, reaches
+    2^61."""
     lanes, d = len(frm), system.dim
-    dt = (to - frm) / steps
-    half, full, sixth = (v[:, None, None] for v in (dt / 2, dt, dt / 6))
+    h = ((to - frm) / steps)[:, None, None]
+    max_squarings = 60 - steps.bit_length()
     x = np.tile(np.eye(d), (lanes, 1, 1))
     exps = np.zeros(lanes, dtype=int)
     a2 = None  # the coefficient at the end of the last step taken
     with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
-        for nodes in _rk4_chunks(frm, dt, steps, max(1, _RK4_CHUNK // (2 * lanes * d * d))):
+        for nodes in _magnus_chunks(frm, to, steps, max(1, _MAGNUS_CHUNK // (2 * lanes * d * d))):
             fresh = nodes if a2 is None else nodes[:, 1:]
             try:
                 coeff = _coefficient_stack(system, fresh.ravel())
             except (ValueError, ArithmeticError):
-                _raise_in_lane_order(system, frm, dt, steps)
+                _raise_in_lane_order(system, frm, to, steps)
                 raise
             coeff = coeff.reshape(lanes, fresh.shape[1], d, d)
             if a2 is None:
                 a2, coeff = coeff[:, 0], coeff[:, 1:]
             for j in range(nodes.shape[1] // 2):
                 a0, a1, a2 = a2, coeff[:, 2 * j], coeff[:, 2 * j + 1]
-                k1 = a0 @ x
-                k2 = a1 @ (x + half * k1)
-                k3 = a1 @ (x + half * k2)
-                k4 = a2 @ (x + full * k3)
-                x = x + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-                exps += _rescale(x)
+                omega = h / 6 * (a0 + 4.0 * a1 + a2) + h * h / 12 * (a2 @ a0 - a0 @ a2)
+                p, f = _expm(omega, max_squarings)
+                x = p @ x
+                exps += f + _rescale(x)
     return x, exps
 
 
-def _rk4_chunks(frm: np.ndarray, dt: np.ndarray, steps: int, per_chunk: int):
-    """The node times of ``steps`` RK4 steps of length dt from frm, per lane,
-    as arrays of shape (lanes, 2n + 1) for chunks of n <= per_chunk steps.
+def _expm(omega: np.ndarray, max_squarings: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, F) of a (lanes, d, d) stack: exp(omega) = P * 2^F per lane, by
+    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 2005).
+
+    Each lane takes its own s, the least s >= 0 for which frexp's exponent
+    of ||omega||_1 guarantees ||X||_1 < 1/2 with X = omega * 2^-s.  The
+    degree-15 Taylor polynomial of X is evaluated in Paterson-Stockmeyer
+    form, B0 + X^4 (B1 + X^4 (B2 + X^4 B3)) with B_i = sum_j c_ij X^j over
+    j < 4, in 6 products, and squared s times, rescaled after every
+    squaring (``_rescale``): F doubles, then adds the new exponent.  A
+    round squares every lane but keeps the square only in the lanes that
+    still need one, so a lane's floats depend on its own omega alone.  A
+    lane needing more than ``max_squarings`` takes none and gets a NaN P,
+    as a non-finite omega does."""
+    norm = np.abs(omega).sum(axis=1).max(axis=1)
+    s = np.maximum(np.frexp(norm)[1] + 1, 0)
+    over = s > max_squarings
+    s[over] = 0
+    x = np.ldexp(omega, -s[:, None, None])
+    x2 = x @ x
+    x3 = x2 @ x
+    x4 = x2 @ x2
+    blocks = (_TAYLOR[:, 0] * np.eye(omega.shape[1]) + _TAYLOR[:, 1] * x
+              + _TAYLOR[:, 2] * x2 + _TAYLOR[:, 3] * x3)
+    p = blocks[3]
+    for b in blocks[2::-1]:
+        p = x4 @ p + b
+    p[over] = np.nan
+    f = np.zeros(len(omega), dtype=int)
+    for r in range(s.max()):
+        sq = p @ p
+        squared = s > r
+        f = np.where(squared, 2 * f + _rescale(sq), f)
+        p = np.where(squared[:, None, None], sq, p)
+    return p, f
+
+
+def _magnus_chunks(frm: np.ndarray, to: np.ndarray, steps: int, per_chunk: int):
+    """The node times of ``steps`` Magnus steps of length dt = (to - frm) /
+    steps from frm to to, per lane, as arrays of shape (lanes, 2n + 1) for
+    chunks of n <= per_chunk steps.
 
     The step ends advance by repeated addition of dt, one running sum
     continued from chunk to chunk, as a step loop does, so the end t + dt
     of a step is bitwise the start of the next: a chunk holds its steps'
     ends t_0, ..., t_n with the midpoints t_i + dt/2 between them, in the
     order a step loop first evaluates them, and its t_n is the next chunk's
-    t_0."""
-    t = frm
+    t_0.  The last step ends at ``to`` itself, not at the running sum, which
+    may miss it by a few ulps."""
+    t, dt = frm, (to - frm) / steps
     for s0 in range(0, steps, per_chunk):
         n = min(per_chunk, steps - s0)
         ends = np.cumsum(np.column_stack([t] + [dt] * n), axis=1)
         nodes = np.empty((len(t), 2 * n + 1))
-        nodes[:, 0::2] = ends
         nodes[:, 1::2] = ends[:, :-1] + (dt / 2)[:, None]
+        if s0 + n == steps:
+            ends[:, -1] = to
+        nodes[:, 0::2] = ends
         yield nodes
         t = ends[:, -1]
 
 
-def _raise_in_lane_order(system: LinearSystem, frm: np.ndarray, dt: np.ndarray, steps: int):
-    """Evaluate the coefficients at the RK4 nodes lane by lane, each lane's
-    in time order and a chunk at a time, so the first failing node of the
-    first lane that has one raises its error."""
-    per_chunk = max(1, _RK4_CHUNK // (2 * system.dim ** 2))
+def _raise_in_lane_order(system: LinearSystem, frm: np.ndarray, to: np.ndarray, steps: int):
+    """Evaluate the coefficients at the Magnus nodes lane by lane, each
+    lane's in time order and a chunk at a time, so the first failing node
+    of the first lane that has one raises its error."""
+    per_chunk = max(1, _MAGNUS_CHUNK // (2 * system.dim ** 2))
     for lane in range(len(frm)):
-        for nodes in _rk4_chunks(frm[lane:lane + 1], dt[lane:lane + 1], steps, per_chunk):
+        for nodes in _magnus_chunks(frm[lane:lane + 1], to[lane:lane + 1], steps, per_chunk):
             _coefficient_stack(system, nodes.ravel())
 
 
@@ -582,10 +648,11 @@ def propagate(system: LinearSystem, to: float, frm: float) -> ScaledMatrix:
     Full systems compose ``_unit_factors``: in discrete time the unit steps
     of the walk from ``frm`` to ``to`` (inverses when to < frm), each
     normalized and the product renormalized after every factor; in
-    continuous time one classical fixed-step 4th-order integration.  Scalar
-    and diagonal systems sum per-component step logs (discrete) or take the
-    coefficient integral (continuous, ``_simpson_integrals``).  The
-    identity when to == frm.
+    continuous time one 4th-order Magnus integration (``_magnus_factors``)
+    at steps of at most ``MAGNUS_STEP``, whose last step ends at ``to``
+    exactly.  Scalar and diagonal systems sum per-component step logs
+    (discrete) or take the coefficient integral (continuous,
+    ``_simpson_integrals``).  The identity when to == frm.
     """
     if system.time_domain == DISCRETE:
         ki, ni = int(round(to)), int(round(frm))
@@ -599,7 +666,7 @@ def propagate(system: LinearSystem, to: float, frm: float) -> ScaledMatrix:
     elif system.structure in (SCALAR, DIAGONAL):
         logs = _diag_log_integral(system, frm, to)
         return ScaledMatrix.from_diag_logs(logs, np.ones(system.components))
-    else:  # one RK4 integration from frm to to
+    else:  # one Magnus integration from frm to to
         walk = np.array([frm] if frm == to else [frm, to], dtype=float)
     units, logs = _unit_factors(system, walk[:-1], walk[1:])
     factors = [*map(ScaledMatrix, units, logs.tolist())] or [ScaledMatrix.identity(system.dim)]
@@ -796,14 +863,14 @@ def scaled_grids(obj, window: int) -> tuple[np.ndarray, tuple, tuple]:
 def _unit_factors(system: LinearSystem, frm: np.ndarray,
                   to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(units, logs) of Phi(to[l], frm[l]) of a full system for steps of one
-    length (unit steps in discrete time), built together: stacked RK4 lanes
-    in continuous time; in discrete time one stack of step matrices
+    length (unit steps in discrete time), built together: stacked Magnus
+    lanes in continuous time; in discrete time one stack of step matrices
     A(min(frm, to)), multiplied by the identity going forward and solved
     against it going backward."""
     if not len(frm):
         return np.empty((0, system.dim, system.dim)), np.empty(0)
     if system.time_domain == CONTINUOUS:
-        return _rk4_factors(system, frm, to)
+        return _magnus_factors(system, frm, to)
     mats = _step_matrices(system, np.rint(np.minimum(frm, to)).astype(int).tolist())
     eye = np.eye(system.dim)
     ahead = to > frm

@@ -11,10 +11,10 @@ The multiplicative constant in a dichotomy bound contributes O(1/L) to each
 ratio, so the cutoff washes it out.  Stabilization across an increasing
 window schedule yields the two extremal exponents; monotone growth or escape
 beyond a threshold flags divergence to +-infinity.  An unpinned schedule is
-extended by doubling while a scalar or diagonal estimate has not converged.  A scalar spectrum is the
-interval between the two exponents; diagonal systems merge per-component
-intervals and carry projector ranks on the gaps; full matrices only get an
-outer enclosure from singular-value statistics.
+extended by doubling while an estimate has not converged.  A scalar spectrum
+is the interval between the two exponents; diagonal systems merge
+per-component intervals and carry projector ranks on the gaps; full matrices
+only get an outer enclosure from singular-value statistics.
 
 A component whose log-propagator grid is exactly c times the log-rate grid,
 with c in {0, 1, -1}, needs no ratio: the system generated by mu raised to
@@ -27,8 +27,8 @@ returns c without forming a pair; every scan counts its admissible pairs
 from per-row suffix starts (``_suffix_starts``).  In fresh-process
 captures of every scan, 12 of the 16 scans of the scalar_disc_wide
 benchmark workload qualify and 56 of the 149 of the harness workload; none
-of scalar_cont_wide or full_matrix do (Simpson and RK4 grids are not exact
-multiples).
+of scalar_cont_wide or full_matrix do (Simpson and Magnus grids are not
+exact multiples).
 """
 
 from __future__ import annotations
@@ -471,10 +471,9 @@ def compute_spectrum(system, rate: rates.GrowthRate, params: Params = DEFAULT) -
     projector ranks attached to the gaps (a gap's rank counts the components
     whose interval lies entirely to its left, which is the dimension of the
     decaying subspace for weights inside the gap).  Full systems get an
-    outer enclosure from singular-value statistics, with no projector claims,
-    always on the schedule as given.  ``windows`` lists the windows used;
-    for exact-structure reports that includes any extension of an unpinned
-    schedule (see ``_estimates``).
+    outer enclosure from singular-value statistics, with no projector claims.
+    ``windows`` lists the windows used, including any extension of an
+    unpinned schedule (see ``_estimates``).
     """
     base = _base(system, rate)
     mode = "enclosure" if base.structure == FULL else "exact"
@@ -502,15 +501,14 @@ def _estimates(system, rate, params: Params, components) -> list[BohlEstimate]:
     """Bohl estimates of the given components over the window schedule; a
     full system has one, its enclosure.
 
-    Unless the schedule is pinned, a scalar or diagonal estimate that has
-    not converged takes further doubled windows
+    Unless the schedule is pinned, an estimate that has not converged takes
+    further doubled windows
     (``Params.extension_windows``) until it converges or the cap is
     reached; a converged component takes no more windows, so each estimate
     depends on its own component only.  The extension stops early at the
     first window on which the system or rate cannot be evaluated (a
     tabulated system's range ends, a coefficient leaves its domain): the
-    estimate then keeps the windows it has.  An enclosure always uses the
-    schedule as given.
+    estimate then keeps the windows it has.
     """
     base = _base(system, rate)
     enclosure = base.structure == FULL
@@ -535,7 +533,7 @@ def _estimates(system, rate, params: Params, components) -> list[BohlEstimate]:
     grid = _grid(system, rate, max(windows))
     for n in windows:
         scan(grid, components, n)
-    for n in () if enclosure else params.extension_windows(base.time_domain):
+    for n in params.extension_windows(base.time_domain):
         pending = [comp for comp in components if not estimates[comp].converged]
         if not pending:
             break

@@ -321,6 +321,48 @@ def test_rk4_overflow_is_one_named_error(capsys):
         1, "", "error: propagator from time 0 to 1 is not finite during integration\n")
 
 
+def _probe(d):
+    """The d x d continuous probe system, whose spectrum under q is {0, 1}:
+    a_11 = 2|t|, the rest of the diagonal -1/(1 + |t|), the superdiagonal 1
+    and every other entry 0."""
+    rows = [["0"] * d for _ in range(d)]
+    for i in range(d):
+        rows[i][i] = "-1/(1+abs(t))"
+        if i + 1 < d:
+            rows[i][i + 1] = "1"
+    rows[0][0] = "2*abs(t)"
+    return {"time_domain": "continuous", "dimension": d, "structure": "full",
+            "coefficients": {"entries": rows}}
+
+
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("schedule", ["5,10,20,40,80", "5,10,20,40,80,160"])
+def test_full_continuous_enclosures_enclose_the_spectrum(capsys, d, schedule):
+    """Where the coefficient reaches 320, the enclosure, converged and not
+    widened, still holds both points of the spectrum."""
+    code, out, err = _run(capsys, ["spectrum", "--system", json.dumps(_probe(d)),
+                                   "--rate", "q", "--schedule", schedule])
+    assert code == 0, err
+    payload = json.loads(out)
+    [interval] = payload["intervals"]
+    assert payload["converged"] is True
+    assert interval["lo"] <= 0.0 and interval["hi"] >= 1.0
+
+
+def test_unpinned_enclosure_takes_doubled_windows(capsys):
+    """The 8x8 probe has not converged at the default schedule's last
+    window; unpinned, its enclosure doubles the window, as an exact
+    estimate does, and converges at 80."""
+    code, out, err = _run(capsys, ["spectrum", "--system", json.dumps(_probe(8)),
+                                   "--rate", "q"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["windows"] == [5.0, 10.0, 20.0, 40.0, 80.0]
+    assert payload["converged"] is True
+    [interval] = payload["intervals"]
+    assert interval["lo"] <= 0.0 and interval["hi"] >= 1.0
+
+
 def test_descriptor_validation_error(capsys):
     code, out, err = _run(capsys, [
         "spectrum", "--system", '{"time_domain":"discrete","dimension":"x","structure":"scalar","coefficients":{"diagonal":["1"]}}',
@@ -513,6 +555,9 @@ _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--om
     (["compare", "--relation", "equivalent", "--a", "exp",
       "--b", '{"kind":"power_exp","p":1,"lambda":3}', "--time-domain", "discrete",
       "--schedule", "200,400,800,1600"], "equivalent_constant_ratio_wide.json"),
+    # the 8x8 probe, whose coefficient reaches 320 at the last window
+    (["spectrum", "--system", json.dumps(_probe(8)), "--rate", "q",
+      "--schedule", "5,10,20,40,80,160"], "spectrum_full_continuous_8x8_q.json"),
 ])
 def test_output_matches_the_recorded_reports(capsys, monkeypatch, tmp_path, argv, golden):
     """The reports are byte-identical to the recorded ones.  A change that

@@ -145,6 +145,59 @@ def test_full_continuous_rk4():
     assert lo == pytest.approx(-0.25 * 4.0, abs=1e-6)
 
 
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_magnus_matches_exact_propagators(seed):
+    """Against closed forms, forward and backward, over spans of up to 3
+    (30 steps): a constant generator R diag(l) R^T with |l_i| <= 60 has the
+    propagator R diag(exp(l_i (t - s))) R^T; an upper-triangular generator
+    with constant entries above a diagonal of polynomials p_i of degree up
+    to 3 keeps the zeros below the diagonal, and Phi_ii = exp(int_s^t p_i)
+    (Simpson's nodes integrate a cubic exactly, and commutators of
+    triangular matrices vanish on the diagonal)."""
+    rng = random.Random(seed)
+    frm = rng.uniform(-3.0, 3.0)
+    to = frm + rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0)
+    lam = np.array([rng.uniform(-60.0, 60.0) for _ in range(2)])
+    rot = _rotation(rng.uniform(0.0, math.pi))
+    gen = rot @ np.diag(lam) @ rot.T
+    phi = evolution.propagate(
+        evolution.full_system(CONTINUOUS, [[repr(v) for v in row] for row in gen.tolist()]),
+        to, frm)
+    logs = lam * (to - frm)
+    assert phi.log_norm == pytest.approx(logs.max(), rel=1e-12, abs=1e-12)
+    assert np.abs(phi.unit - rot @ np.diag(np.exp(logs - logs.max())) @ rot.T).max() < 1e-12
+    d = rng.choice([2, 3])
+    rows = [["0"] * d for _ in range(d)]
+    integrals = []
+    for i in range(d):
+        cs = [rng.uniform(-3.0, 3.0) for _ in range(rng.randint(1, 4))]
+        rows[i][i] = "+".join(f"({c!r})" + "*t" * k for k, c in enumerate(cs))
+        integrals.append(sum(c * (to ** (k + 1) - frm ** (k + 1)) / (k + 1)
+                             for k, c in enumerate(cs)))
+        for j in range(i + 1, d):
+            rows[i][j] = repr(rng.uniform(-2.0, 2.0))
+    phi = evolution.propagate(evolution.full_system(CONTINUOUS, rows), to, frm)
+    assert not np.tril(phi.unit, -1).any()
+    assert np.abs(np.diagonal(phi.unit) - np.exp(np.array(integrals) - phi.log_norm)).max() < 1e-10
+
+
+def test_magnus_exponent_sums_stay_in_int64():
+    """A step's exponential takes about log2(||Omega||_1) squarings, each
+    doubling the lane's int64 exponent sum: diag(1000, -1000) over [0, 1]
+    (8 squarings a step) has log-norm 1000 to 1e-9, and diag(1e100, 1),
+    whose steps would need 330, raises the named error, with no numpy
+    warning, where doubling 330 times would wrap the sum."""
+    stiff = evolution.full_system(CONTINUOUS, [["1000", "0"], ["0", "-1000"]])
+    assert abs(evolution.propagate(stiff, 1.0, 0.0).log_norm - 1000.0) <= 1e-9
+    huge = evolution.full_system(CONTINUOUS, [["1e100", "0"], ["0", "1"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(evolution.EvolutionError) as info:
+            evolution.propagate(huge, 1.0, 0.0)
+    assert str(info.value) == "propagator from time 0 to 1 is not finite during integration"
+
+
 def test_quotient_system_realizations():
     q = catalog.rate("q", DISCRETE)
     fixture = evolution.quotient_system(q, [-2.0])
@@ -398,33 +451,59 @@ def _plain_rescaled(m, rescale=True):
     return np.ldexp(m, -e), e
 
 
-def _plain_rk4(system, to, frm, rescale=True, h=1e-2):
-    """(x, E) of one RK4 loop on 2-D arrays from frm to to, a coefficient
-    matrix per point: the propagator is x * 2^E, with x rescaled by a power
-    of two after every substep, or never."""
+def _plain_expm(om, rescale=True):
+    """(p, f) with exp(om) = p * 2^f for one 2-D matrix: om scaled by 2^-s
+    to 1-norm below 1/2, its degree-15 Taylor polynomial in
+    Paterson-Stockmeyer form, then s squarings, each rescaled by a power of
+    two, or never."""
+    s = max(math.frexp(float(np.abs(om).sum(axis=0).max()))[1] + 1, 0)
+    x = np.ldexp(om, -s)
+    x2 = x @ x
+    x3 = x2 @ x
+    x4 = x2 @ x2
+    c = [1.0 / math.factorial(k) for k in range(16)]
+    blocks = [c[4 * i] * np.eye(len(om)) + c[4 * i + 1] * x + c[4 * i + 2] * x2
+              + c[4 * i + 3] * x3 for i in range(4)]
+    p = blocks[3]
+    for b in blocks[2::-1]:
+        p = x4 @ p + b
+    f = 0
+    for _ in range(s):
+        p, e = _plain_rescaled(p @ p, rescale)
+        f = 2 * f + e
+    return p, f
+
+
+def _plain_magnus(system, to, frm, rescale=True, h=0.1):
+    """(x, E) of one 4th-order Magnus loop on 2-D arrays from frm to to, a
+    coefficient matrix per point: the propagator is x * 2^E, with x
+    rescaled by a power of two after every squaring and every step, or
+    never.  The last step ends at to itself."""
     steps = max(1, int(math.ceil(abs(to - frm) / h)))
     dt = (to - frm) / steps
     x, exp, t = np.eye(system.dim), 0, frm
-    for _ in range(steps):
-        k1 = evolution.coefficient_matrix(system, t) @ x
-        k2 = evolution.coefficient_matrix(system, t + dt / 2) @ (x + dt / 2 * k1)
-        k3 = evolution.coefficient_matrix(system, t + dt / 2) @ (x + dt / 2 * k2)
-        k4 = evolution.coefficient_matrix(system, t + dt) @ (x + dt * k3)
-        x, e = _plain_rescaled(x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), rescale)
-        exp += e
-        t += dt
+    a0 = evolution.coefficient_matrix(system, t)
+    for step in range(steps):
+        a1 = evolution.coefficient_matrix(system, t + dt / 2)
+        t = to if step == steps - 1 else t + dt
+        a2 = evolution.coefficient_matrix(system, t)
+        om = dt / 6 * (a0 + 4.0 * a1 + a2) + dt * dt / 12 * (a2 @ a0 - a0 @ a2)
+        p, f = _plain_expm(om, rescale)
+        x, e = _plain_rescaled(p @ x, rescale)
+        exp += f + e
+        a0 = a2
     return x, exp
 
 
 def _plain_unit_step(system, to, frm):
     """One unit-step factor the plain way: a coefficient matrix per point,
-    and for continuous time one rescaled RK4 loop brought to 2-norm 1 at the
-    end."""
+    and for continuous time one rescaled Magnus loop brought to 2-norm 1 at
+    the end."""
     eye = np.eye(system.dim)
     if system.time_domain == DISCRETE:
         a = evolution.coefficient_matrix(system, int(min(to, frm)))
         return _plain_from_matrix(a @ eye if to > frm else np.linalg.solve(a, eye), 0.0)
-    x, exp = _plain_rk4(system, to, frm)
+    x, exp = _plain_magnus(system, to, frm)
     return _plain_from_matrix(x, exp * math.log(2.0))
 
 
@@ -525,15 +604,16 @@ def test_lockstep_grids_equal_the_plain_walk(d, window, seed, shift, zeroed, wei
 def test_rescaled_rk4_is_the_unscaled_loop_exactly(d, degree, seed):
     """Rescaling by powers of two adds no rounding: on constant and
     polynomial coefficients over spans short enough to stay in double range,
-    the rescaled RK4 loop times 2^E is bitwise the unscaled loop."""
+    the rescaled Magnus loop times 2^E, squarings included, is bitwise the
+    unscaled loop."""
     rng = random.Random(seed)
     rows = [["+".join(f"({rng.uniform(-2.0, 2.0)!r})" + "*t" * p for p in range(degree + 1))
              for _ in range(d)] for _ in range(d)]
     system = evolution.full_system(CONTINUOUS, rows)
     frm = rng.uniform(-3.0, 3.0)
     to = frm + rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 0.6)
-    x, exp = _plain_rk4(system, to, frm)
-    unscaled, zero = _plain_rk4(system, to, frm, rescale=False)
+    x, exp = _plain_magnus(system, to, frm)
+    unscaled, zero = _plain_magnus(system, to, frm, rescale=False)
     assert zero == 0 and np.isfinite(unscaled).all()
     assert np.array_equal(np.ldexp(x, exp), unscaled)
 
@@ -609,12 +689,12 @@ _PROBE_4 = evolution.full_system(CONTINUOUS, _probe_rows(4))
 # (system, window) grids the chunking test compares: the long ones, and
 # short ones for the chunks of one lane and one step, which integrate a
 # lane at a time
-_RK4_LONG = ((_PROBE_2, 40), (_PROBE_2, 160), (_PROBE_4, 80))
-_RK4_SHORT = ((_PROBE_2, 40), (_PROBE_4, 10))
+_MAGNUS_LONG = ((_PROBE_2, 40), (_PROBE_2, 160), (_PROBE_4, 80))
+_MAGNUS_SHORT = ((_PROBE_2, 40), (_PROBE_4, 10))
 
 
-def _rk4_outputs(cases):
-    """Every RK4 result the chunking test compares: the grids of the
+def _magnus_outputs(cases):
+    """Every Magnus result the chunking test compares: the grids of the
     (system, window) cases, and one long propagation."""
     grids = [evolution.scaled_grids(system, window) for system, window in cases]
     phi = evolution.propagate(_PROBE_2, 37.5, -12.25)
@@ -622,28 +702,30 @@ def _rk4_outputs(cases):
 
 
 @pytest.fixture(scope="module")
-def rk4_reference():
-    return {cases: _rk4_outputs(cases) for cases in (_RK4_LONG, _RK4_SHORT)}
+def magnus_reference():
+    return {cases: _magnus_outputs(cases) for cases in (_MAGNUS_LONG, _MAGNUS_SHORT)}
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64, evolution._RK4_CHUNK])
-def test_rk4_chunks_move_no_bit(monkeypatch, rk4_reference, chunk):
+@pytest.mark.parametrize("chunk", [1, 7, 64, evolution._MAGNUS_CHUNK])
+def test_rk4_chunks_move_no_bit(monkeypatch, magnus_reference, chunk):
     """Any chunk of coefficient values, down to one lane of one step at a
     time (chunks 1 and 7), through blocks of several lanes (64) to chunks
     of several steps (the default), gives bitwise the same units and logs;
     and a coefficient that fails on nodes of several lanes raises the first
     failing node of the first lane, as a lone integration of that lane
     meets it, however the lanes and steps are cut."""
-    monkeypatch.setattr(evolution, "_RK4_CHUNK", chunk)
-    cases = _RK4_SHORT if chunk < 64 else _RK4_LONG
-    for got, want in zip(_rk4_outputs(cases), rk4_reference[cases], strict=True):
+    monkeypatch.setattr(evolution, "_MAGNUS_CHUNK", chunk)
+    cases = _MAGNUS_SHORT if chunk < 64 else _MAGNUS_LONG
+    for got, want in zip(_magnus_outputs(cases), magnus_reference[cases], strict=True):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    # |t - 1| <= 0.1 fails: the last steps of lane 0 (0 -> 1), the first
-    # of lanes 1 (1 -> 0) and 2 (1 -> 2), which a step-major chunk meets first
+    # |t - 1| <= 0.1 fails: the last step of lane 0 (0 -> 1) at its
+    # midpoint 0.95 (its step end 0.8999999999999999 is 8e-17 outside),
+    # the first of lanes 1 (1 -> 0) and 2 (1 -> 2), which a step-major
+    # chunk meets first
     gap = evolution.full_system(CONTINUOUS, [["1", "log(abs(t-1)-0.1)"], ["0", "1"]])
     with pytest.raises(exprparse.DomainError) as plain:
-        _plain_rk4(gap, 1.0, 0.0)
-    assert 0.89 < plain.value.value["t"] < 0.91
+        _plain_magnus(gap, 1.0, 0.0)
+    assert 0.94 < plain.value.value["t"] < 0.96
     for call in (lambda: evolution.scaled_grids(gap, 40),
                  lambda: evolution.propagate(gap, 1.0, 0.0)):
         with pytest.raises(exprparse.DomainError) as info:
@@ -653,9 +735,9 @@ def test_rk4_chunks_move_no_bit(monkeypatch, rk4_reference, chunk):
 
 
 def test_rk4_holds_one_chunk_of_coefficients():
-    """The 2x2 grid at window 40 integrates 160 lanes of 201 RK4 nodes of 4
-    entries: held at once, with their evaluation temporaries, they peak at
-    about 2.3 MB."""
+    """The 2x2 grid at window 40 integrates 160 lanes of 21 Magnus nodes
+    of 4 entries, and each step holds a few (lanes, 2, 2) temporaries of
+    the exponential beside them: the traced peak stays under 1 MB."""
     evolution.scaled_grids(_PROBE_2, 1)
     tracemalloc.start()
     try:

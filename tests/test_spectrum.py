@@ -592,9 +592,9 @@ def test_rank2_numerators_are_negative_zero_where_both_operands_are(block):
 
 
 def test_svd_calls_do_not_grow_with_the_window(monkeypatch):
-    """An enclosure takes a fixed number of stacked SVDs, however many RK4
-    substeps and walk steps its grid has: one per RK4 lane block and one
-    per grid, with the discrete unit factors normalized in one call."""
+    """An enclosure takes a fixed number of stacked SVDs, however many
+    Magnus steps and walk steps its grid has: one per Magnus lane block and
+    one per grid, with the discrete unit factors normalized in one call."""
     calls = []
     svd = np.linalg.svd
 
