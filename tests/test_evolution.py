@@ -117,9 +117,16 @@ def test_operator_norm_bounds():
     assert evolution.operator_norm_bounds(singular)[1] == -math.inf
 
 
-def _rotation(theta: float) -> np.ndarray:
-    return np.array([[math.cos(theta), -math.sin(theta)],
-                     [math.sin(theta), math.cos(theta)]])
+def _rotation(theta: float, d: int = 2) -> np.ndarray:
+    """A d x d rotation: Givens rotations by theta * (i + 1) in the planes
+    (i, i + 1), composed; for d = 2 the rotation by theta."""
+    r = np.eye(d)
+    for i in range(d - 1):
+        g = np.eye(d)
+        c, s = math.cos(theta * (i + 1)), math.sin(theta * (i + 1))
+        g[i:i + 2, i:i + 2] = [[c, -s], [s, c]]
+        r = g @ r
+    return r
 
 
 def test_full_discrete_rotated_constant():
@@ -495,46 +502,73 @@ def _plain_magnus(system, to, frm, rescale=True, h=0.1):
     return x, exp
 
 
-def _plain_unit_step(system, to, frm):
-    """One unit-step factor the plain way: a coefficient matrix per point,
-    and for continuous time one rescaled Magnus loop brought to 2-norm 1 at
-    the end."""
+def _plain_factor(system, to, frm):
+    """One unit-step factor the plain way, (x, e) with Phi(to, frm) =
+    x * 2^e and the largest |entry| of x in [0.5, 1): a coefficient matrix
+    per point, rescaled once in discrete time, and one rescaled Magnus loop
+    in continuous time."""
     eye = np.eye(system.dim)
     if system.time_domain == DISCRETE:
         a = evolution.coefficient_matrix(system, int(min(to, frm)))
-        return _plain_from_matrix(a @ eye if to > frm else np.linalg.solve(a, eye), 0.0)
-    x, exp = _plain_magnus(system, to, frm)
-    return _plain_from_matrix(x, exp * math.log(2.0))
+        return _plain_rescaled(a @ eye if to > frm else np.linalg.solve(a, eye))
+    return _plain_magnus(system, to, frm)
 
 
-def _plain_walks(system, window, rescale=True):
+def _plain_unit_step(system, to, frm):
+    """One unit-step propagator the plain way: the factor x * 2^e brought
+    to 2-norm 1, with log e * log 2 + log ||x||."""
+    x, e = _plain_factor(system, to, frm)
+    return _plain_from_matrix(x, e * math.log(2.0))
+
+
+def _plain_join(k, early, late, rescale):
+    """Walk k's product of two entries (x, E, F), the earlier factors'
+    and the later ones': forward walks (k = 0, 1) multiply on the left,
+    backward walks (k = 2, 3) on the right; the product is rescaled, E
+    adds the exponents of the rescales and F those of the factors."""
+    x = late[0] @ early[0] if k < 2 else early[0] @ late[0]
+    y, e = _plain_rescaled(x, rescale)
+    return y, early[1] + late[1] + e, early[2] + late[2]
+
+
+def _plain_walks(system, window, rescale=True, blocked=True):
     """The forward and backward walks of scaled_grids the plain way, one
-    unit step at a time: entries (x, E, g) with the walk's product of factor
-    units x * 2^E, rescaled after every factor or never, and g the sum of
-    the factor logs."""
+    matrix at a time: entries (x, E, F) with the walk's product of factors
+    x * 2^(E + F), x rescaled after every product or never, E the sum of
+    the rescale exponents and F that of the factor exponents.
+
+    The four walks out from 0 (ahead and behind, forward and backward)
+    compose their factors in the blocked association of scaled_grids, with
+    b = isqrt(window): the local prefixes of each b-step block, the carry
+    of every block before it, and each local prefix joined with its block's
+    carry.  blocked=False composes them one factor at a time instead."""
     times = np.arange(-window, window + 1, dtype=float)
-    fwd = [None] * len(times)
-    bwd = [None] * len(times)
-    fwd[window] = bwd[window] = (np.eye(system.dim), 0, 0.0)
-    moves = ([(m, m + 1) for m in range(window, 2 * window)]
-             + [(m, m - 1) for m in range(window, 0, -1)])
-    for m, n in moves:
-        step = _plain_unit_step(system, times[n], times[m])
-        back = _plain_unit_step(system, times[m], times[n])
-        x, exp, g = fwd[m]
-        y, e = _plain_rescaled(step.unit @ x, rescale)
-        fwd[n] = (y, exp + e, step.log_norm + g)
-        x, exp, g = bwd[m]
-        y, e = _plain_rescaled(x @ back.unit, rescale)
-        bwd[n] = (y, exp + e, g + back.log_norm)
-    return times, fwd, bwd
+    eye = (np.eye(system.dim), 0, 0)
+    steps = [[(t + 1.0, t), (-t - 1.0, -t), (t, t + 1.0), (-t, -t - 1.0)]
+             for t in map(float, range(window))]
+    b = max(1, math.isqrt(window) if blocked else window)
+    walks = []
+    for k in range(4):
+        factors = [(x, 0, e) for x, e in (_plain_factor(system, *step[k]) for step in steps)]
+        walk, carry = [eye], None
+        for j0 in range(0, window, b):
+            local = factors[j0]
+            block = [local]
+            for factor in factors[j0 + 1:j0 + b]:
+                local = _plain_join(k, local, factor, rescale)
+                block.append(local)
+            walk += [p if carry is None else _plain_join(k, carry, p, rescale) for p in block]
+            carry = local if carry is None else _plain_join(k, carry, local, rescale)
+        walks.append(walk)
+    # in time order: the walk behind, reversed, then the walk ahead from 0
+    return times, *(walks[k + 1][:0:-1] + walks[k] for k in (0, 2))
 
 
-def _plain_scaled_grids(system, window):
+def _plain_scaled_grids(system, window, blocked=True):
     """scaled_grids built the plain way: the rescaled walks, each entry
-    brought to 2-norm 1 with log g + E * log 2 + log ||x||."""
-    times, *walks = _plain_walks(system, window)
-    return times, *([_plain_from_matrix(x, g + exp * math.log(2.0)) for x, exp, g in walk]
+    brought to 2-norm 1 with log (E + F) * log 2 + log ||x||."""
+    times, *walks = _plain_walks(system, window, blocked=blocked)
+    return times, *([_plain_from_matrix(x, (exp + f) * math.log(2.0)) for x, exp, f in walk]
                     for walk in walks)
 
 
@@ -579,9 +613,11 @@ def test_scaled_grids_match_composed_single_steps():
 @settings(max_examples=150, deadline=None)
 def test_lockstep_grids_equal_the_plain_walk(d, window, seed, shift, zeroed, weight):
     """On seeded tables (window 0 has no factors), plain or weighted, the
-    lockstep walk is bitwise the one-factor-at-a-time grid.  Zeroed rows make
-    singular steps, and the first one the walk meets is the one reported:
-    the steps ahead from 0, then the steps behind."""
+    stacked blocked walk is bitwise the grid of the same association built
+    one matrix at a time, with windows that are and are not multiples of
+    the block length.  Zeroed rows make singular steps, and the first one
+    the walk meets is the one reported: the steps ahead from 0, then the
+    steps behind."""
     rng = np.random.default_rng(seed)
     mats = rng.uniform(-1.0, 1.0, (max(2 * window, 1), d, d)) + shift * np.eye(d)
     zeroed = [i for i in zeroed if i < 2 * window]
@@ -618,21 +654,58 @@ def test_rescaled_rk4_is_the_unscaled_loop_exactly(d, degree, seed):
     assert np.array_equal(np.ldexp(x, exp), unscaled)
 
 
+@pytest.mark.parametrize("window", [0, 1, 2, 3, 17, 400])
+@given(st.sampled_from([2, 3, 8]), st.integers(0, 16), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_blocked_grids_agree_with_the_sequential_walk(window, d, gap, rotated, seed):
+    """The blocked walk re-associates the products of a one-factor-at-a-time
+    walk, so their grids differ by rounding alone: the logs within
+    1e-11 * max(1, |log|) and the units within 1e-10 entrywise.  Seeded
+    upper-triangular tables A_k whose diagonal entries have magnitudes
+    2^u * [1, 2), with u decreasing along the diagonal and spread up to gap
+    within a step, or their rotated copies B_k = R((k + 1) w) A_k R(k w)^T,
+    whose products are the triangular ones turned by orthogonal frames;
+    windows that are and are not multiples of the block length.  (With the
+    order of u drawn afresh at every step, the two walks part far beyond
+    this bound: such a product loses most of its digits in either
+    association.)"""
+    rng = np.random.default_rng(seed)
+    count = max(2 * window, 1)
+    u = -np.sort(-rng.integers(0, gap + 1, (count, d)), axis=1)
+    diag = rng.choice([-1.0, 1.0], (count, d)) * rng.uniform(1.0, 2.0, (count, d)) * 2.0 ** u
+    mats = np.triu(rng.uniform(-1.0, 1.0, (count, d, d)), 1) + diag[:, :, None] * np.eye(d)
+    if rotated:
+        w = rng.uniform(0.0, math.pi)
+        ks = range(-window, -window + count)
+        mats = np.stack([_rotation((k + 1) * w, d) @ a @ _rotation(k * w, d).T
+                         for k, a in zip(ks, mats)])
+    system = evolution.tabulated_system(-window, mats)
+    times, *got = evolution.scaled_grids(system, window)
+    _, *want = _plain_scaled_grids(system, window, blocked=False)
+    for (units, logs), plain in zip(got, want):
+        for unit, g, m in zip(units, logs.tolist(), plain):
+            assert abs(g - m.log_norm) <= 1e-11 * max(1.0, abs(m.log_norm))
+            assert np.abs(unit - m.unit).max() <= 1e-10
+
+
 @given(st.sampled_from([1, 2, 3]), st.integers(1, 8), st.integers(0, 2 ** 32 - 1),
        st.sampled_from([0.0, 2.0]))
 @settings(max_examples=60, deadline=None)
 def test_rescaled_walk_is_the_unscaled_walk_exactly(d, window, seed, shift):
     """On seeded tables, every entry of the rescaled walks times 2^E is
-    bitwise the unscaled product of the same factor units."""
+    bitwise the unscaled product of the same factors, in either
+    association."""
     rng = np.random.default_rng(seed)
     mats = rng.uniform(-1.0, 1.0, (2 * window, d, d)) + shift * np.eye(d)
     system = evolution.tabulated_system(-window, mats)
-    _, *scaled = _plain_walks(system, window)
-    _, *unscaled = _plain_walks(system, window, rescale=False)
-    for walk, plain in zip(scaled, unscaled):
-        for (x, exp, g), (y, zero, h) in zip(walk, plain):
-            assert zero == 0 and g == h
-            assert np.array_equal(np.ldexp(x, exp), y)
+    for blocked in (True, False):
+        _, *scaled = _plain_walks(system, window, blocked=blocked)
+        _, *unscaled = _plain_walks(system, window, rescale=False, blocked=blocked)
+        for walk, plain in zip(scaled, unscaled):
+            for (x, exp, f), (y, zero, g) in zip(walk, plain):
+                assert zero == 0 and f == g
+                assert np.array_equal(np.ldexp(x, exp), y)
 
 
 def test_rk4_overflow_names_the_first_non_finite_step():

@@ -592,9 +592,9 @@ def test_rank2_numerators_are_negative_zero_where_both_operands_are(block):
 
 
 def test_svd_calls_do_not_grow_with_the_window(monkeypatch):
-    """An enclosure takes a fixed number of stacked SVDs, however many
-    Magnus steps and walk steps its grid has: one per Magnus lane block and
-    one per grid, with the discrete unit factors normalized in one call."""
+    """An enclosure takes one stacked SVD per grid, however many Magnus
+    steps and walk steps it has: the unit-step factors come scaled by
+    powers of two, with no 2-norm of their own."""
     calls = []
     svd = np.linalg.svd
 
@@ -613,5 +613,5 @@ def test_svd_calls_do_not_grow_with_the_window(monkeypatch):
     q = catalog.rate("q", CONTINUOUS)
     table = evolution.tabulated_system(
         -400, np.random.default_rng(5).uniform(-1.0, 1.0, (800, 2, 2)) + 2.0 * np.eye(2))
-    assert count(cont, q, None) == count(cont, q, (5, 10, 20)) == 2
-    assert count(table, EXP, (50, 100, 200, 400)) == count(table, EXP, (25, 50)) == 2
+    assert count(cont, q, None) == count(cont, q, (5, 10, 20)) == 1
+    assert count(table, EXP, (50, 100, 200, 400)) == count(table, EXP, (25, 50)) == 1
