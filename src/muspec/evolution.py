@@ -9,9 +9,9 @@ the end; so the catalog systems, whose propagators reach e^(+-10^4) on
 ordinary windows, never leave double range.  Full continuous systems are
 integrated by the 4th-order Magnus method (``_magnus_factors``).  Scalar
 and diagonal structures additionally keep their per-component logs
-exactly: sums of per-step log-magnitudes, the Simpson integral of the
-coefficient in continuous time, or the closed-form log of a rate quotient
-in either time domain.
+exactly: sums of per-step log-magnitudes, the Gauss-Lobatto integral of
+the coefficient in continuous time, or the closed-form log of a rate
+quotient in either time domain.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ FULL = "full"
 
 _MAX_DIM = 16
 _MIN_ABS_DET = 1e-300
-ODE_STEP = 1e-2  # node spacing of Simpson's rule for continuous scalar and diagonal systems
 
 
 class EvolutionError(ValueError):
@@ -416,25 +415,38 @@ def _quotient_logs(src: RateQuotientSource, a: np.ndarray, b: np.ndarray) -> np.
 # Quadrature and integration
 
 
-_SIMPSON_BLOCK = 1 << 13  # quadrature nodes one array evaluation holds
+_LOBATTO_BLOCK = 1 << 13  # quadrature nodes one array evaluation holds
+_LOBATTO_PANEL = 0.25  # longest panel: the quarter times of a unit segment are panel ends
+_R7 = math.sqrt(7.0)
+_X1, _X2 = math.sqrt(1 / 3 - 2 * _R7 / 21), math.sqrt(1 / 3 + 2 * _R7 / 21)
+# each panel's nodes but its right end, as fractions of the panel, and their
+# weights on [-1, 1]; a panel's left end is the right end of the one before
+_LOBATTO_U = np.array([0.0, (1 - _X2) / 2, (1 - _X1) / 2, (1 + _X1) / 2, (1 + _X2) / 2])
+_LOBATTO_W = np.array([2 / 15, (14 - _R7) / 30, (14 + _R7) / 30, (14 + _R7) / 30, (14 - _R7) / 30])
 
 
-def _simpson_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _lobatto_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Componentwise integrals of the diagonal coefficients over segments
     [a[s], b[s]] of one common nonzero length, shape (segments, components).
     A quotient source's integrals are its exact logs (``_quotient_logs``).
-    Expression sources take composite Simpson with an even panel count, no
-    interior kink handling.
+    Expression sources take composite 6-point Gauss-Lobatto (Abramowitz &
+    Stegun 25.4.32), exact to degree 9, on ceil(length / 0.25) equal
+    panels: 21 nodes for a unit segment, whose integer and quarter times
+    are all nodes, so a pole there raises its DomainError.  A pole or kink
+    off the quarter grid is not met (nor was one off the 0.01 grid of the
+    Simpson rule this replaces): abs(t - 0.3) over the unit segments of
+    [-3, 3] is integrated to within 2.9e-4 only, where a kink at a quarter
+    time costs nothing.
 
-    Each segment gets the floats of integrating it alone: the nodes of
-    ``np.linspace(a[s], b[s], n + 1)``, and the weighted sum reduced as
-    numpy reduces one segment's (n + 1, components) array: pairwise over a
-    single column, and row by row over several, which one reduction of a
-    block's node-major (n + 1, segments * components) array does for all
-    its segments at once.  Segments go in order, in blocks of at most
-    ``_SIMPSON_BLOCK`` nodes per array evaluation (with
-    the same floats and the same first DomainError as evaluating node by
-    node), so memory stays flat and a failing node raises the error a
+    Each segment gets the floats of integrating it alone: the nodes
+    lo + frac * (hi - lo) with the last one hi itself, and the weighted
+    sum reduced as numpy reduces one segment's (nodes, components) array:
+    pairwise over a single column, and row by row over several, which one
+    reduction of a block's node-major (nodes, segments * components) array
+    does for all its segments at once.  Segments go in order, in blocks of
+    at most ``_LOBATTO_BLOCK`` nodes per array evaluation (with the same
+    floats and the same first DomainError as evaluating node by node), so
+    memory stays flat and a failing node raises the error a
     segment-by-segment loop raises first.
     """
     comp, src = system.components, system.source
@@ -442,40 +454,47 @@ def _simpson_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np
         return np.zeros((0, comp))
     if isinstance(src, RateQuotientSource):
         return _quotient_logs(src, a, b)
-    n = max(2, int(math.ceil(abs(b[0] - a[0]) / ODE_STEP)))
-    if n % 2:
-        n += 1
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    per_call = max(1, _SIMPSON_BLOCK // (n + 1))
+    panels = max(1, math.ceil(abs(b[0] - a[0]) / _LOBATTO_PANEL))
+    frac = np.append(((np.arange(panels)[:, None] + _LOBATTO_U) / panels).ravel(), 1.0)
+    w = np.append(np.tile(_LOBATTO_W, panels), 1 / 15)
+    w[0] = 1 / 15
+    n = len(w)
+    per_call = max(1, _LOBATTO_BLOCK // n)
     out = []
     for s in range(0, len(a), per_call):
         lo, hi = a[s:s + per_call], b[s:s + per_call]
-        xs = np.linspace(lo, hi, n + 1, axis=1)
+        xs = lo[:, None] + frac * (hi - lo)[:, None]
+        xs[:, -1] = hi
         nodes = xs.ravel()
-        vals = exprparse.evaluate_array(src.diag, {"t": nodes, "k": nodes}).reshape(len(lo), n + 1, comp)
+        vals = exprparse.evaluate_array(src.diag, {"t": nodes, "k": nodes}).reshape(len(lo), n, comp)
         if comp == 1:
             sums = (w * vals[:, :, 0]).sum(axis=1)[:, None]
         else:
             weighted = np.multiply(w[:, None, None], vals.transpose(1, 0, 2),
-                                   out=np.empty((n + 1, len(lo), comp)))
-            sums = np.add.reduce(weighted.reshape(n + 1, -1), axis=0).reshape(len(lo), comp)
-        out.append(((hi - lo) / n / 3.0)[:, None] * sums)
+                                   out=np.empty((n, len(lo), comp)))
+            sums = np.add.reduce(weighted.reshape(n, -1), axis=0).reshape(len(lo), comp)
+        out.append(((hi - lo) / (2 * panels))[:, None] * sums)
     return np.concatenate(out)
 
 
 def _diag_log_integral(system: LinearSystem, frm: float, to: float) -> np.ndarray:
-    """log Psi_ii(to, frm) = integral of a_ii; split at 0 where the catalog
-    coefficients may have a kink."""
+    """log Psi_ii(to, frm) = integral of a_ii over the segments between the
+    integer times of [frm, to] (0, where the catalog coefficients may have
+    a kink, among them), summed from 0.0 in increasing time and negated
+    when to < frm.  A long span is thus evaluated a block of unit segments
+    at a time, and between integer times its segments are those of
+    ``component_log_grid``."""
     if frm == to:
         return np.zeros(system.components)
     a, b = sorted((frm, to))
-    cuts = [a, 0.0, b] if a < 0.0 < b else [a, b]
-    parts = [_simpson_integrals(system, np.array([lo], dtype=float),
-                                np.array([hi], dtype=float))[0]
-             for lo, hi in zip(cuts, cuts[1:])]
-    return (1.0 if frm < to else -1.0) * sum(parts[1:], parts[0])
+    cuts = np.unique(np.concatenate([[a], np.arange(math.ceil(a), math.floor(b) + 1.0), [b]]))
+    lo, hi = cuts[:-1], cuts[1:]
+    # runs of one segment length: a partial segment, the unit ones, a partial one
+    runs = [0, *(np.flatnonzero(np.diff(hi - lo)) + 1).tolist(), len(lo)]
+    steps = np.concatenate([_lobatto_integrals(system, lo[i:j], hi[i:j])
+                            for i, j in zip(runs, runs[1:])])
+    total = _walk(steps)[-1]
+    return total if frm < to else -total
 
 
 MAGNUS_STEP = 0.1  # step of the Magnus integration of full continuous systems
@@ -670,8 +689,9 @@ def propagate(system: LinearSystem, to: float, frm: float) -> ScaledMatrix:
     exactly.  Each factor x * 2^e becomes the ScaledMatrix x / ||x|| with
     log e * log 2 + log ||x||, and the product is renormalized after every
     factor.  Scalar and diagonal systems sum per-component step logs
-    (discrete) or take the coefficient integral (continuous,
-    ``_simpson_integrals``).  The identity when to == frm.
+    (discrete) or take the coefficient integral over Gauss-Lobatto
+    segments between integer times (continuous, ``_diag_log_integral``).
+    The identity when to == frm.
     """
     if system.time_domain == DISCRETE:
         ki, ni = int(round(to)), int(round(frm))
@@ -777,8 +797,8 @@ def component_log_grid(obj, window: int) -> tuple[np.ndarray, np.ndarray]:
     (components, len(times)); logs[i][m] = log |Phi_ii(times[m], 0)|.
 
     All 2 * window unit steps are built at once: one batch of discrete step
-    logs (``_diag_steps``) or of Simpson segments (``_simpson_integrals``),
-    then running sums outward from 0.  Every entry, and every error, is
+    logs (``_diag_steps``) or of Gauss-Lobatto segments
+    (``_lobatto_integrals``), then running sums outward from 0.  Every entry, and every error, is
     bitwise what walking out one unit step at a time gives.  A step or
     running sum that leaves double range raises an EvolutionError naming
     the first one in walk order, by time and component.
@@ -809,7 +829,7 @@ def _system_log_grid(system: LinearSystem, window: int) -> tuple[np.ndarray, np.
         if system.time_domain == DISCRETE:
             steps, _ = _diag_steps(system, left.astype(int).tolist())
         else:
-            steps = _simpson_integrals(system, left, left + 1.0)
+            steps = _lobatto_integrals(system, left, left + 1.0)
         ahead, behind = _walk(steps[:window]), _walk(-steps[window:])
     # a step ahead reaches the right end of its interval, a step behind the left
     _check_walk_finite(np.vstack([ahead[1:], behind[1:]]),

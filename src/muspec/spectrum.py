@@ -27,8 +27,8 @@ returns c without forming a pair; every scan counts its admissible pairs
 from per-row suffix starts (``_suffix_starts``).  In fresh-process
 captures of every scan, 12 of the 16 scans of the scalar_disc_wide
 benchmark workload qualify and 56 of the 149 of the harness workload; none
-of scalar_cont_wide or full_matrix do (Simpson and Magnus grids are not
-exact multiples).
+of scalar_cont_wide or full_matrix do (Gauss-Lobatto and Magnus grids are
+not exact multiples).
 """
 
 from __future__ import annotations

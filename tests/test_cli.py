@@ -558,6 +558,9 @@ _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--om
     # the 8x8 probe, whose coefficient reaches 320 at the last window
     (["spectrum", "--system", json.dumps(_probe(8)), "--rate", "q",
       "--schedule", "5,10,20,40,80,160"], "spectrum_full_continuous_8x8_q.json"),
+    # the one non-polynomial continuous catalog coefficient, whose exact
+    # spectrum {1} the Gauss-Lobatto grid reads to the last digit
+    (["spectrum", "--system", "catalog:inv1pt", "--rate", "p"], "spectrum_inv1pt_p.json"),
 ])
 def test_output_matches_the_recorded_reports(capsys, monkeypatch, tmp_path, argv, golden):
     """The reports are byte-identical to the recorded ones.  A change that

@@ -221,10 +221,34 @@ def test_component_log_grid_matches_propagate():
         assert logs[0][idx] == pytest.approx(want, abs=1e-9)
 
 
-def _plain_diag_step(system, t, h=1e-2):
+def _plain_lobatto(system, lo, hi):
+    """Integrals of the diagonal coefficients over one segment [lo, hi]
+    the plain way: 6-point Gauss-Lobatto on ceil(4 (hi - lo)) equal panels,
+    listed panel by panel and node by node, a shared panel end once with
+    both panels' weights."""
+    r7 = math.sqrt(7.0)
+    inner, outer = math.sqrt(1 / 3 - 2 * r7 / 21), math.sqrt(1 / 3 + 2 * r7 / 21)
+    rule = [(-1.0, 1 / 15), (-outer, (14 - r7) / 30), (-inner, (14 + r7) / 30),
+            (inner, (14 + r7) / 30), (outer, (14 - r7) / 30), (1.0, 1 / 15)]
+    panels = max(1, math.ceil((hi - lo) / 0.25))
+    nodes, weights = [], []
+    for p in range(panels):
+        for j, (x, w) in enumerate(rule):
+            if p and not j:
+                weights[-1] += w
+                continue
+            nodes.append(lo + (p + (1 + x) / 2) / panels * (hi - lo))
+            weights.append(w)
+    nodes[-1] = hi
+    xs = np.array(nodes)
+    vals = exprparse.evaluate_array(system.source.diag, {"t": xs, "k": xs})
+    return (hi - lo) / (2 * panels) * (np.array(weights)[:, None] * vals).sum(axis=0)
+
+
+def _plain_diag_step(system, t):
     """log |Psi_ii(t + 1, t)| the plain way: a rate quotient's closed form,
-    one discrete step evaluated in log space point by point, or one Simpson
-    segment of its own."""
+    one discrete step evaluated in log space point by point, or one
+    Gauss-Lobatto segment of its own."""
     src = system.source
     if isinstance(src, evolution.RateQuotientSource):
         # a quotient mu(t)^s / mu(t+1)^s is never zero: a -inf log is an underflow
@@ -243,14 +267,7 @@ def _plain_diag_step(system, t, h=1e-2):
         if np.any(sg == 0) or np.any(la == -math.inf):
             raise evolution.EvolutionError(f"coefficient matrix is singular at time {k}")
         return la
-    n = max(2, int(math.ceil(1.0 / h)))
-    n += n % 2
-    xs = np.linspace(t, t + 1.0, n + 1)
-    vals = exprparse.evaluate_array(src.diag, {"t": xs, "k": xs})
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return (1.0 / n / 3.0) * (w[:, None] * vals).sum(axis=0)
+    return _plain_lobatto(system, t, t + 1.0)
 
 
 def _plain_component_log_grid(obj, window):
@@ -308,10 +325,72 @@ def test_simpson_integrals_do_not_depend_on_the_block(monkeypatch, window):
     left = np.arange(-window, window, dtype=float)
     for system in (catalog.system("sq3t2"), three):
         got = set()
-        for block in (1, 101, 1 << 11, 1 << 13):
-            monkeypatch.setattr(evolution, "_SIMPSON_BLOCK", block)
-            got.add(evolution._simpson_integrals(system, left, left + 1.0).tobytes())
+        # 21 nodes make a unit segment: blocks below, at and above it
+        for block in (1, 20, 21, 22, 101, 1 << 11, 1 << 13):
+            monkeypatch.setattr(evolution, "_LOBATTO_BLOCK", block)
+            got.add(evolution._lobatto_integrals(system, left, left + 1.0).tobytes())
         assert len(got) == 1, system
+
+
+def test_long_spans_are_integrated_a_block_at_a_time():
+    """propagate splits a continuous span at the integer times, so memory
+    stays flat however long the span (one array over the whole span took a
+    traced 96 MB at T = 2e4), and between integer times it integrates the
+    grid's unit segments."""
+    inv = evolution.scalar_system(CONTINUOUS, "1/(1+abs(t))")
+    evolution.propagate(inv, 3.5, 0)  # one-time set-up is not counted
+    tracemalloc.start()
+    try:
+        got = evolution.propagate(inv, 2e4, 0).log_norm
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    assert got == pytest.approx(math.log1p(2e4), rel=1e-12)
+    three = evolution.diagonal_system(CONTINUOUS, ["2*abs(t)", "-1/(1+abs(t))", "t^3/5"])
+    times, logs = evolution.component_log_grid(three, 400)
+    for to, frm in ((400, 0), (-400, 0), (250, -37), (-37, 250), (3, 2), (-1, 0)):
+        want = logs[:, to + 400] - logs[:, frm + 400]
+        got = evolution.propagate(three, to, frm).diag_logs
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (to, frm)
+    # partial segments at non-integer ends, on either side of the kink at 0
+    for to, frm in ((2.3, -1.7), (-0.4, 0.6), (0.1, 0.35), (-5.75, -2.5)):
+        got = evolution.propagate(three, to, frm).diag_logs
+        ends = np.array([to, frm])
+        prim = np.array([np.sign(ends) * ends ** 2, -np.sign(ends) * np.log1p(np.abs(ends)),
+                         ends ** 4 / 20])
+        assert got == pytest.approx(prim[:, 0] - prim[:, 1], rel=1e-12, abs=1e-14), (to, frm)
+
+
+_ACCURACY_CASES = st.one_of(
+    st.just(("inv1pt", None)),
+    st.tuples(st.just("exp"), st.floats(-10.0, 10.0)),
+    st.tuples(st.just("poly"), st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=10)),
+)
+
+
+@given(_ACCURACY_CASES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_component_log_grids_match_closed_forms(case):
+    """Gauss-Lobatto grids against closed forms: log(1 + |t|) sgn(t) for
+    inv1pt at window 400 within 1e-12; (exp(l t) - 1) / l for exp(l t),
+    |l| <= 10, at window 3 within a relative 1e-8; and a polynomial of
+    degree at most 9, which the rule integrates exactly, at window 40 within
+    1e-12 of the integrated polynomial's term magnitudes."""
+    kind, arg = case
+    if kind == "inv1pt":
+        times, logs = evolution.component_log_grid(catalog.system("inv1pt"), 400)
+        assert np.abs(logs[0] - np.sign(times) * np.log1p(np.abs(times))).max() <= 1e-12
+    elif kind == "exp":
+        system = evolution.scalar_system(CONTINUOUS, f"exp(({arg!r})*t)")
+        times, logs = evolution.component_log_grid(system, 3)
+        want = np.expm1(arg * times) / arg if arg else times
+        assert np.all(np.abs(logs[0] - want) <= 1e-8 * np.abs(want))
+    else:
+        text = "+".join(f"({c!r})*t^{k}" for k, c in enumerate(arg))
+        times, logs = evolution.component_log_grid(evolution.scalar_system(CONTINUOUS, text), 40)
+        terms = np.array([c * times ** (k + 1) / (k + 1) for k, c in enumerate(arg)])
+        assert np.all(np.abs(logs[0] - terms.sum(axis=0)) <= 1e-12 * np.abs(terms).sum(axis=0))
 
 
 def test_component_log_grid_is_built_once_per_system_and_window():
@@ -338,6 +417,12 @@ def test_component_log_grid_raises_the_first_stepwise_error():
         "1/(t+2.25)": "division by zero in '1/(t+2.25)' at input "
                       "{'t': np.float64(-2.25), 'k': np.float64(-2.25)}",
     }
+    # integer and quarter times are Gauss-Lobatto nodes, ahead of 0 and behind
+    for m in (13, 8, 6, 1, -3, -7, -12, -18):
+        pole = m / 4
+        text = f"1/(t{'-' if m > 0 else '+'}{abs(pole):g})"
+        c_cases[text] = (f"division by zero in '{text}' at input "
+                         f"{{'t': np.float64({pole!r}), 'k': np.float64({pole!r})}}")
     for text, message in c_cases.items():
         system = evolution.scalar_system(CONTINUOUS, text)
         with pytest.raises(exprparse.DomainError) as info:
