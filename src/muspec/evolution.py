@@ -483,7 +483,9 @@ def _diag_log_integral(system: LinearSystem, frm: float, to: float) -> np.ndarra
     a kink, among them), summed from 0.0 in increasing time and negated
     when to < frm.  A long span is thus evaluated a block of unit segments
     at a time, and between integer times its segments are those of
-    ``component_log_grid``."""
+    ``component_log_grid``.  A non-finite log raises the EvolutionError
+    ``component_log_grid`` raises, naming the first non-finite running sum
+    of the walk from frm toward to (``_walk_total``)."""
     if frm == to:
         return np.zeros(system.components)
     a, b = sorted((frm, to))
@@ -491,10 +493,10 @@ def _diag_log_integral(system: LinearSystem, frm: float, to: float) -> np.ndarra
     lo, hi = cuts[:-1], cuts[1:]
     # runs of one segment length: a partial segment, the unit ones, a partial one
     runs = [0, *(np.flatnonzero(np.diff(hi - lo)) + 1).tolist(), len(lo)]
-    steps = np.concatenate([_lobatto_integrals(system, lo[i:j], hi[i:j])
-                            for i, j in zip(runs, runs[1:])])
-    total = _walk(steps)[-1]
-    return total if frm < to else -total
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by name in _walk_total
+        steps = np.concatenate([_lobatto_integrals(system, lo[i:j], hi[i:j])
+                                for i, j in zip(runs, runs[1:])])
+    return _walk_total(steps, lo, hi, frm < to, to)
 
 
 MAGNUS_STEP = 0.1  # step of the Magnus integration of full continuous systems
@@ -718,30 +720,42 @@ def _diag_range_logs(system: LinearSystem, k: int, n: int) -> tuple[np.ndarray, 
     between n and k summed from 0.0 in increasing time, negated when k < n
     (inverse steps; diagonal signs are self-inverse).  A non-finite log
     raises the EvolutionError ``component_log_grid`` raises, naming the
-    first non-finite running sum of the walk from n toward k."""
+    first non-finite running sum of the walk from n toward k
+    (``_walk_total``)."""
     if k == n:
         return np.zeros(system.components), np.ones(system.components)
     lo, hi = (n, k) if k > n else (k, n)
-    with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by name in _walk_total
         la, sg = _diag_steps(system, list(range(lo, hi)))
-        total = _walk(la)[-1]
-        if k < n:
-            total = -total
-        if not np.isfinite(total).all():
-            # a step ahead reaches the right end of its interval, a step
-            # back the left; the total closes the walk, since summing in
-            # increasing time can overflow where the walk's order does not
-            left = np.arange(lo, hi, dtype=float)
-            walked, reached = ((_walk(la)[1:], left + 1.0) if k > n
-                               else (_walk(-la[::-1])[1:], left[::-1]))
-            _check_walk_finite(np.vstack([walked, total]), np.append(reached, float(k)))
-    return total, np.prod(sg, axis=0)
+    left = np.arange(lo, hi, dtype=float)
+    return _walk_total(la, left, left + 1.0, k > n, k), np.prod(sg, axis=0)
 
 
 def _walk(steps: np.ndarray) -> np.ndarray:
     """Running sums 0, s_0, s_0 + s_1, ... of a (count, components) array,
     added one step at a time from 0.0 as a loop adds them."""
     return np.cumsum(np.vstack([np.zeros(steps.shape[1]), steps]), axis=0)
+
+
+def _walk_total(steps: np.ndarray, left: np.ndarray, right: np.ndarray, forward: bool,
+                to: float) -> np.ndarray:
+    """The log-propagator of a walk toward ``to`` over the segments
+    [left[m], right[m]] in increasing time, whose (count, components)
+    ``steps`` are summed from 0.0 in increasing time and negated when the
+    walk goes back.  A non-finite total raises at the first non-finite
+    running sum in walk order: a step ahead reaches the right end of its
+    segment, a step back the left, and the total closes the walk, since
+    summing in increasing time can overflow where the walk's order does
+    not."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
+        total = _walk(steps)[-1]
+        if not forward:
+            total = -total
+        if not np.isfinite(total).all():
+            walked, reached = ((_walk(steps)[1:], right) if forward
+                               else (_walk(-steps[::-1])[1:], left[::-1]))
+            _check_walk_finite(np.vstack([walked, total]), np.append(reached, float(to)))
+    return total
 
 
 def _check_walk_finite(walked: np.ndarray, reached: np.ndarray):

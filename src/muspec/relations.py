@@ -284,22 +284,23 @@ def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple
 
 def _row_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple[float, int, int]:
     """``_ratio_argmax`` over every admissible pair, one row block of
-    ``pair_ratio_blocks`` at a time.  Within a block, the row-major order
-    of the rectangle keeps the pairs in order, and its first cell is
-    admissible, so the first maximum of the rectangle with -inf off the
-    mask is the first admissible one."""
+    ``pair_ratio_blocks`` at a time.  A block's ratios are NaN off the
+    admissible set, and none on it is NaN (the grids are bounded log-rate
+    grids), so ``np.fmax`` gives the block's maximum, and the first cell
+    equal to it is the first maximum in pair order: the row-major order of
+    the rectangle keeps the pairs in order, and NaN equals nothing."""
     best = None
-    for i0, j0, mask, q in pair_ratio_blocks(r_mu, r_om[None], -r_om[None], threshold):
+    _, blocks = pair_ratio_blocks(r_mu, r_om[None], -r_om[None], threshold)
+    for i0, j0, _, q in blocks:
         ratios = q[0]
-        np.copyto(ratios, -np.inf, where=~mask)
-        top = int(np.argmax(ratios))
-        value = ratios.flat[top]
-        if best is None or value > best[0]:
-            best = (value, i0, j0, top, ratios.shape[1])
+        top = np.fmax.reduce(ratios, axis=None)
+        if best is None or top > best[0]:
+            at = int(np.argmax(ratios == top))
+            best = (ratios.flat[at], i0, j0, at, ratios.shape[1])
     if best is None:
         raise RelationError("no admissible pairs after the log-quotient cutoff")
-    value, i0, j0, top, width = best
-    a, b = divmod(top, width)
+    value, i0, j0, at, width = best
+    a, b = divmod(at, width)
     return float(value), i0 + a, j0 + b
 
 
@@ -437,8 +438,10 @@ def _cells_max(mu: np.ndarray, om: np.ndarray, rows: np.ndarray, cols: np.ndarra
     admissible pairs of the fine tile pairs (rows[k], cols[k]) on the
     padded grids ``mu`` and ``om``; None if they hold no admissible pair.
     Each ratio is (om[j] - om[i]) / (mu[j] - mu[i]), bitwise what
-    ``pair_ratio_blocks`` forms.  mu is non-decreasing, so no cell with
-    j <= i is admissible."""
+    ``pair_ratio_blocks`` forms, and NaN off the admissible set, as
+    there: the mu-differences below the threshold are set to NaN before
+    the division.  mu is non-decreasing, so no cell with j <= i is
+    admissible."""
     width = _PAIR_TILE
     if not len(rows):
         return None
@@ -446,12 +449,11 @@ def _cells_max(mu: np.ndarray, om: np.ndarray, rows: np.ndarray, cols: np.ndarra
     i = (rows[:, None] * width + cell)[:, :, None]
     j = (cols[:, None] * width + cell)[:, None, :]
     gap = mu[j] - mu[i]
-    admissible = gap >= threshold
+    np.copyto(gap, np.nan, where=gap < threshold)
     ratios = om[j] - om[i]
     np.divide(ratios, gap, out=ratios)
-    np.copyto(ratios, -np.inf, where=~admissible)
-    top = ratios.max()
-    pos = np.flatnonzero(admissible & (ratios == top))
+    top = np.fmax.reduce(ratios, axis=None)
+    pos = np.flatnonzero(ratios == top)  # NaN equals nothing
     if not len(pos):
         return None
     tile, cell = np.divmod(pos, width * width)

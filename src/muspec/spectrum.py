@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,20 +143,22 @@ def admission_threshold(threshold: float) -> float:
 
 
 def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
-                      threshold: float):
-    """Ratios (heads[k, j] + tails[k, i]) / (r[j] - r[i]) of K series
-    (``heads`` and ``tails`` of shape (K, len(r))) over the admissible pairs
-    i < j, those with r[j] - r[i] >= threshold and > 0, one block of rows at
-    a time, so memory stays O(_PAIR_BLOCK) rather than O(K * len(r)^2).
-    Every series on one rate grid shares the block's log-quotients and mask.
+                      threshold: float) -> tuple[np.ndarray, Iterator]:
+    """(starts, blocks) of the ratios (heads[k, j] + tails[k, i]) /
+    (r[j] - r[i]) of K series (``heads`` and ``tails`` of shape (K,
+    len(r))) over the admissible pairs i < j, those with r[j] - r[i] >=
+    threshold and > 0, one block of rows at a time, so memory stays
+    O(_PAIR_BLOCK) rather than O(K * len(r)^2).  Every series on one rate
+    grid shares the block's log-quotients.
 
     ``r`` is a non-decreasing log-rate grid (``rates.log_rate_grid``), so
     the admissible partners of each row are a suffix of the columns, from
-    its start on (``_suffix_starts``).  The starts are non-decreasing, so a
-    block starting at row i0 scans the columns from the start j0 of row i0
-    on, the first j > i0 with fl(r[j] - r[i0]) >= threshold, found by one
-    search of that row's computed log-quotients (they are non-decreasing
-    too), and the scan stops at the first row with no partner.
+    its start on.  ``starts`` are those of every row (``_suffix_starts``),
+    from which a caller counts the admissible pairs, len(r) - start summed
+    over the rows, and ``blocks`` is a generator that forms no block until
+    it is iterated.  The starts are non-decreasing, so a block starting at
+    row i0 scans the columns from j0 = starts[i0] on, and the scan stops at
+    the first row with no partner.
 
     A block's log-quotients, and then the numerators of its K series, are
     matrix products of rank-2 factors, [x_i, 1] @ [1, y_j]^T = x_i * 1 +
@@ -171,21 +174,31 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     allocate the arrays the broadcasts did; one product for both, of twice
     the size, raised peak memory.
 
-    Yields (i0, j0, mask, q) for each block: q has shape (K, rows,
-    len(r) - j0) and holds the ratio of every pair (i0 + a, j0 + b) of the
-    block's rectangle, and mask[a, b] marks the admissible ones, (i0, j0)
-    among them.  The entries off the mask are not ratios of admissible
-    pairs (their log-quotient may be zero or negative), so a caller
-    overwrites them before reducing, instead of copying the admissible
-    ratios out: with -inf before a max and +inf before a min.  A fill
-    beats no admissible entry and every admissible entry (NaN included)
-    matches or beats it, so the max or min of the filled rectangle equals
-    the admissible ratios' extreme; only the sign of a zero extreme, or of
-    a NaN, depends on the order numpy reduces in.  Row-major order over the
-    blocks' masks is the order of ``np.triu_indices``.
+    ``blocks`` yields (i0, j0, L, q) for each block: L has shape (rows,
+    len(r) - j0) and q shape (K, rows, len(r) - j0), over the pairs
+    (i0 + a, j0 + b) of the block's rectangle, whose first cell (i0, j0) is
+    admissible.  The
+    log-quotients off the admissible set, those below the threshold, are
+    set to NaN in L before the division, so q holds the ratio of every
+    admissible pair and NaN on every other cell: ``np.fmax`` and
+    ``np.fmin``, which skip NaN, reduce a block to the extremes of its
+    admissible ratios, and only the sign of a zero extreme depends on the
+    order numpy reduces in.  An admissible ratio is itself NaN only where
+    a numerator is, or both operands are infinite, which needs a value
+    of r, heads or tails that is not finite or exceeds DBL_MAX / 2 in
+    magnitude; the NaNs of q where L is not NaN are exactly those ratios.
+    Row-major order over the blocks' admissible cells is the order of
+    ``np.triu_indices``.
     """
-    n = len(r)
     threshold = admission_threshold(threshold)
+    starts = _suffix_starts(r, threshold)
+    return starts, _ratio_blocks(r, heads, tails, threshold, starts)
+
+
+def _ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, threshold: float,
+                  starts: np.ndarray) -> Iterator:
+    """The blocks of ``pair_ratio_blocks``, from its rows' suffix starts."""
+    n = len(r)
     # rows x, 1, y of layer 0 form the log-quotients, those of layer 1 + k
     # the numerators of series k: rows 0-1, transposed, are the row factors
     # [x_i, 1] and rows 1-2 the column factors [1, y_j]
@@ -197,63 +210,87 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     zero_heads, zero_tails = (np.signbit(x) & (x == 0) for x in (heads, tails))
     zero_rows = np.flatnonzero(zero_tails.any(axis=0)).tolist() if zero_heads.any() else []
     i0 = 0
-    while i0 < n - 1:
-        j0 = i0 + 1 + int(np.searchsorted(r[i0 + 1:] - r[i0], threshold))
-        if j0 >= n:
-            break
+    while i0 < n - 1 and starts[i0] < n:
+        j0 = int(starts[i0])
         stop = min(i0 + max(1, _PAIR_BLOCK // (len(heads) * (n - j0))), n - 1)
         L = row_factors[0, i0:stop] @ col_factors[0, :, j0:]
-        # off the mask L may be zero or negative; those entries are discarded
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.copyto(L, np.nan, where=L < threshold)
+        with np.errstate(invalid="ignore", over="ignore"):
             q = row_factors[1:, i0:stop] @ col_factors[1:, :, j0:]
             for i in zero_rows[bisect.bisect_left(zero_rows, i0):
                                bisect.bisect_left(zero_rows, stop)]:
                 np.copyto(q[:, i - i0], -0.0,
                           where=zero_tails[:, i, None] & zero_heads[:, j0:])
             q /= L
-        yield i0, j0, L >= threshold, q
+        yield i0, j0, L, q
         i0 = stop
 
 
-def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutoff: float):
+def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutoff: float,
+                      facts: tuple | None = None):
     """(min ratios, max ratios, admissible pair count) of ``pair_ratio_blocks``
     at the cutoff fraction of the window's log-quotient: one min and one max
     per series of the (K, len(r)) stacks ``heads`` and ``tails``, and the
     count they share, len(r) - start summed over the rows' suffix starts.
     min and max are exact, and a zero extreme is +0.0 (which zero numpy
     returns when both are admissible depends on its order of reduction), so
-    the result does not depend on the blocking.
+    the result does not depend on the blocking.  A series with a NaN
+    admissible ratio gets NaN for both.
 
-    When every series is 0, 1 or -1 times the rate (see ``_unit_slopes``),
-    every admissible ratio is that multiple exactly, so no block is formed:
-    the extremes are the multiples."""
+    ``facts`` is ``_scan_facts`` of a grid that r, heads and tails are a
+    slice of, or None for the slice's own.  When every series is 0, 1 or
+    -1 times the rate (see ``_unit_slopes``), every admissible ratio is
+    that multiple exactly, so no block is formed: the extremes are the
+    multiples.  A grid's facts hold for each of its slices: a slice of
+    c * r is c * r, and where a series is c * r on the slice only, every
+    ratio the scan forms there is c, by ``_unit_slopes``' own proof, so
+    the scan returns what the closed form would.  Otherwise each block
+    reduces with fmax and fmin, which skip the NaNs off the admissible
+    set, and, where the values are not bounded, also marks the series with
+    a NaN ratio where its log-quotient is not NaN."""
     l_max = r[-1] - r[0]
     if l_max <= 0:
         raise SpectrumError("growth rate is flat on the window; no admissible pairs")
-    count = int((len(r) - _suffix_starts(r, admission_threshold(cutoff * l_max))).sum())
+    starts, blocks = pair_ratio_blocks(r, heads, tails, cutoff * l_max)
+    count = int((len(r) - starts).sum())
     if not count:
         raise SpectrumError("no admissible pairs after the log-quotient cutoff")
-    slopes = _unit_slopes(r, heads, tails)
+    slopes, bounded = facts if facts is not None else _scan_facts(r, heads, tails)
     if slopes is not None:
-        lo = hi = slopes
-    else:
-        lo = np.full(len(heads), INF)
-        hi = np.full(len(heads), -INF)
-        for _, _, mask, q in pair_ratio_blocks(r, heads, tails, cutoff * l_max):
-            outside = ~mask
-            np.copyto(q, -INF, where=outside)
-            hi = np.maximum(hi, q.max(axis=(1, 2)))
-            np.copyto(q, INF, where=outside)
-            lo = np.minimum(lo, q.min(axis=(1, 2)))
+        return slopes + 0.0, slopes + 0.0, count
+    lo = np.full(len(heads), INF)
+    hi = np.full(len(heads), -INF)
+    for _, _, L, q in blocks:
+        # a block's first cell is admissible, so a NaN block extreme is a NaN
+        # ratio; maximum and minimum keep a NaN, once there, to the end
+        hi = np.maximum(hi, np.fmax.reduce(q, axis=(1, 2)))
+        lo = np.minimum(lo, np.fmin.reduce(q, axis=(1, 2)))
+        if not bounded:
+            nan = (np.isnan(q) & ~np.isnan(L)).any(axis=(1, 2))
+            lo[nan] = hi[nan] = np.nan
     return lo + 0.0, hi + 0.0, count  # -0.0 + 0.0 is +0.0; every other value stays
+
+
+def _scan_facts(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> tuple:
+    """(``_unit_slopes``, bounded) of a grid, for ``_pair_ratio_stats``:
+    bounded when r, heads and tails are finite and at most DBL_MAX / 2 in
+    magnitude.  Then no admissible ratio is NaN: no log-quotient
+    r[j] - r[i] overflows, so an admissible one is finite and positive,
+    every numerator is finite, and a finite number over a finite positive
+    one is a number (+-inf where it overflows)."""
+    bounded = all(np.abs(x).max() <= rates.MAX_LOG_RATE for x in (r, heads, tails))  # NaN fails
+    return _unit_slopes(r, heads, tails), bounded
 
 
 def _unit_slopes(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndarray | None:
     """The slopes c_k in {0, 1, -1} with heads[k] == c_k * r and tails[k] ==
     -heads[k] (as values: zeros of either sign are equal) for every series
     k, with max |r| <= DBL_MAX / 2 unless every c_k is 0; None as soon as
-    one series fails.  c_k is read from one entry of r that is not 0 (r[0]
-    or r[-1]: r[-1] > r[0]), so most series that fail are rejected in O(1).
+    one series fails.  c_k is read from r[0] or r[-1], whichever is larger
+    in magnitude, so most series that fail are rejected in O(1); where
+    that entry is 0, r is 0 everywhere (a flat grid, whose facts
+    ``_estimates`` takes before any window's flat check) and the quotient
+    is no slope.
 
     For such a series every admissible ratio is exactly c_k in IEEE
     arithmetic.  Negation is exact and commutes with rounding, so the
@@ -269,7 +306,8 @@ def _unit_slopes(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndar
     zero.  A NaN or an infinity in r or in a series fails the comparison.
     """
     p = 0 if abs(r[0]) > abs(r[-1]) else -1
-    with np.errstate(over="ignore", invalid="ignore"):  # +-inf and NaN are not 0 or +-1
+    # +-inf and NaN, of a flat or non-finite r or series, are not 0 or +-1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         slopes = heads[:, p] / r[p]
     for k, c in enumerate(slopes.tolist()):
         if c not in (0.0, 1.0, -1.0):  # NaN is in no tuple of numbers
@@ -509,6 +547,12 @@ def _estimates(system, rate, params: Params, components) -> list[BohlEstimate]:
     first window on which the system or rate cannot be evaluated (a
     tabulated system's range ends, a coefficient leaves its domain): the
     estimate then keeps the windows it has.
+
+    Each grid's closed-form slopes and bound check (``_scan_facts``) are
+    taken once and shared by the scans of all its windows, which gives
+    every window bitwise the result of scanning its slice alone (see
+    ``_pair_ratio_stats``).  An estimate is finished once after the
+    schedule and once after each extension window it takes.
     """
     base = _base(system, rate)
     enclosure = base.structure == FULL
@@ -516,23 +560,26 @@ def _estimates(system, rate, params: Params, components) -> list[BohlEstimate]:
     per_window = {comp: [] for comp in components}
     estimates = {}
 
-    def scan(grid, comps, n):
-        """One pair scan of the window for all of comps at once."""
+    def scan(grid, comps, scanned):
+        """One pair scan per window of ``scanned`` for all of comps at once,
+        then their estimates."""
         times, r, heads, tails = grid
-        sl = _window_slice(times, n)
         rows = slice(None) if enclosure else comps
-        lo, hi, pairs_used = _pair_ratio_stats(r[sl], heads[rows, sl], tails[rows, sl],
-                                               params.cutoff_fraction)
-        lo, hi = lo.tolist(), hi.tolist()
-        # an enclosure's upper bound is the max of series 0, its lower the min of series 1
-        bounds = [(lo[1], hi[0])] if enclosure else zip(lo, hi)
-        for comp, (comp_lo, comp_hi) in zip(comps, bounds):
-            per_window[comp].append((float(n), comp_lo, comp_hi))
-            estimates[comp] = _finish_estimate(per_window[comp], pairs_used, params)
+        heads, tails = heads[rows], tails[rows]
+        facts = _scan_facts(r, heads, tails)
+        for n in scanned:
+            sl = _window_slice(times, n)
+            lo, hi, pairs = _pair_ratio_stats(r[sl], heads[:, sl], tails[:, sl],
+                                              params.cutoff_fraction, facts)
+            lo, hi = lo.tolist(), hi.tolist()
+            # an enclosure's upper bound is the max of series 0, its lower the min of series 1
+            bounds = [(lo[1], hi[0])] if enclosure else zip(lo, hi)
+            for comp, (comp_lo, comp_hi) in zip(comps, bounds):
+                per_window[comp].append((float(n), comp_lo, comp_hi))
+        for comp in comps:  # pairs is the last window's count
+            estimates[comp] = _finish_estimate(per_window[comp], pairs, params)
 
-    grid = _grid(system, rate, max(windows))
-    for n in windows:
-        scan(grid, components, n)
+    scan(_grid(system, rate, max(windows)), components, windows)
     for n in params.extension_windows(base.time_domain):
         pending = [comp for comp in components if not estimates[comp].converged]
         if not pending:
@@ -541,7 +588,7 @@ def _estimates(system, rate, params: Params, components) -> list[BohlEstimate]:
             grid = _grid(system, rate, n)
         except (evolution.EvolutionError, exprparse.ExprError, rates.RateError):
             break
-        scan(grid, pending, n)
+        scan(grid, pending, [n])
     return [estimates[comp] for comp in components]
 
 

@@ -561,6 +561,12 @@ _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--om
     # the one non-polynomial continuous catalog coefficient, whose exact
     # spectrum {1} the Gauss-Lobatto grid reads to the last digit
     (["spectrum", "--system", "catalog:inv1pt", "--rate", "p"], "spectrum_inv1pt_p.json"),
+    # a K = 3 diagonal scan at wide windows: the three series share every
+    # pair block, and no window takes the closed form
+    (["spectrum", "--system", json.dumps(
+        {"time_domain": "discrete", "dimension": 3, "structure": "diagonal",
+         "coefficients": {"diagonal": [f"exp(({s})*abs(2*k+1))" for s in (-1.2, 0.3, 1.5)]}}),
+      "--rate", "q", "--schedule", "200,400,800,1600"], "spectrum_diag_disc_wide_q.json"),
 ])
 def test_output_matches_the_recorded_reports(capsys, monkeypatch, tmp_path, argv, golden):
     """The reports are byte-identical to the recorded ones.  A change that

@@ -514,6 +514,19 @@ def test_propagate_names_the_first_non_finite_log():
             with pytest.raises(evolution.EvolutionError) as info:
                 evolution.propagate(system, to, 0)
         assert str(info.value) == f"log-propagator of component 0 is not finite at time {where}"
+    # continuous: a coefficient of 1e308 * (1 + |t|) overflows the node
+    # values of every unit segment; the walk from 0 meets the first at
+    # time 1, as the grid does, and the walk back from 3 at time 2
+    system = evolution.scalar_system(CONTINUOUS, "1e308*(1+abs(t))")
+    for to, frm, where in ((3, 0, "1 (inf)"), (0, 3, "2 (-inf)"), (-2.5, 0.5, "0 (-inf)")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(evolution.EvolutionError) as info:
+                evolution.propagate(system, to, frm)
+        assert str(info.value) == f"log-propagator of component 0 is not finite at time {where}"
+    with pytest.raises(evolution.EvolutionError) as info:
+        evolution.component_log_grid(system, 3)
+    assert str(info.value).endswith("at time 1 (inf)")
 
 
 def test_scaled_grids_are_mutually_inverse():

@@ -123,9 +123,8 @@ def test_ratio_scan_forms_few_ratios_where_the_ratios_peak(monkeypatch):
     blocks, cells = relations.pair_ratio_blocks, relations._cells_max
 
     def counting_blocks(*args):
-        for block in blocks(*args):
-            formed.append(block[3][0].size)
-            yield block
+        starts, scan = blocks(*args)
+        return starts, (formed.append(block[3][0].size) or block for block in scan)
 
     def counting_cells(mu, om, rows, cols, threshold):
         formed.append(len(rows) * relations._PAIR_TILE ** 2)

@@ -321,8 +321,19 @@ def test_exact_multiples_of_the_rate_form_no_pair_block(monkeypatch):
     A diagonal system with other slopes forms the blocks."""
     params = Params(schedule=(200, 400, 800, 1600))
     blocks, calls = spectrum.pair_ratio_blocks, []
-    monkeypatch.setattr(spectrum, "pair_ratio_blocks", lambda *args: calls.append(args)
-                        or blocks(*args))
+
+    def watched_blocks(*args):
+        """The blocks, recording each scan as it forms its first one."""
+        starts, scan = blocks(*args)
+
+        def watched():
+            for n, block in enumerate(scan):
+                if not n:
+                    calls.append(args)
+                yield block
+        return starts, watched()
+
+    monkeypatch.setattr(spectrum, "pair_ratio_blocks", watched_blocks)
     for system, rate in ((FRAK_A, C), (DISC_Q, Q), (IDENTITY, EXP)):
         est = spectrum.compute_spectrum(system, rate, params).component_estimates[0]
         assert not calls
@@ -333,6 +344,31 @@ def test_exact_multiples_of_the_rate_form_no_pair_block(monkeypatch):
         DISCRETE, [f"exp(({s})*abs(2*k+1))" for s in (-0.731, 0.402, 1.218)])
     spectrum.compute_spectrum(system, Q, params)
     assert len(calls) == 4
+
+
+def test_grid_scan_matches_each_window_scanned_alone():
+    """Component 0 steps by min(|2k+1|, 199), so its log-propagator is
+    k^2, the log-rate grid of q, out to |k| = 100 and falls behind it
+    beyond: on windows 50 and 100 alone it takes the closed form, on the
+    grid of window 400 it does not.  The scans that share the grid's
+    closed-form check give every window bitwise what scanning its slice
+    alone gives, for each component."""
+    params = Params(schedule=(50, 100, 200, 400))
+    system = evolution.diagonal_system(
+        DISCRETE, ["exp(min(abs(2*k+1), 199))", "exp(0.5*abs(2*k+1))"])
+    rep = spectrum.compute_spectrum(system, Q, params)
+    times, r, heads, tails = spectrum._grid(system, Q, 400)
+    assert spectrum._unit_slopes(r, heads[:1], tails[:1]) is None
+    for comp, est in enumerate(rep.component_estimates):
+        for window, lo, hi in est.per_window:
+            sl = spectrum._window_slice(times, int(window))
+            if comp == 0 and window <= 100:
+                assert spectrum._unit_slopes(r[sl], heads[:1, sl], tails[:1, sl]).tolist() == [1.0]
+            want_lo, want_hi, _ = spectrum._pair_ratio_stats(
+                r[sl], heads[comp:comp + 1, sl], tails[comp:comp + 1, sl], 0.5)
+            assert _same(lo, want_lo[0]) and _same(hi, want_hi[0])
+    assert [w[1:] for w in rep.component_estimates[0].per_window[:2]] == [(1.0, 1.0)] * 2
+    assert all(w[1:] == (0.5, 0.5) for w in rep.component_estimates[1].per_window)
 
 
 def test_wiggly_rate_grid_is_raised_to_its_running_maximum():
@@ -497,7 +533,31 @@ def test_pair_scan_matches_all_pairs(inputs, block, tile):
     threshold = cutoff * l_max
     refs = [_all_pairs(r, head, tail, threshold) for head, tail in zip(heads, tails)]
     count = len(refs[0][2])
-    with mock.patch.object(spectrum, "_PAIR_BLOCK", block), _tiles(tile, block):
+    blocks = spectrum.pair_ratio_blocks
+
+    def checked_blocks(r, heads, tails, *args):
+        """The blocks, each checked against the plain rectangle: it starts
+        at its first row's suffix start, and its q is NaN exactly where the
+        pair is inadmissible or its ratio is NaN."""
+        starts, scan = blocks(r, heads, tails, *args)
+        assert np.array_equal(
+            starts, spectrum._suffix_starts(r, spectrum.admission_threshold(threshold)))
+        return starts, checked(r, heads, tails, starts, scan)
+
+    def checked(r, heads, tails, starts, scan):
+        for i0, j0, L, q in scan:
+            assert j0 == starts[i0]
+            rows, cols = np.arange(i0, i0 + q.shape[1]), np.arange(j0, len(r))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                plain = r[cols] - r[rows, None]
+                ratios = (heads[:, None, cols] + tails[:, rows, None]) / plain
+            admissible = (plain >= threshold) & (plain > 0)
+            assert np.array_equal(np.isnan(q), np.isnan(np.where(admissible, ratios, np.nan)))
+            yield i0, j0, L, q
+
+    with mock.patch.object(spectrum, "_PAIR_BLOCK", block), _tiles(tile, block), \
+            mock.patch.object(spectrum, "pair_ratio_blocks", checked_blocks), \
+            mock.patch.object(relations, "pair_ratio_blocks", checked_blocks):
         if l_max <= 0:
             with pytest.raises(spectrum.SpectrumError, match="flat"):
                 spectrum._pair_ratio_stats(r, heads, tails, cutoff)
@@ -534,8 +594,9 @@ def _numerator_scan(heads, tails, block):
     heads = np.concatenate([np.zeros((k, rows)), heads], axis=1)
     tails = np.concatenate([tails, np.zeros((k, cols))], axis=1)
     parts = []
+    _, blocks = spectrum.pair_ratio_blocks(r, heads, tails, 0.5)
     with mock.patch.object(spectrum, "_PAIR_BLOCK", block):
-        for i0, j0, _, q in spectrum.pair_ratio_blocks(r, heads, tails, 0.5):
+        for i0, j0, _, q in blocks:
             assert (i0, j0) == (sum(p.shape[1] for p in parts), rows)
             parts.append(q[:, :rows - i0])  # later rows have L = 0
     return np.concatenate(parts, axis=1)
