@@ -517,13 +517,14 @@ def _magnus_factors(system: LinearSystem, frm: np.ndarray,
     largest |entry| in [0.5, 1) and E an integer exponent.  All lanes span
     the same length, so they take the same steps.  They are integrated in
     blocks of at most ``_MAGNUS_CHUNK // (2 d^2)`` lanes, every lane of a
-    block in one step loop (``_magnus_block``), so the working set is the
-    lanes' d x d states plus one chunk of at most ``_MAGNUS_CHUNK``
-    coefficient values, whatever the window or span.  Each lane does the
-    float operations of a lone integration: the same node times, the same
-    products and its own number of squarings (``_expm``), rescaled after
-    every squaring and every step by a power of two (``_rescale``), so a
-    lane is its unscaled integration x times 2^-E, digit for digit.
+    block together (``_magnus_block``), so the working set is the lanes'
+    d x d states plus one chunk of at most ``_MAGNUS_CHUNK`` coefficient
+    values and its exponentials, whatever the window or span.  Each lane
+    does the float operations of a lone integration: the same node times,
+    the same products and its own number of squarings (``_expm``),
+    rescaled after every squaring and every step by a power of two
+    (``_rescale``), so a lane is its unscaled integration x times 2^-E,
+    digit for digit.
 
     Errors come in this order.  A failing coefficient raises the error the
     lanes raise one at a time, in lane order: the first failing node of the
@@ -554,8 +555,8 @@ def _magnus_factors(system: LinearSystem, frm: np.ndarray,
 
 def _magnus_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
                   steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, E) of one block of ``_magnus_factors``'s lanes, all of them in
-    one step loop: x (lanes, d, d) rescaled and E (lanes,) the exponent sums.
+    """(x, E) of one block of ``_magnus_factors``'s lanes, all of them at
+    once: x (lanes, d, d) rescaled and E (lanes,) the exponent sums.
 
     A step of length h from t takes the coefficient at its ends and its
     midpoint, A0 = A(t), A1 = A(t + h/2), A2 = A(t + h), and maps x to
@@ -572,15 +573,25 @@ def _magnus_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
     ``_MAGNUS_CHUNK`` values per chunk (``_magnus_chunks``), each node once:
     a chunk's first node is the last of the chunk before.  When a chunk
     fails, ``_raise_in_lane_order`` raises the error the lanes would raise
-    one at a time.  A lane that needs more than 60 - bit_length(steps)
-    squarings in a step becomes NaN, which ``_magnus_factors`` reports as
-    not finite: a step moves E by about log2 of its exponential's size, at
-    most ||Omega||_1 / log 2 < 2^(s - 1) / log 2 for s squarings, so below
-    that bound no exponent sum, nor any doubling inside a squaring, reaches
-    2^61."""
+    one at a time.  exp(Omega) depends on the coefficients alone, not on
+    x, so the exponentials are split from the state recursion: Omega is
+    formed for every lane and step of the chunk at once, ``_expm`` takes a
+    group of steps at a time, at most ``_MAGNUS_CHUNK // 4`` values (one
+    step at least), as one (lanes * steps, d, d) stack, and only then does
+    x <- exp(Omega) x run step by step, rescaled after each.  Every
+    lane-step keeps its own squarings and every product the (d, d) layout
+    of a per-step loop, so the grouping moves no bit; the cap bounds the
+    exponential's temporaries, about a dozen stacks of the group's size.
+
+    A lane that needs more than 60 - bit_length(steps) squarings in a step
+    becomes NaN, which ``_magnus_factors`` reports as not finite: a step
+    moves E by about log2 of its exponential's size, at most ||Omega||_1 /
+    log 2 < 2^(s - 1) / log 2 for s squarings, so below that bound no
+    exponent sum, nor any doubling inside a squaring, reaches 2^61."""
     lanes, d = len(frm), system.dim
-    h = ((to - frm) / steps)[:, None, None]
+    h = ((to - frm) / steps)[:, None, None, None]
     max_squarings = 60 - steps.bit_length()
+    group = max(1, _MAGNUS_CHUNK // (4 * lanes * d * d))  # steps per stacked exponential
     x = np.tile(np.eye(d), (lanes, 1, 1))
     exps = np.zeros(lanes, dtype=int)
     a2 = None  # the coefficient at the end of the last step taken
@@ -595,18 +606,26 @@ def _magnus_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
             coeff = coeff.reshape(lanes, fresh.shape[1], d, d)
             if a2 is None:
                 a2, coeff = coeff[:, 0], coeff[:, 1:]
-            for j in range(nodes.shape[1] // 2):
-                a0, a1, a2 = a2, coeff[:, 2 * j], coeff[:, 2 * j + 1]
-                omega = h / 6 * (a0 + 4.0 * a1 + a2) + h * h / 12 * (a2 @ a0 - a0 @ a2)
-                p, f = _expm(omega, max_squarings)
-                x = p @ x
-                exps += f + _rescale(x)
+            # (lanes, n, d, d): every step's start, midpoint and end
+            a0 = np.concatenate([a2[:, None], coeff[:, 1:-1:2]], axis=1)
+            a1, a2 = coeff[:, 0::2], coeff[:, 1::2]
+            omega = h / 6 * (a0 + 4.0 * a1 + a2) + h * h / 12 * (a2 @ a0 - a0 @ a2)
+            a2 = a2[:, -1]
+            for g0 in range(0, omega.shape[1], group):
+                p, f = _expm(omega[:, g0:g0 + group].reshape(-1, d, d), max_squarings)
+                p, f = p.reshape(lanes, -1, d, d), f.reshape(lanes, -1)
+                for j in range(p.shape[1]):
+                    x = p[:, j] @ x
+                    exps += f[:, j] + _rescale(x)
     return x, exps
 
 
 def _expm(omega: np.ndarray, max_squarings: int) -> tuple[np.ndarray, np.ndarray]:
     """(P, F) of a (lanes, d, d) stack: exp(omega) = P * 2^F per lane, by
-    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 2005).
+    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 2005).  A lane
+    is any matrix of the stack: ``_magnus_block`` stacks the steps of a
+    group of its lanes, lane-major, and each comes out bitwise as it would
+    alone.
 
     Each lane takes its own s, the least s >= 0 for which frexp's exponent
     of ||omega||_1 guarantees ||X||_1 < 1/2 with X = omega * 2^-s.  The
@@ -615,9 +634,10 @@ def _expm(omega: np.ndarray, max_squarings: int) -> tuple[np.ndarray, np.ndarray
     j < 4, in 6 products, and squared s times, rescaled after every
     squaring (``_rescale``): F doubles, then adds the new exponent.  A
     round squares every lane but keeps the square only in the lanes that
-    still need one, so a lane's floats depend on its own omega alone.  A
-    lane needing more than ``max_squarings`` takes none and gets a NaN P,
-    as a non-finite omega does."""
+    still need one, so a lane's floats depend on its own omega alone; the
+    rounds are as many as the largest s of the stack.  A lane needing more
+    than ``max_squarings`` takes none and gets a NaN P, as a non-finite
+    omega does."""
     # column sums in row order over a (d, d, lanes) copy, as ``_max_abs``
     norm = np.abs(omega.transpose(1, 2, 0), order="C").sum(axis=0).max(axis=0)
     s = np.maximum(np.frexp(norm)[1] + 1, 0)
@@ -906,7 +926,7 @@ def scaled_grids(obj, window: int) -> tuple[np.ndarray, tuple, tuple]:
     at = np.concatenate([times[window:-1], times[window:0:-1]])
     nxt = at + np.repeat([1.0, -1.0], window)
     x, exps = _unit_factors(system, np.column_stack([at, nxt]).ravel(),
-                            np.column_stack([nxt, at]).ravel())
+                            np.column_stack([nxt, at]).ravel(), twins=True)
     # step s: the factors ahead and behind, then their twins
     x = x.reshape(2, window, 2, d, d).transpose(1, 2, 0, 3, 4).reshape(window, 4, d, d)
     exps = exps.reshape(2, window, 2).transpose(1, 2, 0).reshape(window, 4)
@@ -970,19 +990,26 @@ def _blocked_walks(factors: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, n
     return walked[:w + 1], total[:w + 1]
 
 
-def _unit_factors(system: LinearSystem, frm: np.ndarray,
-                  to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unit_factors(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
+                  twins: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(x, e) of Phi(to[l], frm[l]) = x[l] * 2^e[l] of a full system for
     steps of one length (unit steps in discrete time), built together: each
     x with its largest |entry| in [0.5, 1) and e an integer exponent.
     Continuous time takes stacked Magnus lanes; discrete time one stack of
     step matrices A(min(frm, to)), multiplied by the identity going forward
-    and solved against it going backward, then rescaled (``_rescale``)."""
+    and solved against it going backward, then rescaled (``_rescale``).
+    With ``twins`` the lanes come in adjacent pairs, a step and its
+    backward twin (``scaled_grids``), which share their step matrix: it is
+    gathered and checked once per pair, and the first error stays the one
+    of the lanes' order."""
     if not len(frm):
         return np.empty((0, system.dim, system.dim)), np.empty(0, dtype=int)
     if system.time_domain == CONTINUOUS:
         return _magnus_factors(system, frm, to)
-    mats = _step_matrices(system, np.rint(np.minimum(frm, to)).astype(int).tolist())
+    ks = np.rint(np.minimum(frm, to)).astype(int)
+    mats = _step_matrices(system, (ks[::2] if twins else ks).tolist())
+    if twins:
+        mats = np.repeat(mats, 2, axis=0)
     eye = np.eye(system.dim)
     ahead = to > frm
     prods = np.empty_like(mats)

@@ -309,8 +309,9 @@ def test_rate_lists_reject_empty_tokens(capsys, argv):
 
 
 def test_rk4_overflow_is_one_named_error(capsys):
-    """A coefficient that overflows RK4 gives one error line naming the first
-    unit step of the walk, and no numpy warning."""
+    """A coefficient whose Magnus exponential leaves double range gives one
+    error line naming the first unit step of the walk, and no numpy
+    warning."""
     system = {"time_domain": "continuous", "dimension": 2, "structure": "full",
               "coefficients": {"entries": [["1e200", "0"], ["0", "1"]]}}
     with warnings.catch_warnings():
@@ -567,6 +568,10 @@ _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--om
         {"time_domain": "discrete", "dimension": 3, "structure": "diagonal",
          "coefficients": {"diagonal": [f"exp(({s})*abs(2*k+1))" for s in (-1.2, 0.3, 1.5)]}}),
       "--rate", "q", "--schedule", "200,400,800,1600"], "spectrum_diag_disc_wide_q.json"),
+    # the 2x2 probe out to window 160, whose Magnus chunks hold several
+    # steps and stack several steps' exponentials at once
+    (["spectrum", "--system", json.dumps(_probe(2)), "--rate", "q",
+      "--schedule", "5,10,20,40,80,160"], "spectrum_full_continuous_wide_q.json"),
 ])
 def test_output_matches_the_recorded_reports(capsys, monkeypatch, tmp_path, argv, golden):
     """The reports are byte-identical to the recorded ones.  A change that

@@ -579,6 +579,27 @@ def _plain_expm(om, rescale=True):
     return p, f
 
 
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_stacked_exponentials_are_each_lane_alone(d):
+    """_expm of a stack is bitwise _expm of each matrix alone: seeded
+    matrices scaled by 2^u for u from -4 to 7, whose lanes take from none
+    to about 10 squarings, at least 6 different counts, and one lane past
+    max_squarings, which comes out NaN with exponent 0, as it does alone."""
+    rng = np.random.default_rng(d)
+    u = np.arange(-4, 8)
+    omega = rng.uniform(-1.0, 1.0, (len(u) + 1, d, d)) * 2.0 ** np.append(u, 16)[:, None, None]
+    max_squarings = 12
+    squarings = np.maximum(np.frexp(np.abs(omega).sum(axis=1).max(axis=1))[1] + 1, 0)
+    assert 0 in squarings and len(set(squarings[:-1].tolist())) >= 6
+    assert squarings[:-1].max() <= max_squarings < squarings[-1]
+    p, f = evolution._expm(omega, max_squarings)
+    for lane in range(len(omega)):
+        alone, e = evolution._expm(omega[lane:lane + 1], max_squarings)
+        assert p[lane].tobytes() == alone[0].tobytes() and f[lane] == e[0]
+    assert np.isnan(p[-1]).all() and f[-1] == 0
+    assert np.isfinite(p[:-1]).all()
+
+
 def _plain_magnus(system, to, frm, rescale=True, h=0.1):
     """(x, E) of one 4th-order Magnus loop on 2-D arrays from frm to to, a
     coefficient matrix per point: the propagator is x * 2^E, with x
@@ -877,11 +898,14 @@ def magnus_reference():
     return {cases: _magnus_outputs(cases) for cases in (_MAGNUS_LONG, _MAGNUS_SHORT)}
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64, evolution._MAGNUS_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 64, evolution._MAGNUS_CHUNK, 6400, 40000])
 def test_rk4_chunks_move_no_bit(monkeypatch, magnus_reference, chunk):
     """Any chunk of coefficient values, down to one lane of one step at a
     time (chunks 1 and 7), through blocks of several lanes (64) to chunks
-    of several steps (the default), gives bitwise the same units and logs;
+    of several steps (the default), gives bitwise the same units and logs,
+    also where a group of stacked exponentials ends inside a chunk: groups
+    of 2, 2 and 1 steps in chunks of 5 (6400, window 40), and of 3, 3 and 1
+    in chunks of 7 (40000, window 160);
     and a coefficient that fails on nodes of several lanes raises the first
     failing node of the first lane, as a lone integration of that lane
     meets it, however the lanes and steps are cut."""
@@ -907,8 +931,8 @@ def test_rk4_chunks_move_no_bit(monkeypatch, magnus_reference, chunk):
 
 def test_rk4_holds_one_chunk_of_coefficients():
     """The 2x2 grid at window 40 integrates 160 lanes of 21 Magnus nodes
-    of 4 entries, and each step holds a few (lanes, 2, 2) temporaries of
-    the exponential beside them: the traced peak stays under 1 MB."""
+    of 4 entries, and the exponentials of a group of 6 steps, 3840 values,
+    hold their temporaries beside them: the traced peak stays under 1 MB."""
     evolution.scaled_grids(_PROBE_2, 1)
     tracemalloc.start()
     try:

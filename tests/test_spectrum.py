@@ -398,6 +398,69 @@ def test_closed_form_leaves_overflowing_differences_to_the_scan():
     assert math.isnan(lo[0]) and math.isnan(hi[0]) and count == 2
 
 
+@st.composite
+def _power_of_two_multiples(draw):
+    """(r, heads, tails, cutoff, closed): one or two series c * r with
+    tails -heads, c = +-2^m for m from -6 to 6, on a grid of integer steps
+    scaled by 2^e.  closed says whether the closed form must be taken: at
+    a normal scale (e from -20 to 20) always; with every step below DBL_MIN
+    only for c = +-1, as the log-quotients are subnormal, outside the
+    normal range of the proof for other powers of two (and c * r may lose
+    bits); with max |r| in [2^1022, 2^1023), near DBL_MAX / 2, only for
+    |c| <= 1, since max |c * r| > DBL_MAX / 2 for |c| > 1."""
+    n = draw(st.integers(2, 24))
+    steps = draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1).filter(any))
+    grid = draw(st.sampled_from([0.0, -8.0, -80.0])) + np.concatenate([[0.0], np.cumsum(steps)])
+    scale = draw(st.sampled_from(["normal", "subnormal", "huge"]))
+    if scale == "normal":
+        e = draw(st.integers(-20, 20))
+    elif scale == "subnormal":
+        e = draw(st.integers(-1074, -1030))
+    else:
+        e = 1022 - math.frexp(np.abs(grid).max())[1] + 1
+    r = np.ldexp(grid, e)
+    slopes = np.array([draw(st.sampled_from([1.0, -1.0])) * 2.0 ** draw(st.integers(-6, 6))
+                       for _ in range(draw(st.integers(1, 2)))])
+    with np.errstate(over="ignore"):  # 2^6 * r may overflow to +-inf
+        heads = slopes[:, None] * r
+    unit = np.abs(slopes) == 1.0
+    closed = {"normal": True, "subnormal": unit.all(),
+              "huge": (np.abs(slopes) <= 1.0).all()}[scale]
+    cutoff = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    return r, heads, -heads, cutoff, bool(closed)
+
+
+# L = fl(r[1] - r[0]) and 0.5 * L are normal, but 0.5 * r[0] rounds: the
+# numerator misses 0.5 * L by an ulp, and the ratio is 0.5 + 2^-53
+_ROUNDED = np.array([2.0 ** -1074, 2.0 ** -1021 + 2.0 ** -1073])
+
+
+@given(_power_of_two_multiples())
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example((_ROUNDED, 0.5 * _ROUNDED[None], -0.5 * _ROUNDED[None], 0.5, False))
+def test_power_of_two_multiples_take_the_closed_form_where_it_is_exact(case):
+    """Series that are +-2^m times the rate give bitwise the all-pairs
+    extremes, and form no pair block exactly where the closed form holds:
+    at a normal scale, and never where a subnormal log-quotient or a
+    multiple past DBL_MAX / 2 breaks its proof."""
+    r, heads, tails, cutoff, closed = case
+    assert 2.0 ** 1022 <= np.abs(r).max() < 2.0 ** 1023 or np.abs(r).max() < 2.0 ** 30
+    formed, blocks = [], spectrum.pair_ratio_blocks
+
+    def watched(*args):
+        starts, scan = blocks(*args)
+        return starts, (formed.append(block) or block for block in scan)
+
+    with mock.patch.object(spectrum, "pair_ratio_blocks", watched), \
+            np.errstate(over="ignore", invalid="ignore"):  # the scan's own overflow
+        lo, hi, count = spectrum._pair_ratio_stats(r, heads, tails, cutoff)
+    assert bool(formed) != closed
+    for k, (head, tail) in enumerate(zip(heads, tails)):
+        _, _, ratios = _all_pairs(r, head, tail, cutoff * (r[-1] - r[0]))
+        assert count == len(ratios)
+        assert _same(lo[k], ratios.min() + 0.0) and _same(hi[k], ratios.max() + 0.0)
+
+
 # ---------------------------------------------------------------------------
 # The admissible-pair primitive against a plain all-pairs scan
 
@@ -459,8 +522,9 @@ def _multiple_inputs(draw):
     """(r, heads, tails, cutoff) on the grids and cutoffs of ``_pair_inputs``
     scaled by one of ``_SCALES``, whose series are c * r with c in
     ``_UNIT`` and tails -heads, the input of the closed-form path; or a
-    near miss that must take the scan: one entry an ulp off, a tail that
-    is not -head, or c = 2, 0.5 or 3."""
+    near miss: one entry an ulp off or a tail that is not -head, which
+    must take the scan, or c = 2, 0.5 or 3, of which the powers of two
+    take the closed form only where it is exact."""
     r, _, _, cutoff = draw(_pair_inputs())
     r = r * draw(st.sampled_from(_SCALES))
     slopes = np.array(draw(st.lists(st.sampled_from(_UNIT), min_size=1, max_size=3)))
