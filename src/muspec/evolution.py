@@ -218,6 +218,13 @@ class TableSource:
     k0: int
     matrices: np.ndarray  # (count, d, d)
 
+    def __post_init__(self):
+        bad = ~np.isfinite(self.matrices)
+        if bad.any():
+            m, i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            raise EvolutionError(f"table row k={self.k0 + m}: a_{i + 1}_{j + 1} is not finite "
+                                 f"({self.matrices[m, i, j]})")
+
     def stack(self, ks) -> np.ndarray:
         """The matrices at the integer times ks, shape (len(ks), d, d); the
         first time outside the range, in the order of ks, is the error."""
@@ -277,6 +284,8 @@ class WeightedSystem:
     def __post_init__(self):
         if self.base.time_domain != self.rate.time_domain:
             raise EvolutionError("weighted system needs rate and base on one time domain")
+        if not math.isfinite(self.gamma):
+            raise EvolutionError(f"weighted system: gamma must be finite, got {self.gamma}")
 
 
 # ---------------------------------------------------------------------------
@@ -477,26 +486,21 @@ def _lobatto_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np
     return np.concatenate(out)
 
 
-def _diag_log_integral(system: LinearSystem, frm: float, to: float) -> np.ndarray:
-    """log Psi_ii(to, frm) = integral of a_ii over the segments between the
-    integer times of [frm, to] (0, where the catalog coefficients may have
-    a kink, among them), summed from 0.0 in increasing time and negated
-    when to < frm.  A long span is thus evaluated a block of unit segments
-    at a time, and between integer times its segments are those of
-    ``component_log_grid``.  A non-finite log raises the EvolutionError
-    ``component_log_grid`` raises, naming the first non-finite running sum
-    of the walk from frm toward to (``_walk_total``)."""
-    if frm == to:
-        return np.zeros(system.components)
-    a, b = sorted((frm, to))
-    cuts = np.unique(np.concatenate([[a], np.arange(math.ceil(a), math.floor(b) + 1.0), [b]]))
-    lo, hi = cuts[:-1], cuts[1:]
+def _segment_logs(system: LinearSystem, lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(logs, signs) of the diagonal of a scalar/diagonal system's
+    propagator over each segment [lo[s], hi[s]], shape (segments,
+    components), unchecked for overflow: in discrete time the unit steps
+    from the integer times lo (``_diag_steps``, checked nonsingular); in
+    continuous time the coefficient integrals (``_lobatto_integrals``), a
+    run of equal-length segments at a time, with sign +1."""
+    if system.time_domain == DISCRETE:
+        return _diag_steps(system, lo.astype(int).tolist())
     # runs of one segment length: a partial segment, the unit ones, a partial one
     runs = [0, *(np.flatnonzero(np.diff(hi - lo)) + 1).tolist(), len(lo)]
-    with np.errstate(over="ignore", invalid="ignore"):  # raised by name in _walk_total
-        steps = np.concatenate([_lobatto_integrals(system, lo[i:j], hi[i:j])
-                                for i, j in zip(runs, runs[1:])])
-    return _walk_total(steps, lo, hi, frm < to, to)
+    logs = np.concatenate([_lobatto_integrals(system, lo[i:j], hi[i:j])
+                           for i, j in zip(runs, runs[1:])])
+    return logs, np.ones_like(logs)
 
 
 MAGNUS_STEP = 0.1  # step of the Magnus integration of full continuous systems
@@ -710,23 +714,19 @@ def propagate(system: LinearSystem, to: float, frm: float) -> ScaledMatrix:
     at steps of at most ``MAGNUS_STEP``, whose last step ends at ``to``
     exactly.  Each factor x * 2^e becomes the ScaledMatrix x / ||x|| with
     log e * log 2 + log ||x||, and the product is renormalized after every
-    factor.  Scalar and diagonal systems sum per-component step logs
-    (discrete) or take the coefficient integral over Gauss-Lobatto
-    segments between integer times (continuous, ``_diag_log_integral``).
-    The identity when to == frm.
+    factor.  Scalar and diagonal systems sum per-component segment logs
+    (``_diag_walk``).  The identity when to == frm.
     """
     if system.time_domain == DISCRETE:
         ki, ni = int(round(to)), int(round(frm))
         if abs(to - ki) > 1e-9 or abs(frm - ni) > 1e-9:
             raise EvolutionError("discrete systems are propagated between integers")
-        if system.structure in (SCALAR, DIAGONAL):
-            la, sg = _diag_range_logs(system, ki, ni)
-            return ScaledMatrix.from_diag_logs(la, sg)
+        frm, to = float(ni), float(ki)
+    if system.structure != FULL:
+        return ScaledMatrix.from_diag_logs(*_diag_walk(system, frm, to))
+    if system.time_domain == DISCRETE:
         step = 1 if ki >= ni else -1
         walk = np.arange(ni, ki + step, step, dtype=float)
-    elif system.structure in (SCALAR, DIAGONAL):
-        logs = _diag_log_integral(system, frm, to)
-        return ScaledMatrix.from_diag_logs(logs, np.ones(system.components))
     else:  # one Magnus integration from frm to to
         walk = np.array([frm] if frm == to else [frm, to], dtype=float)
     x, exps = _unit_factors(system, walk[:-1], walk[1:])
@@ -735,20 +735,25 @@ def propagate(system: LinearSystem, to: float, frm: float) -> ScaledMatrix:
     return functools.reduce(lambda acc, factor: factor.compose(acc), factors)
 
 
-def _diag_range_logs(system: LinearSystem, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Log-magnitudes and signs of the diagonal of Phi(k, n): the unit steps
-    between n and k summed from 0.0 in increasing time, negated when k < n
-    (inverse steps; diagonal signs are self-inverse).  A non-finite log
-    raises the EvolutionError ``component_log_grid`` raises, naming the
-    first non-finite running sum of the walk from n toward k
+def _diag_walk(system: LinearSystem, frm: float, to: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log-magnitudes and signs of the diagonal of Phi(to, frm): the logs
+    of the segments between the integer times of [frm, to] (0, where the
+    catalog coefficients may have a kink, among them; unit steps in
+    discrete time), summed from 0.0 in increasing time and negated when to
+    < frm (inverse steps; diagonal signs are self-inverse).  A long span is
+    thus evaluated a block of unit segments at a time, and between integer
+    times its segments are those of ``component_log_grid``.  A non-finite
+    log raises the EvolutionError ``component_log_grid`` raises, naming the
+    first non-finite running sum of the walk from frm toward to
     (``_walk_total``)."""
-    if k == n:
+    if frm == to:
         return np.zeros(system.components), np.ones(system.components)
-    lo, hi = (n, k) if k > n else (k, n)
+    a, b = sorted((frm, to))
+    cuts = np.unique(np.concatenate([[a], np.arange(math.ceil(a), math.floor(b) + 1.0), [b]]))
+    lo, hi = cuts[:-1], cuts[1:]
     with np.errstate(over="ignore", invalid="ignore"):  # raised by name in _walk_total
-        la, sg = _diag_steps(system, list(range(lo, hi)))
-    left = np.arange(lo, hi, dtype=float)
-    return _walk_total(la, left, left + 1.0, k > n, k), np.prod(sg, axis=0)
+        logs, signs = _segment_logs(system, lo, hi)
+    return _walk_total(logs, lo, hi, frm < to, to), np.prod(signs, axis=0)
 
 
 def _walk(steps: np.ndarray) -> np.ndarray:
@@ -860,10 +865,7 @@ def _system_log_grid(system: LinearSystem, window: int) -> tuple[np.ndarray, np.
     # first error in this order is the one the walk would meet first
     left = np.concatenate([times[center:-1], times[:center][::-1]])
     with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
-        if system.time_domain == DISCRETE:
-            steps, _ = _diag_steps(system, left.astype(int).tolist())
-        else:
-            steps = _lobatto_integrals(system, left, left + 1.0)
+        steps, _ = _segment_logs(system, left, left + 1.0)
         ahead, behind = _walk(steps[:window]), _walk(-steps[window:])
     # a step ahead reaches the right end of its interval, a step behind the left
     _check_walk_finite(np.vstack([ahead[1:], behind[1:]]),
@@ -887,14 +889,16 @@ def scaled_grids(obj, window: int) -> tuple[np.ndarray, tuple, tuple]:
     windows whose propagators are astronomically ill-conditioned.
 
     All 4 * window factors x * 2^e, Phi(t_m +- 1, t_m) and their backward
-    twins, are built in one batch (``_unit_factors``).  The four walks out
-    from 0 are composed by ``_blocked_walks``, a two-level blocked prefix
-    product of about 2 sqrt(window) stacked products, rescaled by powers of
-    two after every product (``_rescale``): each walk entry is the exact
-    product of the factors' x times 2^-E, computed in the blocked
-    association.  With F the sum of its factors' exponents, its log is
-    (F + E) * log 2 + log ||x||, and one stacked 2-norm (``_normalized``)
-    over the whole grid makes the units.
+    twins, are built in one batch (``_unit_factors``); in discrete time a
+    twin gathers and checks the step matrix of its step's k again, so the
+    first error is the step's.  The four walks out from 0 are composed by
+    ``_blocked_walks``, a two-level blocked prefix product of about 2
+    sqrt(window) stacked products, rescaled by powers of two after every
+    product (``_rescale``): each walk entry is the exact product of the
+    factors' x times 2^-E, computed in the blocked association.  With F
+    the sum of its factors' exponents, its log is (F + E) * log 2 + log
+    ||x||, and one stacked 2-norm (``_normalized``) over the whole grid
+    makes the units.
 
     The trade-off: a one-factor-at-a-time walk rounds once per factor
     against a product already accumulated, so its worst-case relative error
@@ -926,7 +930,7 @@ def scaled_grids(obj, window: int) -> tuple[np.ndarray, tuple, tuple]:
     at = np.concatenate([times[window:-1], times[window:0:-1]])
     nxt = at + np.repeat([1.0, -1.0], window)
     x, exps = _unit_factors(system, np.column_stack([at, nxt]).ravel(),
-                            np.column_stack([nxt, at]).ravel(), twins=True)
+                            np.column_stack([nxt, at]).ravel())
     # step s: the factors ahead and behind, then their twins
     x = x.reshape(2, window, 2, d, d).transpose(1, 2, 0, 3, 4).reshape(window, 4, d, d)
     exps = exps.reshape(2, window, 2).transpose(1, 2, 0).reshape(window, 4)
@@ -990,26 +994,21 @@ def _blocked_walks(factors: np.ndarray, exps: np.ndarray) -> tuple[np.ndarray, n
     return walked[:w + 1], total[:w + 1]
 
 
-def _unit_factors(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
-                  twins: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _unit_factors(system: LinearSystem, frm: np.ndarray,
+                  to: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x, e) of Phi(to[l], frm[l]) = x[l] * 2^e[l] of a full system for
     steps of one length (unit steps in discrete time), built together: each
     x with its largest |entry| in [0.5, 1) and e an integer exponent.
     Continuous time takes stacked Magnus lanes; discrete time one stack of
-    step matrices A(min(frm, to)), multiplied by the identity going forward
-    and solved against it going backward, then rescaled (``_rescale``).
-    With ``twins`` the lanes come in adjacent pairs, a step and its
-    backward twin (``scaled_grids``), which share their step matrix: it is
-    gathered and checked once per pair, and the first error stays the one
-    of the lanes' order."""
+    step matrices A(min(frm, to)), gathered and checked invertible lane by
+    lane (the first error is the one of the lanes' order), multiplied by
+    the identity going forward and solved against it going backward, then
+    rescaled (``_rescale``)."""
     if not len(frm):
         return np.empty((0, system.dim, system.dim)), np.empty(0, dtype=int)
     if system.time_domain == CONTINUOUS:
         return _magnus_factors(system, frm, to)
-    ks = np.rint(np.minimum(frm, to)).astype(int)
-    mats = _step_matrices(system, (ks[::2] if twins else ks).tolist())
-    if twins:
-        mats = np.repeat(mats, 2, axis=0)
+    mats = _step_matrices(system, np.rint(np.minimum(frm, to)).astype(int).tolist())
     eye = np.eye(system.dim)
     ahead = to > frm
     prods = np.empty_like(mats)

@@ -19,8 +19,7 @@ Quantifier structure is respected on finite grids:
   outer one ranges over a fixed grid and the inner one is searched over a
   geometric grid, in the order the relation prescribes.
 
-Verdicts are certified on the tested exponent grids; certificates re-check
-against the definitions by direct evaluation on the final window.
+Verdicts are certified on the tested exponent grids.
 """
 
 from __future__ import annotations

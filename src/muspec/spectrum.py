@@ -17,19 +17,17 @@ per-component intervals and carry projector ranks on the gaps; full matrices
 only get an outer enclosure from singular-value statistics.
 
 A component whose log-propagator grid is exactly c times the log-rate grid,
-with c zero or a power of two of either sign, needs no ratio: the system
-generated by mu raised to the power c, x(k+1) = (mu(k+1)/mu(k))^c x(k),
-has that grid, bit for bit in the catalog for c in {0, 1, -1} (identity
-under any rate, disc_q under q, frak_a under c).  Negation is exact and
-commutes with rounding, and so does a power of two in the normal range,
-so with the magnitudes guarded against overflow and underflow every
-admissible ratio is exactly c in IEEE arithmetic (see ``_unit_slopes``).
-A scan whose series all qualify returns c without forming a pair; every
-scan counts its admissible pairs from per-row suffix starts
-(``_suffix_starts``).  In fresh-process captures of every scan, 12 of the
-16 scans of the scalar_disc_wide benchmark workload qualify and 56 of the
-149 of the harness workload, 12 of those with c = +-2 or +-0.5; none of
-scalar_cont_wide or full_matrix do (Gauss-Lobatto and Magnus grids are
+with c in {0, 1, -1}, needs no ratio: the system generated by mu raised to
+the power c, x(k+1) = (mu(k+1)/mu(k))^c x(k), has that grid, bit for bit
+in the catalog (identity under any rate, disc_q under q, frak_a under c).
+Negation is exact and commutes with rounding, so with the magnitudes
+guarded against overflow every admissible ratio is exactly c in IEEE
+arithmetic (see ``_unit_slopes``).  A scan whose series all qualify
+returns c without forming a pair; every scan counts its admissible pairs
+from per-row suffix starts (``_suffix_starts``).  In fresh-process
+captures of every scan, 12 of the 16 scans of the scalar_disc_wide
+benchmark workload qualify and 44 of the 149 of the harness workload; none
+of scalar_cont_wide or full_matrix do (Gauss-Lobatto and Magnus grids are
 not exact multiples).
 """
 
@@ -48,7 +46,6 @@ from .params import DEFAULT, Params
 
 
 INF = math.inf
-_DBL_MIN = np.finfo(float).smallest_normal
 
 
 class SpectrumError(ValueError):
@@ -241,10 +238,8 @@ def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutof
     admissible ratio gets NaN for both.
 
     ``facts`` is ``_scan_facts`` of a grid that r, heads and tails are a
-    slice of, or None for the slice's own.  When every series is c times
-    the rate, with c zero or a power of two (see ``_unit_slopes``), and
-    the window's least admissible log-quotient scales exactly by every c
-    (``_scales_exactly``, checked per window), every admissible ratio is
+    slice of, or None for the slice's own.  When every series is 0, 1 or
+    -1 times the rate (see ``_unit_slopes``), every admissible ratio is
     that multiple exactly, so no block is formed: the extremes are the
     multiples.  A grid's facts hold for each of its slices: a slice of
     c * r is c * r, and where a series is c * r on the slice only, every
@@ -261,7 +256,7 @@ def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutof
     if not count:
         raise SpectrumError("no admissible pairs after the log-quotient cutoff")
     slopes, bounded = facts if facts is not None else _scan_facts(r, heads, tails)
-    if slopes is not None and _scales_exactly(slopes, r, starts):
+    if slopes is not None:
         return slopes + 0.0, slopes + 0.0, count
     lo = np.full(len(heads), INF)
     hi = np.full(len(heads), -INF)
@@ -288,30 +283,21 @@ def _scan_facts(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> tuple:
 
 
 def _unit_slopes(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndarray | None:
-    """The slopes c_k, each 0 or a power of two of either sign, with
-    heads[k] == c_k * r exactly and tails[k] == -heads[k] (as values: zeros
-    of either sign are equal) for every series k, with max |r| * max(1,
-    |c_k|) <= DBL_MAX / 2 unless every c_k is 0; None as soon as one series
-    fails.  c_k is read from r[0] or r[-1], whichever is larger in
-    magnitude, so most series that fail are rejected in O(1); where that
-    entry is 0, r is 0 everywhere (a flat grid, whose facts ``_estimates``
-    takes before any window's flat check) and the quotient is no slope.
-    Exactly means that c_k * r rounds nowhere: heads[k] / c_k gives r back,
-    where an underflow to a subnormal or an overflow would lose it.
+    """The slopes c_k in {0, 1, -1} with heads[k] == c_k * r and tails[k] ==
+    -heads[k] (as values: zeros of either sign are equal) for every series
+    k, with max |r| <= DBL_MAX / 2 unless every c_k is 0; None as soon as
+    one series fails.  c_k is read from r[0] or r[-1], whichever is larger
+    in magnitude, so most series that fail are rejected in O(1); where
+    that entry is 0, r is 0 everywhere (a flat grid, whose facts
+    ``_estimates`` takes before any window's flat check) and the quotient
+    is no slope.
 
     For such a series every admissible ratio is exactly c_k in IEEE
-    arithmetic, on a window where ``_scales_exactly`` holds.  The numerator
-    the scan forms for a pair, heads[k, j] + tails[k, i], is fl(c * r[j] -
-    c * r[i]) = fl(c * x) with x = r[j] - r[i] exact, and it divides by L =
-    fl(x).  For c = +-1, negation is exact and commutes with rounding, so
-    fl(c * x) = c * L.  For c = +-2^m, scaling by c maps the doubles of each
-    binade of the normal range onto those of another, keeping their
-    significands, so it maps the double nearest x to the double nearest c *
-    x, ties to even included: fl(c * x) = c * fl(x) = c * L wherever L and
-    c * L are normal doubles, which ``_scales_exactly`` checks at the
-    window's least admissible L (every other admissible L is larger, and x
-    is within half an ulp of L).  With max |r| and max |c * r| <= DBL_MAX /
-    2 no difference overflows, so an admissible L is finite and positive
+    arithmetic.  Negation is exact and commutes with rounding, so the
+    numerator the scan forms for a pair, heads[k, j] + tails[k, i] =
+    fl(c * r[j] - c * r[i]), is c * fl(r[j] - r[i]) = c * L, where L is
+    the log-quotient it compares and divides by.  With max |r| <= DBL_MAX
+    / 2 no difference overflows, so an admissible L is finite and positive
     and the ratio c * L / L is c.  For c = 0 every numerator is a zero and
     every ratio a zero, of either sign, whatever the magnitudes (a zero
     over +inf is a zero); the caller's + 0.0 makes the extremes +0.0, as
@@ -320,34 +306,17 @@ def _unit_slopes(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndar
     zero.  A NaN or an infinity in r or in a series fails the comparison.
     """
     p = 0 if abs(r[0]) > abs(r[-1]) else -1
-    # +-inf and NaN, of a flat or non-finite r or series, are no power of two
+    # +-inf and NaN, of a flat or non-finite r or series, are not 0 or +-1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         slopes = heads[:, p] / r[p]
     for k, c in enumerate(slopes.tolist()):
-        if c and abs(math.frexp(c)[0]) != 0.5:  # frexp keeps a NaN or an infinity
+        if c not in (0.0, 1.0, -1.0):  # NaN is in no tuple of numbers
             return None
         if not (np.array_equal(heads[k], c * r) and np.array_equal(tails[k], -heads[k])):
             return None
-        if abs(c) not in (0.0, 1.0) and not np.array_equal(heads[k] / c, r):
-            return None
-    if slopes.any() and not np.abs(r).max() * max(1.0, np.abs(slopes).max()) <= rates.MAX_LOG_RATE:
+    if slopes.any() and not np.abs(r).max() <= rates.MAX_LOG_RATE:
         return None
     return slopes
-
-
-def _scales_exactly(slopes: np.ndarray, r: np.ndarray, starts: np.ndarray) -> bool:
-    """Whether the least admissible log-quotient of the window, L =
-    fl(r[starts[i]] - r[i]) at the rows' suffix starts, and c * L are
-    normal doubles for every slope c other than 0 and +-1, as
-    ``_unit_slopes``' proof needs: L >= DBL_MIN / min(1, |c|), a bound
-    that is exact (DBL_MIN over a power of two, at most 2^52 times it)."""
-    scales = np.abs(slopes)
-    scales = scales[(scales != 0.0) & (scales != 1.0)]
-    if not len(scales):
-        return True
-    rows = int(np.searchsorted(starts, len(r)))  # the rows with an admissible pair
-    least = (r[starts[:rows]] - r[:rows]).min()
-    return bool(least >= _DBL_MIN / min(1.0, float(scales.min())))
 
 
 def _suffix_starts(r: np.ndarray, threshold: float) -> np.ndarray:
@@ -658,7 +627,8 @@ def _grid(system, rate, window: int):
 @dataclass(frozen=True)
 class DichotomyVerdict:
     """holds is True/False when the report resolves the question, None when
-    zero sits within the estimator's resolution of an interval endpoint."""
+    the report has not converged or zero sits within the estimator's
+    resolution of an interval endpoint."""
 
     holds: bool | None
     rank: int | None
@@ -678,6 +648,8 @@ def has_mu_dichotomy(system, rate: rates.GrowthRate,
     """Whether the unweighted system admits a dichotomy under the rate, i.e.
     whether zero lies in a spectral gap; returns that gap's projector rank."""
     rep = report if report is not None else compute_spectrum(system, rate, params)
+    if not rep.converged:
+        return DichotomyVerdict(None, None, rep)
     g = rep.resolution
     inside_deep = any(iv.lo + g <= 0.0 <= iv.hi - g for iv in rep.intervals)
     possible = any(iv.lo - g <= 0.0 <= iv.hi + g for iv in rep.intervals)

@@ -310,11 +310,13 @@ def test_component_log_grids_match_plain_unit_steps():
         assert times.tobytes() == want_times.tobytes()
         assert logs.tobytes() == want_logs.tobytes(), (obj, window)
     # propagate sums the same unit steps from 0.0, forward, then negates behind
-    for system, to, frm in ((DISC_Q, 9, -4), (three_d, -7, 5), (table, 30, 0)):
+    for system, to, frm in ((DISC_Q, 9, -4), (three_d, -7, 5), (table, 30, 0),
+                            (ABS2T, 7, -5), (three_c, -6, 3), (catalog.system("inv1pt"), 4, 0),
+                            (evolution.quotient_system(c_c, [-2.0, 0.5]), -3, 5)):
         lo, hi = min(to, frm), max(to, frm)
         total = np.zeros(system.components)
         for k in range(lo, hi):
-            total += _plain_diag_step(system, k)
+            total += _plain_diag_step(system, float(k))
         got = evolution.propagate(system, to, frm).diag_logs
         assert got.tobytes() == (total if to > frm else -total).tobytes()
 
@@ -1006,6 +1008,28 @@ def test_tabulated_csv_rejects_non_finite_cells(tmp_path):
         with pytest.raises(evolution.EvolutionError) as info:
             evolution.load_table(path)
         assert f"row k=0: a_2_1 is not finite ({cell})" in str(info.value)
+
+
+@pytest.mark.parametrize("structure, entry", [(evolution.FULL, "a_2_1"),
+                                              (evolution.DIAGONAL, "a_2_2")])
+def test_tabulated_system_rejects_non_finite_entries(structure, entry):
+    """An in-memory table names its first non-finite entry by k and a_i_j
+    when the system is built, as a CSV cell is named, rather than failing
+    later in an SVD (full) or as a non-finite walk (diagonal)."""
+    for value in (math.nan, -math.inf):
+        mats = np.tile(np.eye(2), (12, 1, 1))
+        mats[8, 1, int(entry[-1]) - 1] = value
+        mats[9, 0, 0] = math.inf  # later in the table: not the first
+        with pytest.raises(evolution.EvolutionError) as info:
+            evolution.tabulated_system(-2, mats, structure=structure)
+        assert str(info.value) == f"table row k=6: {entry} is not finite ({value})"
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan])
+def test_weighted_system_rejects_a_non_finite_gamma(gamma):
+    with pytest.raises(evolution.EvolutionError) as info:
+        evolution.WeightedSystem(DISC_Q, catalog.rate("q", DISCRETE), gamma)
+    assert str(info.value) == f"weighted system: gamma must be finite, got {gamma}"
 
 
 @pytest.mark.parametrize("row, message", [

@@ -173,6 +173,17 @@ def test_dichotomy_verdicts():
     assert verdict.holds is True and verdict.rank == 0
 
 
+@pytest.mark.parametrize("p", [2.1, 2.3])
+def test_unconverged_reports_decide_no_dichotomy(p):
+    """abs2t under continuous PowerExp(p, 1) has the spectrum {0}, so no
+    dichotomy; at p = 2.1 and 2.3 the report is still unconverged on the
+    last window, with an interval wholly above 0, and gives no verdict."""
+    abs2t = catalog.system("abs2t")
+    verdict = spectrum.has_mu_dichotomy(abs2t, rates.PowerExp(p, 1.0, CONTINUOUS))
+    assert not verdict.report.converged and verdict.report.intervals[0].lo > 0.1
+    assert verdict.holds is None and verdict.rank is None
+
+
 def test_growth_verdicts():
     assert spectrum.has_mu_growth(DISC_Q, Q).status == "holds"
     assert spectrum.has_mu_growth(DISC_Q, Q).bound == pytest.approx(1.02)
@@ -402,12 +413,10 @@ def test_closed_form_leaves_overflowing_differences_to_the_scan():
 def _power_of_two_multiples(draw):
     """(r, heads, tails, cutoff, closed): one or two series c * r with
     tails -heads, c = +-2^m for m from -6 to 6, on a grid of integer steps
-    scaled by 2^e.  closed says whether the closed form must be taken: at
-    a normal scale (e from -20 to 20) always; with every step below DBL_MIN
-    only for c = +-1, as the log-quotients are subnormal, outside the
-    normal range of the proof for other powers of two (and c * r may lose
-    bits); with max |r| in [2^1022, 2^1023), near DBL_MAX / 2, only for
-    |c| <= 1, since max |c * r| > DBL_MAX / 2 for |c| > 1."""
+    scaled by 2^e: at a normal scale (e from -20 to 20), with every step
+    below DBL_MIN, or with max |r| in [2^1022, 2^1023), near DBL_MAX / 2.
+    closed says whether the closed form must be taken: exactly when every
+    |c| is 1, at every scale."""
     n = draw(st.integers(2, 24))
     steps = draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1).filter(any))
     grid = draw(st.sampled_from([0.0, -8.0, -80.0])) + np.concatenate([[0.0], np.cumsum(steps)])
@@ -423,11 +432,8 @@ def _power_of_two_multiples(draw):
                        for _ in range(draw(st.integers(1, 2)))])
     with np.errstate(over="ignore"):  # 2^6 * r may overflow to +-inf
         heads = slopes[:, None] * r
-    unit = np.abs(slopes) == 1.0
-    closed = {"normal": True, "subnormal": unit.all(),
-              "huge": (np.abs(slopes) <= 1.0).all()}[scale]
     cutoff = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
-    return r, heads, -heads, cutoff, bool(closed)
+    return r, heads, -heads, cutoff, bool((np.abs(slopes) == 1.0).all())
 
 
 # L = fl(r[1] - r[0]) and 0.5 * L are normal, but 0.5 * r[0] rounds: the
@@ -438,11 +444,10 @@ _ROUNDED = np.array([2.0 ** -1074, 2.0 ** -1021 + 2.0 ** -1073])
 @given(_power_of_two_multiples())
 @settings(max_examples=300, deadline=None, derandomize=True)
 @example((_ROUNDED, 0.5 * _ROUNDED[None], -0.5 * _ROUNDED[None], 0.5, False))
-def test_power_of_two_multiples_take_the_closed_form_where_it_is_exact(case):
+def test_power_of_two_multiples_take_the_closed_form_only_at_unit_slopes(case):
     """Series that are +-2^m times the rate give bitwise the all-pairs
-    extremes, and form no pair block exactly where the closed form holds:
-    at a normal scale, and never where a subnormal log-quotient or a
-    multiple past DBL_MAX / 2 breaks its proof."""
+    extremes, and form no pair block exactly where every |c| is 1: other
+    powers of two take the scan, also where c * r would be exact."""
     r, heads, tails, cutoff, closed = case
     assert 2.0 ** 1022 <= np.abs(r).max() < 2.0 ** 1023 or np.abs(r).max() < 2.0 ** 30
     formed, blocks = [], spectrum.pair_ratio_blocks
@@ -522,9 +527,8 @@ def _multiple_inputs(draw):
     """(r, heads, tails, cutoff) on the grids and cutoffs of ``_pair_inputs``
     scaled by one of ``_SCALES``, whose series are c * r with c in
     ``_UNIT`` and tails -heads, the input of the closed-form path; or a
-    near miss: one entry an ulp off or a tail that is not -head, which
-    must take the scan, or c = 2, 0.5 or 3, of which the powers of two
-    take the closed form only where it is exact."""
+    near miss that must take the scan: one entry an ulp off, a tail that
+    is not -head, or c = 2, 0.5 or 3."""
     r, _, _, cutoff = draw(_pair_inputs())
     r = r * draw(st.sampled_from(_SCALES))
     slopes = np.array(draw(st.lists(st.sampled_from(_UNIT), min_size=1, max_size=3)))
