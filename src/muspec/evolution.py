@@ -329,6 +329,9 @@ def quotient_system(rate: rates.GrowthRate, slopes) -> LinearSystem:
 def tabulated_system(k0: int, matrices: np.ndarray, structure: str = FULL,
                      descriptor: dict | None = None) -> LinearSystem:
     matrices = np.asarray(matrices, dtype=float)
+    if matrices.ndim != 3 or not len(matrices) or matrices.shape[1] != matrices.shape[2]:
+        raise EvolutionError("table matrices must have shape (count >= 1, d, d), "
+                             f"got {matrices.shape}")
     d = matrices.shape[1]
     return LinearSystem(DISCRETE, d, structure, TableSource(k0, matrices),
                         descriptor=descriptor)
@@ -522,8 +525,9 @@ def _magnus_factors(system: LinearSystem, frm: np.ndarray,
     the same length, so they take the same steps.  They are integrated in
     blocks of at most ``_MAGNUS_CHUNK // (2 d^2)`` lanes, every lane of a
     block together (``_magnus_block``), so the working set is the lanes'
-    d x d states plus one chunk of at most ``_MAGNUS_CHUNK`` coefficient
-    values and its exponentials, whatever the window or span.  Each lane
+    d x d states plus one chunk of coefficient values and its
+    exponentials, a few times ``_MAGNUS_CHUNK`` values whatever the window
+    or span.  Each lane
     does the float operations of a lone integration: the same node times,
     the same products and its own number of squarings (``_expm``),
     rescaled after every squaring and every step by a power of two
@@ -573,19 +577,21 @@ def _magnus_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
     exponential, the step is stable at any h ||A||, where the stability
     function of an explicit Runge-Kutta step falls short of e^z.
 
-    The coefficients are evaluated a chunk of steps at a time, at most
-    ``_MAGNUS_CHUNK`` values per chunk (``_magnus_chunks``), each node once:
-    a chunk's first node is the last of the chunk before.  When a chunk
+    The lanes advance a chunk of at most ``_MAGNUS_CHUNK // (4 lanes d^2)``
+    steps at a time (one step at least; ``_magnus_chunks``), and the
+    coefficients are evaluated at the chunk's nodes, each node once: a
+    chunk's first node is the last of the chunk before.  When a chunk
     fails, ``_raise_in_lane_order`` raises the error the lanes would raise
     one at a time.  exp(Omega) depends on the coefficients alone, not on
     x, so the exponentials are split from the state recursion: Omega is
-    formed for every lane and step of the chunk at once, ``_expm`` takes a
-    group of steps at a time, at most ``_MAGNUS_CHUNK // 4`` values (one
-    step at least), as one (lanes * steps, d, d) stack, and only then does
-    x <- exp(Omega) x run step by step, rescaled after each.  Every
-    lane-step keeps its own squarings and every product the (d, d) layout
-    of a per-step loop, so the grouping moves no bit; the cap bounds the
-    exponential's temporaries, about a dozen stacks of the group's size.
+    formed for every lane and step of the chunk at once, ``_expm`` takes it
+    as one (lanes * steps, d, d) stack, and only then does x <- exp(Omega) x
+    run step by step, rescaled after each.  Every lane-step keeps its own
+    squarings and every product the (d, d) layout of a per-step loop, so
+    the chunking moves no bit.  The one size rule bounds both the stack, at
+    most ``_MAGNUS_CHUNK // 4`` values unless one step holds more, and with
+    it the chunk's coefficients, about twice as many, and the
+    exponential's temporaries, about a dozen stacks of its size.
 
     A lane that needs more than 60 - bit_length(steps) squarings in a step
     becomes NaN, which ``_magnus_factors`` reports as not finite: a step
@@ -595,12 +601,11 @@ def _magnus_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
     lanes, d = len(frm), system.dim
     h = ((to - frm) / steps)[:, None, None, None]
     max_squarings = 60 - steps.bit_length()
-    group = max(1, _MAGNUS_CHUNK // (4 * lanes * d * d))  # steps per stacked exponential
     x = np.tile(np.eye(d), (lanes, 1, 1))
     exps = np.zeros(lanes, dtype=int)
     a2 = None  # the coefficient at the end of the last step taken
     with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
-        for nodes in _magnus_chunks(frm, to, steps, max(1, _MAGNUS_CHUNK // (2 * lanes * d * d))):
+        for nodes in _magnus_chunks(frm, to, steps, max(1, _MAGNUS_CHUNK // (4 * lanes * d * d))):
             fresh = nodes if a2 is None else nodes[:, 1:]
             try:
                 coeff = _coefficient_stack(system, fresh.ravel())
@@ -615,12 +620,11 @@ def _magnus_block(system: LinearSystem, frm: np.ndarray, to: np.ndarray,
             a1, a2 = coeff[:, 0::2], coeff[:, 1::2]
             omega = h / 6 * (a0 + 4.0 * a1 + a2) + h * h / 12 * (a2 @ a0 - a0 @ a2)
             a2 = a2[:, -1]
-            for g0 in range(0, omega.shape[1], group):
-                p, f = _expm(omega[:, g0:g0 + group].reshape(-1, d, d), max_squarings)
-                p, f = p.reshape(lanes, -1, d, d), f.reshape(lanes, -1)
-                for j in range(p.shape[1]):
-                    x = p[:, j] @ x
-                    exps += f[:, j] + _rescale(x)
+            p, f = _expm(omega.reshape(-1, d, d), max_squarings)
+            p, f = p.reshape(omega.shape), f.reshape(lanes, -1)
+            for j in range(p.shape[1]):
+                x = p[:, j] @ x
+                exps += f[:, j] + _rescale(x)
     return x, exps
 
 
@@ -628,8 +632,8 @@ def _expm(omega: np.ndarray, max_squarings: int) -> tuple[np.ndarray, np.ndarray
     """(P, F) of a (lanes, d, d) stack: exp(omega) = P * 2^F per lane, by
     scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 2005).  A lane
     is any matrix of the stack: ``_magnus_block`` stacks the steps of a
-    group of its lanes, lane-major, and each comes out bitwise as it would
-    alone.
+    chunk of all its lanes, lane-major, and each comes out bitwise as it
+    would alone.
 
     Each lane takes its own s, the least s >= 0 for which frexp's exponent
     of ||omega||_1 guarantees ||X||_1 < 1/2 with X = omega * 2^-s.  The
@@ -844,13 +848,32 @@ def component_log_grid(obj, window: int) -> tuple[np.ndarray, np.ndarray]:
 
     The grid of a plain system depends only on (system, window), so it is
     built once and cached, read-only, as ``rates.log_rate_grid`` is; a
-    weighted system shifts its base system's cached grid.
+    weighted system shifts its base system's cached grid by -gamma log mu,
+    and a shifted log that leaves double range raises, named by time and
+    component (``_weighted_logs``).
     """
     if isinstance(obj, WeightedSystem):
         times, logs = _system_log_grid(obj.base, window)
-        mu = rates.log_rate_values(obj.rate, times)
-        return times, logs - obj.gamma * mu[None, :]
+        series = [f"log-propagator of component {i}" for i in range(len(logs))]
+        return times, _weighted_logs(obj, times, logs, [-1.0] * len(logs), series)
     return _system_log_grid(obj, window)
+
+
+def _weighted_logs(w: WeightedSystem, times: np.ndarray, logs: np.ndarray, signs,
+                   series) -> np.ndarray:
+    """logs[s] + signs[s] * gamma * log mu(times) for each series s of a
+    (series, len(times)) stack of a weighted system's base logs.  A weighted
+    log that leaves double range raises an EvolutionError naming the first,
+    in time order and then series order, by its time and ``series[s]``."""
+    mu = rates.log_rate_values(w.rate, times)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
+        out = logs + np.multiply.outer(signs, w.gamma * mu)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        m, s = divmod(int(np.argmax(bad.T)), len(out))
+        raise EvolutionError(f"weighted {series[s]} is not finite at time {times[m]:g} "
+                             f"({out[s, m]})")
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -889,16 +912,19 @@ def scaled_grids(obj, window: int) -> tuple[np.ndarray, tuple, tuple]:
     windows whose propagators are astronomically ill-conditioned.
 
     All 4 * window factors x * 2^e, Phi(t_m +- 1, t_m) and their backward
-    twins, are built in one batch (``_unit_factors``); in discrete time a
-    twin gathers and checks the step matrix of its step's k again, so the
-    first error is the step's.  The four walks out from 0 are composed by
+    twins, are built in one batch (``_unit_factors``); in discrete time
+    they are the step matrices and their inverses, and a twin gathers and
+    checks the step matrix of its step's k again, so the first error is the
+    step's.  The four walks out from 0 are composed by
     ``_blocked_walks``, a two-level blocked prefix product of about 2
     sqrt(window) stacked products, rescaled by powers of two after every
     product (``_rescale``): each walk entry is the exact product of the
     factors' x times 2^-E, computed in the blocked association.  With F
     the sum of its factors' exponents, its log is (F + E) * log 2 + log
     ||x||, and one stacked 2-norm (``_normalized``) over the whole grid
-    makes the units.
+    makes the units.  A weighted system shifts its base system's logs by
+    -+gamma log mu, and a shifted log that leaves double range raises,
+    named by time and grid (``_weighted_logs``).
 
     The trade-off: a one-factor-at-a-time walk rounds once per factor
     against a product already accumulated, so its worst-case relative error
@@ -917,8 +943,9 @@ def scaled_grids(obj, window: int) -> tuple[np.ndarray, tuple, tuple]:
     """
     if isinstance(obj, WeightedSystem):
         times, (fu, fl), (bu, bl) = scaled_grids(obj.base, window)
-        mu = rates.log_rate_values(obj.rate, times)
-        return times, (fu, fl + -obj.gamma * mu), (bu, bl + obj.gamma * mu)
+        fl, bl = _weighted_logs(obj, times, np.stack([fl, bl]), [-1.0, 1.0],
+                                ["log-norm of Phi(t, 0)", "log-norm of Phi(0, t)"])
+        return times, (fu, fl), (bu, bl)
     system: LinearSystem = obj
     if system.structure != FULL:
         raise EvolutionError("scalar and diagonal systems use the component log grid")
@@ -1001,21 +1028,22 @@ def _unit_factors(system: LinearSystem, frm: np.ndarray,
     x with its largest |entry| in [0.5, 1) and e an integer exponent.
     Continuous time takes stacked Magnus lanes; discrete time one stack of
     step matrices A(min(frm, to)), gathered and checked invertible lane by
-    lane (the first error is the one of the lanes' order), multiplied by
-    the identity going forward and solved against it going backward, then
-    rescaled (``_rescale``)."""
+    lane (the first error is the one of the lanes' order), taken as they
+    are going forward and inverted going backward (LAPACK gesv against the
+    identity), then rescaled in place (``_rescale``).  Their zeros are
+    made +0.0 first, so a table's -0.0 entries give bitwise the factors,
+    grids and propagators of +0.0 ones: the Householder signs of the SVD
+    that normalizes them follow the sign of a zero, and would move their
+    units and logs by ulps."""
     if not len(frm):
         return np.empty((0, system.dim, system.dim)), np.empty(0, dtype=int)
     if system.time_domain == CONTINUOUS:
         return _magnus_factors(system, frm, to)
     mats = _step_matrices(system, np.rint(np.minimum(frm, to)).astype(int).tolist())
-    eye = np.eye(system.dim)
-    ahead = to > frm
-    prods = np.empty_like(mats)
-    prods[ahead] = mats[ahead] @ eye
-    behind = mats[~ahead]
-    prods[~ahead] = np.linalg.solve(behind, np.broadcast_to(eye, behind.shape))
-    return prods, _rescale(prods)
+    mats += 0.0  # a -0.0 entry becomes +0.0: LAPACK's SVD (_normalized) reads zero signs
+    behind = to < frm
+    mats[behind] = np.linalg.inv(mats[behind])
+    return mats, _rescale(mats)
 
 
 # ---------------------------------------------------------------------------

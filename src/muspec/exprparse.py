@@ -12,8 +12,7 @@ Grammar (whitespace-insensitive):
 "^" binds tighter than unary minus, which binds tighter than "*" and "/".
 There is no implicit multiplication ("2t" is a syntax error).  Functions are
 exp, log, abs, sgn, sqrt (unary) and min, max (binary).  An expression uses a
-single time variable, "t" or "k"; helpers that need two named variables (for
-closed-form propagators in (k, n) or (t, s)) pass an explicit variable set.
+single time variable, "t" or "k", never both.
 
 Evaluation has one walker per form, both over arrays of points:
 ``evaluate_array`` gives values and ``evaluate_log_abs_array`` gives
@@ -34,7 +33,7 @@ import numpy as np
 
 FUNCTIONS = {"exp": 1, "log": 1, "abs": 1, "sgn": 1, "sqrt": 1, "min": 2, "max": 2}
 
-DEFAULT_VARIABLES = ("t", "k")
+VARIABLES = ("t", "k")
 
 
 class ExprError(ValueError):
@@ -152,11 +151,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, tokens, allowed_vars, single_variable):
+    def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.allowed = frozenset(allowed_vars)
-        self.single = single_variable
         self.seen_var: str | None = None
 
     def peek(self):
@@ -223,14 +220,12 @@ class _Parser:
         if kind == "ident":
             if text in FUNCTIONS:
                 return self.call(text, off)
-            if text in self.allowed:
-                if self.single:
-                    if self.seen_var is None:
-                        self.seen_var = text
-                    elif self.seen_var != text:
-                        raise ParseError(
-                            f"expression mixes variables '{self.seen_var}' and '{text}'",
-                            off)
+            if text in VARIABLES:
+                if self.seen_var is None:
+                    self.seen_var = text
+                elif self.seen_var != text:
+                    raise ParseError(
+                        f"expression mixes variables '{self.seen_var}' and '{text}'", off)
                 return Var(text)
             raise UnknownIdentifierError(f"unknown identifier '{text}'", off)
         if kind == "op" and text == "(":
@@ -260,18 +255,15 @@ def _describe(kind: str, text: str) -> str:
     return f"token '{text}'"
 
 
-def parse(text: str, variables: tuple[str, ...] | None = None) -> Expr:
-    """Parse ``text`` into an AST.
-
-    By default the expression may use one variable, either ``t`` or ``k``.
-    Passing an explicit ``variables`` tuple allows that exact set of names
-    (used for closed-form propagators in two time variables).
+def parse(text: str) -> Expr:
+    """Parse ``text`` into an AST.  The expression may use one variable,
+    either ``t`` or ``k``, not both.  (An AST built directly, as
+    ``Var("x")``, may name any variables: the evaluators bind whatever
+    names their environment holds.)
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    single = variables is None
-    allowed = DEFAULT_VARIABLES if variables is None else tuple(variables)
-    return _Parser(_tokenize(text), allowed, single).parse()
+    return _Parser(_tokenize(text)).parse()
 
 
 def variables_of(expr: Expr) -> frozenset[str]:

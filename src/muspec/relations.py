@@ -272,42 +272,46 @@ def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple
     maximum in row-major pair order, as ``np.argmax`` over all pairs at
     once would pick.  Both grids are log-rate grids, finite and at most
     DBL_MAX / 2 in magnitude, so every admissible mu-distance is finite and
-    positive, and no ratio is a NaN.  ``_tile_argmax`` scans only the tiles
-    of the pair triangle that can hold the maximum; where that cannot pay,
-    ``_row_argmax`` scans every admissible pair."""
+    positive, and no ratio is a NaN (one may overflow to +-inf).
+    ``_tile_argmax`` scans only the tiles of the pair triangle that can
+    hold the maximum; where that cannot pay, ``_row_argmax`` scans every
+    admissible pair.  Either returns the pair alone, since equal ratios
+    compare equal whatever the sign of a zero, and the value is the
+    pair's plain ratio, formed here once."""
     threshold = admission_threshold(threshold)
     n = len(r_mu)
     found = _tile_argmax(r_mu, r_om, threshold) if n * (n - 1) // 2 > _ROW_SCAN_PAIRS else None
-    return found if found is not None else _row_argmax(r_mu, r_om, threshold)
+    i, j = found if found is not None else _row_argmax(r_mu, r_om, threshold)
+    with np.errstate(over="ignore"):
+        return float((r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i])), i, j
 
 
-def _row_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple[float, int, int]:
-    """``_ratio_argmax`` over every admissible pair, one row block of
-    ``pair_ratio_blocks`` at a time.  A block's ratios are NaN off the
-    admissible set, and none on it is NaN (the grids are bounded log-rate
-    grids), so ``np.fmax`` gives the block's maximum, and the first cell
-    equal to it is the first maximum in pair order: the row-major order of
-    the rectangle keeps the pairs in order, and NaN equals nothing."""
+def _row_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple[int, int]:
+    """The pair of ``_ratio_argmax`` over every admissible pair, one row
+    block of ``pair_ratio_blocks`` at a time.  A block's ratios are NaN off
+    the admissible set, and none on it is NaN (the grids are bounded
+    log-rate grids), so ``np.fmax`` gives the block's maximum, and the
+    first cell equal to it is the first maximum in pair order: the
+    row-major order of the rectangle keeps the pairs in order, and NaN
+    equals nothing."""
     best = None
     _, blocks = pair_ratio_blocks(r_mu, r_om[None], -r_om[None], threshold)
     for i0, j0, _, q in blocks:
         ratios = q[0]
         top = np.fmax.reduce(ratios, axis=None)
         if best is None or top > best[0]:
-            at = int(np.argmax(ratios == top))
-            best = (ratios.flat[at], i0, j0, at, ratios.shape[1])
+            a, b = divmod(int(np.argmax(ratios == top)), ratios.shape[1])
+            best = (top, i0 + a, j0 + b)
     if best is None:
         raise RelationError("no admissible pairs after the log-quotient cutoff")
-    value, i0, j0, at, width = best
-    a, b = divmod(at, width)
-    return float(value), i0 + a, j0 + b
+    return best[1:]
 
 
 def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray,
-                 threshold: float) -> tuple[float, int, int] | None:
-    """``_ratio_argmax`` by branch and bound over the tiles of the pair
-    triangle (Land and Doig), or None where the coarse tiles show that
-    pruning cannot pay.
+                 threshold: float) -> tuple[int, int] | None:
+    """The pair of ``_ratio_argmax`` by branch and bound over the tiles of
+    the pair triangle (Land and Doig), or None where the coarse tiles show
+    that pruning cannot pay.
 
     The floor is the largest ratio of the real admissible pairs seen so
     far: one sample pair per tile pair (the first row of the row tile and
@@ -318,9 +322,7 @@ def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray,
     that survive are cut into fine ones, and the fine ones that survive are
     scanned pair by pair, best bound first, in batches, each against the
     floor the batches before it raised.  Of equal maxima the least (i, j)
-    wins, whichever tile is scanned first, and the value returned is that
-    pair's plain (r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i]), the row scan's
-    value, sign of a zero included."""
+    wins, whichever tile is scanned first, as in the row scan."""
     n, width = len(r_mu), _PAIR_TILE
     fine = -(-n // width)
     group = -(-fine // _COARSE_SIDE)  # fine tiles a coarse tile side
@@ -355,8 +357,7 @@ def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray,
                 floor = np.fmax(floor, best[0])
         if best is None:
             raise RelationError("no admissible pairs after the log-quotient cutoff")
-        _, i, j = best
-        return float((r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i])), i, j
+        return best[1:]
 
 
 def _fine_tiles(stats, r_mu, r_om, rows, cols, group: int, threshold: float, floor: float):
@@ -437,10 +438,10 @@ def _cells_max(mu: np.ndarray, om: np.ndarray, rows: np.ndarray, cols: np.ndarra
     admissible pairs of the fine tile pairs (rows[k], cols[k]) on the
     padded grids ``mu`` and ``om``; None if they hold no admissible pair.
     Each ratio is (om[j] - om[i]) / (mu[j] - mu[i]), bitwise what
-    ``pair_ratio_blocks`` forms, and NaN off the admissible set, as
-    there: the mu-differences below the threshold are set to NaN before
-    the division.  mu is non-decreasing, so no cell with j <= i is
-    admissible."""
+    ``pair_ratio_blocks`` forms up to the sign of a zero, and NaN off the
+    admissible set, as there: the mu-differences below the threshold are
+    set to NaN before the division.  mu is non-decreasing, so no cell with
+    j <= i is admissible."""
     width = _PAIR_TILE
     if not len(rows):
         return None

@@ -33,7 +33,6 @@ not exact multiples).
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -166,11 +165,13 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     y = heads[k] for series k), which numpy forms several times faster
     than the broadcast sums.  Both products are exact and their sum is
     rounded once, so every cell is bitwise the broadcast r[j] - r[i] or
-    heads[k, j] + tails[k, i], with one exception: a product sum that
-    starts from +0.0 gives +0.0 where both operands are -0.0.  Those
-    numerators are set back to -0.0, visiting only the rows whose tail is
-    -0.0, and none in a scan with no -0.0 head; a zero log-quotient is
-    never admissible, so its sign does not matter.  The two products
+    heads[k, j] + tails[k, i], up to the sign of a zero: a product sum
+    that starts from +0.0 gives +0.0 where both operands are -0.0.  No
+    caller reads that sign.  A zero log-quotient is never admissible; the
+    extremes of ``_pair_ratio_stats`` are returned plus 0.0, which makes
+    every zero +0.0; and the relation scan forms its returned ratio itself
+    (``relations._ratio_argmax``) and compares the block's ratios only
+    with ``==`` and ``>``, to which the zeros are equal.  The two products
     allocate the arrays the broadcasts did; one product for both, of twice
     the size, raised peak memory.
 
@@ -207,8 +208,6 @@ def _ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, threshold
     factors[:, 1] = 1.0
     factors[0, 2], factors[1:, 2] = r, heads
     row_factors, col_factors = factors[:, :2].transpose(0, 2, 1), factors[:, 1:]
-    zero_heads, zero_tails = (np.signbit(x) & (x == 0) for x in (heads, tails))
-    zero_rows = np.flatnonzero(zero_tails.any(axis=0)).tolist() if zero_heads.any() else []
     i0 = 0
     while i0 < n - 1 and starts[i0] < n:
         j0 = int(starts[i0])
@@ -217,10 +216,6 @@ def _ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, threshold
         np.copyto(L, np.nan, where=L < threshold)
         with np.errstate(invalid="ignore", over="ignore"):
             q = row_factors[1:, i0:stop] @ col_factors[1:, :, j0:]
-            for i in zero_rows[bisect.bisect_left(zero_rows, i0):
-                               bisect.bisect_left(zero_rows, stop)]:
-                np.copyto(q[:, i - i0], -0.0,
-                          where=zero_tails[:, i, None] & zero_heads[:, j0:])
             q /= L
         yield i0, j0, L, q
         i0 = stop
@@ -233,9 +228,10 @@ def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutof
     per series of the (K, len(r)) stacks ``heads`` and ``tails``, and the
     count they share, len(r) - start summed over the rows' suffix starts.
     min and max are exact, and a zero extreme is +0.0 (which zero numpy
-    returns when both are admissible depends on its order of reduction), so
-    the result does not depend on the blocking.  A series with a NaN
-    admissible ratio gets NaN for both.
+    returns when both are admissible depends on its order of reduction,
+    and the rank-2 products may give +0.0 for -0.0), so the result does
+    not depend on the blocking.  A series with a NaN admissible ratio gets
+    NaN for both.
 
     ``facts`` is ``_scan_facts`` of a grid that r, heads and tails are a
     slice of, or None for the slice's own.  When every series is 0, 1 or

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from muspec import catalog, evolution, exprparse, rates
-from muspec.params import CONTINUOUS, DISCRETE
+from muspec import catalog, evolution, exprparse, rates, spectrum
+from muspec.params import CONTINUOUS, DISCRETE, Params
 
 
 def _sgn(x):
@@ -904,10 +904,10 @@ def magnus_reference():
 def test_rk4_chunks_move_no_bit(monkeypatch, magnus_reference, chunk):
     """Any chunk of coefficient values, down to one lane of one step at a
     time (chunks 1 and 7), through blocks of several lanes (64) to chunks
-    of several steps (the default), gives bitwise the same units and logs,
-    also where a group of stacked exponentials ends inside a chunk: groups
-    of 2, 2 and 1 steps in chunks of 5 (6400, window 40), and of 3, 3 and 1
-    in chunks of 7 (40000, window 160);
+    of several steps (the default, 6400 and 40000), gives bitwise the same
+    units and logs, also where the last chunk is shorter: chunks of 6 and
+    4 steps (the default, window 40), of 3, 3, 3 and 1 (40000, window 160),
+    and of 400 and 98 steps in the one-lane propagation (6400);
     and a coefficient that fails on nodes of several lanes raises the first
     failing node of the first lane, as a lone integration of that lane
     meets it, however the lanes and steps are cut."""
@@ -932,9 +932,10 @@ def test_rk4_chunks_move_no_bit(monkeypatch, magnus_reference, chunk):
 
 
 def test_rk4_holds_one_chunk_of_coefficients():
-    """The 2x2 grid at window 40 integrates 160 lanes of 21 Magnus nodes
-    of 4 entries, and the exponentials of a group of 6 steps, 3840 values,
-    hold their temporaries beside them: the traced peak stays under 1 MB."""
+    """The 2x2 grid at window 40 integrates 160 lanes of 10 Magnus steps
+    in chunks of 6 steps: 13 nodes of 4 entries per lane, and the
+    exponentials of the 6 steps, 3840 values, holding their temporaries
+    beside them; the traced peak stays under 1 MB."""
     evolution.scaled_grids(_PROBE_2, 1)
     tracemalloc.start()
     try:
@@ -1010,6 +1011,25 @@ def test_tabulated_csv_rejects_non_finite_cells(tmp_path):
         assert f"row k=0: a_2_1 is not finite ({cell})" in str(info.value)
 
 
+def test_negative_zero_entries_give_the_factors_of_positive_zeros():
+    """A table's -0.0 entries give bitwise the grids and propagators of +0.0
+    ones, forward and backward: the SVD that normalizes the factors would
+    otherwise read the signs of their zeros and move units and logs by
+    ulps."""
+    rng = np.random.default_rng(2027)
+    for d in (2, 3, 5, 8):
+        mats = rng.uniform(-1.0, 1.0, (120, d, d)) + 2.0 * np.eye(d)
+        mats[(rng.random(mats.shape) < 0.2) & ~np.eye(d, dtype=bool)] = -0.0
+        signed, plain = (evolution.tabulated_system(-60, m) for m in (mats, mats + 0.0))
+        _, *got = evolution.scaled_grids(signed, 50)
+        _, *want = evolution.scaled_grids(plain, 50)
+        for a, b in zip((a for walk in got for a in walk), (b for walk in want for b in walk)):
+            assert a.tobytes() == b.tobytes()
+        for to, frm in ((30, -20), (-40, 17)):
+            got, want = evolution.propagate(signed, to, frm), evolution.propagate(plain, to, frm)
+            assert got.unit.tobytes() == want.unit.tobytes() and got.log_norm == want.log_norm
+
+
 @pytest.mark.parametrize("structure, entry", [(evolution.FULL, "a_2_1"),
                                               (evolution.DIAGONAL, "a_2_2")])
 def test_tabulated_system_rejects_non_finite_entries(structure, entry):
@@ -1030,6 +1050,50 @@ def test_weighted_system_rejects_a_non_finite_gamma(gamma):
     with pytest.raises(evolution.EvolutionError) as info:
         evolution.WeightedSystem(DISC_Q, catalog.rate("q", DISCRETE), gamma)
     assert str(info.value) == f"weighted system: gamma must be finite, got {gamma}"
+
+
+@pytest.mark.parametrize("shape", [(5, 2, 3), (5, 2), (5,), (0, 2, 2), (3, 1, 2, 2)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_tabulated_system_rejects_a_malformed_shape(shape):
+    """An in-memory table that is not a (count >= 1, d, d) stack is named by
+    its shape when the system is built, rather than failing later in numpy
+    (non-square) or as a time outside the range [0, -1] (empty)."""
+    with pytest.raises(evolution.EvolutionError) as info:
+        evolution.tabulated_system(0, np.ones(shape))
+    assert str(info.value) == ("table matrices must have shape (count >= 1, d, d), "
+                               f"got {shape}")
+
+
+def test_weighted_grids_name_their_overflow():
+    """A finite gamma whose weighted logs leave double range raises an
+    EvolutionError naming the first non-finite one by time, then series,
+    with no numpy warning; a large gamma that stays in range still gives a
+    spectrum of about -gamma."""
+    q, exp = catalog.rate("q", DISCRETE), catalog.rate("exp", DISCRETE)
+    table = evolution.tabulated_system(
+        -40, np.random.default_rng(5).uniform(-1.0, 1.0, (80, 2, 2)) + 2.0 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # log q(-30) < 0: -gamma log q overflows to +inf there first
+        with pytest.raises(evolution.EvolutionError) as info:
+            evolution.component_log_grid(evolution.WeightedSystem(DISC_Q, q, 1e308), 30)
+        assert str(info.value) == ("weighted log-propagator of component 0 is not finite "
+                                   "at time -30 (inf)")
+        with pytest.raises(evolution.EvolutionError) as info:
+            evolution.scaled_grids(evolution.WeightedSystem(table, exp, 1e308), 30)
+        assert str(info.value) == ("weighted log-norm of Phi(t, 0) is not finite "
+                                   "at time -30 (inf)")
+        # both grids leave range at time -30: the forward one is named first
+        with pytest.raises(evolution.EvolutionError) as info:
+            evolution.scaled_grids(evolution.WeightedSystem(table, exp, -1e308), 30)
+        assert str(info.value) == ("weighted log-norm of Phi(t, 0) is not finite "
+                                   "at time -30 (-inf)")
+        for system, rate in ((DISC_Q, q), (table, exp)):
+            report = spectrum.compute_spectrum(evolution.WeightedSystem(system, rate, 1e300),
+                                               rate, Params(schedule=(10, 20, 40)))
+            (interval,) = report.intervals
+            assert interval.lo == pytest.approx(-1e300) and interval.hi == pytest.approx(-1e300)
+            assert report.converged
 
 
 @pytest.mark.parametrize("row, message", [
