@@ -70,7 +70,14 @@ class ScaledMatrix:
 
     @staticmethod
     def from_matrix(m: np.ndarray, extra_log: float = 0.0) -> "ScaledMatrix":
-        units, logs = _normalized(np.asarray(m, dtype=float)[None], [extra_log])
+        """exp(extra_log) * m in scaled form; a NaN or infinite entry of m
+        raises an EvolutionError naming the first, in row-major order."""
+        m = np.asarray(m, dtype=float)
+        bad = np.argwhere(~np.isfinite(m))
+        if len(bad):
+            i, j = bad[0].tolist()
+            raise EvolutionError(f"matrix entry ({i}, {j}) is not finite ({m[i, j]})")
+        units, logs = _normalized(m[None], [extra_log])
         return ScaledMatrix(units[0], logs.item())
 
     @staticmethod
@@ -132,13 +139,22 @@ def operator_norm_bounds(m: ScaledMatrix) -> tuple[float, float]:
 
 
 def _normalized(mats: np.ndarray, extra_logs) -> tuple[np.ndarray, np.ndarray]:
-    """(units, logs) of a (n, d, d) stack: each m as m / ||m|| and
-    extra + log ||m||, with the 2-norms from one stacked SVD (the largest
-    singular value comes first); a zero matrix gives a zero unit and -inf."""
-    norms = np.linalg.svd(mats, compute_uv=False)[:, 0]
-    units = np.divide(mats, norms[:, None, None], out=np.zeros_like(mats),
-                      where=norms[:, None, None] != 0.0)
-    return units, np.add(extra_logs, _logs(norms))
+    """(units, logs) of a (n, d, d) stack of finite matrices: each m as
+    m / ||m|| and extra + log ||m||; a zero matrix gives a zero unit and
+    -inf.  Only the largest singular value is read, so the 2-norms come
+    from one stacked symmetric eigensolve of the Gram matrices x^T x of
+    x = m * 2^-e, each scaled exactly so that its largest |entry| lies in
+    [0.5, 1), as the grid and ``propagate`` stacks mostly are already: no
+    Gram entry overflows, and ||x|| = sqrt(lambda_max) to within O(d^2 u)
+    relative (Golub and Van Loan, Matrix Computations, 4th ed., 8.6;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002).  The unit is x / ||x|| and the log e * log 2 + log ||x||, so a
+    2-norm beyond double range still has its finite log."""
+    e = np.frexp(_max_abs(mats))[1]
+    x = np.ldexp(mats, -e[:, None, None])
+    norms = np.sqrt(np.linalg.eigvalsh(np.swapaxes(x, -1, -2) @ x)[:, -1])
+    np.divide(x, norms[:, None, None], out=x, where=norms[:, None, None] != 0.0)
+    return x, np.add(extra_logs, _logs(norms) + e * _LN2)
 
 
 def _logs(values: np.ndarray) -> np.ndarray:
@@ -921,10 +937,10 @@ def scaled_grids(obj, window: int) -> tuple[np.ndarray, tuple, tuple]:
     product (``_rescale``): each walk entry is the exact product of the
     factors' x times 2^-E, computed in the blocked association.  With F
     the sum of its factors' exponents, its log is (F + E) * log 2 + log
-    ||x||, and one stacked 2-norm (``_normalized``) over the whole grid
-    makes the units.  A weighted system shifts its base system's logs by
-    -+gamma log mu, and a shifted log that leaves double range raises,
-    named by time and grid (``_weighted_logs``).
+    ||x||, and one stacked Gram eigensolve (``_normalized``) over the whole
+    grid gives every ||x|| and makes the units.  A weighted system shifts
+    its base system's logs by -+gamma log mu, and a shifted log that leaves
+    double range raises, named by time and grid (``_weighted_logs``).
 
     The trade-off: a one-factor-at-a-time walk rounds once per factor
     against a product already accumulated, so its worst-case relative error
@@ -1032,15 +1048,16 @@ def _unit_factors(system: LinearSystem, frm: np.ndarray,
     are going forward and inverted going backward (LAPACK gesv against the
     identity), then rescaled in place (``_rescale``).  Their zeros are
     made +0.0 first, so a table's -0.0 entries give bitwise the factors,
-    grids and propagators of +0.0 ones: the Householder signs of the SVD
-    that normalizes them follow the sign of a zero, and would move their
-    units and logs by ulps."""
+    grids and propagators of +0.0 ones: the Gram eigensolve that
+    normalizes them (``_normalized``) reads no zero sign on the tables
+    tried, but a grid entry or propagator of one step is its factor
+    divided by a norm, and would keep the factor's -0.0 entries."""
     if not len(frm):
         return np.empty((0, system.dim, system.dim)), np.empty(0, dtype=int)
     if system.time_domain == CONTINUOUS:
         return _magnus_factors(system, frm, to)
     mats = _step_matrices(system, np.rint(np.minimum(frm, to)).astype(int).tolist())
-    mats += 0.0  # a -0.0 entry becomes +0.0: LAPACK's SVD (_normalized) reads zero signs
+    mats += 0.0  # a -0.0 entry becomes +0.0: a one-step unit keeps its factor's zero signs
     behind = to < frm
     mats[behind] = np.linalg.inv(mats[behind])
     return mats, _rescale(mats)

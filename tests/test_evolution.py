@@ -545,7 +545,9 @@ def test_scaled_grids_are_mutually_inverse():
 
 
 def _plain_from_matrix(m, extra_log):
-    nrm = float(np.linalg.norm(m, 2))
+    """m / ||m|| and extra_log + log ||m||, with the 2-norm of scaled_grids:
+    the square root of the Gram matrix's largest eigenvalue."""
+    nrm = math.sqrt(np.linalg.eigvalsh(m.T @ m)[-1])
     return evolution.ScaledMatrix(m / nrm, extra_log + math.log(nrm))
 
 
@@ -1013,9 +1015,8 @@ def test_tabulated_csv_rejects_non_finite_cells(tmp_path):
 
 def test_negative_zero_entries_give_the_factors_of_positive_zeros():
     """A table's -0.0 entries give bitwise the grids and propagators of +0.0
-    ones, forward and backward: the SVD that normalizes the factors would
-    otherwise read the signs of their zeros and move units and logs by
-    ulps."""
+    ones, forward and backward: a one-step grid entry or propagator would
+    otherwise keep its factor's -0.0 entries."""
     rng = np.random.default_rng(2027)
     for d in (2, 3, 5, 8):
         mats = rng.uniform(-1.0, 1.0, (120, d, d)) + 2.0 * np.eye(d)
@@ -1138,3 +1139,78 @@ def test_zero_matrix_scales_to_minus_infinity():
     got_units, got = evolution._normalized(units, [1.0, 1.0])
     assert got.tolist() == [-math.inf, 1.0 + math.log(2.0)]
     assert got_units.tolist() == [np.zeros((2, 2)).tolist(), np.eye(2).tolist()]
+
+
+# The Gram eigensolve's 2-norms against LAPACK's SVD: logs within
+# _NORM_ULPS * eps * max(1, |log sigma|) and units within _NORM_ULPS * eps
+# entrywise (a unit's entries are at most 1).
+_NORM_ULPS = 8
+_EPS = np.finfo(float).eps
+
+
+def _norm_test_stacks(rng, d, n=64):
+    """Named (n, d, d) stacks: random, rank-deficient, rotated with a spread
+    of singular values, all-zero, and random with -0.0 entries."""
+    rand = rng.uniform(-1.0, 1.0, (n, d, d))
+    rank = max(1, d // 2)
+    q = np.linalg.qr(rng.normal(size=(n, d, d)))[0]
+    spread = np.exp(rng.uniform(-30.0, 0.0, (n, 1, d)))
+    signed = rand.copy()
+    signed[rng.random(signed.shape) < 0.3] = -0.0
+    return {"random": rand,
+            "rank-deficient": rng.uniform(-1, 1, (n, d, rank)) @ rng.uniform(-1, 1, (n, rank, d)),
+            "rotated": (q * spread) @ np.swapaxes(q, -1, -2),
+            "zero": np.zeros((n, d, d)),
+            "negative zero": signed}
+
+
+def _assert_svd_norms(mats, units, logs):
+    """units and logs are m / sigma_max and log sigma_max of each m, within
+    _NORM_ULPS of the SVD's; a zero matrix gives a zero unit and -inf."""
+    sigma = np.linalg.svd(mats, compute_uv=False)[:, 0]
+    for m, s, unit, log in zip(mats, sigma.tolist(), units, logs.tolist()):
+        if s == 0.0:
+            assert log == -math.inf and not unit.any()
+            continue
+        want = math.log(s)
+        assert abs(log - want) <= _NORM_ULPS * _EPS * max(1.0, abs(want))
+        assert np.max(np.abs(unit - m / s)) <= _NORM_ULPS * _EPS
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_gram_norms_match_the_svd(d):
+    rng = np.random.default_rng(3100 + d)
+    for mats in _norm_test_stacks(rng, d).values():
+        units, logs = evolution._normalized(mats, np.zeros(len(mats)))
+        _assert_svd_norms(mats, units, logs)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_from_matrix_scales_extreme_entries(scale):
+    """Entries at 1e+-300 would over- or underflow the Gram matrix unless
+    scaled by a power of two first."""
+    rng = np.random.default_rng(3200)
+    for d in (1, 2, 3, 8, 16):
+        mats = scale * rng.uniform(-1.0, 1.0, (8, d, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [evolution.ScaledMatrix.from_matrix(m) for m in mats]
+        _assert_svd_norms(mats, np.stack([g.unit for g in got]),
+                          np.array([g.log_norm for g in got]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_matrix_names_a_non_finite_entry(bad):
+    m = np.eye(3)
+    m[2, 1] = bad
+    m[2, 2] = bad
+    with pytest.raises(evolution.EvolutionError,
+                       match=rf"matrix entry \(2, 1\) is not finite \({bad}\)"):
+        evolution.ScaledMatrix.from_matrix(m)
+
+
+def test_from_matrix_keeps_the_log_of_a_norm_beyond_double_range():
+    top = np.finfo(float).max
+    got = evolution.ScaledMatrix.from_matrix(np.array([[top, top], [0.0, 0.0]]))
+    assert np.max(np.abs(got.unit - [[math.sqrt(0.5)] * 2, [0.0] * 2])) <= _NORM_ULPS * _EPS
+    assert got.log_norm == pytest.approx(math.log(top) + 0.5 * math.log(2.0), rel=1e-15)
