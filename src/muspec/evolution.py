@@ -377,35 +377,20 @@ def _coefficient_stack(system: LinearSystem, ts) -> np.ndarray:
 
 
 def _diag_step_logs(system: LinearSystem, ks: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(log|a_ii(k)|, sign a_ii(k)) of a discrete scalar/diagonal system at
-    the integer times ks, shape (len(ks), components), unchecked: one array
-    evaluation in log space, one table gather, or one log mu call."""
+    """(log|a_ii(k)|, sign a_ii(k)) of the coefficients of a discrete
+    scalar/diagonal system at the integer times ks, shape (len(ks),
+    components), unchecked: one array evaluation in log space or one table
+    gather (a quotient source has no coefficients: ``_segment_logs``)."""
     src = system.source
     if isinstance(src, ExprSource) and src.diag is not None:
         kf = np.asarray(ks, dtype=float).tolist()  # a DomainError reports a Python float input
         la, sg = exprparse.evaluate_log_abs_array(src.diag, {"t": kf, "k": kf})
         return la, sg.astype(float)
-    if isinstance(src, RateQuotientSource):
-        kf = np.asarray(ks, dtype=float)
-        return _quotient_logs(src, kf, kf + 1.0), np.ones((len(ks), len(src.slopes)))
     if isinstance(src, TableSource):
         diag = np.diagonal(src.stack(ks), axis1=1, axis2=2)
         with np.errstate(divide="ignore"):
             return np.where(diag == 0, -np.inf, np.log(np.abs(diag))), np.sign(diag)
     raise EvolutionError("diagonal step logs need a scalar or diagonal system")
-
-
-def _diag_steps(system: LinearSystem, ks: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """``_diag_step_logs`` checked nonsingular (no zero entry, no log of
-    -inf).  A failure raises the error that evaluating and checking the
-    times one at a time, in the order of ks, raises first.  A rate-quotient
-    step mu(k)^s / mu(k+1)^s is never zero and is not checked: a -inf log
-    there is an underflow, which ``component_log_grid`` names as a
-    non-finite log, as it names an overflow."""
-    if isinstance(system.source, RateQuotientSource):
-        return _diag_step_logs(system, ks)
-    return _checked_in_order(lambda times: _diag_step_logs(system, times),
-                             _check_nonsingular, ks)
 
 
 def _checked_in_order(evaluate, check, ks):
@@ -455,10 +440,9 @@ _LOBATTO_W = np.array([2 / 15, (14 - _R7) / 30, (14 + _R7) / 30, (14 + _R7) / 30
 
 def _lobatto_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Componentwise integrals of the diagonal coefficients over segments
-    [a[s], b[s]] of one common nonzero length, shape (segments, components).
-    A quotient source's integrals are its exact logs (``_quotient_logs``).
-    Expression sources take composite 6-point Gauss-Lobatto (Abramowitz &
-    Stegun 25.4.32), exact to degree 9, on ceil(length / 0.25) equal
+    [a[s], b[s]] of one common nonzero length, shape (segments, components),
+    of an expression source by composite 6-point Gauss-Lobatto (Abramowitz
+    & Stegun 25.4.32), exact to degree 9, on ceil(length / 0.25) equal
     panels: 21 nodes for a unit segment, whose integer and quarter times
     are all nodes, so a pole there raises its DomainError.  A pole or kink
     off the quarter grid is not met (nor was one off the 0.01 grid of the
@@ -480,8 +464,6 @@ def _lobatto_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np
     comp, src = system.components, system.source
     if not len(a):
         return np.zeros((0, comp))
-    if isinstance(src, RateQuotientSource):
-        return _quotient_logs(src, a, b)
     panels = max(1, math.ceil(abs(b[0] - a[0]) / _LOBATTO_PANEL))
     frac = np.append(((np.arange(panels)[:, None] + _LOBATTO_U) / panels).ravel(), 1.0)
     w = np.append(np.tile(_LOBATTO_W, panels), 1 / 15)
@@ -509,12 +491,20 @@ def _segment_logs(system: LinearSystem, lo: np.ndarray,
                   hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(logs, signs) of the diagonal of a scalar/diagonal system's
     propagator over each segment [lo[s], hi[s]], shape (segments,
-    components), unchecked for overflow: in discrete time the unit steps
-    from the integer times lo (``_diag_steps``, checked nonsingular); in
-    continuous time the coefficient integrals (``_lobatto_integrals``), a
-    run of equal-length segments at a time, with sign +1."""
+    components), unchecked for overflow.  A quotient source's logs are
+    ``_quotient_logs`` in either time domain, with sign +1 (a -inf log is an
+    underflow, not a zero step).  Otherwise, in discrete time, the unit
+    steps from the integer times lo (``_diag_step_logs``) checked
+    nonsingular, raising what checking them one at a time in the order of
+    lo raises first; in continuous time the coefficient integrals
+    (``_lobatto_integrals``), a run of equal-length segments at a time,
+    with sign +1."""
+    if isinstance(system.source, RateQuotientSource):
+        logs = _quotient_logs(system.source, lo, hi)
+        return logs, np.ones_like(logs)
     if system.time_domain == DISCRETE:
-        return _diag_steps(system, lo.astype(int).tolist())
+        return _checked_in_order(lambda ks: _diag_step_logs(system, ks), _check_nonsingular,
+                                 lo.astype(int).tolist())
     # runs of one segment length: a partial segment, the unit ones, a partial one
     runs = [0, *(np.flatnonzero(np.diff(hi - lo)) + 1).tolist(), len(lo)]
     logs = np.concatenate([_lobatto_integrals(system, lo[i:j], hi[i:j])
@@ -855,12 +845,13 @@ def component_log_grid(obj, window: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (times, logs) with times = -window..window and logs of shape
     (components, len(times)); logs[i][m] = log |Phi_ii(times[m], 0)|.
 
-    All 2 * window unit steps are built at once: one batch of discrete step
-    logs (``_diag_steps``) or of Gauss-Lobatto segments
-    (``_lobatto_integrals``), then running sums outward from 0.  Every entry, and every error, is
-    bitwise what walking out one unit step at a time gives.  A step or
-    running sum that leaves double range raises an EvolutionError naming
-    the first one in walk order, by time and component.
+    All 2 * window unit steps are built at once (``_segment_logs``: a
+    quotient source's closed form, or one batch of discrete step logs or of
+    Gauss-Lobatto segments), then running sums outward from 0.  Every entry,
+    and every error, is bitwise what walking out one unit step at a time
+    gives.  A step or running sum that leaves double range raises an
+    EvolutionError naming the first one in walk order, by time and
+    component.
 
     The grid of a plain system depends only on (system, window), so it is
     built once and cached, read-only, as ``rates.log_rate_grid`` is; a

@@ -249,8 +249,8 @@ def validate_rate(rate: GrowthRate, window: float,
     sample more than _TOL below the running maximum, recorded as (time of
     the maximum, time of the sample, and their values).  Violations are
     data, not errors."""
-    if window <= 0:
-        raise RateError("validation window must be positive")
+    if not (window > 0 and math.isfinite(window)):  # NaN fails too
+        raise RateError(f"validation window must be positive and finite, got {window}")
     if rate.time_domain == DISCRETE:
         ts = np.arange(-int(window), int(window) + 1, dtype=float)
     else:

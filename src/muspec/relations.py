@@ -1,12 +1,15 @@
 """Numeric deciders for the growth-rate comparison relations.
 
-Every check reduces to suprema of a separable functional over ordered time
-pairs: for a grid function u, sup over s <= t of u(t) - u(s) is the largest
-rise of u, computable with one running-minimum scan.  A verdict is "holds"
-when the per-window suprema stabilize across the schedule (the final
-supremum is the certificate constant), "fails" when they grow monotonically
-window over window (the argmax pairs are the witness), and "inconclusive"
-otherwise.
+Every check but one reduces to suprema of a separable functional over
+ordered time pairs: for a grid function u, sup over s <= t of u(t) - u(s) is
+the largest rise of u, computable with one running-minimum scan.  The one is
+the almost-checks' ratio necessity, a pair-ratio maximum: the largest
+L_omega / L_mu over pairs of long mu-distance, which does not separate
+(``_ratio_argmax``, by row scan or tile branch and bound).  A verdict is
+"holds" when the per-window suprema stabilize across the schedule (the
+final supremum is the certificate constant), "fails" when they grow
+monotonically window over window (the argmax pairs are the witness), and
+"inconclusive" otherwise.
 
 Quantifier structure is respected on finite grids:
 
@@ -214,9 +217,21 @@ def check_weakly_faster(mu, omega, params: Params = DEFAULT) -> RelationVerdict:
 
 def _bounded_outcome(mu, omega, coef_mu: float, coef_omega: float,
                      params: Params) -> tuple[str, float, list]:
-    """Outcome for sup over k >= n of coef_omega*L_omega - coef_mu*L_mu."""
-    sups, pairs = _window_sups(
-        mu, omega, params, lambda r_mu, r_om: _max_rise(coef_omega * r_om - coef_mu * r_mu))
+    """Outcome for sup over k >= n of coef_omega*L_omega - coef_mu*L_mu.
+    The coefficients reach 4096 and the log-rate grids DBL_MAX / 2, so where
+    a product coef * L could pass DBL_MAX / 4, both coefficients are scaled
+    by the power of two that takes the larger below 1/2, and the rise is
+    scaled back by a Python float product: exact, or +inf past DBL_MAX."""
+    def scan(r_mu, r_om):
+        # non-decreasing grids hold their largest magnitudes at their ends
+        top = max(abs(coef_omega) * max(-float(r_om[0]), float(r_om[-1])),
+                  abs(coef_mu) * max(-float(r_mu[0]), float(r_mu[-1])))
+        scale = (1.0 if top <= rates.MAX_LOG_RATE / 2
+                 else 2.0 ** (math.frexp(max(abs(coef_mu), abs(coef_omega)))[1] + 1))
+        value, i, j = _max_rise(coef_omega / scale * r_om - coef_mu / scale * r_mu)
+        return value * scale, i, j
+
+    sups, pairs = _window_sups(mu, omega, params, scan)
     return _sequence_outcome(sups, params.tol_stab), float(sups[-1]), pairs
 
 

@@ -319,6 +319,15 @@ def test_component_log_grids_match_plain_unit_steps():
             total += _plain_diag_step(system, float(k))
         got = evolution.propagate(system, to, frm).diag_logs
         assert got.tobytes() == (total if to > frm else -total).tobytes()
+    # a continuous quotient span with fractional ends, whose first and last
+    # segments are partial: the closed form per segment, summed from 0.0
+    system = evolution.quotient_system(c_c, [-2.0, 0.5])
+    cuts = [-2.6, *map(float, range(-2, 5)), 4.3]
+    total = np.zeros(system.components)
+    for lo, hi in zip(cuts, cuts[1:]):
+        total += evolution._quotient_logs(system.source, np.array([lo]), np.array([hi]))[0]
+    for to, frm, want in ((4.3, -2.6, total), (-2.6, 4.3, -total)):
+        assert evolution.propagate(system, to, frm).diag_logs.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("window", [40, 400])
@@ -529,6 +538,23 @@ def test_propagate_names_the_first_non_finite_log():
     with pytest.raises(evolution.EvolutionError) as info:
         evolution.component_log_grid(system, 3)
     assert str(info.value).endswith("at time 1 (inf)")
+
+
+def test_quotient_domain_errors_name_one_time_in_grid_and_propagate():
+    # log mu has a pole at 3 ahead of 0, or at -4 behind it: the grid's walk
+    # out from 0 and a propagate from 0 toward the pole meet it at one time
+    for domain in (DISCRETE, CONTINUOUS):
+        for text, to, where in (("t+1/(t-3)", 6, "'1/(t-3)' at input 3.0"),
+                                ("t+1/(t+4)", -6, "'1/(t+4)' at input -4.0")):
+            system = evolution.quotient_system(rates.ExpressionRate(text, domain), [1.0, -2.0])
+            spans = [(to, 0)] + ([(to - 0.5, 0.25)] if domain == CONTINUOUS else [])
+            with pytest.raises(exprparse.DomainError) as info:
+                evolution.component_log_grid(system, 6)
+            assert str(info.value) == f"division by zero in {where}"
+            for span in spans:
+                with pytest.raises(exprparse.DomainError) as info:
+                    evolution.propagate(system, *span)
+                assert str(info.value) == f"division by zero in {where}", (domain, span)
 
 
 def test_scaled_grids_are_mutually_inverse():

@@ -96,6 +96,13 @@ def test_validate_expression_rate():
     assert {v[0] for v in report.violations} == {-400.0}
 
 
+@pytest.mark.parametrize("domain", [DISCRETE, CONTINUOUS])
+@pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf, 0.0])
+def test_validate_rate_rejects_a_bad_window(domain, window):
+    with pytest.raises(rates.RateError, match="validation window must be positive and finite"):
+        rates.validate_rate(catalog.rate("q", domain), window)
+
+
 @given(st.integers(min_value=-100, max_value=100),
        st.integers(min_value=-100, max_value=100))
 @settings(max_examples=200, deadline=None)

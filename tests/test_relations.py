@@ -69,6 +69,18 @@ def test_almost_comparisons():
     assert verdict.witness
 
 
+def test_almost_comparisons_near_the_rate_bound():
+    # log-rate grids up to 8e307, near DBL_MAX / 2, times coefficients up to
+    # 4096: 4 L_omega - 8 L_mu is 0 exactly, which an overflowing product
+    # (inf - inf) left unresolved, with numpy warnings
+    mu = rates.PowerExp(1.0, 1e305, DISCRETE)
+    omega = rates.PowerExp(1.0, 2e305, DISCRETE)
+    for direction, inner in (("faster", -8.0), ("slower", -2.0 ** -12)):
+        verdict = relations.check_almost(mu, omega, direction)
+        assert verdict.outcome == HOLDS, verdict.diagnostics
+        assert verdict.certificate["witness_exponents"]["outer=-4"] == {"inner": inner, "sup": 0.0}
+
+
 def test_classification_of_glued_rate():
     glued = catalog.rate("glued_c_p", CONTINUOUS)
     c_cont = catalog.rate("c", CONTINUOUS)
