@@ -510,6 +510,10 @@ def _log_abs_masked(expr: Expr, env: Mapping[str, np.ndarray], failures: _Failur
         even = (sa < 0) & integral & (np.fmod(np.where(integral, e, 0.0), 2.0) == 0.0)
         return (np.where(zero, np.where(e > 0.0, -math.inf, 0.0), e * la),
                 np.where(zero, np.where(e > 0.0, 0, 1), np.where(even, 1, sa)))
+    if isinstance(expr, Num):  # one log, the floats of the per-point map
+        c = expr.value
+        return (np.full(size, math.log(abs(c)) if c != 0.0 else -math.inf),
+                np.full(size, 1 if c > 0.0 else 0 if c == 0.0 else -1))
     value = _evaluate_masked(expr, env, failures, size)
     zero = value == 0.0
     la = _map_checked(math.log, failures, expr, np.where(zero, 1.0, np.abs(value)))

@@ -204,7 +204,14 @@ def log_rate_grid(rate: GrowthRate, window: int, samples_per_unit: int = 1) -> n
     and no sample more than _TOL below an earlier one; otherwise a RateError
     names the failed check and the first time at which it fails.  The grid
     returned is non-decreasing: a sample below the running maximum is
-    raised to it, and every other sample keeps its bits."""
+    raised to it, and every other sample keeps its bits.
+
+    In discrete time the spectra and the relation checks both take
+    ``log_rate_grid(rate, W)`` at the schedule's largest window W and read
+    each window n as the slice [W - n, W + n]: one cache entry per rate and
+    schedule.  Continuous relation grids (``SAMPLES_PER_UNIT`` samples a
+    unit) are ``linspace`` points that do not nest across windows, so each
+    window has its own entry."""
     ts = sample_times(rate.time_domain, window, samples_per_unit)
     vals = log_rate_values(rate, ts)
     out_of_range = ~(np.abs(vals) <= MAX_LOG_RATE)  # NaN compares false
@@ -229,6 +236,9 @@ def log_rate_grid(rate: GrowthRate, window: int, samples_per_unit: int = 1) -> n
 # Validation
 
 
+MAX_VALIDATION_SAMPLES = 10 ** 6  # 8 MB a sample array; every estimator grid is far smaller
+
+
 @dataclass(frozen=True)
 class RateValidation:
     violations: tuple
@@ -248,14 +258,19 @@ def validate_rate(rate: GrowthRate, window: float,
     the value at the origin, and the attained range.  A violation is a
     sample more than _TOL below the running maximum, recorded as (time of
     the maximum, time of the sample, and their values).  Violations are
-    data, not errors."""
+    data, not errors; a window that is not positive and finite, or that
+    needs more than MAX_VALIDATION_SAMPLES samples, is a RateError."""
     if not (window > 0 and math.isfinite(window)):  # NaN fails too
         raise RateError(f"validation window must be positive and finite, got {window}")
-    if rate.time_domain == DISCRETE:
+    discrete = rate.time_domain == DISCRETE
+    span = 2.0 * (float(int(window)) if discrete else window * samples_per_unit)
+    if not span + 1 <= MAX_VALIDATION_SAMPLES:  # span is +inf past double range
+        raise RateError(f"validation window {window:g} needs {span + 1:.12g} samples, "
+                        f"more than MAX_VALIDATION_SAMPLES ({MAX_VALIDATION_SAMPLES})")
+    if discrete:
         ts = np.arange(-int(window), int(window) + 1, dtype=float)
     else:
-        count = int(round(2 * window * samples_per_unit))
-        ts = np.linspace(-window, window, count + 1)
+        ts = np.linspace(-window, window, int(round(span)) + 1)
     vals = log_rate_values(rate, ts)
     bad = tuple((float(ts[p]), float(ts[i]), float(vals[p]), float(vals[i]))
                 for p, i in _drops(vals)[1])

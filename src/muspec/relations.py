@@ -23,6 +23,12 @@ Quantifier structure is respected on finite grids:
   geometric grid, in the order the relation prescribes.
 
 Verdicts are certified on the tested exponent grids.
+
+Every check reads each window's log-rate grids from ``_window_grids``.  In
+discrete time they are slices of the grids of the schedule's largest
+window, the grids the spectrum reads, so spectra and relations share one
+rate grid per rate and schedule.  Continuous grids are ``linspace``
+samples that do not nest across windows, so each window keeps its own.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import rates
+from . import exprparse, rates
 from .params import DEFAULT, DISCRETE, SAMPLES_PER_UNIT, Params
 from .spectrum import admission_threshold, pair_ratio_blocks
 
@@ -89,20 +95,46 @@ def _check_domains(mu, omega):
         raise RelationError("rates must share a time domain")
 
 
-def _grid(rate, window: int) -> tuple[np.ndarray, np.ndarray]:
-    per_unit = 1 if rate.time_domain == DISCRETE else SAMPLES_PER_UNIT
-    ts = rates.sample_times(rate.time_domain, window, per_unit)
-    return ts, rates.log_rate_grid(rate, window, per_unit)
+def _window_grids(mu, omega, params: Params):
+    """(ts, r_mu, r_om) for each window of the schedule in order: the sample
+    times and the two log-rate grids.
+
+    Discrete sample times are the integers, so window n's grids are the
+    slice [W - n, W + n] of the largest window W's, taken as the spectrum
+    takes them (``rates.log_rate_grid(rate, W)``, one cache entry for
+    both).  A valid grid at W makes every smaller window valid; where the
+    grid at W is invalid, the windows are walked one grid at a time, mu
+    before omega, so the error names the first window that fails.  The
+    grids at W are raised to their running maximum from -W on, so a
+    sample at most ``rates._TOL`` below an earlier one reads the raise of
+    the grid at W.
+
+    Continuous grids take ``SAMPLES_PER_UNIT`` samples a unit from
+    ``np.linspace``, whose points do not nest across windows, so each
+    window keeps its own grid."""
+    windows = params.windows(mu.time_domain)
+    if mu.time_domain == DISCRETE:
+        top = max(windows)
+        try:
+            r_mu, r_om = rates.log_rate_grid(mu, top), rates.log_rate_grid(omega, top)
+        except (rates.RateError, exprparse.ExprError):
+            pass  # the per-window grids below raise the first window's error
+        else:
+            ts = rates.sample_times(DISCRETE, top)
+            cuts = [slice(top - n, top + n + 1) for n in windows]
+            return [(ts[cut], r_mu[cut], r_om[cut]) for cut in cuts]
+    per_unit = 1 if mu.time_domain == DISCRETE else SAMPLES_PER_UNIT
+    return ((rates.sample_times(mu.time_domain, n, per_unit),
+             rates.log_rate_grid(mu, n, per_unit), rates.log_rate_grid(omega, n, per_unit))
+            for n in windows)
 
 
 def _window_sups(mu, omega, params: Params, scan) -> tuple[list, list]:
     """``scan(r_mu, r_om) -> (value, i, j)`` on the log-rate grids of every
-    window of the schedule: the per-window suprema, and the attaining pairs
-    as {"n": t_i, "k": t_j, "value": value} records."""
+    window of the schedule (``_window_grids``): the per-window suprema, and
+    the attaining pairs as {"n": t_i, "k": t_j, "value": value} records."""
     sups, pairs = [], []
-    for n in params.windows(mu.time_domain):
-        ts, r_mu = _grid(mu, n)
-        _, r_om = _grid(omega, n)
+    for ts, r_mu, r_om in _window_grids(mu, omega, params):
         value, i, j = scan(r_mu, r_om)
         sups.append(value)
         pairs.append({"n": float(ts[i]), "k": float(ts[j]), "value": value})

@@ -473,6 +473,24 @@ def test_log_abs_array_folds_in_log_space_and_raises_at_first_failing_point():
     _assert_log_abs_matches_scalar([ep.parse("(t-1)^(1e308*10-1e308*10)")], [2.0, 1.0])
 
 
+@pytest.mark.parametrize("value", [1.0, 2.5, -3.0, 0.0, -0.0, 5e-324, 1e308 * 10, math.nan])
+def test_log_abs_of_a_constant_takes_one_log(monkeypatch, value):
+    """A constant's (logs, signs) are bitwise those of the per-point log
+    map, which the constant plus 0 still takes, and the constant itself
+    never reaches ``_map_checked``."""
+    env = {"t": [1.0, -3.0, 0.0, 2.5]}
+    want_logs, want_signs = ep.evaluate_log_abs_array(
+        [ep.Bin("+", ep.Num(value), ep.Num(0.0))], env)
+
+    def per_point(*args):
+        raise AssertionError("a constant took the per-point map")
+
+    monkeypatch.setattr(ep, "_map_checked", per_point)
+    logs, signs = ep.evaluate_log_abs_array([ep.Num(value)], env)
+    assert logs.tobytes() == want_logs.tobytes()
+    assert (signs.dtype, signs.tolist()) == (want_signs.dtype, want_signs.tolist())
+
+
 @given(_numbers, _numbers, _numbers)
 @settings(max_examples=200, deadline=None)
 def test_precedence_property(a, b, c):

@@ -103,6 +103,23 @@ def test_validate_rate_rejects_a_bad_window(domain, window):
         rates.validate_rate(catalog.rate("q", domain), window)
 
 
+class _NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached before the window was rejected")
+
+
+@pytest.mark.parametrize("domain, window, count", [
+    (DISCRETE, 1e18, "2e+18"), (DISCRETE, 1e9, "2000000001"),
+    (CONTINUOUS, 1e18, "2e+19"), (CONTINUOUS, 1e9, "20000000001")])
+def test_validate_rate_rejects_a_window_too_large_to_sample(monkeypatch, domain, window, count):
+    # the window is rejected before numpy is reached, so nothing is allocated
+    monkeypatch.setattr(rates, "np", _NoArrays())
+    with pytest.raises(rates.RateError) as err:
+        rates.validate_rate(rates.PowerExp(1.0, 1.0, domain), window)
+    assert str(err.value) == (f"validation window {window:g} needs {count} samples, "
+                              "more than MAX_VALIDATION_SAMPLES (1000000)")
+
+
 @given(st.integers(min_value=-100, max_value=100),
        st.integers(min_value=-100, max_value=100))
 @settings(max_examples=200, deadline=None)

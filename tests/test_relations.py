@@ -324,3 +324,93 @@ def test_verdict_serialization():
     assert payload["direction"] == "mu_over_omega"
     assert payload["outcome"] == FAILS
     assert all({"n", "k", "value"} <= set(w) for w in payload["witness"])
+
+
+# ---------------------------------------------------------------------------
+# Discrete relations read slices of the schedule's largest grid
+
+
+def _per_window_grids(mu, omega, params):
+    """The reference: every window's sample times and log-rate grids built
+    on their own."""
+    for n in params.windows(mu.time_domain):
+        yield (rates.sample_times(mu.time_domain, n), rates.log_rate_grid(mu, n, 1),
+               rates.log_rate_grid(omega, n, 1))
+
+
+def _every_check(mu, omega, params):
+    """The to_dict of every relation check of (mu, omega), or the message
+    of the error a check raises, with the per-pair caches cleared first."""
+    relations._ratio_necessity.cache_clear()
+    relations._affine_prefilter.cache_clear()
+    checks = [lambda: relations.check_faster(mu, omega, params, "forward"),
+              lambda: relations.check_faster(mu, omega, params, "backward"),
+              lambda: relations.check_weakly_faster(mu, omega, params),
+              lambda: relations.check_almost(mu, omega, "faster", params),
+              lambda: relations.check_almost(mu, omega, "slower", params),
+              lambda: relations.chain_check([mu, omega], params)]
+    out = []
+    for check in checks:
+        try:
+            out.append(check().to_dict())
+        except (rates.RateError, relations.RelationError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+_DISCRETE_RATE = st.one_of(
+    st.builds(lambda p, lam: rates.PowerExp(p, lam, DISCRETE),
+              st.floats(0.25, 3.0), st.floats(0.25, 4.0)),
+    st.just(rates.Polynomial(DISCRETE)),
+    st.sampled_from(catalog.RATE_NAMES).map(lambda name: catalog.rate(name, DISCRETE)))
+_SCHEDULE = st.one_of(
+    st.integers(2, 25).map(lambda n: (n, 2 * n, 4 * n, 8 * n)),
+    st.sets(st.integers(1, 150), min_size=2, max_size=5).map(sorted).map(tuple),
+    st.integers(1, 150).map(lambda n: (n,)))
+
+
+@given(_DISCRETE_RATE, _DISCRETE_RATE, _SCHEDULE)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_discrete_checks_match_per_window_grids(mu, omega, schedule):
+    params = Params(schedule=schedule)
+    sliced = _every_check(mu, omega, params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "_window_grids", _per_window_grids)
+        assert sliced == _every_check(mu, omega, params)
+
+
+def test_discrete_checks_raise_the_first_window_error():
+    # mu decreases only before t = -70, outside the smaller window; omega
+    # decreases from t = -50 on: the error is omega's on the smaller window
+    mu = rates.ExpressionRate("k + 2*max(0, -k-70)", DISCRETE)
+    omega = rates.ExpressionRate("k + 2*max(0, -k-30)", DISCRETE)
+    with pytest.raises(rates.RateError, match="from t=-100 to t=-99"):
+        rates.log_rate_grid(mu, 100)
+    with pytest.raises(rates.RateError, match="from t=-50 to t=-49"):
+        relations.check_weakly_faster(mu, omega, Params(schedule=(50, 100)))
+
+
+def test_discrete_checks_read_the_schedule_grids_raise():
+    # log mu falls by 4e-13 at t = -50, within the slack: the grid at 100
+    # raises it to -50, the first sample of the grid at 50 keeps it
+    dip = rates.ExpressionRate("max(k, -50) - 4e-13*max(0, 1 - abs(k + 50))", DISCRETE)
+    params = Params(schedule=(50, 100))
+    assert rates.log_rate_grid(dip, 50)[0] < -50.0 == rates.log_rate_grid(dip, 100)[50]
+    verdict = relations.check_weakly_faster(EXP, dip, params)
+    assert verdict.diagnostics["drawdown"] == [0.0, 0.0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "_window_grids", _per_window_grids)
+        drawdown = relations.check_weakly_faster(EXP, dip, params).diagnostics["drawdown"]
+    assert 0.0 < drawdown[0] <= rates._TOL and drawdown[1] == 0.0
+
+
+def test_chain_shares_the_spectrum_rate_grids():
+    params = Params(schedule=(200, 400, 800, 1600))
+    rates.log_rate_grid.cache_clear()
+    identity = catalog.system("identity")
+    for rate in (EXP, Q, C):
+        spectrum.compute_spectrum(identity, rate, params)
+    misses = rates.log_rate_grid.cache_info().misses
+    relations.chain_check([P, EXP, Q, C], params)
+    # the one grid no spectrum read: p's at 1600
+    assert rates.log_rate_grid.cache_info().misses == misses + 1
