@@ -888,7 +888,7 @@ def _system_log_grid(system: LinearSystem, window: int) -> tuple[np.ndarray, np.
     """``component_log_grid`` of a plain system, read-only."""
     if system.structure == FULL:
         raise EvolutionError("full systems use the scaled-matrix grid")
-    times = np.arange(-window, window + 1, dtype=float)
+    times = rates.sample_times(system.time_domain, window)
     center = window
     # the unit steps of a walk outward from 0, first ahead [t_m, t_m+1] for
     # m = center..2W-1, then behind [t_m-1, t_m] for m = center..1; the
@@ -903,7 +903,6 @@ def _system_log_grid(system: LinearSystem, window: int) -> tuple[np.ndarray, np.
     logs = np.empty((system.components, len(times)))
     logs[:, center:] = ahead.T
     logs[:, center::-1] = behind.T
-    times.flags.writeable = False
     logs.flags.writeable = False
     return times, logs
 
@@ -956,7 +955,7 @@ def scaled_grids(obj, window: int) -> tuple[np.ndarray, tuple, tuple]:
     system: LinearSystem = obj
     if system.structure != FULL:
         raise EvolutionError("scalar and diagonal systems use the component log grid")
-    times = np.arange(-window, window + 1, dtype=float)
+    times = rates.sample_times(system.time_domain, window)
     d = system.dim
     # walk outward from 0, first ahead and then behind; each move m -> n
     # takes the factor Phi(t_n, t_m) and its backward twin Phi(t_m, t_n),

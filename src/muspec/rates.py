@@ -187,11 +187,9 @@ def _drops(vals: np.ndarray) -> tuple[np.ndarray, list]:
 
 @lru_cache(maxsize=128)
 def sample_times(time_domain: str, window: int, samples_per_unit: int = 1) -> np.ndarray:
-    if time_domain == DISCRETE:
-        ts = np.arange(-window, window + 1, dtype=float)
-    else:
-        count = 2 * window * samples_per_unit
-        ts = np.linspace(-window, window, count + 1)
+    """Read-only times j / per_unit, |j| <= window * per_unit (per_unit = 1 in discrete time)."""
+    pu = 1 if time_domain == DISCRETE else samples_per_unit
+    ts = np.arange(-window * pu, window * pu + 1, dtype=float) / pu
     ts.flags.writeable = False
     return ts
 
@@ -206,12 +204,10 @@ def log_rate_grid(rate: GrowthRate, window: int, samples_per_unit: int = 1) -> n
     returned is non-decreasing: a sample below the running maximum is
     raised to it, and every other sample keeps its bits.
 
-    In discrete time the spectra and the relation checks both take
-    ``log_rate_grid(rate, W)`` at the schedule's largest window W and read
-    each window n as the slice [W - n, W + n]: one cache entry per rate and
-    schedule.  Continuous relation grids (``SAMPLES_PER_UNIT`` samples a
-    unit) are ``linspace`` points that do not nest across windows, so each
-    window has its own entry."""
+    The sample times nest across windows, so the spectra and the relation
+    checks take the grid at the schedule's largest window and read each
+    window as its central slice: one cache entry per rate, schedule and
+    sample density."""
     ts = sample_times(rate.time_domain, window, samples_per_unit)
     vals = log_rate_values(rate, ts)
     out_of_range = ~(np.abs(vals) <= MAX_LOG_RATE)  # NaN compares false
@@ -258,10 +254,13 @@ def validate_rate(rate: GrowthRate, window: float,
     the value at the origin, and the attained range.  A violation is a
     sample more than _TOL below the running maximum, recorded as (time of
     the maximum, time of the sample, and their values).  Violations are
-    data, not errors; a window that is not positive and finite, or that
-    needs more than MAX_VALIDATION_SAMPLES samples, is a RateError."""
+    data, not errors; a window that is not positive and finite, a
+    ``samples_per_unit`` below 1 or not finite, or a window that needs more
+    than MAX_VALIDATION_SAMPLES samples, is a RateError."""
     if not (window > 0 and math.isfinite(window)):  # NaN fails too
         raise RateError(f"validation window must be positive and finite, got {window}")
+    if not (samples_per_unit >= 1 and math.isfinite(samples_per_unit)):
+        raise RateError(f"samples_per_unit must be finite and at least 1, got {samples_per_unit}")
     discrete = rate.time_domain == DISCRETE
     span = 2.0 * (float(int(window)) if discrete else window * samples_per_unit)
     if not span + 1 <= MAX_VALIDATION_SAMPLES:  # span is +inf past double range

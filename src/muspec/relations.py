@@ -24,11 +24,9 @@ Quantifier structure is respected on finite grids:
 
 Verdicts are certified on the tested exponent grids.
 
-Every check reads each window's log-rate grids from ``_window_grids``.  In
-discrete time they are slices of the grids of the schedule's largest
-window, the grids the spectrum reads, so spectra and relations share one
-rate grid per rate and schedule.  Continuous grids are ``linspace``
-samples that do not nest across windows, so each window keeps its own.
+Every check reads each window's log-rate grids from ``_window_grids``:
+slices of one grid per rate and schedule, at the schedule's largest window.
+In discrete time that is the grid the spectrum reads.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 
 from . import exprparse, rates
 from .params import DEFAULT, DISCRETE, SAMPLES_PER_UNIT, Params
-from .spectrum import admission_threshold, pair_ratio_blocks
+from .spectrum import _window_slice, admission_threshold, pair_ratio_blocks
 
 
 EPS_GRID = (1.0, 0.5, 0.25, 0.1, 0.05)
@@ -97,36 +95,29 @@ def _check_domains(mu, omega):
 
 def _window_grids(mu, omega, params: Params):
     """(ts, r_mu, r_om) for each window of the schedule in order: the sample
-    times and the two log-rate grids.
+    times and the two log-rate grids, ``SAMPLES_PER_UNIT`` samples a unit in
+    continuous time.
 
-    Discrete sample times are the integers, so window n's grids are the
-    slice [W - n, W + n] of the largest window W's, taken as the spectrum
-    takes them (``rates.log_rate_grid(rate, W)``, one cache entry for
-    both).  A valid grid at W makes every smaller window valid; where the
-    grid at W is invalid, the windows are walked one grid at a time, mu
-    before omega, so the error names the first window that fails.  The
-    grids at W are raised to their running maximum from -W on, so a
-    sample at most ``rates._TOL`` below an earlier one reads the raise of
-    the grid at W.
-
-    Continuous grids take ``SAMPLES_PER_UNIT`` samples a unit from
-    ``np.linspace``, whose points do not nest across windows, so each
-    window keeps its own grid."""
+    Window n's grids are the central slice of the largest window W's, taken
+    as the spectrum takes its windows (``spectrum._window_slice``); in
+    discrete time the grid at W is the spectrum's own cache entry.  A valid
+    grid at W makes every smaller window valid; where the grid at W is
+    invalid, the windows are walked one grid at a time, mu before omega, so
+    the error names the first window that fails.  The grids at W are raised
+    to their running maximum from -W on, so a sample at most ``rates._TOL``
+    below an earlier one reads the raise of the grid at W."""
     windows = params.windows(mu.time_domain)
-    if mu.time_domain == DISCRETE:
-        top = max(windows)
-        try:
-            r_mu, r_om = rates.log_rate_grid(mu, top), rates.log_rate_grid(omega, top)
-        except (rates.RateError, exprparse.ExprError):
-            pass  # the per-window grids below raise the first window's error
-        else:
-            ts = rates.sample_times(DISCRETE, top)
-            cuts = [slice(top - n, top + n + 1) for n in windows]
-            return [(ts[cut], r_mu[cut], r_om[cut]) for cut in cuts]
-    per_unit = 1 if mu.time_domain == DISCRETE else SAMPLES_PER_UNIT
-    return ((rates.sample_times(mu.time_domain, n, per_unit),
-             rates.log_rate_grid(mu, n, per_unit), rates.log_rate_grid(omega, n, per_unit))
-            for n in windows)
+    top, pu = max(windows), (1 if mu.time_domain == DISCRETE else SAMPLES_PER_UNIT)
+    try:
+        r_mu, r_om = rates.log_rate_grid(mu, top, pu), rates.log_rate_grid(omega, top, pu)
+    except (rates.RateError, exprparse.ExprError):
+        for n in windows:  # the first window that fails raises
+            for rate in (mu, omega):
+                rates.log_rate_grid(rate, n, pu)
+        raise
+    ts = rates.sample_times(mu.time_domain, top, pu)
+    cuts = [_window_slice(ts, pu * n) for n in windows]
+    return [(ts[cut], r_mu[cut], r_om[cut]) for cut in cuts]
 
 
 def _window_sups(mu, omega, params: Params, scan) -> tuple[list, list]:

@@ -518,6 +518,10 @@ _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--om
       "--time-domain", "discrete"], "chain_discrete.json"),
     (["compare", "--relation", "chain", "--rates", "p,exp,q,c",
       "--time-domain", "continuous"], "chain_continuous.json"),
+    # continuous relations read slices of one grid per rate, 10 samples a unit
+    (["compare", "--relation", "chain", "--rates", "p,exp,q,c",
+      "--time-domain", "continuous", "--schedule", "80,160,320,640"],
+     "chain_continuous_wide.json"),
     (_VERIFY + ["808", "--variant", "i", "--system", "catalog:frak_a", "--mu", "c",
                 "--omega", "exp", "--a", "1"], "verify_808i.jsonl"),
     (_VERIFY + ["808", "--variant", "ii", "--system", "catalog:disc_q", "--mu", "q",

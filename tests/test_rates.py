@@ -78,6 +78,19 @@ def test_catalog_grids_are_their_samples(domain):
                 assert rates.log_rate_grid(rate, window, per_unit).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("domain, per_unit", [
+    (DISCRETE, 1), (DISCRETE, SAMPLES_PER_UNIT), (CONTINUOUS, 1), (CONTINUOUS, SAMPLES_PER_UNIT)])
+def test_sample_times_nest_across_windows(domain, per_unit):
+    """Window n's times are the central slice of window 40's, bit for bit,
+    and the integers among them are exact."""
+    top = rates.sample_times(domain, 40, per_unit)
+    step = 1 if domain == DISCRETE else per_unit
+    for n in (0, 5, 39):
+        sliced = top[step * (40 - n):step * (40 + n) + 1]
+        assert sliced.tobytes() == rates.sample_times(domain, n, per_unit).tobytes()
+    assert top[::step].tobytes() == np.arange(-40, 41, dtype=float).tobytes()
+
+
 def test_validate_expression_rate():
     same_as_q = rates.ExpressionRate("sgn(t)*abs(t)^2", CONTINUOUS)
     assert rates.validate_rate(same_as_q, 50).ok
@@ -118,6 +131,15 @@ def test_validate_rate_rejects_a_window_too_large_to_sample(monkeypatch, domain,
         rates.validate_rate(rates.PowerExp(1.0, 1.0, domain), window)
     assert str(err.value) == (f"validation window {window:g} needs {count} samples, "
                               "more than MAX_VALIDATION_SAMPLES (1000000)")
+
+
+@pytest.mark.parametrize("count", [0, 0.5, -1, math.inf, math.nan])
+def test_validate_rate_rejects_a_sample_count_below_one(monkeypatch, count):
+    # a count of 0 once sampled t = -5 alone, and -1 reached numpy's own error
+    monkeypatch.setattr(rates, "np", _NoArrays())
+    with pytest.raises(rates.RateError) as err:
+        rates.validate_rate(rates.PowerExp(1.0, 1.0, CONTINUOUS), 5, count)
+    assert str(err.value) == f"samples_per_unit must be finite and at least 1, got {count}"
 
 
 @given(st.integers(min_value=-100, max_value=100),

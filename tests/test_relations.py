@@ -1,10 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from muspec import catalog, rates, relations, spectrum, theorems
-from muspec.params import CONTINUOUS, DISCRETE, Params
+from muspec.cli import _sanitize
+from muspec.params import CONTINUOUS, DISCRETE, SAMPLES_PER_UNIT, Params
 from muspec.relations import FAILS, HOLDS, INCONCLUSIVE
 
 
@@ -327,7 +329,7 @@ def test_verdict_serialization():
 
 
 # ---------------------------------------------------------------------------
-# Discrete relations read slices of the schedule's largest grid
+# Relations read slices of the schedule's largest grid
 
 
 def _per_window_grids(mu, omega, params):
@@ -414,3 +416,48 @@ def test_chain_shares_the_spectrum_rate_grids():
     relations.chain_check([P, EXP, Q, C], params)
     # the one grid no spectrum read: p's at 1600
     assert rates.log_rate_grid.cache_info().misses == misses + 1
+
+
+def _linspace_grids(mu, omega, params):
+    """The continuous reference: each window's grids on their own
+    ``np.linspace(-n, n, 20n + 1)``, raised to their running maximum."""
+    for n in params.windows(CONTINUOUS):
+        ts = np.linspace(-n, n, 2 * n * SAMPLES_PER_UNIT + 1)
+        yield ts, *(np.maximum.accumulate(rates.log_rate_values(r, ts)) for r in (mu, omega))
+
+
+_CONTINUOUS_RATES = ([rates.PowerExp(p, 1.0, CONTINUOUS) for p in (0.5, 1, 1.5, 2, 2.3, 2.4, 3, 4)]
+                     + [catalog.rate("p", CONTINUOUS),
+                        rates.ExpressionRate("sgn(t)*log(1+abs(t))^2", CONTINUOUS)])
+
+
+def test_continuous_checks_match_per_window_linspace_grids():
+    # the lattice j / 10 and the slices' raise move full floats in their
+    # last digits only: every report is equal at the CLI's 12 digits
+    params = Params()
+    for mu, omega in itertools.permutations(_CONTINUOUS_RATES, 2):
+        sliced = _every_check(mu, omega, params)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(relations, "_window_grids", _linspace_grids)
+            assert _sanitize(sliced) == _sanitize(_every_check(mu, omega, params))
+
+
+def test_continuous_chain_builds_one_rate_grid_per_rate():
+    rates.log_rate_grid.cache_clear()
+    relations.chain_check([catalog.rate(name, CONTINUOUS) for name in ("p", "exp", "q", "c")])
+    assert rates.log_rate_grid.cache_info().misses == 4
+
+
+def test_continuous_checks_raise_the_first_window_error():
+    # mu decreases only before t = -15, omega only after t = 15: both fail
+    # first at window 20, where mu's error comes first; the grid at 40
+    # names other times
+    mu = rates.ExpressionRate("t + 2*max(0, -t-15)", CONTINUOUS)
+    omega = rates.ExpressionRate("t - 2*max(0, t-15)", CONTINUOUS)
+    rates.log_rate_grid(mu, 10, SAMPLES_PER_UNIT)
+    with pytest.raises(rates.RateError, match="from t=-40 to t=-39.9 "):
+        rates.log_rate_grid(mu, 40, SAMPLES_PER_UNIT)
+    with pytest.raises(rates.RateError, match="from t=-20 to t=-19.9 "):
+        relations.check_weakly_faster(mu, omega)
+    with pytest.raises(rates.RateError, match="from t=15 to t=15.1 "):
+        relations.check_weakly_faster(omega, mu)
