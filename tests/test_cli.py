@@ -518,10 +518,6 @@ _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--om
       "--time-domain", "discrete"], "chain_discrete.json"),
     (["compare", "--relation", "chain", "--rates", "p,exp,q,c",
       "--time-domain", "continuous"], "chain_continuous.json"),
-    # continuous relations read slices of one grid per rate, 10 samples a unit
-    (["compare", "--relation", "chain", "--rates", "p,exp,q,c",
-      "--time-domain", "continuous", "--schedule", "80,160,320,640"],
-     "chain_continuous_wide.json"),
     (_VERIFY + ["808", "--variant", "i", "--system", "catalog:frak_a", "--mu", "c",
                 "--omega", "exp", "--a", "1"], "verify_808i.jsonl"),
     (_VERIFY + ["808", "--variant", "ii", "--system", "catalog:disc_q", "--mu", "q",
@@ -576,6 +572,10 @@ _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--om
     # steps and stack several steps' exponentials at once
     (["spectrum", "--system", json.dumps(_probe(2)), "--rate", "q",
       "--schedule", "5,10,20,40,80,160"], "spectrum_full_continuous_wide_q.json"),
+    # continuous relations read slices of one grid per rate, 10 samples a unit
+    (["compare", "--relation", "chain", "--rates", "p,exp,q,c",
+      "--time-domain", "continuous", "--schedule", "80,160,320,640"],
+     "chain_continuous_wide.json"),
 ])
 def test_output_matches_the_recorded_reports(capsys, monkeypatch, tmp_path, argv, golden):
     """The reports are byte-identical to the recorded ones.  A change that
