@@ -19,12 +19,12 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import exprparse, rates
+from ._record import record
 from .params import CONTINUOUS, DISCRETE
 
 
@@ -44,7 +44,7 @@ class EvolutionError(ValueError):
 # Scaled matrices
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class ScaledMatrix:
     """A matrix split as exp(log_norm) * unit with ||unit|| in [0.5, 2].
 
@@ -194,7 +194,7 @@ def _rescale(mats: np.ndarray) -> np.ndarray:
 # Coefficient sources
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class ExprSource:
     """Per-entry expressions; diagonal systems store only the diagonal."""
 
@@ -226,7 +226,7 @@ class ExprSource:
         return tuple(expr for _, expr in first.values()), [first[t][0] for t in texts]
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class TableSource:
     """Tabulated discrete coefficients on an explicit index range; queries
     outside the range are errors, not extrapolations."""
@@ -253,7 +253,7 @@ class TableSource:
         return self.matrices[idx]
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class RateQuotientSource:
     """Diagonal system whose propagator is a growth-rate quotient raised to
     per-component slopes, Phi_ii(t, s) = (nu(t)/nu(s))^s_i in either time
@@ -266,7 +266,7 @@ class RateQuotientSource:
 Source = ExprSource | TableSource | RateQuotientSource
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class LinearSystem:
     time_domain: str
     dim: int
@@ -287,7 +287,7 @@ class LinearSystem:
         return 1 if self.structure == SCALAR else self.dim
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class WeightedSystem:
     """System whose propagator is the base propagator divided by
     (mu(to)/mu(from))^gamma.  In continuous time this is the coefficient

@@ -25,10 +25,11 @@ first in point, expression and node order.  The per-point entry points
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from ._record import record
 
 
 FUNCTIONS = {"exp": 1, "log": 1, "abs": 1, "sgn": 1, "sqrt": 1, "min": 2, "max": 2}
@@ -64,30 +65,35 @@ class DomainError(ExprError):
         super().__init__(f"{message} in '{fragment}' at input {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class Num:
+    __slots__ = ("value",)
     value: float
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class Var:
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class Neg:
+    __slots__ = ("arg",)
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class Bin:
+    __slots__ = ("op", "left", "right")
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True)
 class Call:
+    __slots__ = ("fn", "args")
     fn: str
     args: tuple
 

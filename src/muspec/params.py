@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+
+from ._record import record
 
 
 DISCRETE = "discrete"
@@ -27,7 +28,7 @@ MAX_CONTINUOUS_WINDOW = 640
 SAMPLES_PER_UNIT = 10
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Params:
     """Tolerances and window schedule shared by the spectral estimator and
     the relation checkers.

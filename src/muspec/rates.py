@@ -22,13 +22,13 @@ Families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Union
 
 import numpy as np
 
 from . import exprparse
+from ._record import record
 from .params import CONTINUOUS, DISCRETE
 
 
@@ -41,7 +41,7 @@ def _check_domain(domain: str):
         raise RateError(f"time_domain must be '{DISCRETE}' or '{CONTINUOUS}', got {domain!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PowerExp:
     p: float
     lam: float = 1.0
@@ -53,7 +53,7 @@ class PowerExp:
             raise RateError("PowerExp needs a positive exponent and a positive scale")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Polynomial:
     time_domain: str = DISCRETE
 
@@ -61,7 +61,7 @@ class Polynomial:
         _check_domain(self.time_domain)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExpressionRate:
     log_rate: str
     time_domain: str = DISCRETE
@@ -71,7 +71,7 @@ class ExpressionRate:
         _rate_ast(self.log_rate)  # surface syntax errors at construction
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Glued:
     inner: "GrowthRate"
     outer: "GrowthRate"
@@ -154,7 +154,7 @@ def _glued(rate: Glued, ts: np.ndarray) -> np.ndarray:
 # Log-quotients
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LogQuotient:
     """log(mu(to)/mu(from)); non-negative whenever to >= from."""
 
@@ -185,16 +185,35 @@ def _drops(vals: np.ndarray) -> tuple[np.ndarray, list]:
     return top, list(zip(at_top[np.searchsorted(at_top, low) - 1].tolist(), low.tolist()))
 
 
-@lru_cache(maxsize=128)
+def _grid_cache(maxsize: int):
+    """``lru_cache`` for a grid function ``f(x, window, samples_per_unit=1)``,
+    x a time domain or a rate, with one entry per grid however a call spells
+    it: the per-unit count goes to the cache positionally, and as 1 in
+    discrete time, where it moves no sample time.  The decorated function
+    keeps the cache's ``cache_info`` and ``cache_clear``."""
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def grid(x, window, samples_per_unit=1):
+            discrete = getattr(x, "time_domain", x) == DISCRETE
+            return cached(x, window, 1 if discrete else samples_per_unit)
+
+        grid.cache_info, grid.cache_clear = cached.cache_info, cached.cache_clear
+        return grid
+    return decorate
+
+
+@_grid_cache(maxsize=128)
 def sample_times(time_domain: str, window: int, samples_per_unit: int = 1) -> np.ndarray:
     """Read-only times j / per_unit, |j| <= window * per_unit (per_unit = 1 in discrete time)."""
-    pu = 1 if time_domain == DISCRETE else samples_per_unit
-    ts = np.arange(-window * pu, window * pu + 1, dtype=float) / pu
+    n = window * samples_per_unit
+    ts = np.arange(-n, n + 1, dtype=float) / samples_per_unit
     ts.flags.writeable = False
     return ts
 
 
-@lru_cache(maxsize=512)
+@_grid_cache(maxsize=512)
 def log_rate_grid(rate: GrowthRate, window: int, samples_per_unit: int = 1) -> np.ndarray:
     """log mu at ``sample_times``, the grid every estimator scans.  It must
     look like a growth rate there: finite and at most DBL_MAX / 2 in
@@ -235,7 +254,7 @@ def log_rate_grid(rate: GrowthRate, window: int, samples_per_unit: int = 1) -> n
 MAX_VALIDATION_SAMPLES = 10 ** 6  # 8 MB a sample array; every estimator grid is far smaller
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RateValidation:
     violations: tuple
     origin_log: float
@@ -321,7 +340,7 @@ def find_crossover(inner: GrowthRate, outer: GrowthRate, hi: float = 10.0,
 # Closed-form comparison profiles
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RelationProfile:
     """Directed comparison verdicts for an ordered rate pair (a, b).
 

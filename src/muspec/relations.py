@@ -32,12 +32,12 @@ In discrete time that is the grid the spectrum reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import exprparse, rates
+from ._record import field, record
 from .params import DEFAULT, DISCRETE, SAMPLES_PER_UNIT, Params
 from .spectrum import _window_slice, admission_threshold, pair_ratio_blocks
 
@@ -57,7 +57,7 @@ class RelationError(ValueError):
     pass
 
 
-@dataclass
+@record
 class RelationVerdict:
     relation: str
     direction: str
@@ -593,7 +593,7 @@ def check_almost(mu, omega, direction: str, params: Params = DEFAULT) -> Relatio
 # Pair classification and the chain order
 
 
-@dataclass
+@record
 class PairClassification:
     checks: dict
     weakly_equivalent: str
@@ -692,7 +692,7 @@ def classify_pair(a, b, params: Params = DEFAULT,
                               symbolic, conflicts)
 
 
-@dataclass
+@record
 class ChainLink:
     index: int
     outcome: str
@@ -700,7 +700,7 @@ class ChainLink:
     faster_verdict: RelationVerdict
 
 
-@dataclass
+@record
 class ChainReport:
     outcome: str
     links: list

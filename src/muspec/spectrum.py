@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import evolution, exprparse, rates
+from ._record import record
 from .evolution import FULL, LinearSystem, WeightedSystem
 from .params import DEFAULT, Params
 
@@ -55,7 +55,7 @@ class SpectrumError(ValueError):
 # Bohl estimates
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BohlEstimate:
     """Extremal growth exponents of one component relative to a rate.
 
@@ -377,7 +377,7 @@ def _base(system, rate: rates.GrowthRate) -> LinearSystem:
 # Spectrum assembly
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpectralInterval:
     """Closed spectral interval over the extended reals; [-inf,-inf] and
     [+inf,+inf] encode the degenerate one-point sets at infinity."""
@@ -390,7 +390,7 @@ class SpectralInterval:
             raise SpectrumError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpectralGap:
     lo: float
     hi: float
@@ -398,7 +398,7 @@ class SpectralGap:
     pattern: tuple | None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpectrumReport:
     rate_descriptor: dict
     system_descriptor: dict
@@ -621,7 +621,7 @@ def _grid(system, rate, window: int):
 # Dichotomy and bounded-growth verdicts
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DichotomyVerdict:
     """holds is True/False when the report resolves the question, None when
     the report has not converged or zero sits within the estimator's
@@ -632,7 +632,7 @@ class DichotomyVerdict:
     report: SpectrumReport
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GrowthVerdict:
     status: str  # "holds" | "fails" | "inconclusive"
     bound: float | None

@@ -18,9 +18,9 @@ verifiers of the run; without it each call computes its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import catalog, evolution, rates, relations
+from ._record import field, record
 from .params import CONTINUOUS, DEFAULT, DISCRETE, Params
 from .relations import FAILS, HOLDS, INCONCLUSIVE
 from .spectrum import SpectrumReport, compute_spectrum, has_mu_dichotomy, has_mu_growth
@@ -29,7 +29,7 @@ from .spectrum import SpectrumReport, compute_spectrum, has_mu_dichotomy, has_mu
 INF = math.inf
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Fixture:
     """A named system plus optional oracle data: a closed-form per-component
     log-propagator and the expected spectra for catalog rates."""
@@ -101,7 +101,7 @@ def generate_quotient_system(nu: rates.GrowthRate, slopes, name: str | None = No
 # Reports
 
 
-@dataclass
+@record
 class TheoremReport:
     theorem: str
     fixture: str

@@ -91,6 +91,21 @@ def test_sample_times_nest_across_windows(domain, per_unit):
     assert top[::step].tobytes() == np.arange(-40, 41, dtype=float).tobytes()
 
 
+@pytest.mark.parametrize("domain", [DISCRETE, CONTINUOUS])
+def test_grid_caches_hold_one_entry_per_grid(domain):
+    """Every spelling of a grid is one cache miss: the per-unit count
+    defaulted, positional or by keyword, and in discrete time any count."""
+    rate = catalog.rate("q", domain)
+    counts = (1, 3) if domain == DISCRETE else (1,)
+    for fn, first in ((rates.sample_times, domain), (rates.log_rate_grid, rate)):
+        fn.cache_clear()
+        grids = [fn(first, 7), fn(first, 7, 1), fn(first, 7, samples_per_unit=1),
+                 fn(first, window=7)] + [fn(first, 7, count) for count in counts]
+        assert all(grid is grids[0] for grid in grids)
+        info = fn.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, len(grids) - 1, 1)
+
+
 def test_validate_expression_rate():
     same_as_q = rates.ExpressionRate("sgn(t)*abs(t)^2", CONTINUOUS)
     assert rates.validate_rate(same_as_q, 50).ok
