@@ -172,6 +172,7 @@ def log_quotient(rate: GrowthRate, k: float, n: float) -> LogQuotient:
 
 
 _TOL = 1e-12  # slack on log mu(0) = 0 and on non-decreasing samples
+MAX_VALIDATION_SAMPLES = 10 ** 6  # samples of a sample_times or validate_rate grid: 8 MB an array
 MAX_LOG_RATE = np.finfo(float).max / 2  # DBL_MAX / 2: no difference of two samples this size overflows
 
 
@@ -206,8 +207,13 @@ def _grid_cache(maxsize: int):
 
 @_grid_cache(maxsize=128)
 def sample_times(time_domain: str, window: int, samples_per_unit: int = 1) -> np.ndarray:
-    """Read-only times j / per_unit, |j| <= window * per_unit (per_unit = 1 in discrete time)."""
+    """Read-only times j / per_unit, |j| <= window * per_unit (per_unit = 1 in
+    discrete time).  A window that needs more than MAX_VALIDATION_SAMPLES
+    samples is a RateError, raised before any array is built."""
     n = window * samples_per_unit
+    if 2 * n + 1 > MAX_VALIDATION_SAMPLES:
+        raise RateError(f"window {window} needs {2 * n + 1} samples, "
+                        f"more than MAX_VALIDATION_SAMPLES ({MAX_VALIDATION_SAMPLES})")
     ts = np.arange(-n, n + 1, dtype=float) / samples_per_unit
     ts.flags.writeable = False
     return ts
@@ -249,9 +255,6 @@ def log_rate_grid(rate: GrowthRate, window: int, samples_per_unit: int = 1) -> n
 
 # ---------------------------------------------------------------------------
 # Validation
-
-
-MAX_VALIDATION_SAMPLES = 10 ** 6  # 8 MB a sample array; every estimator grid is far smaller
 
 
 @record(frozen=True)

@@ -15,7 +15,8 @@ Quantifier structure is respected on finite grids:
 
 * faster: for every exponent ratio eps in a fixed grid, the supremum of
   L_omega - eps * L_mu must be bounded (only the ratio of the two negative
-  exponents matters).
+  exponents matters).  Each window scans the whole eps grid in one pass,
+  one running minimum over a row per eps.
 * weakly faster: the single functional log mu - log omega must have bounded
   drawdown.
 * almost faster / almost slower: the inequality couples two exponents; the
@@ -26,7 +27,10 @@ Verdicts are certified on the tested exponent grids.
 
 Every check reads each window's log-rate grids from ``_window_grids``:
 slices of one grid per rate and schedule, at the schedule's largest window.
-In discrete time that is the grid the spectrum reads.
+In discrete time that is the grid the spectrum reads.  The ratio row scan
+reads its admissible-pair starts from the pair primitive's shared cache
+(``spectrum.pair_ratio_blocks``), computed once per grid slice and cutoff
+for the spectra and every rate pair alike.
 """
 
 from __future__ import annotations
@@ -120,16 +124,20 @@ def _window_grids(mu, omega, params: Params):
     return [(ts[cut], r_mu[cut], r_om[cut]) for cut in cuts]
 
 
-def _window_sups(mu, omega, params: Params, scan) -> tuple[list, list]:
-    """``scan(r_mu, r_om) -> (value, i, j)`` on the log-rate grids of every
-    window of the schedule (``_window_grids``): the per-window suprema, and
-    the attaining pairs as {"n": t_i, "k": t_j, "value": value} records."""
-    sups, pairs = [], []
+def _window_sups(mu, omega, params: Params, scan) -> list[tuple[list, list]]:
+    """``scan(r_mu, r_om) -> [(value, i, j), ...]``, one triple for each
+    functional it scans, on the log-rate grids of every window of the
+    schedule (``_window_grids``): for each functional, the per-window
+    suprema and the attaining pairs as {"n": t_i, "k": t_j, "value": value}
+    records."""
+    rows = None
     for ts, r_mu, r_om in _window_grids(mu, omega, params):
-        value, i, j = scan(r_mu, r_om)
-        sups.append(value)
-        pairs.append({"n": float(ts[i]), "k": float(ts[j]), "value": value})
-    return sups, pairs
+        found = scan(r_mu, r_om)
+        rows = rows or [([], []) for _ in found]
+        for (sups, pairs), (value, i, j) in zip(rows, found):
+            sups.append(value)
+            pairs.append({"n": float(ts[i]), "k": float(ts[j]), "value": value})
+    return rows
 
 
 def _verdict(relation: str, direction: str, outcome: str, diagnostics: dict,
@@ -145,11 +153,20 @@ def _verdict(relation: str, direction: str, outcome: str, diagnostics: dict,
 
 def _max_rise(u: np.ndarray) -> tuple[float, int, int]:
     """max over i <= j of u[j] - u[i], with the attaining indices."""
-    run_min = np.minimum.accumulate(u)
-    rises = u - run_min
-    j = int(np.argmax(rises))
-    i = int(np.argmin(u[: j + 1]))
-    return float(rises[j]), i, j
+    rises = u - np.minimum.accumulate(u)
+    j = int(rises.argmax())
+    return float(rises[j]), int(u[: j + 1].argmin()), j
+
+
+def _max_rises(u: np.ndarray) -> list[tuple[float, int, int]]:
+    """``_max_rise`` of each row of a 2-D u, from one running minimum
+    along the rows: the same elementwise operations and the same first
+    indices of argmax and argmin as each row's own ``_max_rise``, so the
+    results are bitwise its."""
+    rises = u - np.minimum.accumulate(u, axis=1)
+    ends = rises.argmax(axis=1).tolist()
+    return [(float(rise[j]), int(row[: j + 1].argmin()), j)
+            for row, rise, j in zip(u, rises, ends)]
 
 
 def _max_fall(u: np.ndarray) -> tuple[float, int, int]:
@@ -185,22 +202,23 @@ def check_faster(mu, omega, params: Params = DEFAULT,
     only eps = |alpha| / |alpha~| matters; the check runs the eps grid and
     requires every supremum to stabilize.  The "backward" formulation scans
     the dual inequality over pairs k <= n with positive exponents, which must
-    agree with the forward one.
+    agree with the forward one.  Each window scans the whole eps grid at
+    once, one row per eps (``_max_rises``).
     """
     _check_domains(mu, omega)
     if formulation not in ("forward", "backward"):
         raise RelationError(f"unknown formulation {formulation!r}")
+    column = np.array(EPS_GRID)[:, None]
 
-    def scan(r_mu, r_om):  # at the eps of the loop below
+    def scan(r_mu, r_om):
         if formulation == "forward":
-            return _max_rise(r_om - eps * r_mu)
-        return _max_fall(eps * r_mu - r_om)
+            return _max_rises(r_om - column * r_mu)
+        return _max_rises(-(column * r_mu - r_om))  # the _max_fall of each row
 
     envelope = {}
     diagnostics = {}
     fail_witness = None
-    for eps in EPS_GRID:
-        sups, pairs = _window_sups(mu, omega, params, scan)
+    for eps, (sups, pairs) in zip(EPS_GRID, _window_sups(mu, omega, params, scan)):
         outcome = _sequence_outcome(sups, params.tol_stab)
         diagnostics[f"eps={eps:g}"] = [float(s) for s in sups]
         if outcome == HOLDS:
@@ -225,8 +243,8 @@ def check_weakly_faster(mu, omega, params: Params = DEFAULT) -> RelationVerdict:
     log M = final maximal drawdown (equivalently m = exp(-log M) bounds the
     quotient ratio from below)."""
     _check_domains(mu, omega)
-    sups, pairs = _window_sups(mu, omega, params,
-                               lambda r_mu, r_om: _max_fall(r_mu - r_om))
+    (sups, pairs), = _window_sups(mu, omega, params,
+                                  lambda r_mu, r_om: [_max_fall(r_mu - r_om)])
     return _verdict("weakly_faster", "mu_over_omega",
                     _sequence_outcome(sups, params.tol_stab),
                     {"drawdown": [float(s) for s in sups]},
@@ -252,9 +270,9 @@ def _bounded_outcome(mu, omega, coef_mu: float, coef_omega: float,
         scale = (1.0 if top <= rates.MAX_LOG_RATE / 2
                  else 2.0 ** (math.frexp(max(abs(coef_mu), abs(coef_omega)))[1] + 1))
         value, i, j = _max_rise(coef_omega / scale * r_om - coef_mu / scale * r_mu)
-        return value * scale, i, j
+        return [(value * scale, i, j)]
 
-    sups, pairs = _window_sups(mu, omega, params, scan)
+    (sups, pairs), = _window_sups(mu, omega, params, scan)
     return _sequence_outcome(sups, params.tol_stab), float(sups[-1]), pairs
 
 
@@ -278,9 +296,9 @@ def _ratio_necessity(mu, omega, params: Params) -> tuple[str, tuple, tuple]:
         l_max = r_mu[-1] - r_mu[0]
         if l_max <= 0:
             raise RelationError("mu is flat on the window; no admissible pairs")
-        return _ratio_argmax(r_mu, r_om, params.cutoff_fraction * l_max)
+        return [_ratio_argmax(r_mu, r_om, params.cutoff_fraction * l_max)]
 
-    sups, argmax_pairs = _window_sups(mu, omega, params, scan)
+    (sups, argmax_pairs), = _window_sups(mu, omega, params, scan)
     pairs = tuple(tuple(p.items()) for p in argmax_pairs)
     if _sequence_outcome(sups, params.tol_stab) == FAILS:
         return FAILS, tuple(sups), pairs

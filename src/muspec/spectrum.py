@@ -24,7 +24,8 @@ Negation is exact and commutes with rounding, so with the magnitudes
 guarded against overflow every admissible ratio is exactly c in IEEE
 arithmetic (see ``_unit_slopes``).  A scan whose series all qualify
 returns c without forming a pair; every scan counts its admissible pairs
-from per-row suffix starts (``_suffix_starts``).  In fresh-process
+from per-row suffix starts (``_suffix_starts``), computed once per rate
+grid slice and cutoff and shared (``_shared_starts``).  In fresh-process
 captures of every scan, 12 of the 16 scans of the scalar_disc_wide
 benchmark workload qualify and 44 of the 149 of the harness workload; none
 of scalar_cont_wide or full_matrix do (Gauss-Lobatto and Magnus grids are
@@ -33,8 +34,10 @@ not exact multiples).
 
 from __future__ import annotations
 
+import contextvars
 import math
 from collections.abc import Iterator
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,11 +156,15 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     ``r`` is a non-decreasing log-rate grid (``rates.log_rate_grid``), so
     the admissible partners of each row are a suffix of the columns, from
     its start on.  ``starts`` are those of every row (``_suffix_starts``),
-    from which a caller counts the admissible pairs, len(r) - start summed
-    over the rows, and ``blocks`` is a generator that forms no block until
-    it is iterated.  The starts are non-decreasing, so a block starting at
-    row i0 scans the columns from j0 = starts[i0] on, and the scan stops at
-    the first row with no partner.
+    read-only, from which a caller counts the admissible pairs, len(r) -
+    start summed over the rows, and ``blocks`` is a generator that forms no
+    block until it is iterated.  The starts are a function of r's values
+    and the threshold alone, so they are computed once per grid and shared
+    (``_shared_starts``): every spectrum window and relation row scan of a
+    rate's grid slice at one cutoff reads the same starts, whatever the
+    system or the other rate.  The starts are non-decreasing, so a block
+    starting at row i0 scans the columns from j0 = starts[i0] on, and the
+    scan stops at the first row with no partner.
 
     A block's log-quotients, and then the numerators of its K series, are
     matrix products of rank-2 factors, [x_i, 1] @ [1, y_j]^T = x_i * 1 +
@@ -192,8 +199,21 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     ``np.triu_indices``.
     """
     threshold = admission_threshold(threshold)
-    starts = _suffix_starts(r, threshold)
+    starts = _shared_starts(np.ascontiguousarray(r, dtype=float).tobytes(), threshold)
     return starts, _ratio_blocks(r, heads, tails, threshold, starts)
+
+
+@lru_cache(maxsize=128)
+def _shared_starts(grid: bytes, threshold: float) -> np.ndarray:
+    """``_suffix_starts`` of the grid whose float64 bytes are ``grid``,
+    read-only: one computation per grid and threshold in a process.  The
+    key is the grid's values, so a rate's slice at one window and cutoff is
+    one entry whichever spectrum or relation check scans it, and a grid
+    built any other way gets the starts of its own values.  In one
+    ``theorems.run_all()``, 181 scans read 57 distinct grids."""
+    starts = _suffix_starts(np.frombuffer(grid), threshold)
+    starts.flags.writeable = False
+    return starts
 
 
 def _ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, threshold: float,
@@ -208,17 +228,27 @@ def _ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, threshold
     factors[:, 1] = 1.0
     factors[0, 2], factors[1:, 2] = r, heads
     row_factors, col_factors = factors[:, :2].transpose(0, 2, 1), factors[:, 1:]
+    # the ratios are formed in a context of the scan's own, whose error
+    # state ignores overflow and invalid values: set once per scan, and
+    # never the caller's between two blocks (numpy's error state is a
+    # context variable from numpy 2.0 on)
+    quiet = contextvars.copy_context()
+    quiet.run(np.seterr, invalid="ignore", over="ignore")
     i0 = 0
     while i0 < n - 1 and starts[i0] < n:
         j0 = int(starts[i0])
         stop = min(i0 + max(1, _PAIR_BLOCK // (len(heads) * (n - j0))), n - 1)
         L = row_factors[0, i0:stop] @ col_factors[0, :, j0:]
         np.copyto(L, np.nan, where=L < threshold)
-        with np.errstate(invalid="ignore", over="ignore"):
-            q = row_factors[1:, i0:stop] @ col_factors[1:, :, j0:]
-            q /= L
-        yield i0, j0, L, q
+        yield i0, j0, L, quiet.run(_ratios, row_factors[1:, i0:stop], col_factors[1:, :, j0:], L)
         i0 = stop
+
+
+def _ratios(row_factors: np.ndarray, col_factors: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """A block's numerators over its log-quotients."""
+    q = row_factors @ col_factors
+    q /= L
+    return q
 
 
 def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutoff: float,
@@ -227,6 +257,9 @@ def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutof
     at the cutoff fraction of the window's log-quotient: one min and one max
     per series of the (K, len(r)) stacks ``heads`` and ``tails``, and the
     count they share, len(r) - start summed over the rows' suffix starts.
+    The starts depend on the rate grid's slice and the cutoff only, so
+    they are computed once per slice and shared by every system scanned on
+    it, and by the relation scans of the rate (``_shared_starts``).
     min and max are exact, and a zero extreme is +0.0 (which zero numpy
     returns when both are admissible depends on its order of reduction,
     and the rank-2 products may give +0.0 for -0.0), so the result does

@@ -6,11 +6,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from muspec import catalog
 from muspec.cli import main
-from muspec.params import Params
+from muspec.params import SAMPLES_PER_UNIT, Params
 
 
 def _run(capsys, argv):
@@ -507,6 +508,22 @@ def test_spectrum_names_an_overflowing_quotient_grid(capsys):
     assert err == "error: log-propagator of component 0 is not finite at time 6 (inf)\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--system", "catalog:abs2t", "--rate", "q"],
+    ["compare", "--relation", "faster", "--a", "q", "--b", "exp"],
+])
+def test_oversized_schedule_windows_are_named(capsys, monkeypatch, argv):
+    # the window is named before its sample times are built: the only
+    # times built are those of window 5, on the walk to the window that fails
+    arange, sizes = np.arange, []
+    monkeypatch.setattr(np, "arange", lambda *a, **k: sizes.append(a) or arange(*a, **k))
+    code, out, err = _run(capsys, argv + ["--schedule", "5,1000000000000000000"])
+    assert (code, out) == (1, "")
+    assert err == ("error: window 1000000000000000000 needs 2000000000000000001 samples, "
+                   "more than MAX_VALIDATION_SAMPLES (1000000)\n")
+    assert all(abs(a[0]) <= 5 * SAMPLES_PER_UNIT for a in sizes)
+
+
 DATA = Path(__file__).parent / "data"
 _VERIFY = ["verify", "--theorem"]
 _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--omega", "exp"]
@@ -576,6 +593,13 @@ _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--om
     (["compare", "--relation", "chain", "--rates", "p,exp,q,c",
       "--time-domain", "continuous", "--schedule", "80,160,320,640"],
      "chain_continuous_wide.json"),
+    # the faster check's per-eps suprema, and its witness pairs where it fails
+    (["compare", "--relation", "faster", "--a", "q", "--b", "exp", "--time-domain", "discrete",
+      "--schedule", "200,400,800,1600"], "faster_discrete_wide.json"),
+    (["compare", "--relation", "faster", "--a", "exp", "--b", "q",
+      "--time-domain", "continuous"], "faster_continuous_fails.json"),
+    (["compare", "--relation", "weakly-faster", "--a", "p", "--b", "exp",
+      "--time-domain", "discrete"], "weakly_faster_discrete_fails.json"),
 ])
 def test_output_matches_the_recorded_reports(capsys, monkeypatch, tmp_path, argv, golden):
     """The reports are byte-identical to the recorded ones.  A change that
@@ -583,7 +607,7 @@ def test_output_matches_the_recorded_reports(capsys, monkeypatch, tmp_path, argv
     tests/data) and says which digit moved and why."""
     monkeypatch.chdir(DATA)
     out = tmp_path / golden
-    assert main(argv + ["--output", str(out)]) == 0
+    assert main(argv + ["--output", str(out)]) == (3 if "fails" in golden else 0)
     capsys.readouterr()
     assert out.read_bytes() == (DATA / golden).read_bytes()
 

@@ -148,6 +148,25 @@ def test_validate_rate_rejects_a_window_too_large_to_sample(monkeypatch, domain,
                               "more than MAX_VALIDATION_SAMPLES (1000000)")
 
 
+@pytest.mark.parametrize("domain, window, per_unit, count", [
+    (DISCRETE, 10 ** 18, 1, 2 * 10 ** 18 + 1), (DISCRETE, 500_000, 1, 1_000_001),
+    (CONTINUOUS, 10 ** 8, SAMPLES_PER_UNIT, 2 * 10 ** 9 + 1),
+    (CONTINUOUS, 50_000, SAMPLES_PER_UNIT, 1_000_001)])
+def test_sample_times_rejects_a_window_too_large_to_sample(monkeypatch, domain, window,
+                                                          per_unit, count):
+    # every rate, system and full-system grid samples sample_times, which
+    # names the window before numpy is reached
+    monkeypatch.setattr(rates, "np", _NoArrays())
+    message = (f"window {window} needs {count} samples, "
+               "more than MAX_VALIDATION_SAMPLES (1000000)")
+    with pytest.raises(rates.RateError) as err:
+        rates.sample_times(domain, window, per_unit)
+    assert str(err.value) == message
+    with pytest.raises(rates.RateError) as err:
+        rates.log_rate_grid(catalog.rate("q", domain), window, per_unit)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("count", [0, 0.5, -1, math.inf, math.nan])
 def test_validate_rate_rejects_a_sample_count_below_one(monkeypatch, count):
     # a count of 0 once sampled t = -5 alone, and -1 reached numpy's own error

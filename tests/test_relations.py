@@ -216,6 +216,76 @@ def test_forward_backward_formulations_agree():
                 assert val == pytest.approx(bwd.certificate["sup_envelope"][key], abs=1e-9)
 
 
+def _faster_rows(mu, omega, params, formulation):
+    """The per-eps suprema and attaining pairs of check_faster with each eps
+    scanned on its own, by ``_max_rise`` (forward) or ``_max_fall``
+    (backward) on every window's grids."""
+    rows = []
+    for eps in relations.EPS_GRID:
+        sups, pairs = [], []
+        for ts, r_mu, r_om in relations._window_grids(mu, omega, params):
+            if formulation == "forward":
+                value, i, j = relations._max_rise(r_om - eps * r_mu)
+            else:
+                value, i, j = relations._max_fall(eps * r_mu - r_om)
+            sups.append(value)
+            pairs.append({"n": float(ts[i]), "k": float(ts[j]), "value": value})
+        rows.append((sups, pairs))
+    return rows
+
+
+def _faster_rates(domain, top):
+    """Growth rates, among them power rates whose log mu reaches up to 0.99
+    DBL_MAX / 2 at time ``top``."""
+    return st.one_of(
+        st.sampled_from(catalog.RATE_NAMES).map(lambda name: catalog.rate(name, domain)),
+        st.builds(lambda p, lam: rates.PowerExp(p, lam, domain),
+                  st.floats(0.25, 3.0), st.floats(0.25, 4.0)),
+        st.builds(lambda p, share: rates.PowerExp(p, share * rates.MAX_LOG_RATE / top ** p,
+                                                  domain),
+                  st.floats(0.5, 3.0), st.floats(0.25, 0.99)))
+
+
+@given(st.sampled_from([(DISCRETE, (50, 100, 200, 400)), (DISCRETE, (3, 7, 30)),
+                        (CONTINUOUS, (5, 10, 20, 40)), (CONTINUOUS, (2, 3, 8))]),
+       st.sampled_from(["forward", "backward"]), st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_faster_scans_the_eps_grid_at_once(case, formulation, data):
+    """check_faster reads each window's grids once for the whole eps grid,
+    and its suprema and attaining pairs are bitwise those of every eps
+    scanned on its own, also on grids near DBL_MAX / 2."""
+    domain, schedule = case
+    mu, omega = (data.draw(_faster_rates(domain, max(schedule))) for _ in range(2))
+    params = Params(schedule=schedule)
+    seen, reads = [], []
+    window_sups, window_grids = relations._window_sups, relations._window_grids
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "_window_sups", lambda *a: seen.append(window_sups(*a)) or seen[-1])
+        patch.setattr(relations, "_window_grids", lambda *a: reads.append(a) or window_grids(*a))
+        verdict = relations.check_faster(mu, omega, params, formulation)
+    assert len(seen) == len(reads) == 1
+    want = _faster_rows(mu, omega, params, formulation)
+    assert repr(seen[0]) == repr(want)
+    for eps, (sups, _) in zip(relations.EPS_GRID, want):
+        assert repr(verdict.diagnostics[f"eps={eps:g}"]) == repr(sups)
+    failing = [pairs for sups, pairs in want
+               if relations._sequence_outcome(sups, params.tol_stab) == FAILS]
+    assert verdict.witness == (failing[0] if failing else None)
+
+
+_TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, rates.MAX_LOG_RATE, -rates.MAX_LOG_RATE])
+
+
+@given(st.integers(1, 6), st.integers(1, 30), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_stacked_rises_are_each_rows_own(k, n, data):
+    """The rows of ``_max_rises`` are bitwise each row's ``_max_rise``, ties
+    and signed zeros included: the first maximum and the first minimum."""
+    u = np.array(data.draw(st.lists(st.lists(_TIES, min_size=n, max_size=n),
+                                    min_size=k, max_size=k)))
+    assert repr(relations._max_rises(u)) == repr([relations._max_rise(row) for row in u])
+
+
 def _implication_grid():
     grid = [rates.PowerExp(p, lam, DISCRETE)
             for p in (1.0, 2.0, 3.0) for lam in (0.5, 1.0, 2.0)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from muspec import catalog, evolution, rates, relations, spectrum
+from muspec import catalog, evolution, rates, relations, spectrum, theorems
 from muspec.params import CONTINUOUS, DISCRETE, Params
 
 
@@ -706,6 +706,68 @@ def test_rank2_numerators_are_the_broadcast_sums(k, rows, cols, data, block):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal((got[~nan] + 0.0).view(np.uint64), (want[~nan] + 0.0).view(np.uint64))
+
+
+def test_block_scan_keeps_the_callers_error_state(monkeypatch):
+    """The blocks form their ratios under an error state of the scan's
+    own, set once per scan: the caller's state holds between two blocks
+    and after the scan, and overflowing ratios leak no RuntimeWarning."""
+    monkeypatch.setattr(spectrum, "_PAIR_BLOCK", 2)
+    r = np.arange(6.0)
+    heads = np.full((1, 6), np.finfo(float).max)
+    with np.errstate(over="raise", invalid="raise", divide="warn", under="ignore"):
+        caller = np.geterr()
+        _, blocks = spectrum.pair_ratio_blocks(r, heads, heads, 0.5)
+        seen = [np.geterr() for _, _, _, q in blocks if np.isinf(q).any()]
+        assert len(seen) == 5 and all(state == caller for state in seen)
+        assert np.geterr() == caller
+
+
+def _clear_scan_caches():
+    """Clear every cache that a ``theorems.run_all()`` scans through."""
+    spectrum._shared_starts.cache_clear()
+    relations._ratio_necessity.cache_clear()
+    relations._affine_prefilter.cache_clear()
+
+
+def test_run_all_computes_the_starts_of_each_grid_slice_once(monkeypatch):
+    """The suffix starts depend only on the rate grid's slice and the
+    cutoff: one run_all() scans 57 distinct slices 181 times, spectrum
+    windows and relation row scans together, and computes each slice's
+    starts once."""
+    computed, read = [], []
+    suffix_starts, shared = spectrum._suffix_starts, spectrum._shared_starts
+    _clear_scan_caches()
+    monkeypatch.setattr(spectrum, "_suffix_starts",
+                        lambda *a: computed.append(a) or suffix_starts(*a))
+    monkeypatch.setattr(spectrum, "_shared_starts", lambda *a: read.append(a) or shared(*a))
+    theorems.run_all()
+    assert (len(read), len(set(read)), len(computed)) == (181, 57, 57)
+
+
+def test_shared_starts_are_read_only_and_those_of_their_slice(monkeypatch):
+    """Every scan of one run_all() reads read-only starts, bitwise those a
+    fresh ``_suffix_starts`` gives its own grid slice, and one array for
+    each slice and cutoff."""
+    scans, blocks = [], spectrum.pair_ratio_blocks
+
+    def recorded(r, heads, tails, threshold):
+        starts, scan = blocks(r, heads, tails, threshold)
+        scans.append((r.copy(), threshold, starts))
+        return starts, scan
+
+    monkeypatch.setattr(spectrum, "pair_ratio_blocks", recorded)
+    monkeypatch.setattr(relations, "pair_ratio_blocks", recorded)
+    _clear_scan_caches()
+    theorems.run_all()
+    assert len(scans) == 181
+    shared = {}
+    for r, threshold, starts in scans:
+        assert not starts.flags.writeable
+        fresh = spectrum._suffix_starts(r, spectrum.admission_threshold(threshold))
+        assert starts.dtype == fresh.dtype and starts.tobytes() == fresh.tobytes()
+        assert shared.setdefault((r.tobytes(), threshold), starts) is starts
+    assert len(shared) == 57
 
 
 def test_svd_calls_do_not_grow_with_the_window(monkeypatch):
