@@ -376,14 +376,21 @@ def _coefficient_stack(system: LinearSystem, ts) -> np.ndarray:
     return values[:, columns].reshape(len(ts), system.dim, system.dim)
 
 
-def _diag_step_logs(system: LinearSystem, ks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _diag_step_logs(system: LinearSystem, ks) -> tuple[np.ndarray, np.ndarray]:
     """(log|a_ii(k)|, sign a_ii(k)) of the coefficients of a discrete
     scalar/diagonal system at the integer times ks, shape (len(ks),
     components), unchecked: one array evaluation in log space or one table
-    gather (a quotient source has no coefficients: ``_segment_logs``)."""
+    gather (a quotient source has no coefficients: ``_segment_logs``).
+
+    ks is an integer array, evaluated as one float array, or the
+    one-element Python list of ``_checked_in_order``'s error walk, evaluated
+    as a list of Python floats, so a DomainError names its input as
+    ``{'t': 7.0, 'k': 7.0}``."""
     src = system.source
     if isinstance(src, ExprSource) and src.diag is not None:
-        kf = np.asarray(ks, dtype=float).tolist()  # a DomainError reports a Python float input
+        kf = np.asarray(ks, dtype=float)
+        if isinstance(ks, list):
+            kf = kf.tolist()
         la, sg = exprparse.evaluate_log_abs_array(src.diag, {"t": kf, "k": kf})
         return la, sg.astype(float)
     if isinstance(src, TableSource):
@@ -393,14 +400,17 @@ def _diag_step_logs(system: LinearSystem, ks: list[int]) -> tuple[np.ndarray, np
     raise EvolutionError("diagonal step logs need a scalar or diagonal system")
 
 
-def _checked_in_order(evaluate, check, ks):
-    """``check(evaluate(ks), ks)``, raising what evaluating and checking the
-    times one at a time, in the order of ks, raises first: when ``evaluate``
-    fails, a time failing ``check`` before the failing time is reported."""
+def _checked_in_order(evaluate, check, ks: np.ndarray):
+    """``check(evaluate(ks), ks)`` for an integer array ks, raising what
+    evaluating and checking the times one at a time, in the order of ks,
+    raises first: when ``evaluate`` fails, a time failing ``check`` before
+    the failing time is reported.  Only this error walk builds Python
+    scalars: it hands ``evaluate`` and ``check`` one-element lists of
+    Python ints, so the error it raises names a Python number."""
     try:
         values = evaluate(ks)
     except (ValueError, ArithmeticError):
-        for k in ks:
+        for k in ks.tolist():
             check(evaluate([k]), [k])
         raise
     check(values, ks)
@@ -494,9 +504,11 @@ def _segment_logs(system: LinearSystem, lo: np.ndarray,
     components), unchecked for overflow.  A quotient source's logs are
     ``_quotient_logs`` in either time domain, with sign +1 (a -inf log is an
     underflow, not a zero step).  Otherwise, in discrete time, the unit
-    steps from the integer times lo (``_diag_step_logs``) checked
-    nonsingular, raising what checking them one at a time in the order of
-    lo raises first; in continuous time the coefficient integrals
+    steps from the integer times lo (``_diag_step_logs``), evaluated on the
+    array of those times and checked nonsingular, raising what checking
+    them one at a time in the order of lo raises first
+    (``_checked_in_order``, whose walk alone builds Python scalars); in
+    continuous time the coefficient integrals
     (``_lobatto_integrals``), a run of equal-length segments at a time,
     with sign +1."""
     if isinstance(system.source, RateQuotientSource):
@@ -504,7 +516,7 @@ def _segment_logs(system: LinearSystem, lo: np.ndarray,
         return logs, np.ones_like(logs)
     if system.time_domain == DISCRETE:
         return _checked_in_order(lambda ks: _diag_step_logs(system, ks), _check_nonsingular,
-                                 lo.astype(int).tolist())
+                                 lo.astype(int))
     # runs of one segment length: a partial segment, the unit ones, a partial one
     runs = [0, *(np.flatnonzero(np.diff(hi - lo)) + 1).tolist(), len(lo)]
     logs = np.concatenate([_lobatto_integrals(system, lo[i:j], hi[i:j])
@@ -804,9 +816,11 @@ def _check_walk_finite(walked: np.ndarray, reached: np.ndarray):
                              f"{reached[m]:g} ({walked[m, i]})")
 
 
-def _step_matrices(system: LinearSystem, ks: list[int]) -> np.ndarray:
-    """Discrete coefficient matrices at the integer times ks, stacked and
-    checked invertible, with the first error in the order of ks."""
+def _step_matrices(system: LinearSystem, ks: np.ndarray) -> np.ndarray:
+    """Discrete coefficient matrices at the integer array ks, stacked and
+    checked invertible, with the first error in the order of ks; the error
+    walk of ``_checked_in_order`` evaluates Python ints, so a DomainError
+    names its input as ``{'t': 7, 'k': 7}``."""
     return _checked_in_order(lambda times: _coefficient_stack(system, times),
                              _check_invertible, ks)
 
@@ -1046,7 +1060,7 @@ def _unit_factors(system: LinearSystem, frm: np.ndarray,
         return np.empty((0, system.dim, system.dim)), np.empty(0, dtype=int)
     if system.time_domain == CONTINUOUS:
         return _magnus_factors(system, frm, to)
-    mats = _step_matrices(system, np.rint(np.minimum(frm, to)).astype(int).tolist())
+    mats = _step_matrices(system, np.rint(np.minimum(frm, to)).astype(int))
     mats += 0.0  # a -0.0 entry becomes +0.0: a one-step unit keeps its factor's zero signs
     behind = to < frm
     mats[behind] = np.linalg.inv(mats[behind])

@@ -117,7 +117,9 @@ def log_rate(rate: GrowthRate, t: float) -> float:
 def log_rate_values(rate: GrowthRate, ts) -> np.ndarray:
     """log mu at every time of ``ts``: the one formula per family.  mu(0) = 1
     forces log 0 at t = 0; an overflow is an inf, for the callers' finite
-    checks."""
+    checks.  An expression rate is evaluated on the float array of the
+    times; only when that raises are they evaluated again as Python floats,
+    so that the DomainError names its input as a Python float (``7.0``)."""
     ts = _require_time(rate, ts)
     if isinstance(rate, PowerExp):
         with np.errstate(over="ignore"):
@@ -131,9 +133,12 @@ def log_rate_values(rate: GrowthRate, ts) -> np.ndarray:
         return out
     if isinstance(rate, ExpressionRate):
         ast = _rate_ast(rate.log_rate)
-        points = ts.tolist()  # a DomainError reports a Python float input
-        env = {name: points for name in exprparse.variables_of(ast) or ("t",)}
-        return exprparse.evaluate_array([ast], env)[:, 0]
+        names = exprparse.variables_of(ast) or ("t",)
+        try:
+            return exprparse.evaluate_array([ast], dict.fromkeys(names, ts))[:, 0]
+        except exprparse.DomainError:
+            exprparse.evaluate_array([ast], dict.fromkeys(names, ts.tolist()))
+            raise
     if isinstance(rate, Glued):
         return _glued(rate, ts)
     raise TypeError(f"not a growth rate: {rate!r}")

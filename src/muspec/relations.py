@@ -7,9 +7,11 @@ the almost-checks' ratio necessity, a pair-ratio maximum: the largest
 L_omega / L_mu over pairs of long mu-distance, which does not separate
 (``_ratio_argmax``, by row scan or tile branch and bound).  A verdict is
 "holds" when the per-window suprema stabilize across the schedule (the
-final supremum is the certificate constant), "fails" when they grow
-monotonically window over window (the argmax pairs are the witness), and
-"inconclusive" otherwise.
+last two agree; the final supremum is the certificate constant), "fails"
+when they grow monotonically window over window (the argmax pairs are the
+witness), and "inconclusive" otherwise.  Since a "holds" reads only the
+last two windows, the bounded almost-check scans those first and stops
+there when they agree (``_bounded_outcome``).
 
 Quantifier structure is respected on finite grids:
 
@@ -124,14 +126,14 @@ def _window_grids(mu, omega, params: Params):
     return [(ts[cut], r_mu[cut], r_om[cut]) for cut in cuts]
 
 
-def _window_sups(mu, omega, params: Params, scan) -> list[tuple[list, list]]:
+def _window_sups(grids, scan) -> list[tuple[list, list]]:
     """``scan(r_mu, r_om) -> [(value, i, j), ...]``, one triple for each
-    functional it scans, on the log-rate grids of every window of the
-    schedule (``_window_grids``): for each functional, the per-window
-    suprema and the attaining pairs as {"n": t_i, "k": t_j, "value": value}
-    records."""
+    functional it scans, on the log-rate grids of each window of ``grids``
+    (``_window_grids``, or some of its windows, in order): for each
+    functional, the per-window suprema and the attaining pairs as {"n":
+    t_i, "k": t_j, "value": value} records."""
     rows = None
-    for ts, r_mu, r_om in _window_grids(mu, omega, params):
+    for ts, r_mu, r_om in grids:
         found = scan(r_mu, r_om)
         rows = rows or [([], []) for _ in found]
         for (sups, pairs), (value, i, j) in zip(rows, found):
@@ -218,7 +220,8 @@ def check_faster(mu, omega, params: Params = DEFAULT,
     envelope = {}
     diagnostics = {}
     fail_witness = None
-    for eps, (sups, pairs) in zip(EPS_GRID, _window_sups(mu, omega, params, scan)):
+    rows = _window_sups(_window_grids(mu, omega, params), scan)
+    for eps, (sups, pairs) in zip(EPS_GRID, rows):
         outcome = _sequence_outcome(sups, params.tol_stab)
         diagnostics[f"eps={eps:g}"] = [float(s) for s in sups]
         if outcome == HOLDS:
@@ -243,7 +246,7 @@ def check_weakly_faster(mu, omega, params: Params = DEFAULT) -> RelationVerdict:
     log M = final maximal drawdown (equivalently m = exp(-log M) bounds the
     quotient ratio from below)."""
     _check_domains(mu, omega)
-    (sups, pairs), = _window_sups(mu, omega, params,
+    (sups, pairs), = _window_sups(_window_grids(mu, omega, params),
                                   lambda r_mu, r_om: [_max_fall(r_mu - r_om)])
     return _verdict("weakly_faster", "mu_over_omega",
                     _sequence_outcome(sups, params.tol_stab),
@@ -258,7 +261,16 @@ def check_weakly_faster(mu, omega, params: Params = DEFAULT) -> RelationVerdict:
 
 def _bounded_outcome(mu, omega, coef_mu: float, coef_omega: float,
                      params: Params) -> tuple[str, float, list]:
-    """Outcome for sup over k >= n of coef_omega*L_omega - coef_mu*L_mu.
+    """(outcome, last supremum, attaining pairs) for sup over k >= n of
+    coef_omega*L_omega - coef_mu*L_mu, window by window.
+
+    "holds" is decided by the last two suprema alone (``_sequence_outcome``
+    tests it before any other rule), and no caller reads more of a "holds"
+    than its last supremum, so the last two windows are scanned first and a
+    "holds" returns from them, with the pairs of those two windows only.
+    Otherwise the other windows are scanned too, and the outcome and pairs
+    are those of every window.  Each window's scan is the same either way.
+
     The coefficients reach 4096 and the log-rate grids DBL_MAX / 2, so where
     a product coef * L could pass DBL_MAX / 4, both coefficients are scaled
     by the power of two that takes the larger below 1/2, and the rise is
@@ -272,7 +284,11 @@ def _bounded_outcome(mu, omega, coef_mu: float, coef_omega: float,
         value, i, j = _max_rise(coef_omega / scale * r_om - coef_mu / scale * r_mu)
         return [(value * scale, i, j)]
 
-    (sups, pairs), = _window_sups(mu, omega, params, scan)
+    grids = list(_window_grids(mu, omega, params))
+    (sups, pairs), = _window_sups(grids[-2:], scan)
+    if _sequence_outcome(sups, params.tol_stab) != HOLDS and len(grids) > 2:
+        (head, head_pairs), = _window_sups(grids[:-2], scan)
+        sups, pairs = head + sups, head_pairs + pairs
     return _sequence_outcome(sups, params.tol_stab), float(sups[-1]), pairs
 
 
@@ -298,7 +314,7 @@ def _ratio_necessity(mu, omega, params: Params) -> tuple[str, tuple, tuple]:
             raise RelationError("mu is flat on the window; no admissible pairs")
         return [_ratio_argmax(r_mu, r_om, params.cutoff_fraction * l_max)]
 
-    (sups, argmax_pairs), = _window_sups(mu, omega, params, scan)
+    (sups, argmax_pairs), = _window_sups(_window_grids(mu, omega, params), scan)
     pairs = tuple(tuple(p.items()) for p in argmax_pairs)
     if _sequence_outcome(sups, params.tol_stab) == FAILS:
         return FAILS, tuple(sups), pairs

@@ -360,27 +360,50 @@ def _suffix_starts(r: np.ndarray, threshold: float) -> np.ndarray:
     searchsorted for r[i] + threshold guesses every start, one pass over the
     guesses checks them, however long r's plateaus, and the rows that fail
     the check (their rounded key misses the start, or lands at or before
-    the row) are bisected together, in at most log2(len(r)) + 1 passes.  On
-    the catalog grids at windows 200..1600 the guess is 2-6x faster than
+    the row) search outward from their guesses (``_gallop``).  On the
+    catalog grids at windows 200..1600 the guess is 2-6x faster than
     bisecting every row, and bisecting every row made the scalar_disc_wide
     and harness benchmark workloads about 9% slower end to end."""
-    n = len(r)
-    # column n, past the last, holds +inf, which every row admits; so does
-    # column -1, where a guess of column 0 looks for the column before
+    # column len(r), past the last, holds +inf, which every row admits; so
+    # does column -1, where a guess of column 0 looks for the column before
     env = np.concatenate((r, [INF]))
     with np.errstate(over="ignore"):  # past DBL_MAX a sum is +-inf; the starts are checked
         keys = r + threshold
     start = env.searchsorted(keys)
-    bad = ((env[start] - r < threshold) | (env[start - 1] - r >= threshold)).nonzero()[0]
+    passes = env[start] - r >= threshold
+    bad = (~passes | (env[start - 1] - r >= threshold)).nonzero()[0]
     if bad.size:
-        lo, hi, rows = bad + 1, np.full(len(bad), n), r[bad]
-        for _ in range(n.bit_length()):
-            mid = (lo + hi) // 2
-            ok = env[mid] - rows >= threshold
-            live = lo < hi
-            lo, hi = np.where(live & ~ok, mid + 1, lo), np.where(live & ok, mid, hi)
-        start[bad] = lo
+        start[bad] = _gallop(env, bad, start[bad], ~passes[bad], threshold)
     return start
+
+
+def _gallop(env: np.ndarray, rows: np.ndarray, guess: np.ndarray, up: np.ndarray,
+            threshold: float) -> np.ndarray:
+    """The suffix starts of ``rows`` whose guessed columns miss them, on
+    ``env`` (the grid and a last column of +inf): from its guess, a row
+    steps up if the guess fails the test (``up``) and down if it passes, by
+    1, 2, 4, ... columns, all probed at once.  The first probe whose test
+    flips brackets the start with the probe before it (or the guess), and
+    the brackets are bisected together.  A row whose start is s columns
+    off its guess takes a bracket of fewer than s columns, where bisecting
+    every row over all its later columns takes log2(len(env)) passes."""
+    n, r = len(env) - 1, env[rows]
+    steps = 1 << np.arange(n.bit_length() + 1)  # the last one reaches past either end
+    # probes are clipped to the row, where the test fails, and to column n,
+    # whose +inf passes it
+    probe = np.maximum(np.minimum(np.where(up[:, None], guess[:, None] + steps,
+                                           guess[:, None] - steps), n), rows[:, None])
+    ok = env[probe] - r[:, None] >= threshold
+    at = np.argmax(ok == up[:, None], axis=1)
+    each = np.arange(len(rows))
+    flip, before = probe[each, at], np.where(at > 0, probe[each, at - 1], guess)
+    lo, hi = np.where(up, before, flip) + 1, np.where(up, flip, before)
+    for _ in range(int((hi - lo).max()).bit_length()):
+        mid = (lo + hi) // 2
+        ok = env[mid] - r >= threshold
+        live = lo < hi
+        lo, hi = np.where(live & ~ok, mid + 1, lo), np.where(live & ok, mid, hi)
+    return lo
 
 
 def bohl_exponents(system, rate: rates.GrowthRate, params: Params = DEFAULT,

@@ -701,6 +701,33 @@ def test_format_belongs_to_spectrum(capsys):
         assert ("--format" in capsys.readouterr().out) is listed
 
 
+
+# one failing input in each evaluation path; the error names its input as
+# the path always has: Python floats, Python ints, a Python float, np.float64
+@pytest.mark.parametrize("argv, golden", [
+    (["spectrum", "--system", json.dumps(
+        {"time_domain": "discrete", "dimension": 1, "structure": "scalar",
+         "coefficients": {"diagonal": ["1/(k-7)"]}}), "--rate", "exp"],
+     "error_discrete_scalar_pole.txt"),
+    (["spectrum", "--system", json.dumps(
+        {"time_domain": "discrete", "dimension": 2, "structure": "full",
+         "coefficients": {"entries": [["2", "1/(k-7)"], ["0", "1"]]}}), "--rate", "exp"],
+     "error_discrete_full_pole.txt"),
+    (["compare", "--relation", "faster",
+      "--a", '{"kind":"expression","log_rate":"sgn(k)*log(1+abs(k))/(k-7)"}',
+      "--b", "exp", "--time-domain", "discrete"], "error_expression_rate_pole.txt"),
+    (["spectrum", "--system", json.dumps(
+        {"time_domain": "continuous", "dimension": 1, "structure": "scalar",
+         "coefficients": {"diagonal": ["1/(t-3.5)"]}}), "--rate", "exp"],
+     "error_continuous_scalar_pole.txt"),
+])
+def test_errors_match_the_recorded_stderr(capsys, argv, golden):
+    """An evaluation error exits 1 with the recorded line on stderr and
+    nothing on stdout."""
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == (DATA / golden).read_text(encoding="utf-8")
+
 if __name__ == "__main__":
     import tempfile
 

@@ -1240,3 +1240,46 @@ def test_from_matrix_keeps_the_log_of_a_norm_beyond_double_range():
     got = evolution.ScaledMatrix.from_matrix(np.array([[top, top], [0.0, 0.0]]))
     assert np.max(np.abs(got.unit - [[math.sqrt(0.5)] * 2, [0.0] * 2])) <= _NORM_ULPS * _EPS
     assert got.log_norm == pytest.approx(math.log(top) + 0.5 * math.log(2.0), rel=1e-15)
+
+
+def test_grids_hand_the_evaluator_arrays(monkeypatch):
+    """Discrete diagonal grids, full discrete step matrices and
+    expression-rate grids evaluate arrays of their times: no Python list of
+    the times is built unless the evaluation fails, and then only the walk
+    that names the error hands the evaluator one-element Python lists."""
+    seen = []
+    columns = exprparse._columns
+
+    def recorded(exprs, env, walker):
+        seen.append({name: type(values) for name, values in env.items()})
+        return columns(exprs, env, walker)
+
+    monkeypatch.setattr(exprparse, "_columns", recorded)
+    # a fresh system or rate object each time misses the grid caches
+    success = [
+        lambda: evolution.component_log_grid(
+            evolution.diagonal_system(DISCRETE, ["exp(-k^2/1000)", "2+sgn(k)"]), 50),
+        lambda: evolution.scaled_grids(
+            evolution.full_system(DISCRETE, [["2", "1/(k-700)"], ["0", "1+abs(k)"]]), 20),
+        lambda: rates.log_rate_values(rates.ExpressionRate("sgn(k)*log(1+abs(k))", DISCRETE),
+                                      rates.sample_times(DISCRETE, 50)),
+    ]
+    for call in success:
+        seen.clear()
+        call()
+        assert seen and all(set(types.values()) == {np.ndarray} for types in seen)
+    failing = [
+        (lambda: evolution.component_log_grid(
+            evolution.diagonal_system(DISCRETE, ["1/(k-7)"]), 20), "{'t': 7.0, 'k': 7.0}"),
+        (lambda: evolution.scaled_grids(
+            evolution.full_system(DISCRETE, [["2", "1/(k-7)"], ["0", "1"]]), 20),
+         "{'t': 7, 'k': 7}"),
+        (lambda: rates.log_rate_values(rates.ExpressionRate("1/(k-7)", DISCRETE),
+                                       rates.sample_times(DISCRETE, 20)), "7.0"),
+    ]
+    for call, value in failing:
+        seen.clear()
+        with pytest.raises(exprparse.DomainError) as info:
+            call()
+        assert str(info.value).endswith(f"at input {value}")
+        assert set(seen[0].values()) == {np.ndarray} and set(seen[-1].values()) == {list}

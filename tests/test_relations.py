@@ -206,6 +206,47 @@ def test_affine_prefilter_does_not_depend_on_the_slope_order(domain, a, b, short
         assert relations._affine_prefilter(x, y, params) == expected
 
 
+_SCHEDULES = {DISCRETE: (10, 20, 40, 80, 160), CONTINUOUS: (2, 4, 8, 16)}
+
+
+@given(st.sampled_from([DISCRETE, CONTINUOUS]), _POWER_EXP, _POWER_EXP,
+       st.sampled_from(relations.OUTER_EXPONENTS), st.sampled_from(["faster", "slower"]),
+       st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_bounded_outcome_reads_holds_from_the_last_two_windows(domain, a, b, outer, direction,
+                                                               data):
+    """The bounded almost-check scans the last two windows first: its
+    outcome and supremum are those of scanning every window, a "holds"
+    scans exactly those two windows, and any other outcome scans every
+    window once, with the pairs of every window."""
+    inner = data.draw(st.sampled_from(relations.INNER_LARGE if direction == "faster"
+                                      else relations.INNER_SMALL))
+    coef_mu, coef_omega = (-inner, -outer) if direction == "faster" else (-outer, -inner)
+    windows = data.draw(st.lists(st.sampled_from(_SCHEDULES[domain]), min_size=1, max_size=4,
+                                 unique=True))
+    params = Params(schedule=tuple(sorted(windows)))
+    mu, omega = rates.PowerExp(*a, domain), rates.PowerExp(*b, domain)
+    sups, pairs = [], []
+    for ts, r_mu, r_om in relations._window_grids(mu, omega, params):
+        value, i, j = relations._max_rise(coef_omega * r_om - coef_mu * r_mu)
+        sups.append(value)
+        pairs.append({"n": float(ts[i]), "k": float(ts[j]), "value": value})
+    want = relations._sequence_outcome(sups, params.tol_stab)
+    scans = []
+    max_rise = relations._max_rise
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relations, "_max_rise", lambda u: scans.append(len(u)) or max_rise(u))
+        outcome, sup, got_pairs = relations._bounded_outcome(mu, omega, coef_mu, coef_omega,
+                                                             params)
+    assert outcome == want and repr(sup) == repr(sups[-1])
+    if outcome == HOLDS:
+        assert len(scans) == 2 and got_pairs == pairs[-2:]
+    else:
+        assert sorted(scans) == sorted(len(ts) for ts, _, _ in
+                                       relations._window_grids(mu, omega, params))
+        assert got_pairs == pairs
+
+
 def test_forward_backward_formulations_agree():
     for a, b in itertools.permutations(CATALOG.values(), 2):
         fwd = relations.check_faster(a, b, formulation="forward")

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from muspec import catalog, evolution, rates, relations, spectrum, theorems
 from muspec.params import CONTINUOUS, DISCRETE, Params
@@ -721,6 +721,55 @@ def test_block_scan_keeps_the_callers_error_state(monkeypatch):
         seen = [np.geterr() for _, _, _, q in blocks if np.isinf(q).any()]
         assert len(seen) == 5 and all(state == caller for state in seen)
         assert np.geterr() == caller
+
+
+def _bisected_starts(r, threshold):
+    """The suffix starts by bisecting every row over all its later columns."""
+    n = len(r)
+    env = np.concatenate((r, [INF]))
+    lo, hi = np.arange(1, n + 1), np.full(n, n)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        ok = env[mid] - r >= threshold
+        live = lo < hi
+        lo, hi = np.where(live & ~ok, mid + 1, lo), np.where(live & ok, mid, hi)
+    return lo
+
+
+@st.composite
+def _start_inputs(draw):
+    """(r, threshold): a non-decreasing grid of plateaus up to 60 samples
+    long, at magnitudes up to DBL_MAX / 2, and a threshold at a cutoff of
+    its range, at a pair's distance (a tie), at the least positive double,
+    or at -r[i] of a row, whose key r[i] + threshold is then near 0."""
+    runs = draw(st.lists(st.tuples(st.sampled_from([0.1, 0.3, 1.0, 1.7, 2.0 ** -40, 1e-300]),
+                                   st.integers(1, 60)), min_size=1, max_size=10))
+    steps = np.concatenate([[step] + [0.0] * (length - 1) for step, length in runs])
+    r = draw(st.sampled_from([0.0, -3.0, 0.1, -1e5])) + np.concatenate([[0.0], np.cumsum(steps)])
+    scale = draw(st.sampled_from(["one", "large", "top"]))
+    if scale != "one":  # positive scalings keep r non-decreasing
+        r = r / np.abs(r).max() * (2.0 ** 1000 if scale == "large" else rates.MAX_LOG_RATE)
+    a, b = sorted(draw(st.lists(st.integers(0, len(r) - 1), min_size=2, max_size=2,
+                                unique=True)))
+    threshold = draw(st.sampled_from([
+        draw(st.sampled_from([0.25, 0.5, 0.75, 1e-9])) * (r[-1] - r[0]),
+        r[b] - r[a], math.ulp(0.0), -r[a], np.nextafter(-r[a], INF), np.nextafter(-r[a], -INF)]))
+    assume(threshold > 0)
+    return r, spectrum.admission_threshold(float(threshold))
+
+
+@given(_start_inputs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+# the key of row 0 rounds to the plateau at -2.7, where fl(-2.7 - -3.0) <
+# 0.3: the start is past the plateau, six columns after the guess
+@example((np.array([-3.0] + [-2.7] * 6 + [2.3]), 0.3))
+def test_suffix_starts_are_those_of_bisecting_every_row(inputs):
+    """Rows whose guessed start misses search outward from the guess, and
+    every start is bitwise the one bisecting every row over all its later
+    columns finds."""
+    r, threshold = inputs
+    got, want = spectrum._suffix_starts(r, threshold), _bisected_starts(r, threshold)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _clear_scan_caches():
