@@ -382,15 +382,10 @@ def _diag_step_logs(system: LinearSystem, ks) -> tuple[np.ndarray, np.ndarray]:
     components), unchecked: one array evaluation in log space or one table
     gather (a quotient source has no coefficients: ``_segment_logs``).
 
-    ks is an integer array, evaluated as one float array, or the
-    one-element Python list of ``_checked_in_order``'s error walk, evaluated
-    as a list of Python floats, so a DomainError names its input as
-    ``{'t': 7.0, 'k': 7.0}``."""
+    ks is an integer array, evaluated as one float array."""
     src = system.source
     if isinstance(src, ExprSource) and src.diag is not None:
         kf = np.asarray(ks, dtype=float)
-        if isinstance(ks, list):
-            kf = kf.tolist()
         la, sg = exprparse.evaluate_log_abs_array(src.diag, {"t": kf, "k": kf})
         return la, sg.astype(float)
     if isinstance(src, TableSource):
@@ -404,14 +399,13 @@ def _checked_in_order(evaluate, check, ks: np.ndarray):
     """``check(evaluate(ks), ks)`` for an integer array ks, raising what
     evaluating and checking the times one at a time, in the order of ks,
     raises first: when ``evaluate`` fails, a time failing ``check`` before
-    the failing time is reported.  Only this error walk builds Python
-    scalars: it hands ``evaluate`` and ``check`` one-element lists of
-    Python ints, so the error it raises names a Python number."""
+    the failing time is reported.  The walk hands ``evaluate`` and
+    ``check`` one-element slices of ks."""
     try:
         values = evaluate(ks)
     except (ValueError, ArithmeticError):
-        for k in ks.tolist():
-            check(evaluate([k]), [k])
+        for m in range(len(ks)):
+            check(evaluate(ks[m:m + 1]), ks[m:m + 1])
         raise
     check(values, ks)
     return values
@@ -507,8 +501,7 @@ def _segment_logs(system: LinearSystem, lo: np.ndarray,
     steps from the integer times lo (``_diag_step_logs``), evaluated on the
     array of those times and checked nonsingular, raising what checking
     them one at a time in the order of lo raises first
-    (``_checked_in_order``, whose walk alone builds Python scalars); in
-    continuous time the coefficient integrals
+    (``_checked_in_order``); in continuous time the coefficient integrals
     (``_lobatto_integrals``), a run of equal-length segments at a time,
     with sign +1."""
     if isinstance(system.source, RateQuotientSource):
@@ -818,9 +811,8 @@ def _check_walk_finite(walked: np.ndarray, reached: np.ndarray):
 
 def _step_matrices(system: LinearSystem, ks: np.ndarray) -> np.ndarray:
     """Discrete coefficient matrices at the integer array ks, stacked and
-    checked invertible, with the first error in the order of ks; the error
-    walk of ``_checked_in_order`` evaluates Python ints, so a DomainError
-    names its input as ``{'t': 7, 'k': 7}``."""
+    checked invertible, with the first error in the order of ks
+    (``_checked_in_order``)."""
     return _checked_in_order(lambda times: _coefficient_stack(system, times),
                              _check_invertible, ks)
 

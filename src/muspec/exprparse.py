@@ -365,8 +365,9 @@ class _Failures:
 def _columns(exprs, env, walker) -> list:
     """``walker(e, arrays, failures, size)`` for every expression over the
     points of ``env`` (one point if it binds no variable).  The error of the
-    earliest failed point takes its input from ``env`` as given: the value
-    itself for one variable, else (and always when unbound) a dict."""
+    earliest failed point names its input as Python floats, whatever
+    ``env`` holds: the value itself for one variable, else (and always when
+    unbound) a dict, such as ``{'t': 3.5, 'k': 3.5}``."""
     arrays = {name: np.asarray(values, dtype=float) for name, values in env.items()}
     failures = _Failures(len(next(iter(arrays.values()))) if arrays else 1)
     with np.errstate(all="ignore"):
@@ -374,7 +375,7 @@ def _columns(exprs, env, walker) -> list:
     if failures.first is not None:
         m = int(np.argmax(failures.first > 0))
         message, node = failures.kinds[failures.first[m] - 1]
-        point = {name: values[m] for name, values in env.items()}
+        point = {name: float(values[m]) for name, values in arrays.items()}
         one = len(point) == 1 and not isinstance(node, Var)
         raise DomainError(message, pretty(node), next(iter(point.values())) if one else point)
     return columns

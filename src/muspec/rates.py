@@ -118,8 +118,7 @@ def log_rate_values(rate: GrowthRate, ts) -> np.ndarray:
     """log mu at every time of ``ts``: the one formula per family.  mu(0) = 1
     forces log 0 at t = 0; an overflow is an inf, for the callers' finite
     checks.  An expression rate is evaluated on the float array of the
-    times; only when that raises are they evaluated again as Python floats,
-    so that the DomainError names its input as a Python float (``7.0``)."""
+    times."""
     ts = _require_time(rate, ts)
     if isinstance(rate, PowerExp):
         with np.errstate(over="ignore"):
@@ -134,11 +133,7 @@ def log_rate_values(rate: GrowthRate, ts) -> np.ndarray:
     if isinstance(rate, ExpressionRate):
         ast = _rate_ast(rate.log_rate)
         names = exprparse.variables_of(ast) or ("t",)
-        try:
-            return exprparse.evaluate_array([ast], dict.fromkeys(names, ts))[:, 0]
-        except exprparse.DomainError:
-            exprparse.evaluate_array([ast], dict.fromkeys(names, ts.tolist()))
-            raise
+        return exprparse.evaluate_array([ast], dict.fromkeys(names, ts))[:, 0]
     if isinstance(rate, Glued):
         return _glued(rate, ts)
     raise TypeError(f"not a growth rate: {rate!r}")

@@ -45,7 +45,7 @@ import numpy as np
 from . import exprparse, rates
 from ._record import field, record
 from .params import DEFAULT, DISCRETE, SAMPLES_PER_UNIT, Params
-from .spectrum import _window_slice, admission_threshold, pair_ratio_blocks
+from .spectrum import _mirrored, _window_slice, admission_threshold, pair_ratio_blocks
 
 
 EPS_GRID = (1.0, 0.5, 0.25, 0.1, 0.05)
@@ -306,15 +306,21 @@ def _ratio_necessity(mu, omega, params: Params) -> tuple[str, tuple, tuple]:
     Both almost-comparisons of (mu, omega) ask for it, so it is computed
     once per ordered pair: the per-window suprema, and the argmax pairs as
     tuples of (key, value) items, immutable so that no two verdicts share a
-    witness.
+    witness.  Whether the scans may stop at the half triangle
+    (``spectrum._mirrored``) is decided once, on the schedule's largest
+    grids: every window's grids are central slices of those.
     """
+    grids = list(_window_grids(mu, omega, params))
+    _, r_mu, r_om = max(grids, key=lambda grid: len(grid[0]))
+    mirrored = _mirrored(r_mu, r_om[None], -r_om[None])
+
     def scan(r_mu, r_om):
         l_max = r_mu[-1] - r_mu[0]
         if l_max <= 0:
             raise RelationError("mu is flat on the window; no admissible pairs")
-        return [_ratio_argmax(r_mu, r_om, params.cutoff_fraction * l_max)]
+        return [_ratio_argmax(r_mu, r_om, params.cutoff_fraction * l_max, mirrored)]
 
-    (sups, argmax_pairs), = _window_sups(_window_grids(mu, omega, params), scan)
+    (sups, argmax_pairs), = _window_sups(grids, scan)
     pairs = tuple(tuple(p.items()) for p in argmax_pairs)
     if _sequence_outcome(sups, params.tol_stab) == FAILS:
         return FAILS, tuple(sups), pairs
@@ -338,7 +344,8 @@ _ROW_SCAN_PAIRS = 1 << 19
 _ROW_SCAN_SHARE = 0.5
 
 
-def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple[float, int, int]:
+def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float,
+                  mirrored: bool | None = None) -> tuple[float, int, int]:
     """Largest (r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i]) over the pairs
     i < j whose mu-distance reaches the threshold, with its pair: the first
     maximum in row-major pair order, as ``np.argmax`` over all pairs at
@@ -349,25 +356,38 @@ def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple
     hold the maximum; where that cannot pay, ``_row_argmax`` scans every
     admissible pair.  Either returns the pair alone, since equal ratios
     compare equal whatever the sign of a zero, and the value is the
-    pair's plain ratio, formed here once."""
+    pair's plain ratio, formed here once.
+
+    Where both grids are odd under time reversal, r[::-1] == -r
+    (``spectrum._mirrored`` of r_mu with the series r_om; None decides it
+    from the grids), either scan stops at the half triangle i + j <= n -
+    1, the pairs with i + j below the cut n: each pair past it has its twin
+    (n - 1 - j, n - 1 - i) of the same ratio in an earlier row, so the
+    first maximum lies in the half (see ``spectrum.pair_ratio_blocks``).
+    Otherwise the cut, 2n, passes every pair."""
     threshold = admission_threshold(threshold)
     n = len(r_mu)
-    found = _tile_argmax(r_mu, r_om, threshold) if n * (n - 1) // 2 > _ROW_SCAN_PAIRS else None
-    i, j = found if found is not None else _row_argmax(r_mu, r_om, threshold)
+    if mirrored is None:
+        mirrored = _mirrored(r_mu, r_om[None], -r_om[None])
+    cut = n if mirrored else 2 * n
+    found = (_tile_argmax(r_mu, r_om, threshold, cut) if n * (n - 1) // 2 > _ROW_SCAN_PAIRS
+             else None)
+    i, j = found if found is not None else _row_argmax(r_mu, r_om, threshold, cut)
     with np.errstate(over="ignore"):
         return float((r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i])), i, j
 
 
-def _row_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple[int, int]:
-    """The pair of ``_ratio_argmax`` over every admissible pair, one row
-    block of ``pair_ratio_blocks`` at a time.  A block's ratios are NaN off
-    the admissible set, and none on it is NaN (the grids are bounded
-    log-rate grids), so ``np.fmax`` gives the block's maximum, and the
-    first cell equal to it is the first maximum in pair order: the
+def _row_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float,
+                cut: int) -> tuple[int, int]:
+    """The pair of ``_ratio_argmax`` over every admissible pair with i + j
+    < cut, one row block of ``pair_ratio_blocks`` at a time.  A block's
+    ratios are NaN off the admissible set, and none on it is NaN (the grids
+    are bounded log-rate grids), so ``np.fmax`` gives the block's maximum,
+    and the first cell equal to it is the first maximum in pair order: the
     row-major order of the rectangle keeps the pairs in order, and NaN
     equals nothing."""
     best = None
-    _, blocks = pair_ratio_blocks(r_mu, r_om[None], -r_om[None], threshold)
+    _, blocks = pair_ratio_blocks(r_mu, r_om[None], -r_om[None], threshold, cut)
     for i0, j0, _, q in blocks:
         ratios = q[0]
         top = np.fmax.reduce(ratios, axis=None)
@@ -379,11 +399,15 @@ def _row_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float) -> tuple[i
     return best[1:]
 
 
-def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray,
-                 threshold: float) -> tuple[int, int] | None:
+def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float,
+                 cut: int) -> tuple[int, int] | None:
     """The pair of ``_ratio_argmax`` by branch and bound over the tiles of
     the pair triangle (Land and Doig), or None where the coarse tiles show
-    that pruning cannot pay.
+    that pruning cannot pay.  A tile pair (I, J) of tiles ``width``
+    samples wide is kept only if its least i + j, (I + J) * width, is
+    below the cut: on the half triangle of a mirrored grid, (I + J) *
+    width <= n - 1.  A kept tile pair's cells past the cut are twins of
+    cells in earlier rows, whose tile pairs pass the cut.
 
     The floor is the largest ratio of the real admissible pairs seen so
     far: one sample pair per tile pair (the first row of the row tile and
@@ -402,7 +426,7 @@ def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray,
     coarse = _tile_extremes(stats, group) if group > 1 else stats
     span = np.arange(len(coarse[0]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows, cols = _live_tiles(coarse, span, span, threshold)
+        rows, cols = _live_tiles(coarse, span, span, threshold, group * width, cut)
         bound, floor = _tile_bounds(coarse, r_mu, r_om, rows, cols, group * width,
                                     threshold, -np.inf)
         keep = bound >= floor
@@ -411,7 +435,7 @@ def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray,
         rows, cols, bound = rows[keep], cols[keep], bound[keep]
         if group > 1:
             rows, cols, bound, floor = _fine_tiles(stats, r_mu, r_om, rows, cols, group,
-                                                   threshold, floor)
+                                                   threshold, floor, cut)
         # grids padded to whole fine tiles: a NaN log-rate admits no pair
         pad = fine * width - n
         mu = np.concatenate([r_mu, np.full(pad, np.nan)])
@@ -432,10 +456,11 @@ def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray,
         return best[1:]
 
 
-def _fine_tiles(stats, r_mu, r_om, rows, cols, group: int, threshold: float, floor: float):
+def _fine_tiles(stats, r_mu, r_om, rows, cols, group: int, threshold: float, floor: float,
+                cut: int):
     """The fine tile pairs within the coarse tile pairs (rows[k], cols[k])
-    that survive their bounds: their row and column tiles and bounds, and
-    the floor their samples raise."""
+    that survive their bounds and the cut: their row and column tiles and
+    bounds, and the floor their samples raise."""
     sub = np.arange(group)
     # the last coarse tiles may hold fewer fine tiles: the extremes are padded
     # with empty tiles up to whole coarse tiles, and no pair of those is live
@@ -447,7 +472,7 @@ def _fine_tiles(stats, r_mu, r_om, rows, cols, group: int, threshold: float, flo
     for s in range(0, len(rows), step):
         fine_rows = rows[s:s + step, None] * group + sub
         fine_cols = cols[s:s + step, None] * group + sub
-        k, a, b = _live_tiles(stats, fine_rows, fine_cols, threshold)
+        k, a, b = _live_tiles(stats, fine_rows, fine_cols, threshold, _PAIR_TILE, cut)
         fine_rows, fine_cols = fine_rows[k, a], fine_cols[k, b]
         bound, floor = _tile_bounds(stats, r_mu, r_om, fine_rows, fine_cols, _PAIR_TILE,
                                     threshold, floor)
@@ -467,15 +492,17 @@ def _tile_extremes(stats, width: int) -> tuple:
             np.minimum.reduceat(om_lo, starts), np.maximum.reduceat(om_hi, starts))
 
 
-def _live_tiles(stats, rows: np.ndarray, cols: np.ndarray, threshold: float):
+def _live_tiles(stats, rows: np.ndarray, cols: np.ndarray, threshold: float, width: int,
+                cut: int):
     """Which tile pairs (rows[..., :, None], cols[..., None, :]) of tiles
-    with extremes ``stats`` can hold an admissible pair, as the indices
-    ``np.nonzero`` gives: max r_mu over the column tile minus min r_mu
-    over the row tile reaches the threshold.  r_mu is non-decreasing, so
-    no column tile before the row tile does."""
+    ``width`` samples wide with extremes ``stats`` can hold an admissible
+    pair with i + j < cut, as the indices ``np.nonzero`` gives: max r_mu
+    over the column tile minus min r_mu over the row tile reaches the
+    threshold, and the tile pair's least i + j is below the cut.  r_mu is
+    non-decreasing, so no column tile before the row tile is live."""
     rows, cols = rows[..., :, None], cols[..., None, :]
     lo, hi = stats[:2]
-    return np.nonzero(hi[cols] - lo[rows] >= threshold)
+    return np.nonzero((hi[cols] - lo[rows] >= threshold) & ((rows + cols) * width < cut))
 
 
 def _tile_bounds(stats, r_mu, r_om, rows, cols, width: int, threshold: float, floor: float):

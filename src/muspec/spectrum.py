@@ -25,11 +25,23 @@ guarded against overflow every admissible ratio is exactly c in IEEE
 arithmetic (see ``_unit_slopes``).  A scan whose series all qualify
 returns c without forming a pair; every scan counts its admissible pairs
 from per-row suffix starts (``_suffix_starts``), computed once per rate
-grid slice and cutoff and shared (``_shared_starts``).  In fresh-process
-captures of every scan, 12 of the 16 scans of the scalar_disc_wide
-benchmark workload qualify and 44 of the 149 of the harness workload; none
-of scalar_cont_wide or full_matrix do (Gauss-Lobatto and Magnus grids are
-not exact multiples).
+grid slice and cutoff and shared (``_shared_starts``).
+
+Every catalog rate is odd, log mu(-t) = -log mu(t), and so are the
+log-propagator grids of many discrete systems, bit for bit (the diagonal
+exp(s * |2k + 1|) among them): then the pair (n-1-j, n-1-i) has the ratio
+of (i, j), and a scan whose inputs are mirrored (``_mirrored``) forms
+only the half triangle i + j <= n - 1 (see ``pair_ratio_blocks``).  In
+fresh-process captures of every scan:
+
+* scalar_disc_wide: 12 of the 16 spectrum scans take the closed form; the
+  other 4 (the seeded diagonal, K = 3, 401 to 3201 samples) are mirrored,
+  and so are all 12 ratio-necessity scans of its chain;
+* harness: 44 of the 149 spectrum scans take the closed form; 52 of the
+  other 105 are mirrored (85% of their n^2 K weight), and so are all 32
+  ratio-necessity scans;
+* scalar_cont_wide and full_matrix: no scan takes either (Gauss-Lobatto
+  and Magnus grids are neither exact multiples nor bitwise mirrored).
 """
 
 from __future__ import annotations
@@ -145,7 +157,7 @@ def admission_threshold(threshold: float) -> float:
 
 
 def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
-                      threshold: float) -> tuple[np.ndarray, Iterator]:
+                      threshold: float, cut: int | None = None) -> tuple[np.ndarray, Iterator]:
     """(starts, blocks) of the ratios (heads[k, j] + tails[k, i]) /
     (r[j] - r[i]) of K series (``heads`` and ``tails`` of shape (K,
     len(r))) over the admissible pairs i < j, those with r[j] - r[i] >=
@@ -197,10 +209,33 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     magnitude; the NaNs of q where L is not NaN are exactly those ratios.
     Row-major order over the blocks' admissible cells is the order of
     ``np.triu_indices``.
+
+    ``cut`` limits the scan to the pairs with i + j < cut, and None scans
+    them all.  A caller passes cut = n = len(r), the half triangle i + j <=
+    n - 1, only for mirrored inputs (``_mirrored``): r[::-1] == -r and
+    heads[:, ::-1] == tails, as values.  Then every statistic the callers
+    read is bitwise that of the full scan.  The reflection (i, j) -> (n - 1
+    - j, n - 1 - i) maps the pairs i < j onto themselves.  The twin's
+    log-quotient r[n-1-i] - r[n-1-j] is -r[i] + r[j], and its numerator
+    heads[k, n-1-i] + tails[k, n-1-j] is tails[k, i] + heads[k, j]:
+    negation is exact, and values that compare equal differ at most in the
+    sign of a zero, so the twin rounds the same two operands and its L and
+    numerator are the pair's floats up to the sign of a zero, which no
+    caller reads.  Admission reads L alone, so a pair and its twin are
+    admissible together.  A pair with i + j > n - 1 has its twin in the
+    half, in the earlier row n - 1 - j < i: the half forms every value of
+    the full scan, and the first maximum in row-major order lies in it.  A
+    block starting at row i0 spans the columns from starts[i0] up to n -
+    i0, the end of that row's half; its later rows may hold cells past the
+    cut, each the twin of a cell in an earlier row of the same rectangle,
+    which leave every extreme and the first maximum as they are.  The scan
+    stops at the first row with starts[i0] >= n - i0, as the starts do not
+    decrease.  ``starts`` are those of every row either way.
     """
     threshold = admission_threshold(threshold)
     starts = _shared_starts(np.ascontiguousarray(r, dtype=float).tobytes(), threshold)
-    return starts, _ratio_blocks(r, heads, tails, threshold, starts)
+    return starts, _ratio_blocks(r, heads, tails, threshold, starts,
+                                 2 * len(r) if cut is None else cut)
 
 
 @lru_cache(maxsize=128)
@@ -217,8 +252,9 @@ def _shared_starts(grid: bytes, threshold: float) -> np.ndarray:
 
 
 def _ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, threshold: float,
-                  starts: np.ndarray) -> Iterator:
-    """The blocks of ``pair_ratio_blocks``, from its rows' suffix starts."""
+                  starts: np.ndarray, cut: int) -> Iterator:
+    """The blocks of ``pair_ratio_blocks``, from its rows' suffix starts, over
+    the pairs with i + j < cut: at least 2 * len(r) for every pair."""
     n = len(r)
     # rows x, 1, y of layer 0 form the log-quotients, those of layer 1 + k
     # the numerators of series k: rows 0-1, transposed, are the row factors
@@ -235,12 +271,15 @@ def _ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, threshold
     quiet = contextvars.copy_context()
     quiet.run(np.seterr, invalid="ignore", over="ignore")
     i0 = 0
-    while i0 < n - 1 and starts[i0] < n:
-        j0 = int(starts[i0])
-        stop = min(i0 + max(1, _PAIR_BLOCK // (len(heads) * (n - j0))), n - 1)
-        L = row_factors[0, i0:stop] @ col_factors[0, :, j0:]
+    while i0 < n - 1:
+        j0, end = int(starts[i0]), min(n, cut - i0)
+        if j0 >= end:
+            break
+        stop = min(i0 + max(1, _PAIR_BLOCK // (len(heads) * (end - j0))), n - 1)
+        L = row_factors[0, i0:stop] @ col_factors[0, :, j0:end]
         np.copyto(L, np.nan, where=L < threshold)
-        yield i0, j0, L, quiet.run(_ratios, row_factors[1:, i0:stop], col_factors[1:, :, j0:], L)
+        yield i0, j0, L, quiet.run(_ratios, row_factors[1:, i0:stop],
+                                   col_factors[1:, :, j0:end], L)
         i0 = stop
 
 
@@ -267,24 +306,30 @@ def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutof
     NaN for both.
 
     ``facts`` is ``_scan_facts`` of a grid that r, heads and tails are a
-    slice of, or None for the slice's own.  When every series is 0, 1 or
-    -1 times the rate (see ``_unit_slopes``), every admissible ratio is
-    that multiple exactly, so no block is formed: the extremes are the
-    multiples.  A grid's facts hold for each of its slices: a slice of
-    c * r is c * r, and where a series is c * r on the slice only, every
-    ratio the scan forms there is c, by ``_unit_slopes``' own proof, so
-    the scan returns what the closed form would.  Otherwise each block
-    reduces with fmax and fmin, which skip the NaNs off the admissible
-    set, and, where the values are not bounded, also marks the series with
-    a NaN ratio where its log-quotient is not NaN."""
+    central window slice of (``_window_slice``), or None for the slice's
+    own.  When every series is 0, 1 or -1 times the rate (see
+    ``_unit_slopes``), every admissible ratio is that multiple exactly, so
+    no block is formed: the extremes are the multiples.  A grid's facts
+    hold for each such slice: a slice of c * r is c * r, and where a
+    series is c * r on the slice only, every ratio the scan forms there is
+    c, by ``_unit_slopes``' own proof, so the scan returns what the closed
+    form would; a central slice of a mirrored grid is mirrored
+    (``_mirrored``).  Otherwise each block reduces with fmax and fmin,
+    which skip the NaNs off the admissible set, and, where the values are
+    not bounded, also marks the series with a NaN ratio where its
+    log-quotient is not NaN.  A mirrored grid scans the half triangle only
+    (see ``pair_ratio_blocks``): a pair outside it has a twin inside of
+    the same ratio, NaN or not, up to the sign of a zero, which the + 0.0
+    drops."""
     l_max = r[-1] - r[0]
     if l_max <= 0:
         raise SpectrumError("growth rate is flat on the window; no admissible pairs")
-    starts, blocks = pair_ratio_blocks(r, heads, tails, cutoff * l_max)
+    slopes, bounded, mirrored = facts if facts is not None else _scan_facts(r, heads, tails)
+    starts, blocks = pair_ratio_blocks(r, heads, tails, cutoff * l_max,
+                                       len(r) if mirrored else None)
     count = int((len(r) - starts).sum())
     if not count:
         raise SpectrumError("no admissible pairs after the log-quotient cutoff")
-    slopes, bounded = facts if facts is not None else _scan_facts(r, heads, tails)
     if slopes is not None:
         return slopes + 0.0, slopes + 0.0, count
     lo = np.full(len(heads), INF)
@@ -301,14 +346,27 @@ def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutof
 
 
 def _scan_facts(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> tuple:
-    """(``_unit_slopes``, bounded) of a grid, for ``_pair_ratio_stats``:
-    bounded when r, heads and tails are finite and at most DBL_MAX / 2 in
-    magnitude.  Then no admissible ratio is NaN: no log-quotient
-    r[j] - r[i] overflows, so an admissible one is finite and positive,
-    every numerator is finite, and a finite number over a finite positive
-    one is a number (+-inf where it overflows)."""
+    """(``_unit_slopes``, bounded, ``_mirrored``) of a grid, for
+    ``_pair_ratio_stats``: bounded when r, heads and tails are finite and
+    at most DBL_MAX / 2 in magnitude.  Then no admissible ratio is NaN: no
+    log-quotient r[j] - r[i] overflows, so an admissible one is finite and
+    positive, every numerator is finite, and a finite number over a finite
+    positive one is a number (+-inf where it overflows)."""
     bounded = all(np.abs(x).max() <= rates.MAX_LOG_RATE for x in (r, heads, tails))  # NaN fails
-    return _unit_slopes(r, heads, tails), bounded
+    return _unit_slopes(r, heads, tails), bounded, _mirrored(r, heads, tails)
+
+
+def _mirrored(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> bool:
+    """Whether the pair scan may stop at the half triangle (see
+    ``pair_ratio_blocks``): r[::-1] == -r and heads[:, ::-1] == tails, as
+    values, so a NaN anywhere fails, on a grid of odd length.  An odd
+    length keeps the fact for every central window slice
+    (``_window_slice``), so it is taken once per grid, like the slopes:
+    the slice about the middle sample of a mirrored grid is mirrored.  The
+    series are compared first: on the Gauss-Lobatto grids r is mirrored
+    and the series are not."""
+    return (len(r) % 2 == 1 and np.array_equal(heads[:, ::-1], tails)
+            and np.array_equal(r[::-1], -r))
 
 
 def _unit_slopes(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndarray | None:
@@ -600,10 +658,10 @@ def _estimates(system, rate, params: Params, components) -> list[BohlEstimate]:
     tabulated system's range ends, a coefficient leaves its domain): the
     estimate then keeps the windows it has.
 
-    Each grid's closed-form slopes and bound check (``_scan_facts``) are
-    taken once and shared by the scans of all its windows, which gives
-    every window bitwise the result of scanning its slice alone (see
-    ``_pair_ratio_stats``).  An estimate is finished once after the
+    Each grid's closed-form slopes, bound check and mirror check
+    (``_scan_facts``) are taken once and shared by the scans of all its
+    windows, which gives every window bitwise the result of scanning its
+    slice alone (see ``_pair_ratio_stats``).  An estimate is finished once after the
     schedule and once after each extension window it takes.
     """
     base = _base(system, rate)

@@ -600,6 +600,12 @@ _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--om
       "--time-domain", "continuous"], "faster_continuous_fails.json"),
     (["compare", "--relation", "weakly-faster", "--a", "p", "--b", "exp",
       "--time-domain", "discrete"], "weakly_faster_discrete_fails.json"),
+    # a rate odd under time reversal with one component that is not: the
+    # half-triangle scan is all or nothing, so the stack scans every pair
+    (["spectrum", "--system", json.dumps(
+        {"time_domain": "discrete", "dimension": 2, "structure": "diagonal",
+         "coefficients": {"diagonal": ["exp(0.25*abs(2*k+1)+0.1*k)", "exp((-0.7)*abs(2*k+1))"]}}),
+      "--rate", "q", "--schedule", "200,400,800,1600"], "spectrum_diag_disc_mixed_q.json"),
 ])
 def test_output_matches_the_recorded_reports(capsys, monkeypatch, tmp_path, argv, golden):
     """The reports are byte-identical to the recorded ones.  A change that
@@ -702,8 +708,8 @@ def test_format_belongs_to_spectrum(capsys):
 
 
 
-# one failing input in each evaluation path; the error names its input as
-# the path always has: Python floats, Python ints, a Python float, np.float64
+# one failing input in each evaluation path; every path names its input as
+# Python floats: a dict of them, or one for an expression rate of one variable
 @pytest.mark.parametrize("argv, golden", [
     (["spectrum", "--system", json.dumps(
         {"time_domain": "discrete", "dimension": 1, "structure": "scalar",

@@ -286,9 +286,10 @@ def _ref_evaluate_log_abs(expr, env):
 
 def _scalar_rows(exprs, xs):
     """Point-by-point reference for evaluate_array from the reference walker:
-    the rows, or the first DomainError raised."""
+    the rows, or the first DomainError raised, which names its point as a
+    Python float, as evaluate_array does."""
     rows = []
-    for x in xs:
+    for x in xs.tolist():
         try:
             rows.append([_ref_evaluate_env(e, {"t": x}) for e in exprs])
         except ep.DomainError as exc:

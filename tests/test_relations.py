@@ -130,15 +130,24 @@ def test_ratio_scan_forms_few_ratios_where_the_ratios_peak(monkeypatch):
     """The ratio-necessity scan forms the ratio of every cell of the tiles
     it scans, or of every rectangle cell of the row blocks it falls back
     to.  On discrete exp over p at window 1600, the tiles that can hold the
-    maximum hold under 10% of the admissible pairs; the constant ratio of
-    exp and power_exp(1, 3) leaves nothing to prune, so the row scan forms
-    them all."""
-    formed = []
+    maximum hold under 10% of the admissible pairs.  The constant ratio of
+    exp and power_exp(1, 3) leaves nothing to prune, so the row scan runs;
+    both grids are odd under time reversal, so its blocks hold exactly the
+    admissible pairs of the half triangle i + j <= n - 1 (and cells of
+    later rows past it): at most 55% of the admissible pairs' cells."""
+    formed, half_formed = [], []
     blocks, cells = relations.pair_ratio_blocks, relations._cells_max
 
-    def counting_blocks(*args):
-        starts, scan = blocks(*args)
-        return starts, (formed.append(block[3][0].size) or block for block in scan)
+    def counting_blocks(r, *args):
+        starts, scan = blocks(r, *args)
+
+        def counted(i0, j0, L, q):
+            formed.append(q[0].size)
+            i, j = np.nonzero(~np.isnan(L))
+            half_formed.append(int((i0 + i + j0 + j <= len(r) - 1).sum()))
+            return i0, j0, L, q
+
+        return starts, (counted(*block) for block in scan)
 
     def counting_cells(mu, om, rows, cols, threshold):
         formed.append(len(rows) * relations._PAIR_TILE ** 2)
@@ -147,16 +156,24 @@ def test_ratio_scan_forms_few_ratios_where_the_ratios_peak(monkeypatch):
     monkeypatch.setattr(relations, "pair_ratio_blocks", counting_blocks)
     monkeypatch.setattr(relations, "_cells_max", counting_cells)
 
-    def share(mu, omega):
+    def counts(mu, omega):
+        """(cells formed, admissible pairs, admissible pairs of the half)."""
         r_mu, r_om = rates.log_rate_grid(mu, 1600), rates.log_rate_grid(omega, 1600)
-        # spectrum's own scan counts the admissible pairs, unwatched
-        _, _, admissible = spectrum._pair_ratio_stats(r_mu, r_om[None], -r_om[None], 0.5)
+        threshold = 0.5 * (r_mu[-1] - r_mu[0])
+        starts = spectrum._suffix_starts(r_mu, spectrum.admission_threshold(threshold))
+        n, rows = len(r_mu), np.arange(len(r_mu))
+        half = int(np.maximum(n - rows - starts, 0).sum())
+        assert spectrum._mirrored(r_mu, r_om[None], -r_om[None])
         formed.clear()
-        relations._ratio_argmax(r_mu, r_om, 0.5 * (r_mu[-1] - r_mu[0]))
-        return sum(formed) / admissible
+        half_formed.clear()
+        relations._ratio_argmax(r_mu, r_om, threshold)
+        return sum(formed), int((n - starts).sum()), half
 
-    assert share(EXP, P) <= 0.1
-    assert share(EXP, rates.PowerExp(1.0, 3.0, DISCRETE)) >= 1.0
+    formed_cells, admissible, _ = counts(EXP, P)
+    assert formed_cells <= 0.1 * admissible
+    formed_cells, admissible, half = counts(EXP, rates.PowerExp(1.0, 3.0, DISCRETE))
+    assert sum(half_formed) == half
+    assert formed_cells <= 0.55 * admissible
 
 
 @pytest.mark.parametrize("window", [800, 1600])

@@ -603,19 +603,22 @@ def test_pair_scan_matches_all_pairs(inputs, block, tile):
     count = len(refs[0][2])
     blocks = spectrum.pair_ratio_blocks
 
-    def checked_blocks(r, heads, tails, *args):
+    def checked_blocks(r, heads, tails, threshold, cut=None):
         """The blocks, each checked against the plain rectangle: it starts
-        at its first row's suffix start, and its q is NaN exactly where the
-        pair is inadmissible or its ratio is NaN."""
-        starts, scan = blocks(r, heads, tails, *args)
+        at its first row's suffix start, ends at the cut on i + j, which
+        only a mirrored scan lowers below 2 * len(r) - 1, and its q is NaN
+        exactly where the pair is inadmissible or its ratio is NaN."""
+        starts, scan = blocks(r, heads, tails, threshold, cut)
         assert np.array_equal(
             starts, spectrum._suffix_starts(r, spectrum.admission_threshold(threshold)))
-        return starts, checked(r, heads, tails, starts, scan)
+        cut = 2 * len(r) if cut is None else cut
+        assert cut >= 2 * len(r) - 1 or cut == len(r) and spectrum._mirrored(r, heads, tails)
+        return starts, checked(r, heads, tails, starts, scan, cut)
 
-    def checked(r, heads, tails, starts, scan):
+    def checked(r, heads, tails, starts, scan, cut):
         for i0, j0, L, q in scan:
             assert j0 == starts[i0]
-            rows, cols = np.arange(i0, i0 + q.shape[1]), np.arange(j0, len(r))
+            rows, cols = np.arange(i0, i0 + q.shape[1]), np.arange(j0, min(len(r), cut - i0))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 plain = r[cols] - r[rows, None]
                 ratios = (heads[:, None, cols] + tails[:, rows, None]) / plain
@@ -800,8 +803,8 @@ def test_shared_starts_are_read_only_and_those_of_their_slice(monkeypatch):
     each slice and cutoff."""
     scans, blocks = [], spectrum.pair_ratio_blocks
 
-    def recorded(r, heads, tails, threshold):
-        starts, scan = blocks(r, heads, tails, threshold)
+    def recorded(r, heads, tails, threshold, cut):
+        starts, scan = blocks(r, heads, tails, threshold, cut)
         scans.append((r.copy(), threshold, starts))
         return starts, scan
 
@@ -839,3 +842,180 @@ def test_svd_calls_do_not_grow_with_the_window(monkeypatch):
         -400, np.random.default_rng(5).uniform(-1.0, 1.0, (800, 2, 2)) + 2.0 * np.eye(2))
     assert count(cont, q, None) == count(cont, q, (5, 10, 20)) == (0, 1)
     assert count(table, EXP, (50, 100, 200, 400)) == count(table, EXP, (25, 50)) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# The half-triangle scan of grids odd under time reversal
+
+
+_HALF = rates.MAX_LOG_RATE
+# series values: signed zeros, ties, the DBL_MAX / 2 edge, and the
+# infinities and NaN of a series that is not bounded
+_odd_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -2.7, 4.2, _HALF, -_HALF,
+                               np.nextafter(_HALF, 0.0), INF, -INF, math.nan])
+
+
+def _flip_zeros(x, flips):
+    """x with the sign of each zero at a True of ``flips`` flipped: equal as
+    values."""
+    return np.where((x == 0.0) & flips, -x, x)
+
+
+@st.composite
+def _mirrored_inputs(draw):
+    """(r, heads, tails, r_om, cutoff) with r[::-1] == -r, heads[:, ::-1] ==
+    tails and r_om[::-1] == -r_om as values, on a grid of odd length: r
+    non-decreasing, with plateaus (one through the middle sample, a zero of
+    either sign, where a first step of 0 puts it), at unit scale or with
+    max |r| = DBL_MAX / 2; each tail the reversed head with some zeros of
+    the other sign; r_om finite and at most DBL_MAX / 2 in magnitude, as a
+    log-rate grid is."""
+    m = draw(st.integers(1, 20))
+    half = np.cumsum(draw(st.lists(_steps, min_size=m, max_size=m)))
+    if draw(st.booleans()) and half[-1] > 0:
+        half = half / half[-1] * _HALF
+    middle = draw(st.sampled_from([0.0, -0.0]))
+    r = np.concatenate([-half[::-1], [middle], half])
+    n = len(r)
+    k = draw(st.integers(1, 3))
+    heads = np.array(draw(st.lists(st.lists(_odd_values, min_size=n, max_size=n),
+                                   min_size=k, max_size=k)))
+    flips = np.array(draw(st.lists(st.booleans(), min_size=k * n, max_size=k * n))).reshape(k, n)
+    tails = _flip_zeros(heads[:, ::-1], flips)
+    om_half = np.array(draw(st.lists(_odd_values.filter(math.isfinite), min_size=m, max_size=m)))
+    r_om = np.concatenate([-om_half[::-1], [draw(st.sampled_from([0.0, -0.0]))], om_half])
+    l_max = r[-1] - r[0]
+    a, b = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    tie = (r[b] - r[a]) / l_max if l_max > 0 else 0.5
+    return r, heads, tails, r_om, tie if draw(st.booleans()) else draw(_cutoffs)
+
+
+def _scanned(scan, *args):
+    """What ``scan(*args)`` returns, or the type of the error it raises."""
+    try:
+        return scan(*args)
+    except (spectrum.SpectrumError, relations.RelationError) as exc:
+        return type(exc)
+
+
+def _bitwise(x, y):
+    """Equal results: the same error type, or bitwise equal arrays and
+    equal counts and pairs."""
+    if isinstance(x, type) or isinstance(y, type) or x is None or y is None:
+        return x is y
+    return all(a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b
+               for a, b in zip(x, y))
+
+
+def _half_and_full(r, heads, tails, r_om, cutoff, block, tile):
+    """The scans of the half triangle and of every pair: the extremes and
+    count of ``_pair_ratio_stats`` (with facts that send every series to
+    the scan), the pair of the row scan, that of the tile scan, forced with
+    tiles ``tile`` samples wide, and the ratio and pair of
+    ``_ratio_argmax``."""
+    l_max = r[-1] - r[0]
+    threshold = spectrum.admission_threshold(cutoff * l_max) if l_max > 0 else 1.0
+    n = len(r)
+    _, bounded, _ = spectrum._scan_facts(r, heads, tails)
+    found = []
+    with mock.patch.object(spectrum, "_PAIR_BLOCK", block), _tiles(tile, block), \
+            np.errstate(over="ignore", invalid="ignore"):  # the scan's own overflow
+        for mirrored, cut in ((True, n), (False, 2 * n)):
+            found.append((
+                _scanned(spectrum._pair_ratio_stats, r, heads, tails, cutoff,
+                         (None, bounded, mirrored)),
+                _scanned(relations._row_argmax, r, r_om, threshold, cut),
+                _scanned(relations._tile_argmax, r, r_om, threshold, cut),
+                _scanned(relations._ratio_argmax, r, r_om, threshold, mirrored)))
+    return found
+
+
+@given(_mirrored_inputs(), st.sampled_from([1, 3, 16, 1 << 14]), st.sampled_from([1, 2, 3]))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_mirrored_scans_are_bitwise_the_full_scans(inputs, block, tile):
+    """On grids odd under time reversal, the scans of the half triangle i +
+    j <= n - 1 give bitwise the full scans' extremes (a zero's sign
+    included), pair count, and row and tile argmax pairs; ``_mirrored``
+    finds every such grid whose series hold no NaN, and the scans take the
+    half exactly then."""
+    r, heads, tails, r_om, cutoff = inputs
+    assert spectrum._mirrored(r, heads, tails) == (not np.isnan(heads).any())
+    assert spectrum._mirrored(r, r_om[None], -r_om[None])
+    (stats, row, tiles, best), (full_stats, full_row, full_tiles, full_best) = _half_and_full(
+        r, heads, tails, r_om, cutoff, block, tile)
+    assert _bitwise(stats, full_stats)
+    assert row == full_row and _bitwise(tiles, full_tiles) and _bitwise(best, full_best)
+    if not isinstance(row, type) and tiles is not None:
+        assert tiles == row
+
+
+@given(_mirrored_inputs(), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_sample_an_ulp_off_takes_the_full_scan(inputs, data):
+    """Moving one sample of r (an end, which keeps it non-decreasing), of a
+    head or of r_om by one ulp breaks the mirror: the spectrum scan and the
+    ratio-necessity scan form every pair."""
+    r, heads, tails, r_om, cutoff = inputs
+    heads, r_om = heads[~np.isnan(heads).any(axis=1)], r_om.copy()
+    assume(len(heads))
+    tails = heads[:, ::-1].copy()
+    where = data.draw(st.sampled_from(["first", "last", "head", "omega"]))
+    if where == "first":
+        r = np.concatenate([[np.nextafter(r[0], -INF)], r[1:]])
+    elif where == "last":
+        r = np.concatenate([r[:-1], [np.nextafter(r[-1], INF)]])
+    elif where == "head":
+        k, i = data.draw(st.integers(0, len(heads) - 1)), data.draw(st.integers(0, len(r) - 1))
+        # an infinity moves by an ulp towards the finite numbers only
+        toward = data.draw(st.sampled_from([INF, -INF]))
+        heads[k, i] = np.nextafter(heads[k, i], -heads[k, i] if math.isinf(heads[k, i]) else toward)
+    else:
+        i = data.draw(st.integers(0, len(r) - 1))
+        r_om[i] = np.nextafter(r_om[i], data.draw(st.sampled_from([INF, -INF])))
+    cuts, blocks, row_argmax = [], spectrum.pair_ratio_blocks, relations._row_argmax
+
+    def watched(r, heads, tails, threshold, cut=None):
+        cuts.append(cut)
+        return blocks(r, heads, tails, threshold, cut)
+
+    def watched_rows(r_mu, r_om, threshold, cut):
+        cuts.append(cut)
+        return row_argmax(r_mu, r_om, threshold, cut)
+
+    with mock.patch.object(spectrum, "pair_ratio_blocks", watched), \
+            mock.patch.object(relations, "_row_argmax", watched_rows), \
+            np.errstate(over="ignore", invalid="ignore"):  # the scan's own overflow
+        if where in ("first", "last", "head"):
+            assert not spectrum._scan_facts(r, heads, tails)[2]
+            _scanned(spectrum._pair_ratio_stats, r, heads, tails, cutoff)
+        if where != "head":
+            assert not spectrum._mirrored(r, r_om[None], -r_om[None])
+            l_max = r[-1] - r[0]
+            _scanned(relations._ratio_argmax, r, r_om, cutoff * l_max if l_max > 0 else 1.0)
+    assert all(cut is None or cut == 2 * len(r) for cut in cuts)
+
+
+def test_mirrored_diagonal_forms_about_half_the_block_cells(monkeypatch):
+    """The discrete diagonal exp(s * |2k + 1|) under q, the seeded diagonal
+    of the scalar_disc_wide benchmark (here at slopes -1.2, 0.3, 1.5), is
+    odd under time reversal: at window 1600 its scan forms at most 55% of
+    the block cells of the full scan, with bitwise its extremes and
+    count."""
+    system = evolution.diagonal_system(
+        DISCRETE, [f"exp(({s})*abs(2*k+1))" for s in (-1.2, 0.3, 1.5)])
+    _, r, heads, tails = spectrum._grid(system, Q, 1600)
+    slopes, bounded, mirrored = spectrum._scan_facts(r, heads, tails)
+    assert slopes is None and bounded and mirrored
+    formed, blocks = [], spectrum.pair_ratio_blocks
+
+    def counting(*args):
+        starts, scan = blocks(*args)
+        return starts, (formed.append(block[3].size) or block for block in scan)
+
+    monkeypatch.setattr(spectrum, "pair_ratio_blocks", counting)
+    half = spectrum._pair_ratio_stats(r, heads, tails, 0.5)
+    half_cells = sum(formed)
+    formed.clear()
+    full = spectrum._pair_ratio_stats(r, heads, tails, 0.5, (slopes, bounded, False))
+    assert half_cells <= 0.55 * sum(formed)
+    assert _bitwise(half, full)
