@@ -459,11 +459,17 @@ def _lobatto_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np
     sum reduced as numpy reduces one segment's (nodes, components) array:
     pairwise over a single column, and row by row over several, which one
     reduction of a block's node-major (nodes, segments * components) array
-    does for all its segments at once.  Segments go in order, in blocks of
-    at most ``_LOBATTO_BLOCK`` nodes per array evaluation (with the same
-    floats and the same first DomainError as evaluating node by node), so
-    memory stays flat and a failing node raises the error a
-    segment-by-segment loop raises first.
+    does for all its segments at once.  A segment left of 0 (hi <= 0) is
+    integrated as its mirror image [0.0 - hi, 0.0 - lo]: the mirror's
+    nodes, weights and order of summation, with the coefficients evaluated
+    at 0.0 - node (0.0 - x, not -x, keeps t = 0 at +0.0 and the error
+    messages as they were).  So a coefficient of known parity
+    (``exprparse.parity``) has over a segment left of 0 the integral over
+    its mirror, negated if it is odd, up to the sign of a zero.  Segments
+    go in order, in blocks of at most ``_LOBATTO_BLOCK`` nodes per array
+    evaluation (with the same floats and the same first DomainError as
+    evaluating node by node), so memory stays flat and a failing node
+    raises the error a segment-by-segment loop raises first.
     """
     comp, src = system.components, system.source
     if not len(a):
@@ -477,8 +483,11 @@ def _lobatto_integrals(system: LinearSystem, a: np.ndarray, b: np.ndarray) -> np
     out = []
     for s in range(0, len(a), per_call):
         lo, hi = a[s:s + per_call], b[s:s + per_call]
+        left = hi <= 0.0
+        lo, hi = np.where(left, 0.0 - hi, lo), np.where(left, 0.0 - lo, hi)
         xs = lo[:, None] + frac * (hi - lo)[:, None]
         xs[:, -1] = hi
+        np.subtract(0.0, xs, out=xs, where=left[:, None])
         nodes = xs.ravel()
         vals = exprparse.evaluate_array(src.diag, {"t": nodes, "k": nodes}).reshape(len(lo), n, comp)
         if comp == 1:
@@ -855,7 +864,11 @@ def component_log_grid(obj, window: int) -> tuple[np.ndarray, np.ndarray]:
     quotient source's closed form, or one batch of discrete step logs or of
     Gauss-Lobatto segments), then running sums outward from 0.  Every entry,
     and every error, is bitwise what walking out one unit step at a time
-    gives.  A step or running sum that leaves double range raises an
+    gives.  A Gauss-Lobatto segment left of 0 is integrated as its mirror
+    image, so where every coefficient has a known parity only the steps
+    ahead of 0 are integrated, and those behind are read off them
+    (``_system_log_grid``): even coefficients give a grid that is odd
+    bit for bit.  A step or running sum that leaves double range raises an
     EvolutionError naming the first one in walk order, by time and
     component.
 
@@ -891,17 +904,29 @@ def _weighted_logs(w: WeightedSystem, times: np.ndarray, logs: np.ndarray, signs
 
 @functools.lru_cache(maxsize=64)
 def _system_log_grid(system: LinearSystem, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """``component_log_grid`` of a plain system, read-only."""
+    """``component_log_grid`` of a plain system, read-only.  Where every
+    coefficient of a continuous expression source has a known parity
+    (``exprparse.parity``), only the W segments ahead of 0 are integrated:
+    each segment behind is the mirror image of one ahead
+    (``_lobatto_integrals``), so its step is the step ahead times
+    (-1)^parity, up to the sign of a zero, which no running sum from 0.0
+    keeps.  An even coefficient thus gives an odd grid, bit for bit."""
     if system.structure == FULL:
         raise EvolutionError("full systems use the scaled-matrix grid")
     times = rates.sample_times(system.time_domain, window)
     center = window
     # the unit steps of a walk outward from 0, first ahead [t_m, t_m+1] for
     # m = center..2W-1, then behind [t_m-1, t_m] for m = center..1; the
-    # first error in this order is the one the walk would meet first
+    # first error in this order is the one the walk would meet first, and
+    # a mirrored step behind fails where its step ahead does
     left = np.concatenate([times[center:-1], times[:center][::-1]])
+    signs = _mirror_signs(system)
     with np.errstate(over="ignore", invalid="ignore"):  # raised by name below
-        steps, _ = _segment_logs(system, left, left + 1.0)
+        if signs is None:
+            steps, _ = _segment_logs(system, left, left + 1.0)
+        else:
+            steps, _ = _segment_logs(system, left[:window], left[:window] + 1.0)
+            steps = np.vstack([steps, steps * signs])
         ahead, behind = _walk(steps[:window]), _walk(-steps[window:])
     # a step ahead reaches the right end of its interval, a step behind the left
     _check_walk_finite(np.vstack([ahead[1:], behind[1:]]),
@@ -911,6 +936,18 @@ def _system_log_grid(system: LinearSystem, window: int) -> tuple[np.ndarray, np.
     logs[:, center::-1] = behind.T
     logs.flags.writeable = False
     return times, logs
+
+
+def _mirror_signs(system: LinearSystem) -> np.ndarray | None:
+    """(-1)^parity of each coefficient of a continuous expression source
+    whose coefficients all have a known parity, else None."""
+    src = system.source
+    if system.time_domain != CONTINUOUS or not isinstance(src, ExprSource):
+        return None
+    parities = [exprparse.parity(e) for e in src.diag]
+    if None in parities:
+        return None
+    return np.array([-1.0 if p == exprparse.ODD else 1.0 for p in parities])
 
 
 def scaled_grids(obj, window: int) -> tuple[np.ndarray, tuple, tuple]:

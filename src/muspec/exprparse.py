@@ -20,6 +20,8 @@ Evaluation has one walker per form, both over arrays of points:
 Each records the first failure at every point as it walks and raises the
 first in point, expression and node order.  The per-point entry points
 ``evaluate``, ``evaluate_env`` and ``evaluate_log_abs`` are calls at one point.
+``parity`` names the expressions that ``evaluate_array`` evaluates as even
+or odd functions bit for bit.
 """
 
 from __future__ import annotations
@@ -285,6 +287,65 @@ def variables_of(expr: Expr) -> frozenset[str]:
             out |= variables_of(a)
         return out
     return frozenset()
+
+
+EVEN, ODD = 0, 1
+
+
+def parity(expr: Expr) -> int | None:
+    """``EVEN`` or ``ODD`` where ``evaluate_array`` of ``expr`` is sign-
+    symmetric bit for bit, else None (unknown): at every point x, its value
+    at 0.0 - x is (-1)^parity times its value at x up to the sign of a zero
+    (a NaN where there is a NaN), and it fails at 0.0 - x exactly where it
+    fails at x.  Every rule rests on IEEE arithmetic commuting with
+    negation: numbers are even and a variable is odd; negation, "+" and "-"
+    keep a common parity, "*" and "/" add parities; abs of a known parity
+    is even and sgn keeps its argument's; exp, log, sqrt, min and max of
+    even arguments are even.  "^" of two even operands is even, and an odd
+    base under an integer constant exponent takes the exponent's parity
+    (libm's ``pow`` of -x is +-pow(x) there).  Anything else, a mix of
+    parities among them, is unknown.  A zero whose sign differs stays a
+    zero, or fails at both points (a division by it, a negative power of
+    it), through every rule."""
+    if isinstance(expr, Num):
+        return EVEN
+    if isinstance(expr, Var):
+        return ODD
+    if isinstance(expr, Neg):
+        return parity(expr.arg)
+    if isinstance(expr, Bin):
+        left = parity(expr.left)
+        if expr.op == "^":
+            exponent = _integer_constant(expr.right)
+            if left == ODD and exponent is not None:
+                return EVEN if exponent % 2 == 0 else ODD
+            return EVEN if left == EVEN and parity(expr.right) == EVEN else None
+        right = parity(expr.right)
+        if left is None or right is None:
+            return None
+        if expr.op in "+-":
+            return left if left == right else None
+        return left ^ right if expr.op in "*/" else None
+    if isinstance(expr, Call):
+        args = [parity(a) for a in expr.args]
+        if expr.fn == "abs":
+            return None if args[0] is None else EVEN
+        if expr.fn == "sgn":
+            return args[0]
+        if expr.fn in ("exp", "log", "sqrt", "min", "max") and all(p == EVEN for p in args):
+            return EVEN
+    return None
+
+
+def _integer_constant(expr: Expr) -> float | None:
+    """The value of a number, negated any number of times, if it is a
+    finite integer; else None."""
+    sign = 1.0
+    while isinstance(expr, Neg):
+        expr, sign = expr.arg, -sign
+    if isinstance(expr, Num) and float(expr.value).is_integer():  # False for inf and NaN
+        return sign * expr.value
+    return None
 
 
 # ---------------------------------------------------------------------------

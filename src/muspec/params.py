@@ -58,8 +58,10 @@ class Params:
 
     def __post_init__(self):
         # written as "not (x > 0)" so that NaN fails too
-        if not (self.tol_stab > 0 and 0 < self.cutoff_fraction < 1):
-            raise ValueError("tol_stab must be positive and cutoff_fraction in (0, 1)")
+        if not self.tol_stab > 0:
+            raise ValueError("tol_stab must be positive")
+        if not 0 < self.cutoff_fraction < 1:
+            raise ValueError("cutoff_fraction must be in (0, 1)")
         if not self.gamma_max > 0:
             raise ValueError("gamma_max must be positive")
         if self.delta_merge is not None and not self.delta_merge > 0:

@@ -29,19 +29,22 @@ grid slice and cutoff and shared (``_shared_starts``).
 
 Every catalog rate is odd, log mu(-t) = -log mu(t), and so are the
 log-propagator grids of many discrete systems, bit for bit (the diagonal
-exp(s * |2k + 1|) among them): then the pair (n-1-j, n-1-i) has the ratio
-of (i, j), and a scan whose inputs are mirrored (``_mirrored``) forms
-only the half triangle i + j <= n - 1 (see ``pair_ratio_blocks``).  In
-fresh-process captures of every scan:
+exp(s * |2k + 1|) among them), and the Gauss-Lobatto grids of continuous
+systems whose coefficients are even (see ``evolution._system_log_grid``):
+then the pair (n-1-j, n-1-i) has the ratio of (i, j), and a scan whose
+inputs are mirrored (``_mirrored``) forms only the half triangle i + j <=
+n - 1 (see ``pair_ratio_blocks``).  In fresh-process captures of every
+scan:
 
 * scalar_disc_wide: 12 of the 16 spectrum scans take the closed form; the
   other 4 (the seeded diagonal, K = 3, 401 to 3201 samples) are mirrored,
   and so are all 12 ratio-necessity scans of its chain;
-* harness: 44 of the 149 spectrum scans take the closed form; 52 of the
-  other 105 are mirrored (85% of their n^2 K weight), and so are all 32
-  ratio-necessity scans;
-* scalar_cont_wide and full_matrix: no scan takes either (Gauss-Lobatto
-  and Magnus grids are neither exact multiples nor bitwise mirrored).
+* harness: 44 of the 149 spectrum scans take the closed form; the other
+  105 are all mirrored, and so are all 32 ratio-necessity scans;
+* scalar_cont_wide: all 16 spectrum scans are mirrored (2|t|, 1/(1+|t|),
+  3t^2 and a diagonal of multiples of |t| are even);
+* full_matrix: no scan takes either (Magnus grids are neither exact
+  multiples nor bitwise mirrored).
 """
 
 from __future__ import annotations
@@ -363,8 +366,9 @@ def _mirrored(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> bool:
     length keeps the fact for every central window slice
     (``_window_slice``), so it is taken once per grid, like the slopes:
     the slice about the middle sample of a mirrored grid is mirrored.  The
-    series are compared first: on the Gauss-Lobatto grids r is mirrored
-    and the series are not."""
+    series are compared first: every catalog rate is odd, so where a grid
+    is not mirrored it is its series that are not (a coefficient of no
+    known parity, an odd one, or a full system's Magnus grid)."""
     return (len(r) % 2 == 1 and np.array_equal(heads[:, ::-1], tails)
             and np.array_equal(r[::-1], -r))
 

@@ -420,8 +420,8 @@ def test_spectrum_names_malformed_descriptor_fields(capsys, domain, dim, structu
 
 
 @pytest.mark.parametrize("flag, message", [
-    ("--tol-stab", "tol_stab must be positive and cutoff_fraction in (0, 1)"),
-    ("--cutoff", "tol_stab must be positive and cutoff_fraction in (0, 1)"),
+    ("--tol-stab", "tol_stab must be positive"),
+    ("--cutoff", "cutoff_fraction must be in (0, 1)"),
     ("--gamma-max", "gamma_max must be positive"),
     ("--delta-merge", "delta_merge must be positive"),
     ("--tol-stab=inf", "tol_stab must be finite"),
@@ -606,6 +606,16 @@ _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--om
         {"time_domain": "discrete", "dimension": 2, "structure": "diagonal",
          "coefficients": {"diagonal": ["exp(0.25*abs(2*k+1)+0.1*k)", "exp((-0.7)*abs(2*k+1))"]}}),
       "--rate", "q", "--schedule", "200,400,800,1600"], "spectrum_diag_disc_mixed_q.json"),
+    # an even continuous coefficient: segments left of 0 are integrated as
+    # mirror images, so the grid is odd and the scans take the half triangle
+    (["spectrum", "--system", "catalog:abs2t", "--rate", "q", "--schedule", "50,100,200,400"],
+     "spectrum_abs2t_q_wide.json"),
+    # a continuous diagonal with an odd coefficient among even ones: each
+    # step behind is a step ahead up to its sign, and every pair is scanned
+    (["spectrum", "--system", json.dumps(
+        {"time_domain": "continuous", "dimension": 3, "structure": "diagonal",
+         "coefficients": {"diagonal": ["2*abs(t)", "t", "-1/(1+abs(t))"]}}),
+      "--rate", "exp"], "spectrum_diag_cont_exp.json"),
 ])
 def test_output_matches_the_recorded_reports(capsys, monkeypatch, tmp_path, argv, golden):
     """The reports are byte-identical to the recorded ones.  A change that
@@ -726,6 +736,11 @@ def test_format_belongs_to_spectrum(capsys):
         {"time_domain": "continuous", "dimension": 1, "structure": "scalar",
          "coefficients": {"diagonal": ["1/(t-3.5)"]}}), "--rate", "exp"],
      "error_continuous_scalar_pole.txt"),
+    # a pole on both sides of 0 of an even coefficient: the one ahead is met first
+    (["spectrum", "--system", json.dumps(
+        {"time_domain": "continuous", "dimension": 1, "structure": "scalar",
+         "coefficients": {"diagonal": ["1/(abs(t)-3.5)"]}}), "--rate", "exp"],
+     "error_continuous_two_sided_pole.txt"),
 ])
 def test_errors_match_the_recorded_stderr(capsys, argv, golden):
     """An evaluation error exits 1 with the recorded line on stderr and

@@ -225,7 +225,11 @@ def _plain_lobatto(system, lo, hi):
     """Integrals of the diagonal coefficients over one segment [lo, hi]
     the plain way: 6-point Gauss-Lobatto on ceil(4 (hi - lo)) equal panels,
     listed panel by panel and node by node, a shared panel end once with
-    both panels' weights."""
+    both panels' weights.  A segment left of 0 is its mirror segment
+    [0.0 - hi, 0.0 - lo], with the coefficients read at 0.0 - node."""
+    mirror = hi <= 0.0
+    if mirror:
+        lo, hi = 0.0 - hi, 0.0 - lo
     r7 = math.sqrt(7.0)
     inner, outer = math.sqrt(1 / 3 - 2 * r7 / 21), math.sqrt(1 / 3 + 2 * r7 / 21)
     rule = [(-1.0, 1 / 15), (-outer, (14 - r7) / 30), (-inner, (14 + r7) / 30),
@@ -240,7 +244,7 @@ def _plain_lobatto(system, lo, hi):
             nodes.append(lo + (p + (1 + x) / 2) / panels * (hi - lo))
             weights.append(w)
     nodes[-1] = hi
-    xs = np.array(nodes)
+    xs = np.array([0.0 - x for x in nodes] if mirror else nodes)
     vals = exprparse.evaluate_array(system.source.diag, {"t": xs, "k": xs})
     return (hi - lo) / (2 * panels) * (np.array(weights)[:, None] * vals).sum(axis=0)
 
@@ -319,15 +323,21 @@ def test_component_log_grids_match_plain_unit_steps():
             total += _plain_diag_step(system, float(k))
         got = evolution.propagate(system, to, frm).diag_logs
         assert got.tobytes() == (total if to > frm else -total).tobytes()
-    # a continuous quotient span with fractional ends, whose first and last
-    # segments are partial: the closed form per segment, summed from 0.0
-    system = evolution.quotient_system(c_c, [-2.0, 0.5])
-    cuts = [-2.6, *map(float, range(-2, 5)), 4.3]
-    total = np.zeros(system.components)
-    for lo, hi in zip(cuts, cuts[1:]):
-        total += evolution._quotient_logs(system.source, np.array([lo]), np.array([hi]))[0]
-    for to, frm, want in ((4.3, -2.6, total), (-2.6, 4.3, -total)):
-        assert evolution.propagate(system, to, frm).diag_logs.tobytes() == want.tobytes()
+    # continuous spans with fractional ends, whose first and last segments
+    # are partial: a quotient's closed form, or a Gauss-Lobatto integral
+    # (left of 0, of the mirror segment), per segment, summed from 0.0
+    quotient = evolution.quotient_system(c_c, [-2.0, 0.5])
+    for system, frm, to in ((quotient, -2.6, 4.3), (ABS2T, -7.0, -2.5), (three_c, -6.0, -0.5),
+                            (three_c, -2.75, 1.5)):
+        cuts = sorted({frm, *map(float, range(math.ceil(frm), math.floor(to) + 1)), to})
+        total = np.zeros(system.components)
+        for lo, hi in zip(cuts, cuts[1:]):
+            if system is quotient:
+                total += evolution._quotient_logs(system.source, np.array([lo]), np.array([hi]))[0]
+            else:
+                total += _plain_lobatto(system, lo, hi)
+        for a, b, want in ((to, frm, total), (frm, to, -total)):
+            assert evolution.propagate(system, a, b).diag_logs.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("window", [40, 400])
@@ -443,6 +453,14 @@ def test_component_log_grid_raises_the_first_stepwise_error():
     both = evolution.diagonal_system(CONTINUOUS, ["log(7-t)", "1/(t+1.5)"])
     with pytest.raises(exprparse.DomainError, match="log of a non-positive"):
         evolution.component_log_grid(both, 10)
+    # a segment left of 0 is read at 0.0 - node, so its end at 0 stays +0.0
+    for text, frm, message in (("1/t", -2.0, "division by zero in '1/t' at input "
+                                "{'t': 0.0, 'k': 0.0}"),
+                               ("1/(abs(t)-3.5)", -5.0, "division by zero in "
+                                "'1/(abs(t)-3.5)' at input {'t': -3.5, 'k': -3.5}")):
+        with pytest.raises(exprparse.DomainError) as info:
+            evolution.propagate(evolution.scalar_system(CONTINUOUS, text), 0.0, frm)
+        assert str(info.value) == message
     d_cases = [
         (["1/(k-7)"], exprparse.DomainError,
          "division by zero in '1/(k-7)' at input {'t': 7.0, 'k': 7.0}"),
@@ -1284,3 +1302,30 @@ def test_grids_hand_the_evaluator_arrays(monkeypatch):
             call()
         assert str(info.value).endswith(f"at input {value}")
         assert seen and all(set(types.values()) == {np.ndarray} for types in seen)
+
+
+@pytest.mark.parametrize("texts, nodes", [
+    (["2*abs(t)"], 8400), (["1/(1+abs(t))"], 8400), (["3*t^2"], 8400),
+    (["2*abs(t)", "t", "-1/(1+abs(t))"], 8400),
+    # no parity: every segment behind is integrated too
+    (["2*abs(t)+0.1*t"], 16800), (["2*abs(t)", "exp(t/100)"], 16800),
+])
+def test_continuous_grids_of_known_parity_evaluate_the_steps_ahead(monkeypatch, texts, nodes):
+    """At window 400, a grid whose coefficients all have a known parity
+    evaluates the 21 nodes of each of the 400 unit segments ahead of 0,
+    half of the 800 segments, and is bitwise the grid of integrating every
+    segment."""
+    evaluated, evaluate = [], exprparse.evaluate_array
+
+    def counting(exprs, env):
+        evaluated.append(len(env["t"]))
+        return evaluate(exprs, env)
+
+    monkeypatch.setattr(exprparse, "evaluate_array", counting)
+    logs = evolution.component_log_grid(evolution.diagonal_system(CONTINUOUS, texts), 400)[1]
+    assert sum(evaluated) == nodes
+    evaluated.clear()
+    monkeypatch.setattr(evolution, "_mirror_signs", lambda system: None)
+    every = evolution.component_log_grid(evolution.diagonal_system(CONTINUOUS, texts), 400)[1]
+    assert sum(evaluated) == 16800
+    assert every.tobytes() == logs.tobytes()

@@ -534,3 +534,78 @@ def test_eval_never_aborts_on_random_expressions():
         assert isinstance(value, float)
     # the generator builds well-formed sources, so most must evaluate
     assert failures < 1000
+
+
+# -- parity ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source, want", [
+    ("2*abs(t)", ep.EVEN), ("1/(1+abs(t))", ep.EVEN), ("3*t^2", ep.EVEN),
+    ("2*(-0.7)*abs(t)", ep.EVEN), ("exp(-t^2)", ep.EVEN), ("max(abs(t),1)", ep.EVEN),
+    ("sqrt(t*t)", ep.EVEN), ("abs(t)^abs(t)", ep.EVEN), ("t^0", ep.EVEN), ("t^-2", ep.EVEN),
+    ("t", ep.ODD), ("t^3/5", ep.ODD), ("t^-1", ep.ODD), ("sgn(t)*log(1+abs(t))", ep.ODD),
+    ("-t*abs(t)", ep.ODD), ("t-t^3", ep.ODD), ("sgn(t)", ep.ODD),
+    ("t^0.5", None), ("exp(t)", None), ("max(t,1)", None), ("2*abs(t)+0.1*t", None),
+    ("2^t", None), ("abs(t)^t", None), ("t^abs(t)", None), ("t^(1+2)", None),
+    ("log(t)", None), ("sqrt(t)", None), ("min(t,-t)", None), ("abs(exp(t))", None),
+])
+def test_parity_is_claimed_by_the_rules_only(source, want):
+    assert ep.parity(ep.parse(source)) == want
+
+
+def _parity_ast_strategy():
+    """Expressions of even and odd parts, and powers of them under small
+    integer exponents, which the parity rules mostly claim."""
+    numbers = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 7.0, 100.0, 1e-300, 1e300])
+    leaves = st.one_of(numbers.map(ep.Num), st.just(ep.Var("t")))
+    integers = st.integers(min_value=-3, max_value=7).map(
+        lambda e: ep.Num(float(e)) if e >= 0 else ep.Neg(ep.Num(float(-e))))
+
+    def extend(children):
+        unary = children.map(ep.Neg)
+        calls = st.tuples(st.sampled_from(("exp", "log", "abs", "sgn", "sqrt")),
+                          children).map(lambda p: ep.Call(p[0], (p[1],)))
+        calls2 = st.tuples(st.sampled_from(("min", "max")), children,
+                           children).map(lambda p: ep.Call(p[0], (p[1], p[2])))
+        binops = st.tuples(st.sampled_from("+-*/^"), children,
+                           children).map(lambda p: ep.Bin(p[0], p[1], p[2]))
+        powers = st.tuples(children, integers).map(lambda p: ep.Bin("^", p[0], p[1]))
+        return st.one_of(unary, calls, calls2, binops, powers)
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+def _values_or_failures(ast, xs):
+    """The values of ``ast`` at xs, with NaN and a True in the mask where
+    evaluating that point alone fails."""
+    try:
+        return ep.evaluate_array([ast], {"t": xs})[:, 0], np.zeros(len(xs), dtype=bool)
+    except ep.DomainError:
+        pass
+    values, failed = np.full(len(xs), math.nan), np.zeros(len(xs), dtype=bool)
+    for m, x in enumerate(xs.tolist()):
+        try:
+            values[m] = ep.evaluate(ast, x)
+        except ep.DomainError:
+            failed[m] = True
+    return values, failed
+
+
+@given(_parity_ast_strategy(), st.lists(st.floats(min_value=-50.0, max_value=50.0), max_size=8))
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_parity_claims_hold_bit_for_bit(ast, points):
+    """Where ``parity`` claims a parity, the value at 0.0 - x is (-1)^parity
+    times the value at x, bitwise up to the sign of a zero (NaN where NaN),
+    and a point fails exactly where its mirror point fails: at the quarter
+    times of [-5, 5], at +-0 and at random points."""
+    p = ep.parity(ast)
+    if p is None:
+        return
+    xs = np.concatenate([np.arange(-20, 21) / 4.0, [-0.0], points])
+    at, at_failed = _values_or_failures(ast, xs)
+    mirror, mirror_failed = _values_or_failures(ast, 0.0 - xs)
+    assert np.array_equal(at_failed, mirror_failed)
+    want = at * (-1.0) ** p
+    nan = np.isnan(mirror)
+    assert np.array_equal(nan, np.isnan(want))
+    assert (mirror[~nan] + 0.0).tobytes() == (want[~nan] + 0.0).tobytes()

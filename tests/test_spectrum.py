@@ -1019,3 +1019,30 @@ def test_mirrored_diagonal_forms_about_half_the_block_cells(monkeypatch):
     full = spectrum._pair_ratio_stats(r, heads, tails, 0.5, (slopes, bounded, False))
     assert half_cells <= 0.55 * sum(formed)
     assert _bitwise(half, full)
+
+
+_EVEN_CONTINUOUS = [
+    (catalog.system("abs2t"), "q"), (catalog.system("inv1pt"), "exp"),
+    (catalog.system("sq3t2"), "c"),
+    (evolution.diagonal_system(CONTINUOUS, [f"2*({s})*abs(t)" for s in (-0.7, 0.4, 1.3)]), "q"),
+]
+
+
+@pytest.mark.parametrize("window", [40, 400])
+@pytest.mark.parametrize("system, rate", _EVEN_CONTINUOUS)
+def test_even_continuous_grids_are_mirrored(system, rate, window):
+    """The continuous grids of even coefficients (the scalar_cont_wide
+    systems) are odd bit for bit: the half scan is taken, and gives
+    bitwise the full scan's extremes and count."""
+    _, r, heads, tails = spectrum._grid(system, catalog.rate(rate, CONTINUOUS), window)
+    slopes, bounded, mirrored = spectrum._scan_facts(r, heads, tails)
+    assert slopes is None and bounded and mirrored
+    half = spectrum._pair_ratio_stats(r, heads, tails, 0.5)
+    full = spectrum._pair_ratio_stats(r, heads, tails, 0.5, (slopes, bounded, False))
+    assert _bitwise(half, full)
+
+
+def test_a_continuous_coefficient_of_no_parity_is_not_mirrored():
+    system = evolution.scalar_system(CONTINUOUS, "2*abs(t)+0.1*t")
+    _, r, heads, tails = spectrum._grid(system, catalog.rate("q", CONTINUOUS), 40)
+    assert not spectrum._mirrored(r, heads, tails)
