@@ -332,6 +332,9 @@ def quotient_system(rate: rates.GrowthRate, slopes) -> LinearSystem:
     slopes = tuple(float(s) for s in slopes)
     if not slopes:
         raise EvolutionError("need at least one slope")
+    for i, s in enumerate(slopes):
+        if not math.isfinite(s):
+            raise EvolutionError(f"quotient system: slope {i} must be finite, got {s}")
     structure = SCALAR if len(slopes) == 1 else DIAGONAL
     descriptor = {
         "generated": "rate_quotient",
@@ -740,12 +743,28 @@ def propagate(system: LinearSystem, to: float, frm: float) -> ScaledMatrix:
     log e * log 2 + log ||x||, and the product is renormalized after every
     factor.  Scalar and diagonal systems sum per-component segment logs
     (``_diag_walk``).  The identity when to == frm.
+
+    A time that is not finite, or a span whose walk needs more than
+    ``rates.MAX_VALIDATION_SAMPLES`` segments (unit steps in discrete time)
+    or Magnus steps, is an EvolutionError raised before any array is built.
     """
+    for name, t in (("frm", frm), ("to", to)):
+        if not math.isfinite(t):
+            raise EvolutionError(f"propagation time {name} must be finite, got {t}")
     if system.time_domain == DISCRETE:
         ki, ni = int(round(to)), int(round(frm))
         if abs(to - ki) > 1e-9 or abs(frm - ni) > 1e-9:
             raise EvolutionError("discrete systems are propagated between integers")
         frm, to = float(ni), float(ki)
+    a, b = sorted((frm, to))
+    if system.structure == FULL and system.time_domain == CONTINUOUS:
+        # b - a is +inf past double range
+        too_long, what = not (b - a) / MAGNUS_STEP <= rates.MAX_VALIDATION_SAMPLES, "Magnus steps"
+    else:
+        too_long, what = math.ceil(b) - math.floor(a) > rates.MAX_VALIDATION_SAMPLES, "segments"
+    if too_long:
+        raise EvolutionError(f"propagation from time {frm} to {to} needs more than "
+                             f"MAX_VALIDATION_SAMPLES ({rates.MAX_VALIDATION_SAMPLES}) {what}")
     if system.structure != FULL:
         return ScaledMatrix.from_diag_logs(*_diag_walk(system, frm, to))
     if system.time_domain == DISCRETE:

@@ -730,9 +730,8 @@ def _grid(system, rate, window: int):
     else:
         times, logs = evolution.component_log_grid(system, window)
         heads, tails = logs, -logs
-    # the rate grid is sampled at the same integer times, and checked; the
-    # relation checks key their discrete grids (rate, window, 1) too
-    return times, rates.log_rate_grid(rate, window, 1), heads, tails
+    # the rate grid is sampled at the same integer times, and checked
+    return times, rates.log_rate_grid(rate, window), heads, tails
 
 
 # ---------------------------------------------------------------------------

@@ -529,7 +529,10 @@ _VERIFY = ["verify", "--theorem"]
 _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--omega", "exp"]
 
 
-@pytest.mark.parametrize("argv, golden", [
+# the replay tables: every file in tests/data is one row's golden, the
+# catalog spectra's, or a row's input; CI replays them against the installed
+# package, so a new golden is one new row
+RECORDED_REPORTS = [
     (["verify", "--theorem", "all"], "verify_all.jsonl"),
     (["compare", "--relation", "chain", "--rates", "p,exp,q,c",
       "--time-domain", "discrete"], "chain_discrete.json"),
@@ -616,7 +619,10 @@ _DISC_Q_809 = _VERIFY + ["809", "--system", "catalog:disc_q", "--mu", "q", "--om
         {"time_domain": "continuous", "dimension": 3, "structure": "diagonal",
          "coefficients": {"diagonal": ["2*abs(t)", "t", "-1/(1+abs(t))"]}}),
       "--rate", "exp"], "spectrum_diag_cont_exp.json"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, golden", RECORDED_REPORTS)
 def test_output_matches_the_recorded_reports(capsys, monkeypatch, tmp_path, argv, golden):
     """The reports are byte-identical to the recorded ones.  A change that
     moves a digit regenerates the file (same command with --output, run in
@@ -720,7 +726,7 @@ def test_format_belongs_to_spectrum(capsys):
 
 # one failing input in each evaluation path; every path names its input as
 # Python floats: a dict of them, or one for an expression rate of one variable
-@pytest.mark.parametrize("argv, golden", [
+RECORDED_STDERR = [
     (["spectrum", "--system", json.dumps(
         {"time_domain": "discrete", "dimension": 1, "structure": "scalar",
          "coefficients": {"diagonal": ["1/(k-7)"]}}), "--rate", "exp"],
@@ -741,13 +747,28 @@ def test_format_belongs_to_spectrum(capsys):
         {"time_domain": "continuous", "dimension": 1, "structure": "scalar",
          "coefficients": {"diagonal": ["1/(abs(t)-3.5)"]}}), "--rate", "exp"],
      "error_continuous_two_sided_pole.txt"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, golden", RECORDED_STDERR)
 def test_errors_match_the_recorded_stderr(capsys, argv, golden):
     """An evaluation error exits 1 with the recorded line on stderr and
     nothing on stdout."""
     code, out, err = _run(capsys, argv)
     assert (code, out) == (1, "")
     assert err == (DATA / golden).read_text(encoding="utf-8")
+
+
+def test_every_file_in_tests_data_is_replayed():
+    """Each file in tests/data is the golden of exactly one replay row (or
+    the catalog spectra's), or the input a row names, so a replay of the
+    tables misses no golden."""
+    rows = RECORDED_REPORTS + RECORDED_STDERR
+    names = sorted(p.name for p in DATA.iterdir())
+    inputs = [name for name in names if any(name in arg for argv, _ in rows for arg in argv)]
+    goldens = [golden for _, golden in rows] + ["catalog_spectra.jsonl"]
+    assert sorted(goldens + inputs) == names
+
 
 if __name__ == "__main__":
     import tempfile

@@ -1097,6 +1097,66 @@ def test_weighted_system_rejects_a_non_finite_gamma(gamma):
     assert str(info.value) == f"weighted system: gamma must be finite, got {gamma}"
 
 
+@pytest.mark.parametrize("slopes", [[math.nan], [1.0, math.inf], [-math.inf, 0.5]])
+def test_quotient_system_rejects_a_non_finite_slope(slopes):
+    # a NaN slope once built, and the first spectrum failed on a NaN log
+    with pytest.raises(evolution.EvolutionError) as info:
+        evolution.quotient_system(catalog.rate("q", DISCRETE), slopes)
+    i = next(i for i, s in enumerate(slopes) if not math.isfinite(s))
+    assert str(info.value) == f"quotient system: slope {i} must be finite, got {slopes[i]}"
+
+
+class _NoArrays:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached before the span was checked")
+
+
+_FULL_DISC = evolution.full_system(DISCRETE, [["2", "1"], ["0", "1"]])
+_FULL_CONT = evolution.full_system(CONTINUOUS, [["2*abs(t)", "1"], ["0", "-1/(1+abs(t))"]])
+
+
+@pytest.mark.parametrize("system", [ABS2T, DISC_Q, _FULL_DISC, _FULL_CONT])
+@pytest.mark.parametrize("to, frm, name", [
+    (math.inf, 0.0, "to"), (0.0, -math.inf, "frm"), (math.nan, 1.0, "to"), (2.0, math.nan, "frm")])
+def test_propagate_rejects_a_non_finite_time(monkeypatch, system, to, frm, name):
+    # inf once raised a bare OverflowError and NaN a bare ValueError from int();
+    # both are named before numpy is reached, through the weighted system too
+    weighted = evolution.WeightedSystem(system, catalog.rate("q", system.time_domain), 1.0)
+    monkeypatch.setattr(evolution, "np", _NoArrays())
+    message = f"propagation time {name} must be finite, got {to if name == 'to' else frm}"
+    for call, obj in ((evolution.propagate, system), (evolution.weighted_propagate, weighted)):
+        with pytest.raises(evolution.EvolutionError) as info:
+            call(obj, to, frm)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("system, to, frm, what", [
+    (ABS2T, 1e12, 0.0, "segments"),  # once a 7.28 TiB request to numpy
+    (ABS2T, 0.5, -999_999.75, "segments"),  # 1 + 1_000_000 segments
+    (DISC_Q, -500_000, 500_001, "segments"),
+    (_FULL_DISC, 1_000_001, 0, "segments"),
+    (_FULL_CONT, 1e9, 0.0, "Magnus steps"),  # once no return within 15 s
+    (_FULL_CONT, 0.0, 100_000.1, "Magnus steps"),  # 1_000_001 steps
+    (_FULL_CONT, 1e308, -1e308, "Magnus steps"),  # a span past double range
+])
+def test_propagate_rejects_a_span_too_long_to_walk(monkeypatch, system, to, frm, what):
+    monkeypatch.setattr(evolution, "np", _NoArrays())
+    with pytest.raises(evolution.EvolutionError) as info:
+        evolution.propagate(system, to, frm)
+    assert str(info.value) == (f"propagation from time {float(frm)} to {float(to)} needs "
+                               f"more than MAX_VALIDATION_SAMPLES (1000000) {what}")
+
+
+@pytest.mark.parametrize("system, to, frm", [
+    (ABS2T, 1e6, 0.0), (ABS2T, 0.5, -999_998.5), (DISC_Q, 0, 1_000_000),
+    (_FULL_DISC, -1_000_000, 0), (_FULL_CONT, 1e5, 0.0)])
+def test_propagate_walks_a_span_of_max_validation_samples(monkeypatch, system, to, frm):
+    # exactly MAX_VALIDATION_SAMPLES segments or steps pass the check and reach numpy
+    monkeypatch.setattr(evolution, "np", _NoArrays())
+    with pytest.raises(AssertionError, match="before the span was checked"):
+        evolution.propagate(system, to, frm)
+
+
 @pytest.mark.parametrize("shape", [(5, 2, 3), (5, 2), (5,), (0, 2, 2), (3, 1, 2, 2)],
                          ids=lambda shape: "x".join(map(str, shape)))
 def test_tabulated_system_rejects_a_malformed_shape(shape):
