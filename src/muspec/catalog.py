@@ -67,14 +67,7 @@ def system(name: str) -> evolution.LinearSystem:
     if name not in SYSTEM_DEFS:
         raise CatalogError(
             f"unknown catalog system {name!r} (have {', '.join(SYSTEM_DEFS)})")
-    domain, text = SYSTEM_DEFS[name]
-    descriptor = {
-        "time_domain": domain,
-        "dimension": 1,
-        "structure": "scalar",
-        "coefficients": {"diagonal": [text]},
-    }
-    return evolution.scalar_system(domain, text, descriptor=descriptor)
+    return evolution.scalar_system(*SYSTEM_DEFS[name])
 
 
 def resolve_rate(spec, time_domain: str | None = None) -> rates.GrowthRate:

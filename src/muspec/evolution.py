@@ -308,27 +308,26 @@ class WeightedSystem:
 # Construction helpers
 
 
-def scalar_system(time_domain: str, text: str, descriptor: dict | None = None) -> LinearSystem:
-    return LinearSystem(time_domain, 1, SCALAR, ExprSource.from_diag((text,)),
-                        descriptor=descriptor)
+def scalar_system(time_domain: str, text: str) -> LinearSystem:
+    return LinearSystem(time_domain, 1, SCALAR, ExprSource.from_diag((text,)))
 
 
-def diagonal_system(time_domain: str, texts, descriptor: dict | None = None) -> LinearSystem:
+def diagonal_system(time_domain: str, texts) -> LinearSystem:
     texts = tuple(texts)
-    return LinearSystem(time_domain, len(texts), DIAGONAL, ExprSource.from_diag(texts),
-                        descriptor=descriptor)
+    return LinearSystem(time_domain, len(texts), DIAGONAL, ExprSource.from_diag(texts))
 
 
-def full_system(time_domain: str, rows, descriptor: dict | None = None) -> LinearSystem:
+def full_system(time_domain: str, rows) -> LinearSystem:
     rows = tuple(tuple(r) for r in rows)
     d = len(rows)
     if any(len(r) != d for r in rows):
         raise EvolutionError("full coefficient matrix must be square")
-    return LinearSystem(time_domain, d, FULL, ExprSource.from_entries(rows),
-                        descriptor=descriptor)
+    return LinearSystem(time_domain, d, FULL, ExprSource.from_entries(rows))
 
 
 def quotient_system(rate: rates.GrowthRate, slopes) -> LinearSystem:
+    """The system generated by ``rate``, Phi_ii(t, s) = (mu(t)/mu(s))^slopes[i];
+    its descriptor is the ``rate_quotient`` form that ``--system`` reads."""
     slopes = tuple(float(s) for s in slopes)
     if not slopes:
         raise EvolutionError("need at least one slope")
@@ -336,24 +335,17 @@ def quotient_system(rate: rates.GrowthRate, slopes) -> LinearSystem:
         if not math.isfinite(s):
             raise EvolutionError(f"quotient system: slope {i} must be finite, got {s}")
     structure = SCALAR if len(slopes) == 1 else DIAGONAL
-    descriptor = {
-        "generated": "rate_quotient",
-        "rate": rates.rate_to_descriptor(rate),
-        "slopes": list(slopes),
-    }
     return LinearSystem(rate.time_domain, len(slopes), structure,
-                        RateQuotientSource(rate, slopes), descriptor=descriptor)
+                        RateQuotientSource(rate, slopes))
 
 
-def tabulated_system(k0: int, matrices: np.ndarray, structure: str = FULL,
-                     descriptor: dict | None = None) -> LinearSystem:
+def tabulated_system(k0: int, matrices: np.ndarray, structure: str = FULL) -> LinearSystem:
     matrices = np.asarray(matrices, dtype=float)
     if matrices.ndim != 3 or not len(matrices) or matrices.shape[1] != matrices.shape[2]:
         raise EvolutionError("table matrices must have shape (count >= 1, d, d), "
                              f"got {matrices.shape}")
     d = matrices.shape[1]
-    return LinearSystem(DISCRETE, d, structure, TableSource(k0, matrices),
-                        descriptor=descriptor)
+    return LinearSystem(DISCRETE, d, structure, TableSource(k0, matrices))
 
 
 # ---------------------------------------------------------------------------
@@ -1170,6 +1162,9 @@ def _table_cell(text: str, kind, what: str):
 
 
 def system_to_descriptor(system: LinearSystem) -> dict:
+    """The input of a parsed system, else the descriptor that
+    ``system_from_descriptor`` reads back; an in-memory table, which has
+    no file to name, gives ``{"table": "<in-memory>"}``."""
     if system.descriptor is not None:
         return dict(system.descriptor)
     src = system.source

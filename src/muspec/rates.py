@@ -41,6 +41,11 @@ def _check_domain(domain: str):
         raise RateError(f"time_domain must be '{DISCRETE}' or '{CONTINUOUS}', got {domain!r}")
 
 
+def _check_positive(value: float, what: str):
+    if not (math.isfinite(value) and value > 0):
+        raise RateError(f"{what} must be a positive finite number, got {value!r}")
+
+
 @record(frozen=True)
 class PowerExp:
     p: float
@@ -49,8 +54,8 @@ class PowerExp:
 
     def __post_init__(self):
         _check_domain(self.time_domain)
-        if not (self.p > 0 and self.lam > 0):
-            raise RateError("PowerExp needs a positive exponent and a positive scale")
+        _check_positive(self.p, "PowerExp.p")
+        _check_positive(self.lam, "PowerExp.lam")
 
 
 @record(frozen=True)
@@ -80,8 +85,7 @@ class Glued:
 
     def __post_init__(self):
         _check_domain(self.time_domain)
-        if self.crossover <= 0:
-            raise RateError("glued crossover must be positive")
+        _check_positive(self.crossover, "Glued.crossover")
         for part in (self.inner, self.outer):
             if part.time_domain != self.time_domain:
                 raise RateError("glued rate components must share the time domain")
@@ -313,6 +317,7 @@ def find_crossover(inner: GrowthRate, outer: GrowthRate, hi: float = 10.0,
                    tol: float = 1e-10) -> float:
     """Positive solution of log inner(t) = log outer(t) located by bisection
     on (0, hi]."""
+    _check_positive(hi, "find_crossover: hi")
 
     def f(ts):
         return log_rate_values(inner, ts) - log_rate_values(outer, ts)

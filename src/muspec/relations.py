@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import exprparse, rates
+from . import exprparse, rates, spectrum
 from ._record import field, record
 from .params import DEFAULT, DISCRETE, SAMPLES_PER_UNIT, Params
 from .spectrum import _mirrored, _window_slice, admission_threshold, pair_ratio_blocks
@@ -331,15 +331,14 @@ def _ratio_necessity(mu, omega, params: Params) -> tuple[str, tuple, tuple]:
 # The ratio-necessity scan bounds the pairs of a row tile of _PAIR_TILE
 # samples with a column tile of as many.  Coarse tiles, runs of fine tiles
 # with at most _COARSE_SIDE of them across the grid, choose the scan.
-# _TILE_BLOCK caps the tile pairs bounded, and the pair cells scanned, at
-# once.  The row scan runs where pruning cannot pay: on triangles of at
-# most _ROW_SCAN_PAIRS pairs (grids of up to 1024 samples, whose row scan
-# takes well under a millisecond), and where the coarse tile pairs that
-# can hold the maximum are at least _ROW_SCAN_SHARE of those that can hold
-# admissible pairs (a constant ratio prunes none).
+# spectrum._PAIR_BLOCK caps the tile pairs bounded, and the pair cells
+# scanned, at once.  The row scan runs where pruning cannot pay: on
+# triangles of at most _ROW_SCAN_PAIRS pairs (grids of up to 1024 samples,
+# whose row scan takes well under a millisecond), and where the coarse tile
+# pairs that can hold the maximum are at least _ROW_SCAN_SHARE of those
+# that can hold admissible pairs (a constant ratio prunes none).
 _PAIR_TILE = 16
 _COARSE_SIDE = 64
-_TILE_BLOCK = 1 << 14
 _ROW_SCAN_PAIRS = 1 << 19
 _ROW_SCAN_SHARE = 0.5
 
@@ -443,7 +442,7 @@ def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float,
         order = np.argsort(-bound)
         rows, cols, bound = rows[order], cols[order], bound[order]
         best = None
-        step = max(1, _TILE_BLOCK // width ** 2)
+        step = max(1, spectrum._PAIR_BLOCK // width ** 2)
         for s in range(0, len(rows), step):
             keep = bound[s:s + step] >= floor
             found = _cells_max(mu, om, rows[s:s + step][keep], cols[s:s + step][keep],
@@ -468,7 +467,7 @@ def _fine_tiles(stats, r_mu, r_om, rows, cols, group: int, threshold: float, flo
     stats = tuple(np.concatenate([extreme, np.full(pad, empty)])
                   for extreme, empty in zip(stats, (np.inf, -np.inf, np.inf, -np.inf)))
     kept = []
-    step = max(1, _TILE_BLOCK // group ** 2)
+    step = max(1, spectrum._PAIR_BLOCK // group ** 2)
     for s in range(0, len(rows), step):
         fine_rows = rows[s:s + step, None] * group + sub
         fine_cols = cols[s:s + step, None] * group + sub

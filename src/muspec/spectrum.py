@@ -478,6 +478,10 @@ def bohl_exponents(system, rate: rates.GrowthRate, params: Params = DEFAULT,
         if base.components != 1:
             raise SpectrumError("pick a component of the diagonal system")
         component = 0
+    count = base.components
+    if not isinstance(component, int) or isinstance(component, bool) \
+            or not 0 <= component < count:
+        raise SpectrumError(f"component {component!r} is not in 0..{count - 1}")
     return _estimates(system, rate, params, [component])[0]
 
 

@@ -46,6 +46,20 @@ def test_spectrum_continuous_quotient_below_linear_power(capsys):
     assert payload["converged"] is True
 
 
+def test_quotient_report_system_reads_back(capsys):
+    """A rate-quotient report's system, passed back as --system, gives the
+    same report byte for byte."""
+    system = {"time_domain": "discrete", "dimension": 2, "structure": "diagonal",
+              "coefficients": {"rate_quotient": {"rate": {"kind": "power_exp", "p": 2},
+                                                 "slopes": [-1, 1]}}}
+    argv = ["spectrum", "--rate", "q", "--schedule", "20,40", "--system"]
+    code, out, err = _run(capsys, argv + [json.dumps(system)])
+    assert code == 0, err
+    echoed = json.loads(out)["system"]
+    assert echoed["coefficients"]["rate_quotient"]["slopes"] == [-1.0, 1.0]
+    assert _run(capsys, argv + [json.dumps(echoed)]) == (0, out, "")
+
+
 def test_spectrum_identity(capsys):
     code, out, _ = _run(capsys, [
         "spectrum", "--system", "catalog:identity", "--rate", "catalog:exp"])

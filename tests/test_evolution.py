@@ -1,7 +1,9 @@
+import json
 import math
 import random
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1221,15 +1223,44 @@ def test_tabulated_csv_header_validation(tmp_path):
         evolution.load_table(path)
 
 
-def test_system_descriptor_round_trip():
+_DATA = Path(__file__).parent / "data"
+_TABLE = {"time_domain": DISCRETE, "dimension": 2, "structure": "full",
+          "coefficients": {"table": "table_full_exp.csv"}}
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda name=name: catalog.system(name), id=f"catalog_{name}")
+      for name in catalog.SYSTEM_DEFS),
+    pytest.param(lambda: evolution.quotient_system(catalog.rate("q", DISCRETE), [1.5]),
+                 id="quotient_discrete_one_slope"),
+    pytest.param(lambda: evolution.quotient_system(catalog.rate("exp", DISCRETE), [-1, 2]),
+                 id="quotient_discrete_two_slopes"),
+    pytest.param(lambda: evolution.quotient_system(catalog.rate("p", CONTINUOUS), [0.5]),
+                 id="quotient_continuous_one_slope"),
+    pytest.param(lambda: evolution.quotient_system(catalog.rate("glued_c_p", CONTINUOUS),
+                                                   [-1.0, 0.25]),
+                 id="quotient_continuous_glued_two_slopes"),
+    pytest.param(lambda: evolution.diagonal_system(CONTINUOUS, ["2*abs(t)", "3*t^2"]),
+                 id="expression_diagonal"),
+    pytest.param(lambda: evolution.full_system(DISCRETE, [["1", "exp(-k)"], ["0", "2"]]),
+                 id="expression_full"),
+    pytest.param(lambda: evolution.system_from_descriptor(_TABLE, _DATA), id="table_csv"),
+])
+def test_system_descriptor_round_trip(build):
+    """A system's descriptor, written as JSON and parsed back, describes a
+    system with the same descriptor."""
+    desc = evolution.system_to_descriptor(build())
+    again = evolution.system_from_descriptor(json.loads(json.dumps(desc)), _DATA)
+    assert evolution.system_to_descriptor(again) == desc
+
+
+def test_system_descriptor_errors_name_the_field():
     desc = {
         "time_domain": CONTINUOUS,
         "dimension": 2,
         "structure": "diagonal",
         "coefficients": {"diagonal": ["2*abs(t)", "3*t^2"]},
     }
-    system = evolution.system_from_descriptor(desc)
-    assert evolution.system_to_descriptor(system) == desc
     with pytest.raises(evolution.EvolutionError, match="system.dimension"):
         evolution.system_from_descriptor({**desc, "dimension": "two"})
     with pytest.raises(evolution.EvolutionError, match="system.coefficients.diagonal"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,3 +282,27 @@ def test_power_exp_rejects_bad_parameters():
     with pytest.raises(rates.RateError):
         rates.Glued(catalog.rate("c", CONTINUOUS), catalog.rate("p", DISCRETE),
                     1.0, CONTINUOUS)
+
+
+_C3 = catalog.rate("c", CONTINUOUS)
+_P1 = catalog.rate("p", CONTINUOUS)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: rates.PowerExp(math.inf), "PowerExp.p"),
+    (lambda: rates.PowerExp(math.nan), "PowerExp.p"),
+    (lambda: rates.PowerExp(1.0, math.inf), "PowerExp.lam"),
+    (lambda: rates.Glued(_C3, _P1, math.nan, CONTINUOUS), "Glued.crossover"),
+    (lambda: rates.Glued(_C3, _P1, math.inf, CONTINUOUS), "Glued.crossover"),
+    (lambda: rates.find_crossover(_C3, _P1, hi=-1.0), "find_crossover: hi"),
+    (lambda: rates.find_crossover(_C3, _P1, hi=math.inf), "find_crossover: hi"),
+    (lambda: rates.find_crossover(_C3, _P1, hi=math.nan), "find_crossover: hi"),
+], ids=["p_inf", "p_nan", "lam_inf", "crossover_nan", "crossover_inf", "hi_negative",
+        "hi_inf", "hi_nan"])
+def test_rate_parameters_must_be_positive_and_finite(build, field):
+    """What rate_from_descriptor rejects, the records reject too, by field
+    and before any sampling (no numpy warning on the way)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(rates.RateError, match=f"^{field} must be a positive finite number"):
+            build()

@@ -195,6 +195,29 @@ def test_ratio_scan_scans_each_tile_pair_once(monkeypatch, mu, omega, window):
     assert len(scanned) == len(set(scanned))
 
 
+@pytest.mark.parametrize("domain, window", [(DISCRETE, 800), (DISCRETE, 1600),
+                                            (CONTINUOUS, 200), (CONTINUOUS, 400)])
+def test_tile_scan_finds_the_row_scan_pair_at_production_width(domain, window):
+    """At the tile widths the scan runs with, on grids of 1601 to 8001
+    samples, the tile scan gives the row scan's pair, or None where it
+    leaves the grid to the row scan."""
+    pairs = [(catalog.rate(mu, domain), catalog.rate(omega, domain))
+             for mu, omega in itertools.permutations(["p", "exp", "q", "c"], 2)]
+    pairs.append((catalog.rate("exp", domain), rates.PowerExp(1.0, 3.0, domain)))
+    per_unit = 1 if domain == DISCRETE else SAMPLES_PER_UNIT
+    tiled = 0
+    for mu, omega in pairs:
+        r_mu, r_om = (rates.log_rate_grid(rate, window, per_unit) for rate in (mu, omega))
+        threshold = spectrum.admission_threshold(Params().cutoff_fraction * (r_mu[-1] - r_mu[0]))
+        n = len(r_mu)
+        cut = n if spectrum._mirrored(r_mu, r_om[None], -r_om[None]) else 2 * n
+        found = relations._tile_argmax(r_mu, r_om, threshold, cut)
+        if found is not None:
+            tiled += 1
+            assert found == relations._row_argmax(r_mu, r_om, threshold, cut), (mu, omega)
+    assert tiled > len(pairs) // 2
+
+
 def test_affine_prefilter_runs_once_per_ordered_pair():
     relations._affine_prefilter.cache_clear()
     theorems.run_all()

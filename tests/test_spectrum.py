@@ -288,6 +288,17 @@ def test_extension_of_tabulated_system_stops_at_table_range():
     assert rep.intervals[0].hi == pytest.approx(501 / 800)
 
 
+@pytest.mark.parametrize("component", [-1, -2, 2, 5, True, 1.0])
+def test_bohl_exponents_name_a_component_out_of_range(component):
+    system = evolution.quotient_system(Q, [-1.0, 1.0])
+    params = Params(schedule=(20, 40))
+    with pytest.raises(spectrum.SpectrumError,
+                       match=f"component {component!r} is not in 0..1"):
+        spectrum.bohl_exponents(system, Q, params, component=component)
+    est = spectrum.bohl_exponents(system, Q, params, component=1)
+    assert (est.lower, est.upper) == (1.0, 1.0)
+
+
 def test_series_on_one_rate_grid_share_a_pair_scan(monkeypatch):
     calls = []
     stats = spectrum._pair_ratio_stats
@@ -547,16 +558,16 @@ def _multiple_inputs(draw):
     return r, heads, tails, cutoff
 
 
-def _tiles(tile, block):
+def _tiles(tile):
     """The ratio-necessity scan as it dispatches (tile None), or its tile
-    scan forced with tiles ``tile`` samples wide, at most 3 coarse tiles a
-    side (so that coarse tiles hold several fine ones), and ``block`` tile
-    pairs or cells at once; a share above 1 leaves the row scan only where
-    no tile pair is live."""
+    scan forced with tiles ``tile`` samples wide and at most 3 coarse tiles
+    a side (so that coarse tiles hold several fine ones); a share above 1
+    leaves the row scan only where no tile pair is live.  The tile pairs or
+    cells held at once are ``spectrum._PAIR_BLOCK``'s, as in the pair scan."""
     if tile is None:
         return contextlib.nullcontext()
-    return mock.patch.multiple(relations, _PAIR_TILE=tile, _COARSE_SIDE=3, _TILE_BLOCK=block,
-                               _ROW_SCAN_PAIRS=0, _ROW_SCAN_SHARE=2.0)
+    return mock.patch.multiple(relations, _PAIR_TILE=tile, _COARSE_SIDE=3, _ROW_SCAN_PAIRS=0,
+                               _ROW_SCAN_SHARE=2.0)
 
 
 def _ramp(n, om, cutoff):
@@ -626,7 +637,7 @@ def test_pair_scan_matches_all_pairs(inputs, block, tile):
             assert np.array_equal(np.isnan(q), np.isnan(np.where(admissible, ratios, np.nan)))
             yield i0, j0, L, q
 
-    with mock.patch.object(spectrum, "_PAIR_BLOCK", block), _tiles(tile, block), \
+    with mock.patch.object(spectrum, "_PAIR_BLOCK", block), _tiles(tile), \
             mock.patch.object(spectrum, "pair_ratio_blocks", checked_blocks), \
             mock.patch.object(relations, "pair_ratio_blocks", checked_blocks):
         if l_max <= 0:
@@ -918,7 +929,7 @@ def _half_and_full(r, heads, tails, r_om, cutoff, block, tile):
     n = len(r)
     _, bounded, _ = spectrum._scan_facts(r, heads, tails)
     found = []
-    with mock.patch.object(spectrum, "_PAIR_BLOCK", block), _tiles(tile, block), \
+    with mock.patch.object(spectrum, "_PAIR_BLOCK", block), _tiles(tile), \
             np.errstate(over="ignore", invalid="ignore"):  # the scan's own overflow
         for mirrored, cut in ((True, n), (False, 2 * n)):
             found.append((
