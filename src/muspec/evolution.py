@@ -1259,7 +1259,8 @@ def system_from_descriptor(desc: dict, base_dir: str | Path | None = None) -> Li
             if rate.time_domain != domain:
                 raise EvolutionError(f"{where}.rate.time_domain: expected {domain!r}, "
                                      "the system's time domain")
-            return quotient_system(rate, slopes)
+            return LinearSystem(domain, dim, structure, quotient_system(rate, slopes).source,
+                                descriptor=dict(desc))
     except exprparse.ParseError as exc:
         raise EvolutionError(f"system.coefficients: {exc}") from exc
     raise EvolutionError(

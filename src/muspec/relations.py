@@ -5,7 +5,8 @@ ordered time pairs: for a grid function u, sup over s <= t of u(t) - u(s) is
 the largest rise of u, computable with one running-minimum scan.  The one is
 the almost-checks' ratio necessity, a pair-ratio maximum: the largest
 L_omega / L_mu over pairs of long mu-distance, which does not separate
-(``_ratio_argmax``, by row scan or tile branch and bound).  A verdict is
+(``_ratio_argmax``: one row scan of the rows that a parametric bound on
+the maximum keeps, ``_kept_rows``).  A verdict is
 "holds" when the per-window suprema stabilize across the schedule (the
 last two agree; the final supremum is the certificate constant), "fails"
 when they grow monotonically window over window (the argmax pairs are the
@@ -30,19 +31,19 @@ Verdicts are certified on the tested exponent grids.
 Every check reads each window's log-rate grids from ``_window_grids``:
 slices of one grid per rate and schedule, at the schedule's largest window.
 In discrete time that is the grid the spectrum reads.  The ratio row scan
-reads its admissible-pair starts from the pair primitive's shared cache
-(``spectrum.pair_ratio_blocks``), computed once per grid slice and cutoff
-for the spectra and every rate pair alike.
+forms its pairs with the pair primitive (``spectrum.pair_ratio_blocks``),
+which finds the admissible-pair starts of the rows it keeps alone.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
 
-from . import exprparse, rates, spectrum
+from . import exprparse, rates
 from ._record import field, record
 from .params import DEFAULT, DISCRETE, SAMPLES_PER_UNIT, Params
 from .spectrum import _mirrored, _window_slice, admission_threshold, pair_ratio_blocks
@@ -328,21 +329,6 @@ def _ratio_necessity(mu, omega, params: Params) -> tuple[str, tuple, tuple]:
     return HOLDS if bounded else INCONCLUSIVE, tuple(sups), pairs
 
 
-# The ratio-necessity scan bounds the pairs of a row tile of _PAIR_TILE
-# samples with a column tile of as many.  Coarse tiles, runs of fine tiles
-# with at most _COARSE_SIDE of them across the grid, choose the scan.
-# spectrum._PAIR_BLOCK caps the tile pairs bounded, and the pair cells
-# scanned, at once.  The row scan runs where pruning cannot pay: on
-# triangles of at most _ROW_SCAN_PAIRS pairs (grids of up to 1024 samples,
-# whose row scan takes well under a millisecond), and where the coarse tile
-# pairs that can hold the maximum are at least _ROW_SCAN_SHARE of those
-# that can hold admissible pairs (a constant ratio prunes none).
-_PAIR_TILE = 16
-_COARSE_SIDE = 64
-_ROW_SCAN_PAIRS = 1 << 19
-_ROW_SCAN_SHARE = 0.5
-
-
 def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float,
                   mirrored: bool | None = None) -> tuple[float, int, int]:
     """Largest (r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i]) over the pairs
@@ -351,16 +337,16 @@ def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float,
     once would pick.  Both grids are log-rate grids, finite and at most
     DBL_MAX / 2 in magnitude, so every admissible mu-distance is finite and
     positive, and no ratio is a NaN (one may overflow to +-inf).
-    ``_tile_argmax`` scans only the tiles of the pair triangle that can
-    hold the maximum; where that cannot pay, ``_row_argmax`` scans every
-    admissible pair.  Either returns the pair alone, since equal ratios
-    compare equal whatever the sign of a zero, and the value is the
-    pair's plain ratio, formed here once.
+    ``_row_argmax`` scans the rows that ``_kept_rows`` keeps: every row that
+    holds a pair of the maximum, so the pair is the one a scan of every row
+    finds.  The scan returns the pair alone, since equal ratios compare
+    equal whatever the sign of a zero, and the value is the pair's plain
+    ratio, formed here once.
 
     Where both grids are odd under time reversal, r[::-1] == -r
     (``spectrum._mirrored`` of r_mu with the series r_om; None decides it
-    from the grids), either scan stops at the half triangle i + j <= n -
-    1, the pairs with i + j below the cut n: each pair past it has its twin
+    from the grids), the scan stops at the half triangle i + j <= n - 1,
+    the pairs with i + j below the cut n: each pair past it has its twin
     (n - 1 - j, n - 1 - i) of the same ratio in an earlier row, so the
     first maximum lies in the half (see ``spectrum.pair_ratio_blocks``).
     Otherwise the cut, 2n, passes every pair."""
@@ -369,24 +355,24 @@ def _ratio_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float,
     if mirrored is None:
         mirrored = _mirrored(r_mu, r_om[None], -r_om[None])
     cut = n if mirrored else 2 * n
-    found = (_tile_argmax(r_mu, r_om, threshold, cut) if n * (n - 1) // 2 > _ROW_SCAN_PAIRS
-             else None)
-    i, j = found if found is not None else _row_argmax(r_mu, r_om, threshold, cut)
+    i, j = _row_argmax(r_mu, r_om, threshold, cut, _kept_rows(r_mu, r_om, threshold, cut))
     with np.errstate(over="ignore"):
         return float((r_om[j] - r_om[i]) / (r_mu[j] - r_mu[i])), i, j
 
 
-def _row_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float,
-                cut: int) -> tuple[int, int]:
-    """The pair of ``_ratio_argmax`` over every admissible pair with i + j
-    < cut, one row block of ``pair_ratio_blocks`` at a time.  A block's
-    ratios are NaN off the admissible set, and none on it is NaN (the grids
-    are bounded log-rate grids), so ``np.fmax`` gives the block's maximum,
-    and the first cell equal to it is the first maximum in pair order: the
-    row-major order of the rectangle keeps the pairs in order, and NaN
-    equals nothing."""
+def _row_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float, cut: int,
+                rows: np.ndarray | None = None) -> tuple[int, int]:
+    """The pair of ``_ratio_argmax`` over the admissible pairs with i + j <
+    cut of the rows ``rows`` (None: every row), one row block of
+    ``pair_ratio_blocks`` at a time.  A block's ratios are NaN off the
+    admissible set, and none on it is NaN (the grids are bounded log-rate
+    grids), so ``np.fmax`` gives the block's maximum, and the first cell
+    equal to it is the first maximum in pair order: the row-major order of
+    the rectangle keeps the pairs in order, the blocks come in row order,
+    a later block wins only with a larger maximum, and NaN equals
+    nothing."""
     best = None
-    _, blocks = pair_ratio_blocks(r_mu, r_om[None], -r_om[None], threshold, cut)
+    _, blocks = pair_ratio_blocks(r_mu, r_om[None], -r_om[None], threshold, cut, rows)
     for i0, j0, _, q in blocks:
         ratios = q[0]
         top = np.fmax.reduce(ratios, axis=None)
@@ -398,173 +384,86 @@ def _row_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float,
     return best[1:]
 
 
-def _tile_argmax(r_mu: np.ndarray, r_om: np.ndarray, threshold: float,
-                 cut: int) -> tuple[int, int] | None:
-    """The pair of ``_ratio_argmax`` by branch and bound over the tiles of
-    the pair triangle (Land and Doig), or None where the coarse tiles show
-    that pruning cannot pay.  A tile pair (I, J) of tiles ``width``
-    samples wide is kept only if its least i + j, (I + J) * width, is
-    below the cut: on the half triangle of a mirrored grid, (I + J) *
-    width <= n - 1.  A kept tile pair's cells past the cut are twins of
-    cells in earlier rows, whose tile pairs pass the cut.
+def _kept_rows(r_mu: np.ndarray, r_om: np.ndarray, threshold: float,
+               cut: int) -> np.ndarray | None:
+    """The rows that can hold a pair whose ratio is the maximum of
+    ``_ratio_argmax``, in increasing order, or None for every row.  The
+    prune is Dinkelbach's parametric form of a ratio maximum (Dinkelbach,
+    Management Science 13, 1967): a ratio (a_j - a_i) / (b_j - b_i) with
+    b_j > b_i is at least lam exactly when g = a - lam * b does not fall
+    from i to j, so a row whose g exceeds every g of its admissible
+    columns holds no ratio of lam or more.
 
-    The floor is the largest ratio of the real admissible pairs seen so
-    far: one sample pair per tile pair (the first row of the row tile and
-    the last column of the column tile), then the pairs scanned.  It never
-    exceeds the maximum, and no ratio in a tile pair exceeds its bound
-    (``_tile_bounds``), so a tile pair whose bound is below the floor holds
-    no pair at or above the maximum and is skipped.  The coarse tile pairs
-    that survive are cut into fine ones, and the fine ones that survive are
-    scanned pair by pair, best bound first, in batches, each against the
-    floor the batches before it raised.  Of equal maxima the least (i, j)
-    wins, whichever tile is scanned first, as in the row scan."""
-    n, width = len(r_mu), _PAIR_TILE
-    fine = -(-n // width)
-    group = -(-fine // _COARSE_SIDE)  # fine tiles a coarse tile side
-    stats = _tile_extremes((r_mu, r_mu, r_om, r_om), width)
-    coarse = _tile_extremes(stats, group) if group > 1 else stats
-    span = np.arange(len(coarse[0]))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows, cols = _live_tiles(coarse, span, span, threshold, group * width, cut)
-        bound, floor = _tile_bounds(coarse, r_mu, r_om, rows, cols, group * width,
-                                    threshold, -np.inf)
-        keep = bound >= floor
-        if np.count_nonzero(keep) >= _ROW_SCAN_SHARE * len(keep):
+    Row i's admissible columns are a suffix from its start s_i on
+    (``spectrum._suffix_starts``).  Its column c_i is the first with r_mu
+    at least fl(r_mu[i] + t_lo), t_lo = fl(t - t * 2^-50) for the
+    threshold t: one search for every row, with no repair of a rounded
+    key.  And c_i <= s_i.  fl(r_mu[s_i] - r_mu[i]) >= t puts the exact
+    difference d at or above t_lo: a subnormal d is exact, so d >= t >=
+    t_lo; a normal d is at least DBL_MIN, above a subnormal t; and where
+    both are normal, d >= t (1 - u) (u = 2^-53) while t_lo <= t (1 - 6u).
+    So r_mu[s_i] is at or above the exact r_mu[i] + t_lo, and rounding to
+    nearest keeps the key at or below that float.  A row with c_i >= min(n, cut - i) holds
+    no pair of the scan.
+
+    1. Floor.  F is the largest ratio over the pairs (i, c_i) that are
+       admissible: real pairs, formed with the scan's floats (each
+       difference rounded once, then the quotient), so F is at most the
+       maximum.
+    2. Bound.  lam = fl(F - fl(|F| * 2^-49)), so F - lam >= 13 u |F|.
+       Write a = r_om[j] - r_om[i] and b = r_mu[j] - r_mu[i] > 0 exactly,
+       and x = a / b.  No difference overflows, and none loses anything to
+       underflow, so the scan rounds each with relative error u, and its
+       quotient with relative error u and absolute error eta = 2^-1075
+       (half the least subnormal): its ratio is at most h(x) = x +
+       3.0001 u |x| + eta, and no x < lam overflows.  h increases, so a
+       pair with x < lam has a ratio below h(lam) <= F, as F - lam >=
+       13 u |F| > 3.0001 u |lam| + eta where |F| is normal.
+       A pair whose ratio ties or beats F therefore has x >= lam: its
+       exact g-difference b (x - lam) is >= 0.
+    3. Rounding.  The computed g = fl(r_om - fl(lam * r_mu)) is off the
+       exact one by at most 2.0001 u (|r_om| + |lam r_mu|) + 1.0001 eta
+       at each sample, and slack = fl(fl(E * 2^-49) + 2^-1073), with E =
+       fl(max |r_om| + fl(|lam| * max |r_mu|)), bounds the sum of two such
+       errors.  So such a pair (i, j) has g[j] + slack >= g[i], and row i
+       is kept iff max(g[c_i:]) + slack >= g[i], with one reverse running
+       maximum: j >= s_i >= c_i, and rounding the sum keeps it at or
+       above the float g[i].
+
+    Every pair that ties or beats F, the first maximum among them, sits in
+    a kept row, so the scan of the kept rows finds the pair the scan of
+    every row finds.  None, every row, where the proof does not hold: a
+    grid past DBL_MAX / 2 in magnitude, no admissible (i, c_i), F not
+    finite or below the normal range, or slack not finite (then lam *
+    r_mu may overflow; a finite slack keeps every g finite).  The bound
+    keeps one to three rows on the monotone catalog pairs, and every live
+    row where every row attains the maximum, as in the constant ratio of
+    exp and power_exp(1, 3)."""
+    n = len(r_mu)
+    top_mu = float(max(-r_mu[0], r_mu[-1]))  # r_mu is non-decreasing
+    top_om = float(np.abs(r_om).max())
+    if not (top_mu <= rates.MAX_LOG_RATE and top_om <= rates.MAX_LOG_RATE):
+        return None
+    # a row i holds a pair of the scan only if 2i + 1 < cut, i + 1 being its first column
+    rows = np.arange(min(n, cut // 2))
+    with np.errstate(over="ignore"):  # past DBL_MAX a key is +inf (c_i is n), a ratio +-inf
+        col = r_mu.searchsorted(r_mu[rows] + (threshold - threshold * 2.0 ** -50))
+        live = col < np.minimum(n, cut - rows)
+        rows, col = rows[live], col[live]
+        gap = r_mu[col] - r_mu[rows]
+        pairs = gap >= threshold
+        if not pairs.any():
             return None
-        rows, cols, bound = rows[keep], cols[keep], bound[keep]
-        if group > 1:
-            rows, cols, bound, floor = _fine_tiles(stats, r_mu, r_om, rows, cols, group,
-                                                   threshold, floor, cut)
-        # grids padded to whole fine tiles: a NaN log-rate admits no pair
-        pad = fine * width - n
-        mu = np.concatenate([r_mu, np.full(pad, np.nan)])
-        om = np.concatenate([r_om, np.zeros(pad)])
-        order = np.argsort(-bound)
-        rows, cols, bound = rows[order], cols[order], bound[order]
-        best = None
-        step = max(1, spectrum._PAIR_BLOCK // width ** 2)
-        for s in range(0, len(rows), step):
-            keep = bound[s:s + step] >= floor
-            found = _cells_max(mu, om, rows[s:s + step][keep], cols[s:s + step][keep],
-                               threshold)
-            if found is not None and (best is None or _beats(found, best)):
-                best = found
-                floor = np.fmax(floor, best[0])
-        if best is None:
-            raise RelationError("no admissible pairs after the log-quotient cutoff")
-        return best[1:]
-
-
-def _fine_tiles(stats, r_mu, r_om, rows, cols, group: int, threshold: float, floor: float,
-                cut: int):
-    """The fine tile pairs within the coarse tile pairs (rows[k], cols[k])
-    that survive their bounds and the cut: their row and column tiles and
-    bounds, and the floor their samples raise."""
-    sub = np.arange(group)
-    # the last coarse tiles may hold fewer fine tiles: the extremes are padded
-    # with empty tiles up to whole coarse tiles, and no pair of those is live
-    pad = -len(stats[0]) % group
-    stats = tuple(np.concatenate([extreme, np.full(pad, empty)])
-                  for extreme, empty in zip(stats, (np.inf, -np.inf, np.inf, -np.inf)))
-    kept = []
-    step = max(1, spectrum._PAIR_BLOCK // group ** 2)
-    for s in range(0, len(rows), step):
-        fine_rows = rows[s:s + step, None] * group + sub
-        fine_cols = cols[s:s + step, None] * group + sub
-        k, a, b = _live_tiles(stats, fine_rows, fine_cols, threshold, _PAIR_TILE, cut)
-        fine_rows, fine_cols = fine_rows[k, a], fine_cols[k, b]
-        bound, floor = _tile_bounds(stats, r_mu, r_om, fine_rows, fine_cols, _PAIR_TILE,
-                                    threshold, floor)
-        kept.append((fine_rows, fine_cols, bound))
-    rows, cols, bound = (np.concatenate(part) for part in zip(*kept))
-    keep = bound >= floor
-    return rows[keep], cols[keep], bound[keep], floor
-
-
-def _tile_extremes(stats, width: int) -> tuple:
-    """Over each run of ``width`` consecutive entries (the last run may be
-    shorter) of mu minima, mu maxima, omega minima and omega maxima, the
-    same four extremes."""
-    starts = np.arange(0, len(stats[0]), width)
-    lo, hi, om_lo, om_hi = stats
-    return (np.minimum.reduceat(lo, starts), np.maximum.reduceat(hi, starts),
-            np.minimum.reduceat(om_lo, starts), np.maximum.reduceat(om_hi, starts))
-
-
-def _live_tiles(stats, rows: np.ndarray, cols: np.ndarray, threshold: float, width: int,
-                cut: int):
-    """Which tile pairs (rows[..., :, None], cols[..., None, :]) of tiles
-    ``width`` samples wide with extremes ``stats`` can hold an admissible
-    pair with i + j < cut, as the indices ``np.nonzero`` gives: max r_mu
-    over the column tile minus min r_mu over the row tile reaches the
-    threshold, and the tile pair's least i + j is below the cut.  r_mu is
-    non-decreasing, so no column tile before the row tile is live."""
-    rows, cols = rows[..., :, None], cols[..., None, :]
-    lo, hi = stats[:2]
-    return np.nonzero((hi[cols] - lo[rows] >= threshold) & ((rows + cols) * width < cut))
-
-
-def _tile_bounds(stats, r_mu, r_om, rows, cols, width: int, threshold: float, floor: float):
-    """An upper bound on every ratio the scan forms in each tile pair
-    (rows[k], cols[k]) of tiles ``width`` samples wide with extremes
-    ``stats``, and the floor raised by the tile pairs' sample pairs.
-
-    For a pair (i, j) of row tile I and column tile J, the computed
-    r_mu[j] - r_mu[i] lies between fl(min r_mu[J] - max r_mu[I]) and
-    fl(max r_mu[J] - min r_mu[I]), and r_om[j] - r_om[i] is at most
-    N = fl(max r_om[J] - min r_om[I]), because IEEE rounding is monotone;
-    an admissible pair also has r_mu[j] - r_mu[i] >= threshold.  Division
-    by a positive number is monotone too, so every admissible ratio is at
-    most N divided by the larger of the threshold and the least
-    mu-difference when N >= 0, and at most N divided by the largest
-    mu-difference when N < 0.  The sample pairs that reach the threshold
-    are real admissible pairs: r_mu is non-decreasing, so a positive
-    mu-difference puts the column after the row."""
-    lo, hi, om_lo, om_hi = stats
-    num = om_hi[cols] - om_lo[rows]
-    bound = num / np.where(num >= 0, np.maximum(lo[cols] - hi[rows], threshold),
-                           hi[cols] - lo[rows])
-    first, last = rows * width, np.minimum(cols * width + width - 1, len(r_mu) - 1)
-    gap = r_mu[last] - r_mu[first]
-    samples = ((r_om[last] - r_om[first]) / gap)[gap >= threshold]
-    return bound, np.fmax.reduce(samples, initial=floor)
-
-
-def _cells_max(mu: np.ndarray, om: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-               threshold: float):
-    """(value, i, j) of the first maximum, in row-major pair order, of the
-    admissible pairs of the fine tile pairs (rows[k], cols[k]) on the
-    padded grids ``mu`` and ``om``; None if they hold no admissible pair.
-    Each ratio is (om[j] - om[i]) / (mu[j] - mu[i]), bitwise what
-    ``pair_ratio_blocks`` forms up to the sign of a zero, and NaN off the
-    admissible set, as there: the mu-differences below the threshold are
-    set to NaN before the division.  mu is non-decreasing, so no cell with
-    j <= i is admissible."""
-    width = _PAIR_TILE
-    if not len(rows):
+        floor = float(((r_om[col] - r_om[rows])[pairs] / gap[pairs]).max())
+    if not (math.isfinite(floor) and abs(floor) >= sys.float_info.min):
         return None
-    cell = np.arange(width)
-    i = (rows[:, None] * width + cell)[:, :, None]
-    j = (cols[:, None] * width + cell)[:, None, :]
-    gap = mu[j] - mu[i]
-    np.copyto(gap, np.nan, where=gap < threshold)
-    ratios = om[j] - om[i]
-    np.divide(ratios, gap, out=ratios)
-    top = np.fmax.reduce(ratios, axis=None)
-    pos = np.flatnonzero(ratios == top)  # NaN equals nothing
-    if not len(pos):
+    lam = floor - abs(floor) * 2.0 ** -49
+    slack = (top_om + abs(lam) * top_mu) * 2.0 ** -49 + 2.0 ** -1073
+    if not math.isfinite(slack):
         return None
-    tile, cell = np.divmod(pos, width * width)
-    i, j = rows[tile] * width + cell // width, cols[tile] * width + cell % width
-    first = int(np.lexsort((j, i))[0])
-    return top, int(i[first]), int(j[first])
-
-
-def _beats(found, best) -> bool:
-    """Whether (value, i, j) ``found`` comes before ``best`` in the scan's
-    order: the larger value, and of equal values the least (i, j)."""
-    (value, *pair), (top, *at) = found, best
-    return value > top or (value == top and pair < at)
+    g = r_om - lam * r_mu
+    after = np.maximum.accumulate(g[::-1])[::-1]  # after[k] = max(g[k:])
+    return rows[after[col] + slack >= g[rows]]
 
 
 @lru_cache(maxsize=256)

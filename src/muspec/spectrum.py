@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -160,7 +161,8 @@ def admission_threshold(threshold: float) -> float:
 
 
 def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
-                      threshold: float, cut: int | None = None) -> tuple[np.ndarray, Iterator]:
+                      threshold: float, cut: int | None = None,
+                      rows: np.ndarray | None = None) -> tuple[np.ndarray, Iterator]:
     """(starts, blocks) of the ratios (heads[k, j] + tails[k, i]) /
     (r[j] - r[i]) of K series (``heads`` and ``tails`` of shape (K,
     len(r))) over the admissible pairs i < j, those with r[j] - r[i] >=
@@ -175,9 +177,9 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     start summed over the rows, and ``blocks`` is a generator that forms no
     block until it is iterated.  The starts are a function of r's values
     and the threshold alone, so they are computed once per grid and shared
-    (``_shared_starts``): every spectrum window and relation row scan of a
-    rate's grid slice at one cutoff reads the same starts, whatever the
-    system or the other rate.  The starts are non-decreasing, so a block
+    (``_shared_starts``): every spectrum window of a rate's grid slice at
+    one cutoff reads the same starts, whatever the system, and so does a
+    relation scan of every row.  The starts are non-decreasing, so a block
     starting at row i0 scans the columns from j0 = starts[i0] on, and the
     scan stops at the first row with no partner.
 
@@ -233,12 +235,35 @@ def pair_ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     cut, each the twin of a cell in an earlier row of the same rectangle,
     which leave every extreme and the first maximum as they are.  The scan
     stops at the first row with starts[i0] >= n - i0, as the starts do not
-    decrease.  ``starts`` are those of every row either way.
+    decrease.  ``starts`` are those of every row, whatever the cut.
+
+    ``rows``, increasing row indices, limits the scan to those rows, and
+    None scans every row.  Each block's rows are then consecutive rows of
+    ``rows``, starting at the run's first row or where the block before it
+    stopped, and ``starts`` are those of ``rows`` alone, computed for them
+    (``_suffix_starts``) rather than read from the shared cache: a scan of
+    a few rows costs a few searches, not the starts of the whole grid.
     """
     threshold = admission_threshold(threshold)
-    starts = _shared_starts(np.ascontiguousarray(r, dtype=float).tobytes(), threshold)
-    return starts, _ratio_blocks(r, heads, tails, threshold, starts,
-                                 2 * len(r) if cut is None else cut)
+    if rows is None:
+        starts = _shared_starts(np.ascontiguousarray(r, dtype=float).tobytes(), threshold)
+        runs, row_starts = [(0, len(r))], starts
+    else:
+        starts = _suffix_starts(r, threshold, rows)
+        runs = _runs(rows)
+        row_starts = np.full(len(r), len(r))
+        row_starts[rows] = starts
+    return starts, _ratio_blocks(r, heads, tails, threshold, row_starts,
+                                 2 * len(r) if cut is None else cut, runs)
+
+
+def _runs(rows: np.ndarray) -> list[tuple[int, int]]:
+    """The runs of consecutive entries of increasing ``rows``, as (first
+    row, row past the last)."""
+    ends = np.flatnonzero(rows[1:] - rows[:-1] != 1)  # runs end at rows[ends] and rows[-1]
+    firsts = rows[:1].tolist() + rows[ends + 1].tolist()
+    lasts = rows[ends].tolist() + rows[-1:].tolist()
+    return [(first, last + 1) for first, last in zip(firsts, lasts)]
 
 
 @lru_cache(maxsize=128)
@@ -246,18 +271,19 @@ def _shared_starts(grid: bytes, threshold: float) -> np.ndarray:
     """``_suffix_starts`` of the grid whose float64 bytes are ``grid``,
     read-only: one computation per grid and threshold in a process.  The
     key is the grid's values, so a rate's slice at one window and cutoff is
-    one entry whichever spectrum or relation check scans it, and a grid
-    built any other way gets the starts of its own values.  In one
-    ``theorems.run_all()``, 181 scans read 57 distinct grids."""
+    one entry whichever spectrum, or relation scan of every row, reads it,
+    and a grid built any other way gets the starts of its own values.  In one
+    ``theorems.run_all()``, 149 spectrum scans read 45 distinct grids."""
     starts = _suffix_starts(np.frombuffer(grid), threshold)
     starts.flags.writeable = False
     return starts
 
 
 def _ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, threshold: float,
-                  starts: np.ndarray, cut: int) -> Iterator:
+                  starts: np.ndarray, cut: int, runs: list) -> Iterator:
     """The blocks of ``pair_ratio_blocks``, from its rows' suffix starts, over
-    the pairs with i + j < cut: at least 2 * len(r) for every pair."""
+    the pairs with i + j < cut (at least 2 * len(r) for every pair) of the
+    runs of rows ``runs``, (first row, row past the last) in order."""
     n = len(r)
     # rows x, 1, y of layer 0 form the log-quotients, those of layer 1 + k
     # the numerators of series k: rows 0-1, transposed, are the row factors
@@ -273,17 +299,18 @@ def _ratio_blocks(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, threshold
     # context variable from numpy 2.0 on)
     quiet = contextvars.copy_context()
     quiet.run(np.seterr, invalid="ignore", over="ignore")
-    i0 = 0
-    while i0 < n - 1:
-        j0, end = int(starts[i0]), min(n, cut - i0)
-        if j0 >= end:
-            break
-        stop = min(i0 + max(1, _PAIR_BLOCK // (len(heads) * (end - j0))), n - 1)
-        L = row_factors[0, i0:stop] @ col_factors[0, :, j0:end]
-        np.copyto(L, np.nan, where=L < threshold)
-        yield i0, j0, L, quiet.run(_ratios, row_factors[1:, i0:stop],
-                                   col_factors[1:, :, j0:end], L)
-        i0 = stop
+    for i0, last in runs:
+        last = min(last, n - 1)
+        while i0 < last:
+            j0, end = int(starts[i0]), min(n, cut - i0)
+            if j0 >= end:  # no later row has a partner either
+                return
+            stop = min(i0 + max(1, _PAIR_BLOCK // (len(heads) * (end - j0))), last)
+            L = row_factors[0, i0:stop] @ col_factors[0, :, j0:end]
+            np.copyto(L, np.nan, where=L < threshold)
+            yield i0, j0, L, quiet.run(_ratios, row_factors[1:, i0:stop],
+                                       col_factors[1:, :, j0:end], L)
+            i0 = stop
 
 
 def _ratios(row_factors: np.ndarray, col_factors: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -301,7 +328,7 @@ def _pair_ratio_stats(r: np.ndarray, heads: np.ndarray, tails: np.ndarray, cutof
     count they share, len(r) - start summed over the rows' suffix starts.
     The starts depend on the rate grid's slice and the cutoff only, so
     they are computed once per slice and shared by every system scanned on
-    it, and by the relation scans of the rate (``_shared_starts``).
+    it (``_shared_starts``).
     min and max are exact, and a zero extreme is +0.0 (which zero numpy
     returns when both are admissible depends on its order of reduction,
     and the rank-2 products may give +0.0 for -0.0), so the result does
@@ -410,12 +437,14 @@ def _unit_slopes(r: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndar
     return slopes
 
 
-def _suffix_starts(r: np.ndarray, threshold: float) -> np.ndarray:
-    """For each row i, the first column j > i with fl(r[j] - r[i]) >=
-    threshold, or len(r) if there is none, for a non-decreasing ``r``: the
-    start of the row's admissible suffix, for a threshold from
-    ``admission_threshold``.  No column j <= i is admissible, as float
-    subtraction is monotone: the computed r[j] - r[i] is at most 0.
+def _suffix_starts(r: np.ndarray, threshold: float,
+                   rows: np.ndarray | None = None) -> np.ndarray:
+    """For each row i (of ``rows``, or every row), the first column j > i
+    with fl(r[j] - r[i]) >= threshold, or len(r) if there is none, for a
+    non-decreasing ``r``: the start of the row's admissible suffix, for a
+    threshold from ``admission_threshold``.  No column j <= i is
+    admissible, as float subtraction is monotone: the computed r[j] - r[i]
+    is at most 0.
 
     The test is monotone in j (r is, and float subtraction is), so a guess
     is right when the test holds at it and fails at the column before.  One
@@ -429,13 +458,15 @@ def _suffix_starts(r: np.ndarray, threshold: float) -> np.ndarray:
     # column len(r), past the last, holds +inf, which every row admits; so
     # does column -1, where a guess of column 0 looks for the column before
     env = np.concatenate((r, [INF]))
+    row_r = r if rows is None else r[rows]
     with np.errstate(over="ignore"):  # past DBL_MAX a sum is +-inf; the starts are checked
-        keys = r + threshold
+        keys = row_r + threshold
     start = env.searchsorted(keys)
-    passes = env[start] - r >= threshold
-    bad = (~passes | (env[start - 1] - r >= threshold)).nonzero()[0]
+    passes = env[start] - row_r >= threshold
+    bad = (~passes | (env[start - 1] - row_r >= threshold)).nonzero()[0]
     if bad.size:
-        start[bad] = _gallop(env, bad, start[bad], ~passes[bad], threshold)
+        start[bad] = _gallop(env, bad if rows is None else rows[bad], start[bad], ~passes[bad],
+                             threshold)
     return start
 
 
@@ -479,10 +510,10 @@ def bohl_exponents(system, rate: rates.GrowthRate, params: Params = DEFAULT,
             raise SpectrumError("pick a component of the diagonal system")
         component = 0
     count = base.components
-    if not isinstance(component, int) or isinstance(component, bool) \
+    if not isinstance(component, numbers.Integral) or isinstance(component, bool) \
             or not 0 <= component < count:
         raise SpectrumError(f"component {component!r} is not in 0..{count - 1}")
-    return _estimates(system, rate, params, [component])[0]
+    return _estimates(system, rate, params, [int(component)])[0]
 
 
 def _base(system, rate: rates.GrowthRate) -> LinearSystem:

@@ -47,17 +47,21 @@ def test_spectrum_continuous_quotient_below_linear_power(capsys):
 
 
 def test_quotient_report_system_reads_back(capsys):
-    """A rate-quotient report's system, passed back as --system, gives the
-    same report byte for byte."""
-    system = {"time_domain": "discrete", "dimension": 2, "structure": "diagonal",
-              "coefficients": {"rate_quotient": {"rate": {"kind": "power_exp", "p": 2},
-                                                 "slopes": [-1, 1]}}}
+    """A rate-quotient report's system is the input, as the user wrote it
+    (integer slopes, a rate without its defaults, and the structure even
+    where one slope could be a scalar), and passed back as --system gives
+    the same report byte for byte."""
     argv = ["spectrum", "--rate", "q", "--schedule", "20,40", "--system"]
-    code, out, err = _run(capsys, argv + [json.dumps(system)])
-    assert code == 0, err
-    echoed = json.loads(out)["system"]
-    assert echoed["coefficients"]["rate_quotient"]["slopes"] == [-1.0, 1.0]
-    assert _run(capsys, argv + [json.dumps(echoed)]) == (0, out, "")
+    for dim, structure, slopes in ((2, "diagonal", [-1, 1]), (1, "diagonal", [1]),
+                                   (1, "scalar", [1])):
+        system = {"time_domain": "discrete", "dimension": dim, "structure": structure,
+                  "coefficients": {"rate_quotient": {"rate": {"kind": "power_exp", "p": 2},
+                                                     "slopes": slopes}}}
+        code, out, err = _run(capsys, argv + [json.dumps(system)])
+        assert code == 0, err
+        echoed = json.loads(out)["system"]
+        assert json.dumps(echoed) == json.dumps(system)
+        assert _run(capsys, argv + [json.dumps(echoed)]) == (0, out, "")
 
 
 def test_spectrum_identity(capsys):
@@ -581,9 +585,9 @@ RECORDED_REPORTS = [
         {"time_domain": "discrete", "dimension": 2, "structure": "full",
          "coefficients": {"table": "table_full_exp.csv"}}),
       "--rate", "exp", "--schedule", "25,50,100"], "spectrum_full_table_exp.json"),
-    # relation scans past the default schedule: most pair tiles of the
-    # chain's peaked ratios are pruned, and the constant ratio of exp and
-    # power_exp(1, 3) takes the row scan
+    # relation scans past the default schedule: the parametric bound keeps
+    # one to three rows of each of the chain's monotone ratios, and every
+    # live row of the constant ratio of exp and power_exp(1, 3)
     (["compare", "--relation", "chain", "--rates", "p,exp,q,c",
       "--time-domain", "discrete", "--schedule", "200,400,800,1600"],
      "chain_discrete_wide.json"),
@@ -633,6 +637,11 @@ RECORDED_REPORTS = [
         {"time_domain": "continuous", "dimension": 3, "structure": "diagonal",
          "coefficients": {"diagonal": ["2*abs(t)", "t", "-1/(1+abs(t))"]}}),
       "--rate", "exp"], "spectrum_diag_cont_exp.json"),
+    # the ratio necessity refutes outright: its witness is each window's
+    # argmax pair (-N, 1)
+    (["compare", "--a", "p", "--b", "exp", "--relation", "almost-faster",
+      "--time-domain", "discrete", "--schedule", "200,400,800,1600"],
+     "almost_faster_discrete_wide_fails.json"),
 ]
 
 

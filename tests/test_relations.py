@@ -127,16 +127,15 @@ def test_ratio_necessity_runs_once_per_ordered_pair(monkeypatch):
 
 
 def test_ratio_scan_forms_few_ratios_where_the_ratios_peak(monkeypatch):
-    """The ratio-necessity scan forms the ratio of every cell of the tiles
-    it scans, or of every rectangle cell of the row blocks it falls back
-    to.  On discrete exp over p at window 1600, the tiles that can hold the
-    maximum hold under 10% of the admissible pairs.  The constant ratio of
-    exp and power_exp(1, 3) leaves nothing to prune, so the row scan runs;
-    both grids are odd under time reversal, so its blocks hold exactly the
-    admissible pairs of the half triangle i + j <= n - 1 (and cells of
-    later rows past it): at most 55% of the admissible pairs' cells."""
+    """The ratio-necessity scan forms the ratio of every rectangle cell of
+    the row blocks of the rows its prune keeps.  On discrete exp over p at
+    window 1600 they hold under 1% of the admissible pairs.  The constant
+    ratio of exp and power_exp(1, 3) leaves nothing to prune; both grids
+    are odd under time reversal, so its blocks hold exactly the admissible
+    pairs of the half triangle i + j <= n - 1 (and cells of later rows past
+    it): at most 55% of the admissible pairs' cells."""
     formed, half_formed = [], []
-    blocks, cells = relations.pair_ratio_blocks, relations._cells_max
+    blocks = relations.pair_ratio_blocks
 
     def counting_blocks(r, *args):
         starts, scan = blocks(r, *args)
@@ -149,12 +148,7 @@ def test_ratio_scan_forms_few_ratios_where_the_ratios_peak(monkeypatch):
 
         return starts, (counted(*block) for block in scan)
 
-    def counting_cells(mu, om, rows, cols, threshold):
-        formed.append(len(rows) * relations._PAIR_TILE ** 2)
-        return cells(mu, om, rows, cols, threshold)
-
     monkeypatch.setattr(relations, "pair_ratio_blocks", counting_blocks)
-    monkeypatch.setattr(relations, "_cells_max", counting_cells)
 
     def counts(mu, omega):
         """(cells formed, admissible pairs, admissible pairs of the half)."""
@@ -170,52 +164,65 @@ def test_ratio_scan_forms_few_ratios_where_the_ratios_peak(monkeypatch):
         return sum(formed), int((n - starts).sum()), half
 
     formed_cells, admissible, _ = counts(EXP, P)
-    assert formed_cells <= 0.1 * admissible
+    assert formed_cells <= 0.01 * admissible
     formed_cells, admissible, half = counts(EXP, rates.PowerExp(1.0, 3.0, DISCRETE))
     assert sum(half_formed) == half
     assert formed_cells <= 0.55 * admissible
 
 
-@pytest.mark.parametrize("window", [800, 1600])
-@pytest.mark.parametrize("mu, omega", [(P, EXP), (EXP, Q), (Q, C)])
-def test_ratio_scan_scans_each_tile_pair_once(monkeypatch, mu, omega, window):
-    """The last coarse tile of a grid may hold fewer fine tiles than the
-    others; none of its fine tile pairs is scanned twice."""
-    scanned = []
-    cells = relations._cells_max
+def _live_rows(r_mu, threshold, cut):
+    """The rows that hold an admissible pair with i + j < cut."""
+    n = len(r_mu)
+    starts = spectrum._suffix_starts(r_mu, spectrum.admission_threshold(threshold))
+    return np.flatnonzero(starts < np.minimum(n, cut - np.arange(n)))
 
-    def counting_cells(mu_grid, om_grid, rows, cols, threshold):
-        scanned.extend(zip(rows.tolist(), cols.tolist()))
-        return cells(mu_grid, om_grid, rows, cols, threshold)
 
-    monkeypatch.setattr(relations, "_cells_max", counting_cells)
-    r_mu, r_om = rates.log_rate_grid(mu, window), rates.log_rate_grid(omega, window)
-    relations._ratio_argmax(r_mu, r_om, 0.5 * (r_mu[-1] - r_mu[0]))
-    assert scanned
-    assert len(scanned) == len(set(scanned))
+def test_ratio_prune_keeps_few_rows_of_monotone_ratios(monkeypatch):
+    """Each of the 12 ratio-necessity scans of the discrete chain p, exp,
+    q, c at windows 200 to 1600 keeps at most 3 rows, among them the row of
+    its maximum; the constant ratio of exp and power_exp(1, 3) keeps every
+    live row."""
+    kept, prune = [], relations._kept_rows
+
+    def recorded(*args):
+        kept.append((args, prune(*args)))
+        return kept[-1][1]
+
+    monkeypatch.setattr(relations, "_kept_rows", recorded)
+    relations._ratio_necessity.cache_clear()
+    params = Params(schedule=(200, 400, 800, 1600))
+    relations.chain_check([P, EXP, Q, C], params)
+    assert len(kept) == 12
+    for (r_mu, r_om, threshold, cut), rows in kept:
+        assert rows is not None and 1 <= len(rows) <= 3
+        assert relations._row_argmax(r_mu, r_om, threshold, cut)[0] in rows
+    kept.clear()
+    relations._ratio_necessity(EXP, rates.PowerExp(1.0, 3.0, DISCRETE), params)
+    assert len(kept) == 4
+    for (r_mu, r_om, threshold, cut), rows in kept:
+        assert np.array_equal(rows, _live_rows(r_mu, threshold, cut))
 
 
 @pytest.mark.parametrize("domain, window", [(DISCRETE, 800), (DISCRETE, 1600),
                                             (CONTINUOUS, 200), (CONTINUOUS, 400)])
-def test_tile_scan_finds_the_row_scan_pair_at_production_width(domain, window):
-    """At the tile widths the scan runs with, on grids of 1601 to 8001
-    samples, the tile scan gives the row scan's pair, or None where it
-    leaves the grid to the row scan."""
+def test_pruned_scan_finds_the_row_scan_pair_at_production_width(domain, window):
+    """On grids of 1601 to 8001 samples, the scan of the rows the prune
+    keeps gives the pair of the scan of every row, for every ordered pair
+    of catalog rates and the constant ratio of exp and power_exp(1, 3)."""
+    names = catalog.RATE_NAMES
     pairs = [(catalog.rate(mu, domain), catalog.rate(omega, domain))
-             for mu, omega in itertools.permutations(["p", "exp", "q", "c"], 2)]
+             for mu, omega in itertools.permutations(names, 2)]
     pairs.append((catalog.rate("exp", domain), rates.PowerExp(1.0, 3.0, domain)))
     per_unit = 1 if domain == DISCRETE else SAMPLES_PER_UNIT
-    tiled = 0
     for mu, omega in pairs:
         r_mu, r_om = (rates.log_rate_grid(rate, window, per_unit) for rate in (mu, omega))
         threshold = spectrum.admission_threshold(Params().cutoff_fraction * (r_mu[-1] - r_mu[0]))
         n = len(r_mu)
         cut = n if spectrum._mirrored(r_mu, r_om[None], -r_om[None]) else 2 * n
-        found = relations._tile_argmax(r_mu, r_om, threshold, cut)
-        if found is not None:
-            tiled += 1
-            assert found == relations._row_argmax(r_mu, r_om, threshold, cut), (mu, omega)
-    assert tiled > len(pairs) // 2
+        rows = relations._kept_rows(r_mu, r_om, threshold, cut)
+        assert rows is not None and set(rows) <= set(_live_rows(r_mu, threshold, cut))
+        assert (relations._row_argmax(r_mu, r_om, threshold, cut, rows)
+                == relations._row_argmax(r_mu, r_om, threshold, cut)), (mu, omega)
 
 
 def test_affine_prefilter_runs_once_per_ordered_pair():

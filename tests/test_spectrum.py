@@ -1,5 +1,5 @@
-import contextlib
 import math
+import re
 import struct
 from unittest import mock
 
@@ -288,15 +288,20 @@ def test_extension_of_tabulated_system_stops_at_table_range():
     assert rep.intervals[0].hi == pytest.approx(501 / 800)
 
 
-@pytest.mark.parametrize("component", [-1, -2, 2, 5, True, 1.0])
+@pytest.mark.parametrize("component", [-1, -2, 2, 5, True, 1.0] + [
+    pytest.param(value, id=repr(value))
+    for value in (np.int64(2), np.int32(-1), np.True_, np.float64(1.0))])
 def test_bohl_exponents_name_a_component_out_of_range(component):
+    """An integral component (numpy's too, as ``Params.schedule`` takes
+    them) must lie in range; a bool or a float is never a component."""
     system = evolution.quotient_system(Q, [-1.0, 1.0])
     params = Params(schedule=(20, 40))
     with pytest.raises(spectrum.SpectrumError,
-                       match=f"component {component!r} is not in 0..1"):
+                       match=re.escape(f"component {component!r} is not in 0..1")):
         spectrum.bohl_exponents(system, Q, params, component=component)
-    est = spectrum.bohl_exponents(system, Q, params, component=1)
-    assert (est.lower, est.upper) == (1.0, 1.0)
+    for one in (1, np.int64(1), np.uint8(1)):
+        est = spectrum.bohl_exponents(system, Q, params, component=one)
+        assert (est.lower, est.upper) == (1.0, 1.0)
 
 
 def test_series_on_one_rate_grid_share_a_pair_scan(monkeypatch):
@@ -427,7 +432,8 @@ def _power_of_two_multiples(draw):
     scaled by 2^e: at a normal scale (e from -20 to 20), with every step
     below DBL_MIN, or with max |r| in [2^1022, 2^1023), near DBL_MAX / 2.
     closed says whether the closed form must be taken: exactly when every
-    |c| is 1, at every scale."""
+    series is 1, -1 or 0 times r, at every scale, which holds where |c| is
+    1 and where c * r underflows to zeros on a subnormal grid."""
     n = draw(st.integers(2, 24))
     steps = draw(st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1).filter(any))
     grid = draw(st.sampled_from([0.0, -8.0, -80.0])) + np.concatenate([[0.0], np.cumsum(steps)])
@@ -444,7 +450,8 @@ def _power_of_two_multiples(draw):
     with np.errstate(over="ignore"):  # 2^6 * r may overflow to +-inf
         heads = slopes[:, None] * r
     cutoff = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
-    return r, heads, -heads, cutoff, bool((np.abs(slopes) == 1.0).all())
+    closed = all(abs(c) == 1.0 or not head.any() for c, head in zip(slopes, heads))
+    return r, heads, -heads, cutoff, closed
 
 
 # L = fl(r[1] - r[0]) and 0.5 * L are normal, but 0.5 * r[0] rounds: the
@@ -455,10 +462,13 @@ _ROUNDED = np.array([2.0 ** -1074, 2.0 ** -1021 + 2.0 ** -1073])
 @given(_power_of_two_multiples())
 @settings(max_examples=300, deadline=None, derandomize=True)
 @example((_ROUNDED, 0.5 * _ROUNDED[None], -0.5 * _ROUNDED[None], 0.5, False))
+# 2^-6 * r underflows to zeros: the series is 0 * r, and takes the closed form
+@example((np.array([0.0, 2.0 ** -1070]), np.zeros((1, 2)), np.full((1, 2), -0.0), 0.25, True))
 def test_power_of_two_multiples_take_the_closed_form_only_at_unit_slopes(case):
     """Series that are +-2^m times the rate give bitwise the all-pairs
-    extremes, and form no pair block exactly where every |c| is 1: other
-    powers of two take the scan, also where c * r would be exact."""
+    extremes, and form no pair block exactly where every series is 1, -1
+    or 0 times the rate: other powers of two take the scan, also where
+    c * r would be exact."""
     r, heads, tails, cutoff, closed = case
     assert 2.0 ** 1022 <= np.abs(r).max() < 2.0 ** 1023 or np.abs(r).max() < 2.0 ** 30
     formed, blocks = [], spectrum.pair_ratio_blocks
@@ -558,18 +568,6 @@ def _multiple_inputs(draw):
     return r, heads, tails, cutoff
 
 
-def _tiles(tile):
-    """The ratio-necessity scan as it dispatches (tile None), or its tile
-    scan forced with tiles ``tile`` samples wide and at most 3 coarse tiles
-    a side (so that coarse tiles hold several fine ones); a share above 1
-    leaves the row scan only where no tile pair is live.  The tile pairs or
-    cells held at once are ``spectrum._PAIR_BLOCK``'s, as in the pair scan."""
-    if tile is None:
-        return contextlib.nullcontext()
-    return mock.patch.multiple(relations, _PAIR_TILE=tile, _COARSE_SIDE=3, _ROW_SCAN_PAIRS=0,
-                               _ROW_SCAN_SHARE=2.0)
-
-
 def _ramp(n, om, cutoff):
     """Inputs on r = 0, 1, ..., n - 1 whose ratio-necessity scan reads r_om
     = ``om``."""
@@ -577,8 +575,7 @@ def _ramp(n, om, cutoff):
     return np.arange(float(n)), om[None], np.zeros((1, n)), cutoff
 
 
-@given(st.one_of(_pair_inputs(), _multiple_inputs()), st.sampled_from([1, 3, 16, 64, 1 << 14]),
-       st.sampled_from([None, 1, 2, 3, 16]))
+@given(st.one_of(_pair_inputs(), _multiple_inputs()), st.sampled_from([1, 3, 16, 64, 1 << 14]))
 @settings(max_examples=800, deadline=None)
 # +0.0 and -0.0 tie for both extremes: one -0.0 ratio, pair (0, 4), in the
 # first series, and only -0.0 ratios in the second; numpy's min and max of
@@ -586,27 +583,28 @@ def _ramp(n, om, cutoff):
 # and the scan must still give +0.0
 @example((np.array([0.0] * 4 + [0.5] * 4),
           np.array([[0.0] * 4 + [-0.0] + [0.0] * 3, [-0.0] * 8]),
-          np.array([[-0.0] + [0.0] * 7, [-0.0] * 8]), 0.5), 64, None)
-# the tile scan: every admissible ratio is a zero, and the first, pair
-# (0, 4), is -0.0 while numpy's max of the tile's ratios is +0.0
-@example(_ramp(8, [0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0, 0.0], 0.5), 1 << 14, 2)
-# numerator bounds in [0, 1): the tile of the maximum, pair (3, 7), is kept
-# only when its bound divides by the least mu-difference, not the largest
+          np.array([[-0.0] + [0.0] * 7, [-0.0] * 8]), 0.5), 64)
+# the ratio-necessity scan: every admissible ratio is a zero, and the
+# first, pair (0, 4), is -0.0 while numpy's max of the row's ratios is
+# +0.0; the floor is a zero, below the normal range, so every row is scanned
+@example(_ramp(8, [0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0, 0.0], 0.5), 1 << 14)
+# the floor is the maximum, pair (3, 6), and row 2's first pair (2, 5)
+# falls an ulp short of it: the bound keeps both rows
 @example((np.array([0.0, 0.0, 2.0, 3.0, 3.5, 4.5, 5.5, 6.0, 6.5, 7.5]),
           np.array([[0.01, 0.01, 0.01, 0.02, 0.04, 0.06, 0.07, 0.08, 0.06, 0.06]]),
-          np.zeros((1, 10)), 0.25), 1 << 14, 3)
+          np.zeros((1, 10)), 0.25), 1 << 14)
 # the closed form: a rounded key r[i] + threshold puts the suffix start of
 # row 0 one column early, at 1, where fl(-2.7 - -3.0) < 0.3
 @example((np.array([-3.0, -2.7, -2.4]), np.array([[-3.0, -2.7, -2.4]]),
-          np.array([[3.0, 2.7, 2.4]]), 0.5), 1 << 14, None)
+          np.array([[3.0, 2.7, 2.4]]), 0.5), 1 << 14)
 # r with entry 1 an ulp up, and its negative: c reads 1 from entry 3, but
 # the ratio of (1, 3) is 1 - 2^-53, not 1
 @example((np.arange(4.0), np.array([[0.0, 1.0 + 2.0 ** -52, 2.0, 3.0]]),
-          np.array([[0.0, -1.0 - 2.0 ** -52, -2.0, -3.0]]), 0.5), 1 << 14, None)
+          np.array([[0.0, -1.0 - 2.0 ** -52, -2.0, -3.0]]), 0.5), 1 << 14)
 # heads r but a tail that is not -r: pair (0, 2) has the ratio 0.75, not 1
 @example((np.arange(4.0), np.arange(4.0)[None], np.array([[-0.5, -1.0, -2.0, -3.0]]), 0.5),
-         1 << 14, None)
-def test_pair_scan_matches_all_pairs(inputs, block, tile):
+         1 << 14)
+def test_pair_scan_matches_all_pairs(inputs, block):
     r, heads, tails, cutoff = inputs
     l_max = r[-1] - r[0]
     threshold = cutoff * l_max
@@ -614,21 +612,23 @@ def test_pair_scan_matches_all_pairs(inputs, block, tile):
     count = len(refs[0][2])
     blocks = spectrum.pair_ratio_blocks
 
-    def checked_blocks(r, heads, tails, threshold, cut=None):
+    def checked_blocks(r, heads, tails, threshold, cut=None, rows=None):
         """The blocks, each checked against the plain rectangle: it starts
-        at its first row's suffix start, ends at the cut on i + j, which
-        only a mirrored scan lowers below 2 * len(r) - 1, and its q is NaN
-        exactly where the pair is inadmissible or its ratio is NaN."""
-        starts, scan = blocks(r, heads, tails, threshold, cut)
-        assert np.array_equal(
-            starts, spectrum._suffix_starts(r, spectrum.admission_threshold(threshold)))
+        at its first row's suffix start, in a row the scan was given, ends
+        at the cut on i + j, which only a mirrored scan lowers below 2 *
+        len(r) - 1, and its q is NaN exactly where the pair is inadmissible
+        or its ratio is NaN."""
+        starts, scan = blocks(r, heads, tails, threshold, cut, rows)
+        every = spectrum._suffix_starts(r, spectrum.admission_threshold(threshold))
+        assert np.array_equal(starts, every if rows is None else every[rows])
         cut = 2 * len(r) if cut is None else cut
         assert cut >= 2 * len(r) - 1 or cut == len(r) and spectrum._mirrored(r, heads, tails)
-        return starts, checked(r, heads, tails, starts, scan, cut)
+        return starts, checked(r, heads, tails, every, scan, cut, rows)
 
-    def checked(r, heads, tails, starts, scan, cut):
+    def checked(r, heads, tails, starts, scan, cut, kept):
         for i0, j0, L, q in scan:
             assert j0 == starts[i0]
+            assert kept is None or set(range(i0, i0 + q.shape[1])) <= set(kept.tolist())
             rows, cols = np.arange(i0, i0 + q.shape[1]), np.arange(j0, min(len(r), cut - i0))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 plain = r[cols] - r[rows, None]
@@ -637,7 +637,7 @@ def test_pair_scan_matches_all_pairs(inputs, block, tile):
             assert np.array_equal(np.isnan(q), np.isnan(np.where(admissible, ratios, np.nan)))
             yield i0, j0, L, q
 
-    with mock.patch.object(spectrum, "_PAIR_BLOCK", block), _tiles(tile), \
+    with mock.patch.object(spectrum, "_PAIR_BLOCK", block), \
             mock.patch.object(spectrum, "pair_ratio_blocks", checked_blocks), \
             mock.patch.object(relations, "pair_ratio_blocks", checked_blocks):
         if l_max <= 0:
@@ -795,9 +795,11 @@ def _clear_scan_caches():
 
 def test_run_all_computes_the_starts_of_each_grid_slice_once(monkeypatch):
     """The suffix starts depend only on the rate grid's slice and the
-    cutoff: one run_all() scans 57 distinct slices 181 times, spectrum
-    windows and relation row scans together, and computes each slice's
-    starts once."""
+    cutoff: the spectrum windows of one run_all() scan 45 distinct slices
+    149 times, and compute each slice's starts once.  Its 32
+    ratio-necessity scans compute the starts of the rows their prune keeps
+    alone: one row in 24 scans, and every live row in the 8 of the
+    constant ratio of exp and power_exp(1, 3)."""
     computed, read = [], []
     suffix_starts, shared = spectrum._suffix_starts, spectrum._shared_starts
     _clear_scan_caches()
@@ -805,18 +807,21 @@ def test_run_all_computes_the_starts_of_each_grid_slice_once(monkeypatch):
                         lambda *a: computed.append(a) or suffix_starts(*a))
     monkeypatch.setattr(spectrum, "_shared_starts", lambda *a: read.append(a) or shared(*a))
     theorems.run_all()
-    assert (len(read), len(set(read)), len(computed)) == (181, 57, 57)
+    every = [args for args in computed if len(args) == 2]
+    kept = [len(args[2]) for args in computed if len(args) == 3]
+    assert (len(read), len(set(read)), len(every)) == (149, 45, 45)
+    assert len(kept) == 32 and kept.count(1) == 24
 
 
 def test_shared_starts_are_read_only_and_those_of_their_slice(monkeypatch):
-    """Every scan of one run_all() reads read-only starts, bitwise those a
-    fresh ``_suffix_starts`` gives its own grid slice, and one array for
-    each slice and cutoff."""
+    """Every scan of one run_all() of every row reads read-only starts,
+    bitwise those a fresh ``_suffix_starts`` gives its own grid slice, and
+    one array for each slice and cutoff; a scan of some rows gets theirs."""
     scans, blocks = [], spectrum.pair_ratio_blocks
 
-    def recorded(r, heads, tails, threshold, cut):
-        starts, scan = blocks(r, heads, tails, threshold, cut)
-        scans.append((r.copy(), threshold, starts))
+    def recorded(r, heads, tails, threshold, cut, rows=None):
+        starts, scan = blocks(r, heads, tails, threshold, cut, rows)
+        scans.append((r.copy(), threshold, starts, rows))
         return starts, scan
 
     monkeypatch.setattr(spectrum, "pair_ratio_blocks", recorded)
@@ -825,12 +830,15 @@ def test_shared_starts_are_read_only_and_those_of_their_slice(monkeypatch):
     theorems.run_all()
     assert len(scans) == 181
     shared = {}
-    for r, threshold, starts in scans:
-        assert not starts.flags.writeable
+    for r, threshold, starts, rows in scans:
         fresh = spectrum._suffix_starts(r, spectrum.admission_threshold(threshold))
+        if rows is not None:
+            assert starts.tobytes() == fresh[rows].tobytes()
+            continue
+        assert not starts.flags.writeable
         assert starts.dtype == fresh.dtype and starts.tobytes() == fresh.tobytes()
         assert shared.setdefault((r.tobytes(), threshold), starts) is starts
-    assert len(shared) == 57
+    assert len(shared) == 45
 
 
 def test_svd_calls_do_not_grow_with_the_window(monkeypatch):
@@ -918,46 +926,44 @@ def _bitwise(x, y):
                for a, b in zip(x, y))
 
 
-def _half_and_full(r, heads, tails, r_om, cutoff, block, tile):
+def _half_and_full(r, heads, tails, r_om, cutoff, block):
     """The scans of the half triangle and of every pair: the extremes and
     count of ``_pair_ratio_stats`` (with facts that send every series to
-    the scan), the pair of the row scan, that of the tile scan, forced with
-    tiles ``tile`` samples wide, and the ratio and pair of
-    ``_ratio_argmax``."""
+    the scan), the pair of the row scan of every row, and the ratio and
+    pair of ``_ratio_argmax``, which scans the rows its prune keeps."""
     l_max = r[-1] - r[0]
     threshold = spectrum.admission_threshold(cutoff * l_max) if l_max > 0 else 1.0
     n = len(r)
     _, bounded, _ = spectrum._scan_facts(r, heads, tails)
     found = []
-    with mock.patch.object(spectrum, "_PAIR_BLOCK", block), _tiles(tile), \
+    with mock.patch.object(spectrum, "_PAIR_BLOCK", block), \
             np.errstate(over="ignore", invalid="ignore"):  # the scan's own overflow
         for mirrored, cut in ((True, n), (False, 2 * n)):
             found.append((
                 _scanned(spectrum._pair_ratio_stats, r, heads, tails, cutoff,
                          (None, bounded, mirrored)),
                 _scanned(relations._row_argmax, r, r_om, threshold, cut),
-                _scanned(relations._tile_argmax, r, r_om, threshold, cut),
                 _scanned(relations._ratio_argmax, r, r_om, threshold, mirrored)))
     return found
 
 
-@given(_mirrored_inputs(), st.sampled_from([1, 3, 16, 1 << 14]), st.sampled_from([1, 2, 3]))
+@given(_mirrored_inputs(), st.sampled_from([1, 3, 16, 1 << 14]))
 @settings(max_examples=500, deadline=None, derandomize=True)
-def test_mirrored_scans_are_bitwise_the_full_scans(inputs, block, tile):
+def test_mirrored_scans_are_bitwise_the_full_scans(inputs, block):
     """On grids odd under time reversal, the scans of the half triangle i +
     j <= n - 1 give bitwise the full scans' extremes (a zero's sign
-    included), pair count, and row and tile argmax pairs; ``_mirrored``
+    included), pair count, and row and pruned argmax pairs; ``_mirrored``
     finds every such grid whose series hold no NaN, and the scans take the
     half exactly then."""
     r, heads, tails, r_om, cutoff = inputs
     assert spectrum._mirrored(r, heads, tails) == (not np.isnan(heads).any())
     assert spectrum._mirrored(r, r_om[None], -r_om[None])
-    (stats, row, tiles, best), (full_stats, full_row, full_tiles, full_best) = _half_and_full(
-        r, heads, tails, r_om, cutoff, block, tile)
+    (stats, row, best), (full_stats, full_row, full_best) = _half_and_full(
+        r, heads, tails, r_om, cutoff, block)
     assert _bitwise(stats, full_stats)
-    assert row == full_row and _bitwise(tiles, full_tiles) and _bitwise(best, full_best)
-    if not isinstance(row, type) and tiles is not None:
-        assert tiles == row
+    assert row == full_row and _bitwise(best, full_best)
+    if not isinstance(row, type):
+        assert best[1:] == row
 
 
 @given(_mirrored_inputs(), st.data())
@@ -989,9 +995,9 @@ def test_a_sample_an_ulp_off_takes_the_full_scan(inputs, data):
         cuts.append(cut)
         return blocks(r, heads, tails, threshold, cut)
 
-    def watched_rows(r_mu, r_om, threshold, cut):
+    def watched_rows(r_mu, r_om, threshold, cut, rows=None):
         cuts.append(cut)
-        return row_argmax(r_mu, r_om, threshold, cut)
+        return row_argmax(r_mu, r_om, threshold, cut, rows)
 
     with mock.patch.object(spectrum, "pair_ratio_blocks", watched), \
             mock.patch.object(relations, "_row_argmax", watched_rows), \
