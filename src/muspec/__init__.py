@@ -7,12 +7,10 @@ from .rates import (
     ExpressionRate,
     Glued,
     GrowthRate,
-    LogQuotient,
     Polynomial,
     PowerExp,
     RelationProfile,
     find_crossover,
-    log_quotient,
     log_rate,
     rate_from_descriptor,
     rate_to_descriptor,

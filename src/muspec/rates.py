@@ -22,6 +22,7 @@ Families:
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache, wraps
 from typing import Union
 
@@ -155,28 +156,11 @@ def _glued(rate: Glued, ts: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Log-quotients
-
-
-@record(frozen=True)
-class LogQuotient:
-    """log(mu(to)/mu(from)); non-negative whenever to >= from."""
-
-    value: float
-    t_from: float
-    t_to: float
-
-
-def log_quotient(rate: GrowthRate, k: float, n: float) -> LogQuotient:
-    return LogQuotient(log_rate(rate, k) - log_rate(rate, n), t_from=n, t_to=k)
-
-
-# ---------------------------------------------------------------------------
 # Sampled grids (shared by the estimators; cached, returned read-only)
 
 
 _TOL = 1e-12  # slack on log mu(0) = 0 and on non-decreasing samples
-MAX_VALIDATION_SAMPLES = 10 ** 6  # samples of a sample_times or validate_rate grid: 8 MB an array
+MAX_VALIDATION_SAMPLES = 10 ** 6  # samples of a sample_times grid: 8 MB an array
 MAX_LOG_RATE = np.finfo(float).max / 2  # DBL_MAX / 2: no difference of two samples this size overflows
 
 
@@ -276,26 +260,20 @@ class RateValidation:
 
 def validate_rate(rate: GrowthRate, window: float,
                   samples_per_unit: int = 10) -> RateValidation:
-    """Sample log mu on [-window, window] and report monotonicity violations,
-    the value at the origin, and the attained range.  A violation is a
-    sample more than _TOL below the running maximum, recorded as (time of
-    the maximum, time of the sample, and their values).  Violations are
-    data, not errors; a window that is not positive and finite, a
-    ``samples_per_unit`` below 1 or not finite, or a window that needs more
-    than MAX_VALIDATION_SAMPLES samples, is a RateError."""
+    """Sample log mu at ``sample_times`` out to ceil(window), the lattice
+    every estimator scans, and report monotonicity violations, the value at
+    the origin, and the attained range.  A violation is a sample more than
+    _TOL below the running maximum, recorded as (time of the maximum, time
+    of the sample, and their values).  Violations are data, not errors; a
+    window that is not positive and finite, a ``samples_per_unit`` that is
+    not an integer of at least 1, or a window that needs more than
+    MAX_VALIDATION_SAMPLES samples (``sample_times``), is a RateError."""
     if not (window > 0 and math.isfinite(window)):  # NaN fails too
         raise RateError(f"validation window must be positive and finite, got {window}")
-    if not (samples_per_unit >= 1 and math.isfinite(samples_per_unit)):
-        raise RateError(f"samples_per_unit must be finite and at least 1, got {samples_per_unit}")
-    discrete = rate.time_domain == DISCRETE
-    span = 2.0 * (float(int(window)) if discrete else window * samples_per_unit)
-    if not span + 1 <= MAX_VALIDATION_SAMPLES:  # span is +inf past double range
-        raise RateError(f"validation window {window:g} needs {span + 1:.12g} samples, "
-                        f"more than MAX_VALIDATION_SAMPLES ({MAX_VALIDATION_SAMPLES})")
-    if discrete:
-        ts = np.arange(-int(window), int(window) + 1, dtype=float)
-    else:
-        ts = np.linspace(-window, window, int(round(span)) + 1)
+    per_unit = samples_per_unit
+    if isinstance(per_unit, bool) or not isinstance(per_unit, numbers.Integral) or per_unit < 1:
+        raise RateError(f"samples_per_unit must be an integer of at least 1, got {per_unit}")
+    ts = sample_times(rate.time_domain, math.ceil(window), int(per_unit))
     vals = log_rate_values(rate, ts)
     bad = tuple((float(ts[p]), float(ts[i]), float(vals[p]), float(vals[i]))
                 for p, i in _drops(vals)[1])
@@ -322,7 +300,7 @@ def find_crossover(inner: GrowthRate, outer: GrowthRate, hi: float = 10.0,
     def f(ts):
         return log_rate_values(inner, ts) - log_rate_values(outer, ts)
 
-    grid = np.linspace(hi / 1000.0, hi, 1000)
+    grid = np.arange(1, 1001) * (hi / 1000.0)  # k * hi / 1000, k = 1..1000
     values = f(grid)
     # the first grid point that is a root or starts a sign change
     stop = (values[:-1] == 0.0) | (values[:-1] * values[1:] < 0)

@@ -27,11 +27,11 @@ def test_log_rate_values():
 
 
 def test_log_quotient():
-    assert rates.log_quotient(Q, 3, 1).value == 8.0
-    assert rates.log_quotient(EXP, 5, 2).value == 3.0
-    assert rates.log_quotient(C, 7, 7).value == 0.0
-    fwd = rates.log_quotient(Q, 9, -4).value
-    bwd = rates.log_quotient(Q, -4, 9).value
+    assert rates.log_rate(Q, 3) - rates.log_rate(Q, 1) == 8.0
+    assert rates.log_rate(EXP, 5) - rates.log_rate(EXP, 2) == 3.0
+    assert rates.log_rate(C, 7) - rates.log_rate(C, 7) == 0.0
+    fwd = rates.log_rate(Q, 9) - rates.log_rate(Q, -4)
+    bwd = rates.log_rate(Q, -4) - rates.log_rate(Q, 9)
     assert fwd == -bwd
 
 
@@ -138,14 +138,14 @@ class _NoArrays:
 
 
 @pytest.mark.parametrize("domain, window, count", [
-    (DISCRETE, 1e18, "2e+18"), (DISCRETE, 1e9, "2000000001"),
-    (CONTINUOUS, 1e18, "2e+19"), (CONTINUOUS, 1e9, "20000000001")])
+    (DISCRETE, 1e18, "2000000000000000001"), (DISCRETE, 1e9, "2000000001"),
+    (CONTINUOUS, 1e18, "20000000000000000001"), (CONTINUOUS, 1e9, "20000000001")])
 def test_validate_rate_rejects_a_window_too_large_to_sample(monkeypatch, domain, window, count):
     # the window is rejected before numpy is reached, so nothing is allocated
     monkeypatch.setattr(rates, "np", _NoArrays())
     with pytest.raises(rates.RateError) as err:
         rates.validate_rate(rates.PowerExp(1.0, 1.0, domain), window)
-    assert str(err.value) == (f"validation window {window:g} needs {count} samples, "
+    assert str(err.value) == (f"window {math.ceil(window)} needs {count} samples, "
                               "more than MAX_VALIDATION_SAMPLES (1000000)")
 
 
@@ -168,13 +168,25 @@ def test_sample_times_rejects_a_window_too_large_to_sample(monkeypatch, domain, 
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("count", [0, 0.5, -1, math.inf, math.nan])
+@pytest.mark.parametrize("count", [0, 0.5, -1, math.inf, math.nan, 4.0, True, "4"])
 def test_validate_rate_rejects_a_sample_count_below_one(monkeypatch, count):
-    # a count of 0 once sampled t = -5 alone, and -1 reached numpy's own error
+    # a count of 0 once sampled t = -5 alone, and -1 reached numpy's own error;
+    # a count that is not an integer (4.0, True, "4") is refused as well
     monkeypatch.setattr(rates, "np", _NoArrays())
     with pytest.raises(rates.RateError) as err:
         rates.validate_rate(rates.PowerExp(1.0, 1.0, CONTINUOUS), 5, count)
-    assert str(err.value) == f"samples_per_unit must be finite and at least 1, got {count}"
+    assert str(err.value) == f"samples_per_unit must be an integer of at least 1, got {count}"
+
+
+@pytest.mark.parametrize("domain", [DISCRETE, CONTINUOUS])
+def test_validate_rate_samples_the_lattice_out_to_the_rounded_up_window(domain):
+    """validate_rate reads the sample times the estimators scan, and a
+    fractional window rounds outward: 2.5 samples out to 3."""
+    ts = rates.sample_times(domain, 3, 4)
+    report = rates.validate_rate(rates.ExpressionRate("-t^3", domain), 2.5, 4)
+    assert report.points_checked == len(ts) == (7 if domain == DISCRETE else 25)
+    assert report.attained == (27.0, -27.0)
+    assert [v[:2] for v in report.violations] == [(ts[0], t) for t in ts[1:].tolist()]
 
 
 @given(st.integers(min_value=-100, max_value=100),
@@ -182,7 +194,7 @@ def test_validate_rate_rejects_a_sample_count_below_one(monkeypatch, count):
 @settings(max_examples=200, deadline=None)
 def test_quotient_sign_property(k, n):
     for rate in (P, EXP, Q, C):
-        value = rates.log_quotient(rate, max(k, n), min(k, n)).value
+        value = rates.log_rate(rate, max(k, n)) - rates.log_rate(rate, min(k, n))
         assert value >= 0.0
 
 

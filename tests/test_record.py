@@ -25,7 +25,7 @@ FLAGS = {
     "Num": (True, True), "Var": (True, True), "Neg": (True, True), "Bin": (True, True),
     "Call": (True, True), "Params": (True, True), "PowerExp": (True, True),
     "Polynomial": (True, True), "ExpressionRate": (True, True), "Glued": (True, True),
-    "LogQuotient": (True, True), "RateValidation": (True, True),
+    "RateValidation": (True, True),
     "RelationProfile": (True, True), "BohlEstimate": (True, True),
     "SpectralInterval": (True, True), "SpectralGap": (True, True),
     "SpectrumReport": (True, True), "DichotomyVerdict": (True, True),
@@ -74,7 +74,6 @@ def _samples() -> dict:
         "Polynomial": (CONTINUOUS,),
         "ExpressionRate": ("k",),
         "Glued": (rates.PowerExp(1.0, 1.0, CONTINUOUS), rates.PowerExp(2.0, 1.0, CONTINUOUS), 1.5),
-        "LogQuotient": (1.0, 0.0, 2.0),
         "RateValidation": ((), 0.0, True, (-1.0, 1.0), 21),
         "RelationProfile": (True, False) * 4,
         "BohlEstimate": (-1.0, 1.0, ((50, -1.0, 1.0),), False, False, True, True, 7, 0.5),
@@ -120,7 +119,7 @@ def _outcome(fn):
 
 
 def test_every_record_type_is_listed():
-    assert sorted(RECORDS) == sorted(FLAGS) and len(RECORDS) == 31
+    assert sorted(RECORDS) == sorted(FLAGS) and len(RECORDS) == 30
     assert set(_samples()) == set(FLAGS)
 
 

@@ -750,12 +750,20 @@ def _bisected_starts(r, threshold):
     return lo
 
 
+def _guesses(r, threshold, rows):
+    """The starts ``_suffix_starts`` guesses, one searchsorted of the keys
+    r[i] + threshold, before it checks them."""
+    keys = (r if rows is None else r[rows]) + threshold
+    return np.concatenate((r, [INF])).searchsorted(keys)
+
+
 @st.composite
 def _start_inputs(draw):
-    """(r, threshold): a non-decreasing grid of plateaus up to 60 samples
-    long, at magnitudes up to DBL_MAX / 2, and a threshold at a cutoff of
-    its range, at a pair's distance (a tie), at the least positive double,
-    or at -r[i] of a row, whose key r[i] + threshold is then near 0."""
+    """(r, threshold, rows): a non-decreasing grid of plateaus up to 60
+    samples long, at magnitudes up to DBL_MAX / 2, a threshold at a cutoff
+    of its range, at a pair's distance (a tie), at the least positive
+    double, or at -r[i] of a row, whose key r[i] + threshold is then near
+    0, and None (every row) or some increasing rows."""
     runs = draw(st.lists(st.tuples(st.sampled_from([0.1, 0.3, 1.0, 1.7, 2.0 ** -40, 1e-300]),
                                    st.integers(1, 60)), min_size=1, max_size=10))
     steps = np.concatenate([[step] + [0.0] * (length - 1) for step, length in runs])
@@ -769,20 +777,33 @@ def _start_inputs(draw):
         draw(st.sampled_from([0.25, 0.5, 0.75, 1e-9])) * (r[-1] - r[0]),
         r[b] - r[a], math.ulp(0.0), -r[a], np.nextafter(-r[a], INF), np.nextafter(-r[a], -INF)]))
     assume(threshold > 0)
-    return r, spectrum.admission_threshold(float(threshold))
+    rows = draw(st.none() | st.lists(st.integers(0, len(r) - 1), min_size=1, unique=True)
+                .map(lambda rows: np.array(sorted(rows), dtype=np.intp)))
+    return r, spectrum.admission_threshold(float(threshold)), rows
 
 
-@given(_start_inputs())
+@given(_start_inputs(), st.just(False))
 @settings(max_examples=400, deadline=None, derandomize=True)
 # the key of row 0 rounds to the plateau at -2.7, where fl(-2.7 - -3.0) <
 # 0.3: the start is past the plateau, six columns after the guess
-@example((np.array([-3.0] + [-2.7] * 6 + [2.3]), 0.3))
-def test_suffix_starts_are_those_of_bisecting_every_row(inputs):
-    """Rows whose guessed start misses search outward from the guess, and
-    every start is bitwise the one bisecting every row over all its later
-    columns finds."""
-    r, threshold = inputs
-    got, want = spectrum._suffix_starts(r, threshold), _bisected_starts(r, threshold)
+@example((np.array([-3.0] + [-2.7] * 6 + [2.3]), 0.3, None), True)
+# fl(3.1 - 0.7) is the threshold, but the key 0.7 + threshold rounds above
+# 3.1: row 0 starts at column 1, a column before the guess
+@example((np.array([0.7, 3.1, 4.1]), 3.1 - 0.7, None), True)
+# the key -1e5 + 2^-1074 rounds to -1e5: rows 0 and 1 are guessed to start
+# at column 0, at or before the row, and start at column 2
+@example((np.array([-1e5, -1e5, 0.0]), math.ulp(0.0), None), True)
+# the same late guess for row 1 of a scan of rows 1 and 3
+@example((np.array([-5.0, 0.7, 3.1, 4.1]), 3.1 - 0.7, np.array([1, 3])), True)
+def test_suffix_starts_are_those_of_bisecting_every_row(inputs, misses):
+    """Rows whose guessed start misses are bisected, and every start is
+    bitwise the one bisecting every row over all its later columns finds.
+    Each explicit example (``misses``) has a row whose guess misses."""
+    r, threshold, rows = inputs
+    got, want = spectrum._suffix_starts(r, threshold, rows), _bisected_starts(r, threshold)
+    if rows is not None:
+        want = want[rows]
+    assert not misses or (_guesses(r, threshold, rows) != want).any()
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
